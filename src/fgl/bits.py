@@ -107,3 +107,34 @@ def transpose(rows: np.ndarray, v: int, block: int = 4096) -> np.ndarray:
         cols = chunk[:, lo - wlo * 64 : hi - wlo * 64]
         out[lo:hi] = pack_bool(np.ascontiguousarray(cols.T), v)
     return out
+
+
+def equivalence_classes(rows: np.ndarray, v: int):
+    """Class labels of a reflexive relation given as bit rows, if it is an
+    equivalence.
+
+    Returns (labels, None), classes numbered in order of their least
+    member, or (None, (x, y, z)) where y is related to x but the rows of x
+    and y differ at z.
+    """
+    labels = np.full(v, -1, dtype=np.int64)
+    nclass = 0
+    for x in range(v):
+        if labels[x] >= 0:
+            continue
+        members = indices(rows[x], v)
+        bad = np.nonzero((rows[members] != rows[x]).any(axis=1))[0]
+        if bad.size:
+            y = int(members[bad[0]])
+            return None, (x, y, int(indices(rows[y] ^ rows[x], v)[0]))
+        labels[members] = nclass
+        nclass += 1
+    return labels, None
+
+
+def identity(v: int) -> np.ndarray:
+    """(v, W) bit matrix with exactly the bits (i, i) set."""
+    rows = zero_rows(v, v)
+    i = np.arange(v)
+    rows[i, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+    return rows

@@ -87,10 +87,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        report = pipeline.run_verify(args.family, args.n,
-                                     orders_mode=args.verify_orders,
-                                     sample=args.sample, seed=args.seed,
-                                     cache_dir=args.cache)
+        report = pipeline.run_verify(args.family, args.n, cache_dir=args.cache)
     except InvalidQ as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -145,7 +142,11 @@ def cmd_analyze(args) -> int:
             except (graphs.NotRegular, graphs.MoreThanTwoValues) as e:
                 out["deza"] = {"deza": False, "error": str(e)}
         elif check == "ddg":
-            labels = _partition_for(args)
+            try:
+                labels = _partition_for(args)
+            except (OSError, ValueError) as e:
+                print(f"error reading partition: {e}", file=sys.stderr)
+                return EXIT_USAGE
             if labels is None:
                 print("ddg check needs --partition or a sidecar meta file", file=sys.stderr)
                 return EXIT_USAGE
@@ -169,16 +170,24 @@ def cmd_analyze(args) -> int:
 
 
 def _partition_for(args):
+    """Class labels from --partition or the sidecar, None if neither has
+    any; ValueError unless they are a JSON list of integers."""
     if args.partition:
         with open(args.partition) as f:
-            return json.load(f)
-    meta_path = args.input + ".meta.json"
-    if os.path.exists(meta_path):
+            labels = json.load(f)
+    else:
+        meta_path = args.input + ".meta.json"
+        if not os.path.exists(meta_path):
+            return None
         with open(meta_path) as f:
             meta = json.load(f)
-        if "sylow_labels" in meta:
-            return meta["sylow_labels"]
-    return None
+        labels = meta.get("sylow_labels") if isinstance(meta, dict) else None
+        if labels is None:
+            return None
+    if not (isinstance(labels, list)
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in labels)):
+        raise ValueError("partition must be a JSON list of integer labels")
+    return labels
 
 
 def cmd_report(args) -> int:
@@ -234,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     _family_arg(p)
-    p.add_argument("--verify-orders", choices=["full", "sampled", "off"])
-    p.add_argument("--sample", type=int, default=fusion.DEFAULT_SAMPLE)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.add_argument("--cache")
     p.set_defaults(func=cmd_verify)

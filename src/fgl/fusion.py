@@ -1,13 +1,13 @@
 """Fusion graphs on an involution class.
 
 Vertices are the involutions of the class; the adjacency predicate is a
-condition on the order of the product of the two involutions.  Three
+condition on the order of the product of the two involutions.  Two
 predicates matter here: product order equal to the associated prime
-(the chi graph), product order odd and not in {1, chi} (the odd-complement
-graph), and a generic explicit order set.  The chi graph of each verified
-family is an antipodal distance-regular cover of diameter 3 and the
-odd-complement graph is its distance-2 power; both identities are asserted
-when the graphs are built in verification mode.
+(the chi graph), and product order odd and not in {1, chi} (the
+odd-complement graph).  The chi graph of each verified family is an
+antipodal distance-regular cover of diameter 3 and the odd-complement
+graph is its distance-2 power; both identities are asserted when the
+graphs are built in verification mode.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ import numpy as np
 
 from . import bits, graphs
 from .groups import InvolutionClass
-
-FULL_ORDER_LIMIT = 4000
-DEFAULT_SAMPLE = 10 ** 6
 
 
 class Gamma2Mismatch(Exception):
@@ -36,17 +33,13 @@ class PiSpec:
     """Product-order predicate for fusion-graph adjacency."""
 
     mode: str
-    values: frozenset[int] | None = None
 
     CHI = "chi"
     ODD_COMPLEMENT = "odd-complement"
-    EXPLICIT = "explicit"
 
     def __post_init__(self):
-        if self.mode not in (self.CHI, self.ODD_COMPLEMENT, self.EXPLICIT):
+        if self.mode not in (self.CHI, self.ODD_COMPLEMENT):
             raise ValueError(f"unknown pi mode {self.mode!r}")
-        if (self.mode == self.EXPLICIT) != (self.values is not None):
-            raise ValueError("explicit mode requires a value set, others forbid one")
 
     @classmethod
     def chi_only(cls) -> "PiSpec":
@@ -56,56 +49,24 @@ class PiSpec:
     def odd_complement(cls) -> "PiSpec":
         return cls(cls.ODD_COMPLEMENT)
 
-    @classmethod
-    def explicit(cls, values) -> "PiSpec":
-        vals = frozenset(int(x) for x in values)
-        if any(x < 2 for x in vals):
-            raise ValueError("order 1 cannot define an edge between distinct involutions")
-        return cls(cls.EXPLICIT, vals)
-
-
-def _self_rows(v: int) -> np.ndarray:
-    rows = bits.zero_rows(v, v)
-    for i in range(v):
-        bits.set_bit(rows[i], i)
-    return rows
-
 
 def odd_complement_rows(cls: InvolutionClass) -> np.ndarray:
     """Adjacency of the odd-complement graph as the complement of
     equality + commuting + distinguished pairs.
 
-    Exact modulo the dichotomy that non-commuting involution products have
-    odd order; the pipeline verifies that dichotomy exhaustively for classes
-    up to FULL_ORDER_LIMIT and by sampling above.
+    Exact given the dichotomy that every product of two non-commuting
+    involutions has odd order; the orders stage of the pipeline certifies
+    that dichotomy exactly with the orbital order census.
     """
     masks = cls.pair_masks()
     v = cls.size
-    excluded = masks.comm | masks.chi | _self_rows(v)
-    return (~excluded) & bits.pad_mask(v)
+    return ~(masks.comm | masks.chi | bits.identity(v)) & bits.pad_mask(v)
 
 
 def build_fusion_graph(cls: InvolutionClass, pi: PiSpec) -> graphs.Graph:
-    v = cls.size
     if pi.mode == PiSpec.CHI:
-        return graphs.Graph(v, cls.pair_masks().chi.copy())
-    if pi.mode == PiSpec.ODD_COMPLEMENT:
-        if v <= FULL_ORDER_LIMIT:
-            cls.order_scan()  # mandatory exhaustive order computation
-        return graphs.Graph(v, odd_complement_rows(cls))
-    # explicit order set: needs true orders for every pair
-    if pi.values == {2}:
-        return graphs.Graph(v, cls.pair_masks().comm.copy())
-    spec = cls.spec
-    ii, jj = [], []
-    from .groups import _pair_blocks, _batch_orders  # local to keep the hot path together
-    for i, j in _pair_blocks(v):
-        p = cls.kern.mul_batch(cls.codes[i], cls.codes[j])
-        orders = _batch_orders(cls.kern, p, spec.order_cap)
-        sel = np.isin(orders, list(pi.values))
-        ii.append(i[sel])
-        jj.append(j[sel])
-    return graphs.Graph(v, bits.rows_from_pairs(v, np.concatenate(ii), np.concatenate(jj)))
+        return graphs.Graph(cls.size, cls.pair_masks().chi.copy())
+    return graphs.Graph(cls.size, odd_complement_rows(cls))
 
 
 def chi_graph(cls: InvolutionClass) -> graphs.Graph:
@@ -127,16 +88,10 @@ def pi_graph(cls: InvolutionClass, verify: bool = True) -> graphs.Graph:
 
 def clique_rows(labels: np.ndarray) -> np.ndarray:
     """Within-class complete adjacency (no loops) for a label vector."""
-    labels = np.asarray(labels, dtype=np.int64)
-    v = len(labels)
-    rows = bits.zero_rows(v, v)
-    for c in np.unique(labels):
-        members = np.nonzero(labels == c)[0]
-        mask = bits.pack_bool(labels == c, v)
-        for x in members:
-            rows[x] = mask
-            rows[x, x >> 6] &= ~np.uint64(1 << (int(x) & 63))
-    return rows
+    _, inv = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    v = len(inv)
+    classes = bits.pack_bool(np.arange(inv.max(initial=-1) + 1)[:, None] == inv, v)
+    return classes[inv] ^ bits.identity(v)
 
 
 def phi_graph(chi_g: graphs.Graph, labels, pi_g: graphs.Graph | None = None,

@@ -112,18 +112,23 @@ def from_json_obj(obj) -> Graph:
         raise GraphParseError(str(e)) from e
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file + rename so readers never see partial output."""
+def atomic_write(path: str, write, mode: str = "w") -> None:
+    """Call write(f) on a temp file in the target's directory, then rename
+    it to path, so readers never see partial output."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        with os.fdopen(fd, mode) as f:
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    atomic_write(path, lambda f: f.write(text))
 
 
 def detect_format(path: str, fmt: str | None = None) -> str:

@@ -111,9 +111,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.degrees().sum()) // 2
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return bits.get_bit(self.rows[i], j)
-
     def neighbors(self, i: int) -> np.ndarray:
         return bits.indices(self.rows[i], self.v)
 
@@ -127,11 +124,7 @@ class Graph:
         return out
 
     def complement(self) -> "Graph":
-        mask = bits.pad_mask(self.v)
-        rows = (~self.rows) & mask
-        for i in range(self.v):
-            rows[i, i >> 6] &= ~np.uint64(1 << (i & 63))
-        return Graph(self.v, rows)
+        return Graph(self.v, ~(self.rows | bits.identity(self.v)) & bits.pad_mask(self.v))
 
     def __eq__(self, other) -> bool:
         return (
@@ -269,21 +262,11 @@ def antipodal_classes(g: Graph) -> np.ndarray:
         sel = dist == d
         sel[src] = True
         far[src] = bits.pack_bool(sel, v)
-    labels = np.full(v, -1, dtype=np.int64)
-    nclass = 0
-    for x in range(v):
-        if labels[x] >= 0:
-            continue
-        members = bits.indices(far[x], v)
-        for y in members:
-            if not np.array_equal(far[int(y)], far[x]):
-                diff = far[int(y)] ^ far[x]
-                z = int(bits.indices(diff, v)[0])
-                raise NotAntipodal(
-                    f"distance-{{0,{d}}} relation is not transitive at ({x},{int(y)},{z})",
-                    witness=(x, int(y), z))
-        labels[members] = nclass
-        nclass += 1
+    labels, witness = bits.equivalence_classes(far, v)
+    if witness:
+        x, y, z = witness
+        raise NotAntipodal(
+            f"distance-{{0,{d}}} relation is not transitive at ({x},{y},{z})", witness=witness)
     return labels
 
 
@@ -524,7 +507,10 @@ def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
     antipodal_classes on such graphs but quadratic instead of cubic.
     """
     v = g.v
-    k = g.valency()
+    try:
+        k = g.valency()
+    except NotRegular as e:
+        raise NotDistanceRegular(f"b_0 not constant: {e}") from e
     if k == 0 or k == v - 1:
         raise NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
     a1 = None
@@ -575,24 +561,12 @@ def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
     r = int(far_sizes[0]) + 1
     if r < 2 or v % r:
         raise NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
-    labels = np.full(v, -1, dtype=np.int64)
-    nclass = 0
-    for x in range(v):
-        if labels[x] >= 0:
-            continue
-        cls_row = d3_rows[x].copy()
-        bits.set_bit(cls_row, x)
-        members = bits.indices(cls_row, v)
-        for y in members:
-            row_y = d3_rows[int(y)].copy()
-            bits.set_bit(row_y, int(y))
-            if not np.array_equal(row_y, cls_row):
-                z = int(bits.indices(row_y ^ cls_row, v)[0])
-                raise NotAntipodal(
-                    f"distance-3 relation not transitive at ({x},{int(y)},{z})",
-                    witness=(x, int(y), z))
-        labels[members] = nclass
-        nclass += 1
+    labels, witness = bits.equivalence_classes(d3_rows | bits.identity(v), v)
+    if witness:
+        x, y, z = witness
+        raise NotAntipodal(f"distance-3 relation not transitive at ({x},{y},{z})",
+                           witness=witness)
+    nclass = int(labels.max()) + 1
 
     # per-class neighbor counts: every vertex has exactly one neighbor in
     # each class other than its own (certifies b2 = 1; c3 = k follows)

@@ -9,15 +9,24 @@ under conjugation by the generators, deduplicating on canonical encodings;
 its size is checked against the closed-form count, which certifies both the
 generating set and the matrix model.
 
-Bulk pairwise work (commuting tests, product orders for every vertex pair)
-runs on numpy arrays of element codes with multiplication as table gathers;
-the scalar routines on tuples are the reference path.
+Because the class is one orbit under conjugation, which preserves product
+orders, the census of product orders over all pairs is v/2 times the
+census of the seed's row (orbital_order_census), an exact count from v - 1
+products.  A class read from elsewhere is accepted only after
+check_closed_class re-proves that it is this orbit.  The commuting and
+distinguished pairs come from fixed matrix powers (power_pair_masks); the
+exhaustive scan full_order_scan and the sampled sampled_order_check are
+kept as oracles for both.
+
+Bulk pairwise work runs on numpy arrays of element codes with
+multiplication as table gathers; the scalar routines on tuples are the
+reference path.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -445,6 +454,12 @@ def _wide_encode(flat, w):
     return out
 
 
+def _void_keys(keys):
+    """One opaque scalar per key row, for sorting and set membership."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+
+
 def _lex_less(a, b):
     """Row-wise lexicographic a < b for equal-shape uint8 key arrays."""
     neq = a != b
@@ -491,16 +506,12 @@ class InvolutionClass:
 
     def pair_masks(self) -> "PairMasks":
         if self._pair_masks is None:
-            if self._order_scan is not None:
-                self._pair_masks = PairMasks(self._order_scan.comm, self._order_scan.chi)
-            else:
-                self._pair_masks = power_pair_masks(self)
+            self._pair_masks = power_pair_masks(self)
         return self._pair_masks
 
     def order_scan(self) -> "OrderScan":
         if self._order_scan is None:
             self._order_scan = full_order_scan(self)
-            self._pair_masks = PairMasks(self._order_scan.comm, self._order_scan.chi)
         return self._order_scan
 
     def sylow_labels(self) -> np.ndarray:
@@ -509,28 +520,38 @@ class InvolutionClass:
         return self._sylow_labels
 
 
-def involution_class(spec: GroupSpec) -> InvolutionClass:
+def _conjugators(spec: GroupSpec, kern: _Kernels):
+    """(g^-1, g) code arrays for every generator g."""
+    return [(np.array(mat_inv_det1(spec.ctx, g), dtype=kern.dtype),
+             np.array(g, dtype=kern.dtype)) for g in generators(spec)]
+
+
+def _conjugate(kern: _Kernels, gi, g, x):
+    """Canonical g^-1 x g for a batch x; returns (codes, keys)."""
+    return kern.canonical_batch(kern.mul_right(kern.mul_left(gi, x), g))
+
+
+def _seed_codes(spec: GroupSpec, dtype) -> np.ndarray:
     seed = seed_involution(spec)
     if mat_mul(spec.ctx, seed, seed) != identity(spec.dim) or scalar_code(seed) is not None:
         raise SeedNotInvolution("seed does not square to the identity")
-    seed = canonicalize(spec, seed)
-    gens = generators(spec)
+    return np.array(canonicalize(spec, seed), dtype=dtype)[None]
+
+
+def involution_class(spec: GroupSpec) -> InvolutionClass:
     kern = _Kernels(spec)
-    dtype = kern.dtype
-    gnp = [np.array(g, dtype=dtype) for g in gens]
-    ginv = [np.array(mat_inv_det1(spec.ctx, g), dtype=dtype) for g in gens]
+    seed_codes = _seed_codes(spec, kern.dtype)
+    conjugators = _conjugators(spec, kern)
 
     expected = spec.class_size()
-    seed_codes = np.array(seed, dtype=dtype)[None]
     members = [seed_codes]
     seen = {kern.encode_keys(seed_codes)[0].tobytes(): 0}
     frontier = seed_codes
     total = 1
     while frontier.size:
         level_new = {}
-        for g, gi in zip(gnp, ginv):
-            conj = kern.mul_right(kern.mul_left(gi, frontier), g)
-            cand, keys = kern.canonical_batch(conj)
+        for gi, g in conjugators:
+            cand, keys = _conjugate(kern, gi, g, frontier)
             uniq_keys, first = np.unique(keys, axis=0, return_index=True)
             for row, src in zip(uniq_keys, first):
                 kb = row.tobytes()
@@ -551,8 +572,32 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
     if len(codes) != expected:
         raise ClassSizeMismatch(
             f"orbit closure found {len(codes)} involutions, expected {expected}")
-    cls = InvolutionClass(spec, codes)
-    return cls
+    return InvolutionClass(spec, codes)
+
+
+def check_closed_class(cls: InvolutionClass) -> None:
+    """Raise ClassSizeMismatch unless cls holds exactly the class of the seed.
+
+    The rows must be distinct, include the canonical seed and be closed
+    under conjugation by every generator, and their number must be the
+    closed-form class size.  Closure puts the seed's whole orbit in the
+    set.  That orbit has the closed-form size (involution_class checks it
+    for the same generators), so the set is exactly the orbit, which is
+    what the orbital order census relies on.
+    """
+    spec = cls.spec
+    if cls.size != spec.class_size():
+        raise ClassSizeMismatch(f"class has {cls.size} rows, expected {spec.class_size()}")
+    if len(cls.index) != cls.size:
+        raise ClassSizeMismatch(f"class has {cls.size - len(cls.index)} duplicate rows")
+    kern = cls.kern
+    if kern.encode_keys(_seed_codes(spec, kern.dtype))[0].tobytes() not in cls.index:
+        raise ClassSizeMismatch("class lacks the canonical seed involution")
+    members = _void_keys(kern.encode_keys(cls.codes))
+    for t, (gi, g) in enumerate(_conjugators(spec, kern)):
+        _, keys = _conjugate(kern, gi, g, cls.codes)
+        if not np.isin(_void_keys(keys), members).all():
+            raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
 
 
 def product_order(spec: GroupSpec, x: int, y: int, cls: InvolutionClass) -> int:
@@ -562,27 +607,14 @@ def product_order(spec: GroupSpec, x: int, y: int, cls: InvolutionClass) -> int:
 def sylow_partition(cls: InvolutionClass) -> np.ndarray:
     """Classes of the commuting relation; verified to be an equivalence."""
     spec = cls.spec
-    comm = cls.pair_masks().comm
-    v = cls.size
-    labels = np.full(v, -1, dtype=np.int64)
-    nclass = 0
-    for x in range(v):
-        if labels[x] >= 0:
-            continue
-        row = comm[x].copy()
-        bits.set_bit(row, x)
-        members = bits.indices(row, v)
-        for y in members:
-            ry = comm[int(y)].copy()
-            bits.set_bit(ry, int(y))
-            if not np.array_equal(ry, row):
-                z = int(bits.indices(ry ^ row, v)[0])
-                raise NotAnEquivalence(
-                    f"commuting is not transitive at ({x},{int(y)},{z})",
-                    witness=(x, int(y), z))
-        labels[members] = nclass
-        nclass += 1
+    labels, witness = bits.equivalence_classes(
+        cls.pair_masks().comm | bits.identity(cls.size), cls.size)
+    if witness:
+        x, y, z = witness
+        raise NotAnEquivalence(f"commuting is not transitive at ({x},{y},{z})",
+                               witness=witness)
     sizes = np.bincount(labels)
+    nclass = len(sizes)
     want_m = spec.q ** spec.l + 1
     want_r = spec.q - 1
     if nclass != want_m or (sizes != want_r).any():
@@ -604,20 +636,43 @@ class PairMasks:
 
 
 @dataclass
-class OrderScan:
-    """Exhaustive product-order scan over all unordered vertex pairs."""
+class OrderCensus:
+    """Product-order census over unordered vertex pairs, with the first pair
+    (i, j, order) whose product has even order above 2."""
 
-    census: dict[int, int]
-    comm: np.ndarray
-    chi: np.ndarray
-    n_pairs: int
-    max_order: int
-    even_gt2_pairs: int
-    even_witness: tuple | None
+    census: dict[int, int] = field(default_factory=dict)
+    n_pairs: int = 0
+    max_order: int = 0
+    even_gt2_pairs: int = 0
+    even_witness: tuple | None = None
 
     @property
     def noncommuting_all_odd(self) -> bool:
         return self.even_gt2_pairs == 0
+
+    def add_block(self, cls: "InvolutionClass", i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Tally the product orders of the pairs (i[t], j[t]); returns them."""
+        p = cls.kern.mul_batch(cls.codes[i], cls.codes[j])
+        orders = _batch_orders(cls.kern, p, cls.spec.order_cap)
+        self.n_pairs += len(orders)
+        self.max_order = max(self.max_order, int(orders.max()))
+        for val, cnt in zip(*np.unique(orders, return_counts=True)):
+            self.census[int(val)] = self.census.get(int(val), 0) + int(cnt)
+        even = (orders % 2 == 0) & (orders > 2)
+        if even.any():
+            self.even_gt2_pairs += int(even.sum())
+            if self.even_witness is None:
+                t = int(np.nonzero(even)[0][0])
+                self.even_witness = (int(i[t]), int(j[t]), int(orders[t]))
+        return orders
+
+
+@dataclass
+class OrderScan(OrderCensus):
+    """Exhaustive scan over all pairs, with the commuting / distinguished masks."""
+
+    comm: np.ndarray | None = None
+    chi: np.ndarray | None = None
 
 
 def _pair_blocks(v: int, target: int = PAIR_BLOCK):
@@ -698,73 +753,56 @@ def _batch_orders(kern: _Kernels, p: np.ndarray, cap: int) -> np.ndarray:
     return orders
 
 
-def full_order_scan(cls: InvolutionClass) -> OrderScan:
-    spec = cls.spec
-    kern = cls.kern
+def orbital_order_census(cls: InvolutionClass) -> OrderCensus:
+    """Exact product-order census of all pairs from the v - 1 products of row 0.
+
+    Conjugation permutes the class, preserves product orders, and acts on
+    the class transitively (it is the orbit of the seed; a cached class
+    passes check_closed_class first).  So every vertex has the same
+    multiset of orders with the other vertices, and the census over
+    unordered pairs is v/2 times that of row 0.  The witness, if any,
+    lies in row 0.
+    """
     v = cls.size
-    census: dict[int, int] = {}
+    j = np.arange(1, v, dtype=np.int64)
+    row = OrderCensus()
+    row.add_block(cls, np.zeros_like(j), j)
+    return OrderCensus(census={o: v * c // 2 for o, c in row.census.items()},
+                       n_pairs=v * (v - 1) // 2, max_order=row.max_order,
+                       even_gt2_pairs=v * row.even_gt2_pairs // 2,
+                       even_witness=row.even_witness)
+
+
+def full_order_scan(cls: InvolutionClass) -> OrderScan:
+    """Orders of every pair's product; the oracle for the orbital census."""
+    scan = OrderScan()
     ci, cj, xi, xj = [], [], [], []
-    even_pairs = 0
-    witness = None
-    max_order = 0
-    n_pairs = 0
-    for i, j in _pair_blocks(v):
-        p = kern.mul_batch(cls.codes[i], cls.codes[j])
-        orders = _batch_orders(kern, p, spec.order_cap)
-        n_pairs += len(orders)
-        max_order = max(max_order, int(orders.max()))
-        for val, cnt in zip(*np.unique(orders, return_counts=True)):
-            census[int(val)] = census.get(int(val), 0) + int(cnt)
+    for i, j in _pair_blocks(cls.size):
+        orders = scan.add_block(cls, i, j)
         comm = orders == 2
-        dist = orders == spec.chi
+        dist = orders == cls.spec.chi
         ci.append(i[comm]); cj.append(j[comm])
         xi.append(i[dist]); xj.append(j[dist])
-        even = (orders % 2 == 0) & (orders > 2)
-        if even.any():
-            even_pairs += int(even.sum())
-            if witness is None:
-                t = int(np.nonzero(even)[0][0])
-                witness = (int(i[t]), int(j[t]), int(orders[t]))
-    comm_rows = bits.rows_from_pairs(v, np.concatenate(ci), np.concatenate(cj))
-    chi_rows = bits.rows_from_pairs(v, np.concatenate(xi), np.concatenate(xj))
-    return OrderScan(census=census, comm=comm_rows, chi=chi_rows,
-                     n_pairs=n_pairs, max_order=max_order,
-                     even_gt2_pairs=even_pairs, even_witness=witness)
+    scan.comm = bits.rows_from_pairs(cls.size, np.concatenate(ci), np.concatenate(cj))
+    scan.chi = bits.rows_from_pairs(cls.size, np.concatenate(xi), np.concatenate(xj))
+    return scan
 
 
 def sampled_order_check(cls: InvolutionClass, n_pairs: int, seed: int = 0) -> dict:
     """Product orders for uniformly random distinct pairs (with replacement)."""
-    spec = cls.spec
-    kern = cls.kern
     rng = np.random.default_rng(seed)
-    census: dict[int, int] = {}
-    even_pairs = 0
-    witness = None
-    max_order = 0
-    done = 0
-    block = PAIR_BLOCK
-    while done < n_pairs:
-        m = min(block, n_pairs - done)
+    tally = OrderCensus()
+    while tally.n_pairs < n_pairs:
+        m = min(PAIR_BLOCK, n_pairs - tally.n_pairs)
         i = rng.integers(0, cls.size, size=m)
         j = rng.integers(0, cls.size - 1, size=m)
         j += (j >= i).astype(j.dtype)
-        p = kern.mul_batch(cls.codes[i], cls.codes[j])
-        orders = _batch_orders(kern, p, spec.order_cap)
-        max_order = max(max_order, int(orders.max()))
-        for val, cnt in zip(*np.unique(orders, return_counts=True)):
-            census[int(val)] = census.get(int(val), 0) + int(cnt)
-        even = (orders % 2 == 0) & (orders > 2)
-        if even.any():
-            even_pairs += int(even.sum())
-            if witness is None:
-                t = int(np.nonzero(even)[0][0])
-                witness = (int(i[t]), int(j[t]), int(orders[t]))
-        done += m
+        tally.add_block(cls, i, j)
     return {
-        "pairs": done,
-        "census": census,
-        "max_order": max_order,
-        "even_gt2_pairs": even_pairs,
-        "even_witness": witness,
-        "noncommuting_all_odd": even_pairs == 0,
+        "pairs": tally.n_pairs,
+        "census": tally.census,
+        "max_order": tally.max_order,
+        "even_gt2_pairs": tally.even_gt2_pairs,
+        "even_witness": tally.even_witness,
+        "noncommuting_all_odd": tally.noncommuting_all_odd,
     }

@@ -137,8 +137,8 @@ def test_criterion_6_property_suite():
             d = rep.data
             q = d["q"]
             k, r, mu = formulas.krmu(family, q)
-            # (a) exhaustive product orders: every non-commuting product odd
-            assert d["orders"]["mode"] == "full"
+            # (a) exact product-order census: every non-commuting product odd
+            assert d["orders"]["method"] == "orbital"
             assert d["orders"]["noncommuting_all_odd"]
             census = {int(o): c for o, c in d["orders"]["census"].items()}
             assert all(o == 2 or o % 2 == 1 for o in census)
@@ -241,9 +241,9 @@ def test_criterion_8_algebraic_grids():
 @pytest.mark.skipif(not os.environ.get("FGL_STRETCH"),
                     reason="stretch instance; set FGL_STRETCH=1 to run")
 def test_criterion_9_stretch_sz_32():
-    with criterion(9, "sz q=32 (v=31775) with sampled orders, <30min"):
+    with criterion(9, "sz q=32 (v=31775) with the orbital order census, <30min"):
         t0 = time.monotonic()
-        rep = run_verify("sz", 5, orders_mode="sampled")
+        rep = run_verify("sz", 5)
         elapsed = time.monotonic() - t0
         d = rep.data
         assert d["status"] == "pass", d["failures"]
@@ -253,7 +253,7 @@ def test_criterion_9_stretch_sz_32():
         dz = d["pi_graph"]["deza"]
         v, kk, b, a = formulas.predicted_deza_params("sz", 32)
         assert (dz["v"], dz["k"], dz["b"], dz["a"]) == (v, kk, b, a)
-        assert d["orders"]["mode"] == "sampled"
+        assert d["orders"]["method"] == "orbital"
         assert d["orders"]["noncommuting_all_odd"]
         assert elapsed < 1800, f"took {elapsed:.0f}s"
         print(f"(stretch completed in {elapsed:.0f}s)")

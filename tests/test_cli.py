@@ -167,3 +167,28 @@ def test_console_entry_point(tmp_path):
 def test_usage_error_exit_code():
     assert run_cli("construct", "--family", "psl2") == 2
     assert run_cli("verify", "--family", "psl2", "--n", "one") == 2
+
+
+@pytest.mark.parametrize("content", ["[0, 1, oops", '["a", "b"]', "[0.5, 1]", '{"a": 1}'])
+def test_analyze_ddg_bad_partition_exits_2(tmp_path, capsys, content):
+    from fgl.graphio import write_graph
+    from fgl.graphs import Graph
+    path = str(tmp_path / "g.json")
+    write_graph(path, Graph.from_edges(4, [(0, 1), (2, 3)]))
+    part = tmp_path / "part.json"
+    part.write_text(content)
+    assert run_cli("analyze", "--in", path, "--check", "ddg", "--partition", str(part)) == 2
+    assert "error reading partition" in capsys.readouterr().err
+
+
+def test_verify_garbage_cache_exits_3(tmp_path, capsys):
+    from fgl.pipeline import CODE_VERSION
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"psl2-n2-v{CODE_VERSION}.npz").write_bytes(b"\x00garbage")
+    assert run_cli("verify", "--family", "psl2", "--n", "2", "--cache", str(cache)) == 3
+    assert "unreadable class cache" in capsys.readouterr().err
+
+
+def test_verify_order_flags_are_gone(capsys):
+    assert run_cli("verify", "--family", "psl2", "--n", "2", "--verify-orders", "full") == 2

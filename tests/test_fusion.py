@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fgl.fusion import (PiSpec, build_fusion_graph, chi_graph,
-                        common_neighbor_graph, phi_graph, pi_graph)
+from fgl.fusion import (PiSpec, chi_graph, common_neighbor_graph, phi_graph,
+                        pi_graph)
 from fgl.graphs import (antipodal_cover3_certificate, deza_check, diameter,
                         distance_power, recognize_clique_union,
                         recognize_complete_multipartite)
@@ -22,10 +22,6 @@ def psl2_8():
 def test_pispec_validation():
     with pytest.raises(ValueError):
         PiSpec("nonsense")
-    with pytest.raises(ValueError):
-        PiSpec.explicit({1, 3})
-    with pytest.raises(ValueError):
-        PiSpec(PiSpec.CHI, frozenset({3}))
 
 
 def test_chi_graph_psl2_4(psl2_4):
@@ -54,19 +50,6 @@ def test_phi_graph_identities(psl2_4):
     assert phi.valency() == 4 + 2  # chi valency plus within-class clique edges
     assert phi == distance_power(chi_g, {1, 3})
     assert phi == pg.complement()
-
-
-def test_explicit_pi_modes(psl2_4):
-    # order-2 edges are exactly the commuting pairs (the Sylow cliques)
-    g2 = build_fusion_graph(psl2_4, PiSpec.explicit({2}))
-    assert recognize_clique_union(g2) == (5, 3)
-    # explicit {chi} reproduces the chi graph
-    g3 = build_fusion_graph(psl2_4, PiSpec.explicit({3}))
-    assert g3 == chi_graph(psl2_4)
-    # orders 3 and 5 together cover every non-commuting pair of PSL2(4)
-    g35 = build_fusion_graph(psl2_4, PiSpec.explicit({3, 5}))
-    assert g35 == g2.complement()
-    assert g35.valency() == 12
 
 
 def test_omega_graphs_psl2_8(psl2_8):

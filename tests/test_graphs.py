@@ -233,3 +233,15 @@ def test_intersection_array_witness():
     with pytest.raises(NotDistanceRegular) as ei:
         intersection_array(g)
     assert ei.value.witness is not None
+
+
+def test_equivalence_classes_labels_and_witness():
+    from fgl import bits
+    # classes {0, 2} and {1, 3}, numbered by least member
+    rel = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=bool)
+    labels, witness = bits.equivalence_classes(bits.pack_bool(rel), 4)
+    assert witness is None and labels.tolist() == [0, 1, 0, 1]
+    # 0 ~ 1 and 1 ~ 2, but not 0 ~ 2
+    rel = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
+    labels, witness = bits.equivalence_classes(bits.pack_bool(rel), 3)
+    assert labels is None and witness == (0, 1, 2)

@@ -260,3 +260,51 @@ def test_sampled_orders(sz8_class):
 def test_deterministic_class_order(psu3_4_class):
     again = involution_class(make_group("psu3", 2))
     assert np.array_equal(again.codes, psu3_4_class.codes)
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("sz", 3), ("psu3", 2)])
+def test_orbital_census_equals_full_scan(family, n):
+    cls = involution_class(make_group(family, n))
+    orbital = gr.orbital_order_census(cls)
+    scan = gr.full_order_scan(cls)
+    assert orbital.census == scan.census
+    assert orbital.max_order == scan.max_order
+    assert orbital.noncommuting_all_odd == scan.noncommuting_all_odd
+    assert orbital.n_pairs == scan.n_pairs == cls.size * (cls.size - 1) // 2
+
+
+def test_orbital_census_reports_even_orders(psl2_8_class, monkeypatch):
+    # a kernel that doubles every order must show up as a failed dichotomy
+    real = gr._batch_orders
+    monkeypatch.setattr(gr, "_batch_orders", lambda *a: 2 * real(*a))
+    orbital = gr.orbital_order_census(psl2_8_class)
+    assert not orbital.noncommuting_all_odd
+    i, j, order = orbital.even_witness
+    assert i == 0 and order > 2 and order % 2 == 0
+
+
+def test_closed_class_check_accepts_built_classes(psl2_8_class, sz8_class, psu3_4_class):
+    for cls in (psl2_8_class, sz8_class, psu3_4_class):
+        gr.check_closed_class(cls)
+
+
+def test_closed_class_check_rejects_missing_seed(psl2_8_class):
+    codes = psl2_8_class.codes.copy()
+    codes[0] = codes[1]  # the seed is row 0
+    cls = gr.InvolutionClass(psl2_8_class.spec, codes)
+    with pytest.raises(ClassSizeMismatch):
+        gr.check_closed_class(cls)
+
+
+def test_sylow_partition_names_a_witness(psl2_8_class):
+    from fgl import bits
+    masks = psl2_8_class.pair_masks()
+    comm = masks.comm.copy()
+    y = int(bits.indices(comm[0], psl2_8_class.size)[0])
+    comm[0] = 0  # vertex 0 commutes with nothing, though its partners commute with it
+    cls = gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes)
+    cls._pair_masks = gr.PairMasks(comm=comm, chi=masks.chi)
+    with pytest.raises(gr.NotAnEquivalence) as ei:
+        sylow_partition(cls)
+    assert ei.value.witness == (y, 0, y)
