@@ -3,8 +3,7 @@
 from .formulas import (IntersectionArray, InvalidQ, cn_graph_structure,
                        deza_pair, is_strict, krmu, p22_numbers,
                        predicted_chi_array, predicted_deza_params)
-from .fusion import (PiSpec, build_fusion_graph, chi_graph,
-                     common_neighbor_graph, phi_graph, pi_graph)
+from .fusion import PiSpec, build_fusion_graph
 from .gf2 import FieldCtx, field_ctx
 from .graphs import (DdgCert, DezaCert, Graph, antipodal_classes,
                      antipodal_cover3_certificate, common_neighbor_spectrum,

@@ -12,11 +12,16 @@ generating set and the matrix model.
 Because the class is one orbit under conjugation, which preserves product
 orders, the census of product orders over all pairs is v/2 times the
 census of the seed's row (orbital_order_census), an exact count from v - 1
-products.  A class read from elsewhere is accepted only after
-check_closed_class re-proves that it is this orbit.  The commuting and
-distinguished pairs come from fixed matrix powers (power_pair_masks); the
+products.  The same argument gives the pair classification
+(power_pair_masks): check_closed_class conjugates the class once by each
+generator, which yields its permutation of the vertices; a breadth-first
+Schreier tree over them reaches every vertex from the seed (the
+transitivity proof); and every row of the commuting and distinguished
+relations is the seed's row permuted along the tree, so only the seed's
+v - 1 products are classified.  A class read from elsewhere is accepted
+only after check_closed_class re-proves that it is this orbit.  The
 exhaustive scan full_order_scan and the sampled sampled_order_check are
-kept as oracles for both.
+kept as oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -38,6 +43,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 ORDER_CAP_FACTOR = 4
 PAIR_BLOCK = 1 << 21
+ROW_BLOCK_BITS = 1 << 21  # relation entries unpacked at once while deriving rows
 
 
 class SzEvenExponent(InvalidQ):
@@ -488,6 +494,8 @@ class InvolutionClass:
         self._sylow_labels = None
         self._pair_masks = None
         self._order_scan = None
+        self._generator_perms = None
+        self._schreier_tree = None
 
     @property
     def size(self) -> int:
@@ -508,6 +516,17 @@ class InvolutionClass:
         if self._pair_masks is None:
             self._pair_masks = power_pair_masks(self)
         return self._pair_masks
+
+    def generator_perms(self) -> np.ndarray:
+        """The permutations left by the closure pass of check_closed_class."""
+        if self._generator_perms is None:
+            check_closed_class(self)
+        return self._generator_perms
+
+    def schreier_tree(self):
+        if self._schreier_tree is None:
+            self._schreier_tree = schreier_tree(self.generator_perms())
+        return self._schreier_tree
 
     def order_scan(self) -> "OrderScan":
         if self._order_scan is None:
@@ -583,7 +602,9 @@ def check_closed_class(cls: InvolutionClass) -> None:
     closed-form class size.  Closure puts the seed's whole orbit in the
     set.  That orbit has the closed-form size (involution_class checks it
     for the same generators), so the set is exactly the orbit, which is
-    what the orbital order census relies on.
+    what the orbital order census relies on.  The closure pass leaves the
+    generator permutations on the class: entry [t, i] of
+    cls.generator_perms() is the vertex of g_t^-1 c_i g_t.
     """
     spec = cls.spec
     if cls.size != spec.class_size():
@@ -594,10 +615,48 @@ def check_closed_class(cls: InvolutionClass) -> None:
     if kern.encode_keys(_seed_codes(spec, kern.dtype))[0].tobytes() not in cls.index:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     members = _void_keys(kern.encode_keys(cls.codes))
-    for t, (gi, g) in enumerate(_conjugators(spec, kern)):
+    order = np.argsort(members)
+    ranked = members[order]
+    conjugators = _conjugators(spec, kern)
+    perms = np.empty((len(conjugators), cls.size), dtype=np.int32)
+    for t, (gi, g) in enumerate(conjugators):
         _, keys = _conjugate(kern, gi, g, cls.codes)
-        if not np.isin(_void_keys(keys), members).all():
+        keys = _void_keys(keys)
+        pos = np.minimum(np.searchsorted(ranked, keys), cls.size - 1)
+        if (ranked[pos] != keys).any():
             raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
+        perms[t] = order[pos]
+    cls._generator_perms = perms
+
+
+def schreier_tree(perms: np.ndarray):
+    """Breadth-first Schreier tree of vertex 0 as (parent, label, levels).
+
+    Vertex x other than the root is perms[label[x], parent[x]]; the root
+    is its own parent.  levels lists the vertices by distance from the
+    root.  Raises ClassSizeMismatch unless the tree reaches every vertex,
+    that is, unless the class is one orbit.
+    """
+    v = perms.shape[1]
+    parent = np.full(v, -1, dtype=np.int64)
+    label = np.full(v, -1, dtype=np.int64)
+    parent[0] = 0
+    levels = [np.zeros(1, dtype=np.int64)]
+    while True:
+        frontier = levels[-1]
+        images = perms[:, frontier]
+        t, k = np.nonzero(parent[images] < 0)
+        if not t.size:
+            break
+        # the first generator (then the first parent) to reach a vertex names its edge
+        new, first = np.unique(images[t, k], return_index=True)
+        parent[new] = frontier[k[first]]
+        label[new] = t[first]
+        levels.append(new)
+    if (parent < 0).any():
+        raise ClassSizeMismatch(f"the generators carry the seed to "
+                                f"{int((parent >= 0).sum())} of {v} vertices")
+    return parent, label, levels
 
 
 def product_order(spec: GroupSpec, x: int, y: int, cls: InvolutionClass) -> int:
@@ -699,33 +758,64 @@ def _symplectic_inverse_batch(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1)[:, ::-1, ::-1])
 
 
-def power_pair_masks(cls: InvolutionClass) -> PairMasks:
-    """Commuting and distinguished masks from fixed matrix powers.
+def _power_rows(cls: InvolutionClass, x: int) -> np.ndarray:
+    """(2, v) bool: the commuting and distinguished rows of vertex x from
+    fixed powers of its products with every vertex.
 
     A product P of two distinct involutions commutes iff P^2 is central,
     and has order chi iff P^chi is central (chi is prime, so no smaller
     order can collapse there).  For chi = 5 the suspect P^5 = 1 is tested
     as P^3 = (P^2)^-1 with the form-based inverse, saving a product.
     """
-    spec = cls.spec
     kern = cls.kern
+    p = kern.mul_left(cls.codes[x], cls.codes)
+    p2 = kern.mul_batch(p, p)
+    p3 = kern.mul_batch(p2, p)
+    if cls.spec.chi == 3:
+        dist = kern.central_scalar_mask(p3)
+    else:
+        dist = (p3 == _symplectic_inverse_batch(p2)).all(axis=(1, 2))
+    rows = np.stack([kern.central_scalar_mask(p2), dist])
+    rows[:, x] = False
+    return rows
+
+
+def power_pair_masks(cls: InvolutionClass) -> PairMasks:
+    """Commuting and distinguished masks: the seed's row from fixed matrix
+    powers, every other row permuted from it along the Schreier tree.
+
+    Conjugation by a generator permutes the class by pi and preserves
+    product orders, so row pi(p) is row p with its columns permuted:
+    row[pi(p)][z] = row[p][pi^-1(z)].  Rows are derived level by level and
+    unpacked ROW_BLOCK_BITS entries at a time, never as a dense v x v.
+    """
     v = cls.size
-    ci, cj, xi, xj = [], [], [], []
-    for i, j in _pair_blocks(v):
-        p = kern.mul_batch(cls.codes[i], cls.codes[j])
-        p2 = kern.mul_batch(p, p)
-        comm = kern.central_scalar_mask(p2)
-        p3 = kern.mul_batch(p2, p)
-        if spec.chi == 3:
-            dist = kern.central_scalar_mask(p3)
-        else:
-            inv2 = _symplectic_inverse_batch(p2)
-            dist = (p3 == inv2).all(axis=(1, 2))
-        ci.append(i[comm]); cj.append(j[comm])
-        xi.append(i[dist]); xj.append(j[dist])
-    comm_rows = bits.rows_from_pairs(v, np.concatenate(ci), np.concatenate(cj))
-    chi_rows = bits.rows_from_pairs(v, np.concatenate(xi), np.concatenate(xj))
-    return PairMasks(comm=comm_rows, chi=chi_rows)
+    parent, label, levels = cls.schreier_tree()
+    perms = cls.generator_perms()
+    inverse = np.empty_like(perms)
+    np.put_along_axis(inverse, perms, np.arange(v, dtype=perms.dtype)[None], axis=1)
+    rows = np.zeros((2, v, bits.word_count(v)), dtype=bits.U64)
+    rows[:, 0] = bits.pack_bool(_power_rows(cls, 0), v)
+    block = max(1, ROW_BLOCK_BITS // (2 * v))
+    for level in levels[1:]:
+        for lo in range(0, len(level), block):
+            xs = level[lo:lo + block]
+            parent_rows = bits.unpack_rows(rows[:, parent[xs]], v).reshape(2, -1)
+            # one take on flat positions is far faster than two-axis fancy indexing
+            cols = inverse[label[xs]] + np.arange(0, len(xs) * v, v)[:, None]
+            rows[:, xs] = bits.pack_bool(np.take(parent_rows, cols, axis=1), v)
+    return PairMasks(comm=rows[0], chi=rows[1])
+
+
+def cross_check_rows(cls: InvolutionClass, masks: PairMasks, xs) -> tuple | None:
+    """First (x, y) with x in xs where the masks disagree with the direct
+    products of vertex x, or None when every row in xs agrees."""
+    for x in xs:
+        got = bits.unpack_rows(np.stack([masks.comm[x], masks.chi[x]]), cls.size)
+        bad = np.nonzero((got != _power_rows(cls, x)).any(axis=0))[0]
+        if bad.size:
+            return int(x), int(bad[0])
+    return None
 
 
 def _batch_orders(kern: _Kernels, p: np.ndarray, cap: int) -> np.ndarray:

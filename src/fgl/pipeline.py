@@ -3,14 +3,17 @@
 For a family and field size this builds the involution class, the chi
 graph and the odd-complement graph, and checks every structural claim
 exactly: the parity of product orders (from the orbital census, see
-groups.orbital_order_census), the intersection array of the chi graph,
-antipodality and its agreement with the commuting (Sylow) partition, the
-distance-power identities, and the Deza / divisible-design certificates of
-the odd-complement graph and the structure of its two
-common-neighbor-count graphs against the closed-form predictions.  Those
-last certificates are derived from the verified cover certificate of the
-chi graph and are skipped when an earlier check has already failed.  The
-outcome is a machine-readable certificate (schema fgl-cert-1).
+groups.orbital_order_census), the commuting and distinguished pairs
+(derived from the seed's row along a Schreier tree, see
+groups.power_pair_masks, with two rows cross-checked by direct products),
+the intersection array of the chi graph, antipodality and its agreement
+with the commuting (Sylow) partition, the distance-power identities, and
+the Deza / divisible-design certificates of the odd-complement graph and
+the structure of its two common-neighbor-count graphs against the
+closed-form predictions.  Those last certificates are derived from the
+verified cover certificate of the chi graph and are skipped when an
+earlier check has already failed.  The outcome is a machine-readable
+certificate (schema fgl-cert-1).
 """
 
 from __future__ import annotations
@@ -161,8 +164,22 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     }
     if not orders.noncommuting_all_odd:
         failures.append("orders: a non-commuting product has even order")
-    masks = cls.pair_masks()
     t = clock("orders", t)
+
+    # commuting and distinguished pairs, derived from the seed's row
+    masks = cls.pair_masks()
+    _, _, levels = cls.schreier_tree()
+    orbit = sum(len(level) for level in levels)
+    checked = (cls.size // 2, cls.size - 1)
+    mismatch = groups.cross_check_rows(cls, masks, checked)
+    data["pairs"] = {"method": "orbital", "generators": len(cls.generator_perms()),
+                     "orbit_size": orbit, "transitive": orbit == cls.size,
+                     "checked_rows": list(checked), "rows_match": mismatch is None,
+                     "mismatch": mismatch}
+    if mismatch is not None:
+        failures.append(f"pairs: derived row {mismatch[0]} differs from direct products "
+                        f"at {mismatch}")
+    t = clock("pairs", t)
 
     # commuting (Sylow) partition
     sylow_info: dict = {}

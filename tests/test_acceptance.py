@@ -185,13 +185,14 @@ def test_criterion_7_closed_form_oracles():
             assert (dz["v"], dz["k"]) == (v, kk)
             assert (dz["b"], dz["a"]) == (b, a)
         # independent oracle: python-set pair census on the small graphs
-        from fgl.fusion import chi_graph, pi_graph
+        from fgl.fusion import PiSpec, build_fusion_graph
         from fgl.groups import involution_class, make_group
         for n in (2, 3):
             cls = involution_class(make_group("psl2", n))
             q = 1 << n
             k, r, mu = formulas.krmu("psl2", q)
-            pi_census = brute_force_census(pi_graph(cls))
+            pi_census = brute_force_census(
+                build_fusion_graph(cls, PiSpec.odd_complement()))
             within = (k + 1) * r * (r - 1) // 2
             total = cls.size * (cls.size - 1) // 2
             if formulas.is_strict(k, r, mu):
@@ -199,7 +200,7 @@ def test_criterion_7_closed_form_oracles():
                                      (r - 1) ** 2 * mu: total - within}
             else:
                 assert pi_census == {k * (r - 2): total}
-            chi_census = brute_force_census(chi_graph(cls))
+            chi_census = brute_force_census(build_fusion_graph(cls, PiSpec.chi_only()))
             assert chi_census == {0: within, mu: total - within}
 
 

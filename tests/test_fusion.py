@@ -1,12 +1,66 @@
 import numpy as np
 import pytest
 
-from fgl.fusion import (PiSpec, chi_graph, common_neighbor_graph, phi_graph,
-                        pi_graph)
+from fgl import bits, graphs
+from fgl.fusion import PiSpec, build_fusion_graph, clique_rows
 from fgl.graphs import (antipodal_cover3_certificate, deza_check, diameter,
                         distance_power, recognize_clique_union,
                         recognize_complete_multipartite)
 from fgl.groups import involution_class, make_group, sylow_partition
+
+
+# -- oracles: graph builders with the distance-power identities asserted ------
+
+
+class Gamma2Mismatch(Exception):
+    """Odd-complement graph differs from the distance-2 power of the chi graph."""
+
+
+class PhiIdentityMismatch(Exception):
+    """Clique-augmented graph differs from the distance-{1,3} power or complement."""
+
+
+def chi_graph(cls) -> graphs.Graph:
+    """Graph of distinguished pairs (product order = associated prime)."""
+    return build_fusion_graph(cls, PiSpec.chi_only())
+
+
+def pi_graph(cls, verify: bool = True) -> graphs.Graph:
+    """Odd-complement fusion graph; asserted equal to the distance-2 power
+    of the chi graph when verify is set."""
+    g = build_fusion_graph(cls, PiSpec.odd_complement())
+    if verify:
+        cert = antipodal_cover3_certificate(chi_graph(cls))
+        if not np.array_equal(cert.d2_rows, g.rows):
+            raise Gamma2Mismatch(
+                "odd-complement graph is not the distance-2 power of the chi graph")
+    return g
+
+
+def phi_graph(chi_g: graphs.Graph, labels, pi_g: graphs.Graph | None = None) -> graphs.Graph:
+    """Chi graph with antipodal classes turned into cliques.
+
+    Asserted equal to the distance-{1,3} power of the chi graph, and to the
+    complement of the odd-complement graph when one is supplied.
+    """
+    rows = chi_g.rows | clique_rows(labels)
+    if not np.array_equal(rows, antipodal_cover3_certificate(chi_g).d13_rows):
+        raise PhiIdentityMismatch(
+            "clique-augmented graph differs from the distance-{1,3} power")
+    if pi_g is not None and not np.array_equal(rows, pi_g.complement().rows):
+        raise PhiIdentityMismatch(
+            "clique-augmented graph is not the complement of the odd-complement graph")
+    return graphs.Graph(chi_g.v, rows)
+
+
+def common_neighbor_graph(g: graphs.Graph, c: int) -> graphs.Graph:
+    """Graph joining distinct vertices with exactly c common neighbors in g."""
+    v = g.v
+    up = bits.zero_rows(v, v)
+    for x, cn in graphs.iter_common_neighbor_counts(g):
+        sel = np.concatenate([np.zeros(x + 1, dtype=bool), cn == c])
+        up[x] = bits.pack_bool(sel, v)
+    return graphs.Graph(v, up | bits.transpose(up, v))
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +134,7 @@ def test_gamma2_mismatch_detectable(psl2_4, monkeypatch):
     rows = fu.odd_complement_rows(psl2_4)
     rows[0] ^= rows[0]  # clear one row on purpose
     monkeypatch.setattr(fu, "odd_complement_rows", lambda cls: rows)
-    with pytest.raises(fu.Gamma2Mismatch):
+    with pytest.raises(Gamma2Mismatch):
         pi_graph(psl2_4)
 
 

@@ -272,6 +272,9 @@ def test_orbital_census_equals_full_scan(family, n):
     assert orbital.max_order == scan.max_order
     assert orbital.noncommuting_all_odd == scan.noncommuting_all_odd
     assert orbital.n_pairs == scan.n_pairs == cls.size * (cls.size - 1) // 2
+    masks = gr.power_pair_masks(cls)
+    assert np.array_equal(masks.comm, scan.comm)
+    assert np.array_equal(masks.chi, scan.chi)
 
 
 def test_orbital_census_reports_even_orders(psl2_8_class, monkeypatch):
@@ -308,3 +311,48 @@ def test_sylow_partition_names_a_witness(psl2_8_class):
     with pytest.raises(gr.NotAnEquivalence) as ei:
         sylow_partition(cls)
     assert ei.value.witness == (y, 0, y)
+
+
+def test_schreier_tree_spans_the_class(psu3_4_class):
+    cls = gr.InvolutionClass(psu3_4_class.spec, psu3_4_class.codes)
+    perms = cls.generator_perms()
+    parent, label, levels = cls.schreier_tree()
+    assert sorted(np.concatenate(levels).tolist()) == list(range(cls.size))
+    x = np.concatenate(levels[1:])
+    assert np.array_equal(perms[label[x], parent[x]], x)
+    # each generator permutes the vertices exactly as conjugation does
+    spec = cls.spec
+    for t in (0, len(perms) - 1):
+        g = generators(spec)[t]
+        gi = mat_inv_det1(spec.ctx, g)
+        for i in (0, 7, cls.size - 1):
+            c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, cls.member(i), g))
+            assert cls.vertex_of(c) == perms[t, i]
+
+
+def test_pair_masks_reject_a_non_member(psl2_8_class):
+    codes = psl2_8_class.codes.copy()
+    codes[-1] = np.array(((1, 0), (0, 1)), dtype=codes.dtype)
+    with pytest.raises(ClassSizeMismatch, match="not closed"):
+        gr.power_pair_masks(gr.InvolutionClass(psl2_8_class.spec, codes))
+
+
+def test_pair_masks_reject_intransitive_generators(psl2_8_class, monkeypatch):
+    # the unipotents (a Sylow 2-subgroup) map the class into itself, so the
+    # closure check passes, but they move the seed through only q = 8 vertices
+    spec = psl2_8_class.spec
+    unipotents = generators(spec)[:-1]
+    monkeypatch.setattr(gr, "generators", lambda s: unipotents)
+    cls = gr.InvolutionClass(spec, psl2_8_class.codes)
+    gr.check_closed_class(cls)
+    with pytest.raises(ClassSizeMismatch, match="8 of 63"):
+        gr.power_pair_masks(cls)
+
+
+def test_cross_check_names_a_differing_pair(psl2_8_class):
+    masks = psl2_8_class.pair_masks()
+    assert gr.cross_check_rows(psl2_8_class, masks, (31, 62)) is None
+    chi = masks.chi.copy()
+    chi[62, 0] ^= np.uint64(1 << 5)
+    tampered = gr.PairMasks(comm=masks.comm, chi=chi)
+    assert gr.cross_check_rows(psl2_8_class, tampered, (31, 62)) == (62, 5)

@@ -90,8 +90,11 @@ def test_report_contents_psl2_8():
     assert d["cn_structure"]["applicable"]
     assert d["cn_structure"]["complement_pair"]
     assert d["formulas"]["p22"] == [48, 36, 36, 40]
+    assert d["pairs"] == {"method": "orbital", "generators": 4, "orbit_size": 63,
+                          "transitive": True, "checked_rows": [31, 62],
+                          "rows_match": True, "mismatch": None}
     # timing keys exist for each stage
-    for stage in ("involution_class", "orders", "sylow", "chi_graph",
+    for stage in ("involution_class", "orders", "pairs", "sylow", "chi_graph",
                   "identities", "pi_graph", "total"):
         assert stage in d["timings_ms"]
 
@@ -143,6 +146,35 @@ def test_flipped_chi_edge_fails_with_named_failure(monkeypatch):
     assert any(f.startswith("chi_graph: vertex") and "degree" in f for f in d["failures"])
     assert d["chi_graph"]["antipodal"] is False
     assert d["pi_graph"]["analysis"].startswith("skipped")
+
+
+def test_tampered_seed_row_fails_the_row_cross_check(monkeypatch):
+    # one wrong pair in the seed's row spreads to every derived row
+    real = groups._power_rows
+
+    def tampered(cls, x):
+        rows = real(cls, x)
+        if x == 0:
+            rows[1, 1] = ~rows[1, 1]
+        return rows
+    monkeypatch.setattr(groups, "_power_rows", tampered)
+    d = run_verify("psl2", 3).data
+    assert d["status"] == "fail"
+    assert d["pairs"]["rows_match"] is False
+    x, y = d["pairs"]["mismatch"]
+    assert x == 31
+    assert any(f.startswith("pairs: derived row 31") for f in d["failures"])
+
+
+def test_warm_class_is_conjugated_once(tmp_path, monkeypatch):
+    spec = groups.make_group("psl2", 3)
+    pipeline.load_or_build_class(spec, str(tmp_path))
+    calls = []
+    real = groups._conjugate
+    monkeypatch.setattr(groups, "_conjugate", lambda *a: calls.append(1) or real(*a))
+    cls = pipeline.load_or_build_class(spec, str(tmp_path))
+    cls.pair_masks()
+    assert len(calls) == len(groups.generators(spec))
 
 
 def test_flipped_pi_edge_fails_with_named_failure(monkeypatch):
