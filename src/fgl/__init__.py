@@ -6,10 +6,9 @@ from .formulas import (IntersectionArray, InvalidQ, cn_graph_structure,
 from .fusion import PiSpec, build_fusion_graph
 from .gf2 import FieldCtx, field_ctx
 from .graphs import (DdgCert, DezaCert, Graph, antipodal_classes,
-                     antipodal_cover3_certificate, common_neighbor_spectrum,
-                     deza_check, ddg_check, diameter, distance_power,
-                     distances_from, edge_regular_lambda, intersection_array,
-                     recognize_clique_union, recognize_complete_multipartite)
+                     common_neighbor_spectrum, deza_check, ddg_check, diameter,
+                     distances_from, intersection_array, recognize_clique_union,
+                     recognize_complete_multipartite)
 from .groups import (GroupSpec, InvolutionClass, SzEvenExponent, element_order,
                      generators, involution_class, make_group, product_order,
                      sylow_partition)

@@ -132,9 +132,24 @@ def equivalence_classes(rows: np.ndarray, v: int):
     return labels, None
 
 
+def _word_bits(i: np.ndarray) -> np.ndarray:
+    """The bit of each item index i within its word."""
+    return np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+
+
 def identity(v: int) -> np.ndarray:
     """(v, W) bit matrix with exactly the bits (i, i) set."""
     rows = zero_rows(v, v)
     i = np.arange(v)
-    rows[i, i >> 6] = np.left_shift(np.uint64(1), (i & 63).astype(np.uint64))
+    rows[i, i >> 6] = _word_bits(i)
     return rows
+
+
+def clique_rows(labels) -> np.ndarray:
+    """(v, W) bit matrix joining distinct items with equal labels."""
+    _, inv = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
+    v = len(inv)
+    i = np.arange(v)
+    classes = zero_rows(int(inv.max(initial=-1)) + 1, v)
+    np.bitwise_or.at(classes, (inv, i >> 6), _word_bits(i))
+    return classes[inv] ^ identity(v)

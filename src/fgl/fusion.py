@@ -61,11 +61,3 @@ def build_fusion_graph(cls: InvolutionClass, pi: PiSpec) -> graphs.Graph:
     if pi.mode == PiSpec.CHI:
         return graphs.Graph(cls.size, cls.pair_masks().chi.copy())
     return graphs.Graph(cls.size, odd_complement_rows(cls))
-
-
-def clique_rows(labels: np.ndarray) -> np.ndarray:
-    """Within-class complete adjacency (no loops) for a label vector."""
-    _, inv = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    v = len(inv)
-    classes = bits.pack_bool(np.arange(inv.max(initial=-1) + 1)[:, None] == inv, v)
-    return classes[inv] ^ bits.identity(v)

@@ -1,11 +1,14 @@
 """Exact graph algorithms on bitset adjacency rows.
 
 Graphs are undirected, loop-free, and stored as packed bit rows (see
-:mod:`fgl.bits`).  Every certificate in this module is computed by
-exhaustive enumeration — common-neighbor counts by row-AND + popcount
-over all vertex pairs, distance parameters over all (source, target)
-pairs — so a returned certificate is a proof for the given graph, and
-failures carry a minimal witness.
+:mod:`fgl.bits`).  The generic certificates (intersection arrays,
+antipodal classes, Deza and divisible-design checks, the recognizers)
+enumerate exhaustively: common-neighbor counts by row-AND + popcount over
+all vertex pairs, distance parameters over all (source, target) pairs.
+The cover certificate of a fusion graph, seed_vertex_cover3_certificate,
+checks the pairs through vertex 0 and derives the rest by automorphisms
+that act transitively, which makes it exact as well.  So a returned
+certificate is a proof for the given graph, and failures carry a witness.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ class NotAntipodal(Exception):
         self.witness = witness
 
 
-class InvalidDistanceSet(ValueError):
-    """Distance-power index set is not a subset of {1..diameter}."""
-
-
 class NotRegular(Exception):
     pass
 
@@ -49,10 +48,6 @@ class MoreThanTwoValues(Exception):
 
 
 class PartitionNotUniform(ValueError):
-    pass
-
-
-class NotEdgeRegular(Exception):
     pass
 
 
@@ -181,22 +176,6 @@ def diameter(g: Graph) -> int:
             raise Disconnected(f"vertex unreachable from {src}")
         ecc = max(ecc, int(dist.max()))
     return ecc
-
-
-def distance_power(g: Graph, dist_set) -> Graph:
-    """Graph joining vertices whose distance lies in dist_set (0 rejected)."""
-    ds = set(int(x) for x in dist_set)
-    if 0 in ds:
-        raise InvalidDistanceSet("0 is not an edge relation")
-    d = diameter(g)
-    if not ds or not ds.issubset(range(1, d + 1)):
-        raise InvalidDistanceSet(f"distance set {sorted(ds)} not within 1..{d}")
-    rows = bits.zero_rows(g.v, g.v)
-    for src in range(g.v):
-        dist = distances_from(g, src)
-        sel = np.isin(dist, list(ds))
-        rows[src] = bits.pack_bool(sel, g.v)
-    return Graph(g.v, rows)
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -391,23 +370,6 @@ def deza_check(g: Graph) -> DezaCert:
                     spectrum=spectrum)
 
 
-def edge_regular_lambda(g: Graph) -> int:
-    """Common neighbor count on edges; NotEdgeRegular if not constant."""
-    g.valency()
-    lam = None
-    for x, cn in iter_common_neighbor_counts(g):
-        adj = bits.unpack_rows(g.rows[x], g.v)[x + 1:]
-        vals = np.unique(cn[adj])
-        for val in vals:
-            if lam is None:
-                lam = int(val)
-            elif int(val) != lam:
-                raise NotEdgeRegular(f"edge common-neighbor counts {lam} and {int(val)}")
-    if lam is None:
-        raise NotEdgeRegular("graph has no edges")
-    return lam
-
-
 def ddg_check(g: Graph, labels) -> DdgCert:
     """Verify common-neighbor counts depend only on same-class vs cross-class."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -459,15 +421,9 @@ def recognize_clique_union(g: Graph):
     """(count, size) if g is a disjoint union of equal-size cliques, else None."""
     labels = connected_components(g)
     _, sizes = np.unique(labels, return_counts=True)
-    if (sizes != sizes[0]).any():
+    if (sizes != sizes[0]).any() or not np.array_equal(g.rows, bits.clique_rows(labels)):
         return None
-    s = int(sizes[0])
-    for x in range(g.v):
-        comp = labels == labels[x]
-        comp[x] = False
-        if not np.array_equal(bits.unpack_rows(g.rows[x], g.v), comp):
-            return None
-    return int(sizes.size), s
+    return int(sizes.size), int(sizes[0])
 
 
 def recognize_complete_multipartite(g: Graph):
@@ -475,16 +431,17 @@ def recognize_complete_multipartite(g: Graph):
     return recognize_clique_union(g.complement())
 
 
-# -- fast exhaustive certificate for diameter-3 antipodal covers -------------
+# -- seed-vertex certificate for diameter-3 antipodal covers ---------------
 
 
 @dataclass(frozen=True)
 class Cover3Cert:
-    """Exhaustive distance-regularity + antipodality certificate, diameter 3.
+    """Distance-regularity + antipodality certificate, diameter 3.
 
     d2_rows / d3_rows / d13_rows are the packed adjacencies of the
     distance-2, distance-3 and distance-{1,3} graphs, labels the
-    antipodal classes.
+    antipodal classes, cn_spectrum the common-neighbor census over all
+    unordered vertex pairs.
     """
 
     array: IntersectionArray
@@ -496,15 +453,39 @@ class Cover3Cert:
     d13_rows: np.ndarray
 
 
-def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
-    """Certify that g is an antipodal distance-regular graph of diameter 3.
+def _constant_at_seed(cn: np.ndarray, sel: np.ndarray, name: str, what: str) -> int:
+    """The common value of cn on sel (the first selected count); raises
+    NotDistanceRegular with the witness (0, y, name, value, got) otherwise."""
+    ys = np.nonzero(sel)[0]
+    val = int(cn[ys[0]])
+    bad = ys[cn[ys] != val]
+    if bad.size:
+        y = int(bad[0])
+        raise NotDistanceRegular(f"{what} not constant at vertex 0: pair (0,{y}) has "
+                                 f"{int(cn[y])}, expected {val}",
+                                 witness=(0, y, name, val, int(cn[y])))
+    return val
 
-    Single pass over all vertex pairs.  Each pair is classified by adjacency
-    and common-neighbor count (adjacent -> distance 1; cn > 0 -> distance 2;
-    cn = 0 -> distance >= 3), the candidate distance-3 relation is checked to
-    be an equivalence with uniform classes, and b2 = 1 / c3 = k are verified
-    through per-class neighbor counts.  Equivalent to intersection_array +
-    antipodal_classes on such graphs but quadratic instead of cubic.
+
+def seed_vertex_cover3_certificate(g: Graph, orbit_rows) -> Cover3Cert:
+    """Certify that g is an antipodal distance-regular graph of diameter 3
+    from the pairs through vertex 0.
+
+    orbit_rows maps (m, W) packed rows of vertex 0 in m relations that
+    g's automorphisms preserve to their (m, v, W) rows at every vertex, by
+    automorphisms that act transitively; for a fusion graph this is
+    InvolutionClass.orbit_rows (conjugation preserves product orders, and
+    the Schreier tree proves the action transitive).  Every vertex pair is
+    then carried to a pair (0, y) with the same adjacency and common-
+    neighbor count, so the checks made at vertex 0 hold at every vertex:
+    a1 constant on N(0), c2 = mu constant on the non-adjacent pairs with
+    common neighbors, the distance-3 set D3(0) (non-adjacent, no common
+    neighbor) of size r - 1 with r dividing v, the orbit rows of D3 an
+    equivalence (the antipodal classes), and exactly one neighbor of 0 in
+    every class but its own and none in its own (b2 = 1, c3 = k).  The
+    census over unordered pairs is v/2 times the seed's.  Only the valency
+    is checked on every row; the cost is one pass over the v rows and one
+    row derivation.
     """
     v = g.v
     try:
@@ -513,80 +494,41 @@ def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
         raise NotDistanceRegular(f"b_0 not constant: {e}") from e
     if k == 0 or k == v - 1:
         raise NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
-    a1 = None
-    mu = None
-    census: dict[int, int] = {}
-    up2 = bits.zero_rows(v, v)   # strict upper triangle of the distance-2 relation
-    up3 = bits.zero_rows(v, v)
-    for x, cn in iter_common_neighbor_counts(g):
-        adj = bits.unpack_rows(g.rows[x], v)[x + 1:]
-        if adj.any():
-            if a1 is None:
-                a1 = int(cn[adj][0])
-            bad = adj & (cn != a1)
-            if bad.any():
-                off = int(np.nonzero(bad)[0][0])
-                raise NotDistanceRegular(
-                    f"a_1 not constant on edges near vertex {x}",
-                    witness=(x, x + 1 + off, "a1", a1, int(cn[off])))
-        non = ~adj
-        d2 = non & (cn > 0)
-        if d2.any():
-            if mu is None:
-                mu = int(cn[d2][0])
-            bad = d2 & (cn != mu)
-            if bad.any():
-                off = int(np.nonzero(bad)[0][0])
-                raise NotDistanceRegular(
-                    f"c_2 not constant at distance 2 near vertex {x}",
-                    witness=(x, x + 1 + off, "c2", mu, int(cn[off])))
-        d3 = non & (cn == 0)
-        pad = np.zeros(x + 1, dtype=bool)
-        up2[x] = bits.pack_bool(np.concatenate([pad, d2]), v)
-        up3[x] = bits.pack_bool(np.concatenate([pad, d3]), v)
-        for val, cnt in zip(*np.unique(cn, return_counts=True)):
-            census[int(val)] = census.get(int(val), 0) + int(cnt)
-    if a1 is None or mu is None:
+    cn = bits.popcount(g.rows & g.rows[0])
+    adj = bits.unpack_rows(g.rows[0], v)
+    non = ~adj
+    non[0] = False
+    a1 = _constant_at_seed(cn, adj, "a1", "a_1")
+    d2 = non & (cn > 0)
+    if not d2.any():
         raise NotDistanceRegular("no edge or no distance-2 pair present")
-    d2_rows = up2 | bits.transpose(up2, v)
-    d3_rows = up3 | bits.transpose(up3, v)
-
-    # distance-3 candidate relation must be an equivalence with uniform classes
-    far_sizes = bits.popcount(d3_rows)
-    if (far_sizes != far_sizes[0]).any():
-        x = int(np.nonzero(far_sizes != far_sizes[0])[0][0])
-        raise NotDistanceRegular(
-            f"|distance-3 set| not constant: vertex {x}",
-            witness=(0, x, "k3", int(far_sizes[0]), int(far_sizes[x])))
-    r = int(far_sizes[0]) + 1
+    mu = _constant_at_seed(cn, d2, "c2", "c_2")
+    d3 = non & (cn == 0)
+    r = int(d3.sum()) + 1
     if r < 2 or v % r:
         raise NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
+
+    d3_rows = orbit_rows(bits.pack_bool(d3, v)[None])[0]
     labels, witness = bits.equivalence_classes(d3_rows | bits.identity(v), v)
     if witness:
         x, y, z = witness
         raise NotAntipodal(f"distance-3 relation not transitive at ({x},{y},{z})",
                            witness=witness)
-    nclass = int(labels.max()) + 1
-
-    # per-class neighbor counts: every vertex has exactly one neighbor in
-    # each class other than its own (certifies b2 = 1; c3 = k follows)
-    counts = np.zeros((nclass, v), dtype=np.int32)
-    for c in range(nclass):
-        members = np.nonzero(labels == c)[0]
-        counts[c] = bits.unpack_rows(g.rows[members], v).sum(axis=0, dtype=np.int32)
-    own = counts[labels, np.arange(v)]
-    if own.any():
-        y = int(np.nonzero(own)[0][0])
-        raise NotAntipodal(f"vertex {y} adjacent to an antipodal partner")
-    counts[labels, np.arange(v)] = 1
-    if (counts != 1).any():
-        c, y = map(int, np.argwhere(counts != 1)[0])
+    # the seed's class is {0} + D3(0), so 0 has no neighbor there; exactly
+    # one neighbor in every other class certifies b2 = 1, and c3 = k follows
+    per_class = np.bincount(labels[adj], minlength=int(labels.max()) + 1)
+    per_class[labels[0]] = 1
+    if (per_class != 1).any():
+        c = int(np.nonzero(per_class != 1)[0][0])
         x = int(np.nonzero(labels == c)[0][0])
         raise NotDistanceRegular(
-            f"vertex {y} has {int(counts[c, y])} neighbors in class {c}, expected 1",
-            witness=(x, y, "b2", 1, int(counts[c, y])))
+            f"vertex 0 has {int(per_class[c])} neighbors in class {c}, expected 1",
+            witness=(x, 0, "b2", 1, int(per_class[c])))
 
+    row_census = np.bincount(np.delete(cn, 0))
+    census = {int(c): v * int(n) // 2 for c, n in enumerate(row_census) if n}
     arr = IntersectionArray(b=(k, k - 1 - a1, 1), c=(1, mu, k))
+    d13_rows = g.rows | d3_rows
     return Cover3Cert(array=arr, labels=labels, r=r, cn_spectrum=census,
-                      d2_rows=d2_rows, d3_rows=d3_rows,
-                      d13_rows=(g.rows | d3_rows))
+                      d2_rows=~(d13_rows | bits.identity(v)) & bits.pad_mask(v),
+                      d3_rows=d3_rows, d13_rows=d13_rows)

@@ -13,13 +13,14 @@ Because the class is one orbit under conjugation, which preserves product
 orders, the census of product orders over all pairs is v/2 times the
 census of the seed's row (orbital_order_census), an exact count from v - 1
 products.  The same argument gives the pair classification
-(power_pair_masks): check_closed_class conjugates the class once by each
+(power_pair_masks): the orbit closure conjugates the class once by each
 generator, which yields its permutation of the vertices; a breadth-first
 Schreier tree over them reaches every vertex from the seed (the
-transitivity proof); and every row of the commuting and distinguished
-relations is the seed's row permuted along the tree, so only the seed's
-v - 1 products are classified.  A class read from elsewhere is accepted
-only after check_closed_class re-proves that it is this orbit.  The
+transitivity proof); and every row of a conjugation-invariant relation is
+the seed's row permuted along the tree (InvolutionClass.orbit_rows), so
+only the seed's v - 1 products are classified.  A class read from
+elsewhere is accepted only after check_closed_class re-proves that it is
+this orbit, in one conjugation pass that yields the same permutations.  The
 exhaustive scan full_order_scan and the sampled sampled_order_check are
 kept as oracles.
 
@@ -466,6 +467,12 @@ def _void_keys(keys):
     return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
 
 
+def _locate(ranked, keys):
+    """Positions of keys in the sorted key array ranked, and which are in it."""
+    pos = np.minimum(np.searchsorted(ranked, keys), len(ranked) - 1)
+    return pos, ranked[pos] == keys
+
+
 def _lex_less(a, b):
     """Row-wise lexicographic a < b for equal-shape uint8 key arrays."""
     neq = a != b
@@ -518,7 +525,8 @@ class InvolutionClass:
         return self._pair_masks
 
     def generator_perms(self) -> np.ndarray:
-        """The permutations left by the closure pass of check_closed_class."""
+        """The permutations left by the closure pass of involution_class or,
+        for a class made from given codes, of check_closed_class."""
         if self._generator_perms is None:
             check_closed_class(self)
         return self._generator_perms
@@ -527,6 +535,35 @@ class InvolutionClass:
         if self._schreier_tree is None:
             self._schreier_tree = schreier_tree(self.generator_perms())
         return self._schreier_tree
+
+    def orbit_rows(self, seed_rows: np.ndarray) -> np.ndarray:
+        """Every row of m conjugation-invariant relations from the seed's.
+
+        seed_rows is (m, W), vertex 0's packed rows; the result is
+        (m, v, W).  Conjugation by a generator permutes the class by pi, so
+        row pi(p) is row p with its columns permuted:
+        row[pi(p)][z] = row[p][pi^-1(z)].  Rows are derived level by level
+        along the Schreier tree, the rows reached by one generator together,
+        and unpacked ROW_BLOCK_BITS entries at a time, never as a dense
+        v x v.
+        """
+        v = self.size
+        parent, label, levels = self.schreier_tree()
+        perms = self.generator_perms()
+        m = len(seed_rows)
+        rows = np.zeros((m, v, bits.word_count(v)), dtype=bits.U64)
+        rows[:, 0] = seed_rows
+        block = max(1, ROW_BLOCK_BITS // (m * v))
+        inverse = np.empty(v, dtype=np.int64)
+        for level in levels[1:]:
+            for t in np.unique(label[level]):
+                inverse[perms[t]] = np.arange(v)
+                reached = level[label[level] == t]
+                for lo in range(0, len(reached), block):
+                    xs = reached[lo:lo + block]
+                    parent_rows = bits.unpack_rows(rows[:, parent[xs]], v)
+                    rows[:, xs] = bits.pack_bool(np.take(parent_rows, inverse, axis=-1), v)
+        return rows
 
     def order_scan(self) -> "OrderScan":
         if self._order_scan is None:
@@ -558,40 +595,59 @@ def _seed_codes(spec: GroupSpec, dtype) -> np.ndarray:
 
 
 def involution_class(spec: GroupSpec) -> InvolutionClass:
+    """The class as the breadth-first orbit of the seed under conjugation.
+
+    Each vertex is in exactly one frontier, so conjugating the frontiers
+    by every generator conjugates the class once, and the images are the
+    generator permutations (cls.generator_perms()).  An image on the next
+    level is resolved once that level is numbered.  Reaching the
+    closed-form size proves the set closed, as check_closed_class does for
+    a cached class.
+    """
     kern = _Kernels(spec)
     seed_codes = _seed_codes(spec, kern.dtype)
     conjugators = _conjugators(spec, kern)
 
     expected = spec.class_size()
+    perms = np.empty((len(conjugators), expected), dtype=np.int32)
     members = [seed_codes]
-    seen = {kern.encode_keys(seed_codes)[0].tobytes(): 0}
+    ranked = _void_keys(kern.encode_keys(seed_codes))  # sorted keys of numbered vertices
+    ids = np.zeros(1, dtype=np.int64)                  # their vertex numbers
     frontier = seed_codes
-    total = 1
-    while frontier.size:
-        level_new = {}
-        for gi, g in conjugators:
+    start, total = 0, 1
+    while True:
+        new = []  # (generator, frontier positions, keys, codes) of unnumbered images
+        for t, (gi, g) in enumerate(conjugators):
             cand, keys = _conjugate(kern, gi, g, frontier)
-            uniq_keys, first = np.unique(keys, axis=0, return_index=True)
-            for row, src in zip(uniq_keys, first):
-                kb = row.tobytes()
-                if kb not in seen and kb not in level_new:
-                    level_new[kb] = cand[src]
-        if not level_new:
+            keys = _void_keys(keys)
+            pos, known = _locate(ranked, keys)
+            perms[t, start:start + len(keys)] = np.where(known, ids[pos], -1)
+            if not known.all():
+                cols = np.nonzero(~known)[0]
+                new.append((t, cols, keys[cols], cand[cols]))
+        if not new:
             break
         # deterministic numbering: lexicographic on encodings within the level
-        items = sorted(level_new.items())
-        frontier = np.stack([m for _, m in items])
-        for kb, _ in items:
-            seen[kb] = total
-            total += 1
+        level_keys, first = np.unique(np.concatenate([k for _, _, k, _ in new]),
+                                      return_index=True)
+        frontier = np.concatenate([c for _, _, _, c in new])[first]
+        level_ids = np.arange(total, total + len(level_keys))
+        for t, cols, keys, _ in new:
+            perms[t, start + cols] = level_ids[np.searchsorted(level_keys, keys)]
         members.append(frontier)
+        ranked = np.concatenate([ranked, level_keys])
+        order = np.argsort(ranked)
+        ranked, ids = ranked[order], np.concatenate([ids, level_ids])[order]
+        start, total = total, total + len(level_keys)
         if total > expected:
             break
     codes = np.concatenate(members, axis=0)
     if len(codes) != expected:
         raise ClassSizeMismatch(
             f"orbit closure found {len(codes)} involutions, expected {expected}")
-    return InvolutionClass(spec, codes)
+    cls = InvolutionClass(spec, codes)
+    cls._generator_perms = perms
+    return cls
 
 
 def check_closed_class(cls: InvolutionClass) -> None:
@@ -621,9 +677,8 @@ def check_closed_class(cls: InvolutionClass) -> None:
     perms = np.empty((len(conjugators), cls.size), dtype=np.int32)
     for t, (gi, g) in enumerate(conjugators):
         _, keys = _conjugate(kern, gi, g, cls.codes)
-        keys = _void_keys(keys)
-        pos = np.minimum(np.searchsorted(ranked, keys), cls.size - 1)
-        if (ranked[pos] != keys).any():
+        pos, known = _locate(ranked, _void_keys(keys))
+        if not known.all():
             raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
         perms[t] = order[pos]
     cls._generator_perms = perms
@@ -782,28 +837,8 @@ def _power_rows(cls: InvolutionClass, x: int) -> np.ndarray:
 
 def power_pair_masks(cls: InvolutionClass) -> PairMasks:
     """Commuting and distinguished masks: the seed's row from fixed matrix
-    powers, every other row permuted from it along the Schreier tree.
-
-    Conjugation by a generator permutes the class by pi and preserves
-    product orders, so row pi(p) is row p with its columns permuted:
-    row[pi(p)][z] = row[p][pi^-1(z)].  Rows are derived level by level and
-    unpacked ROW_BLOCK_BITS entries at a time, never as a dense v x v.
-    """
-    v = cls.size
-    parent, label, levels = cls.schreier_tree()
-    perms = cls.generator_perms()
-    inverse = np.empty_like(perms)
-    np.put_along_axis(inverse, perms, np.arange(v, dtype=perms.dtype)[None], axis=1)
-    rows = np.zeros((2, v, bits.word_count(v)), dtype=bits.U64)
-    rows[:, 0] = bits.pack_bool(_power_rows(cls, 0), v)
-    block = max(1, ROW_BLOCK_BITS // (2 * v))
-    for level in levels[1:]:
-        for lo in range(0, len(level), block):
-            xs = level[lo:lo + block]
-            parent_rows = bits.unpack_rows(rows[:, parent[xs]], v).reshape(2, -1)
-            # one take on flat positions is far faster than two-axis fancy indexing
-            cols = inverse[label[xs]] + np.arange(0, len(xs) * v, v)[:, None]
-            rows[:, xs] = bits.pack_bool(np.take(parent_rows, cols, axis=1), v)
+    powers, every other row permuted from it (InvolutionClass.orbit_rows)."""
+    rows = cls.orbit_rows(bits.pack_bool(_power_rows(cls, 0), cls.size))
     return PairMasks(comm=rows[0], chi=rows[1])
 
 

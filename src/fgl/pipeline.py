@@ -10,10 +10,15 @@ the intersection array of the chi graph, antipodality and its agreement
 with the commuting (Sylow) partition, the distance-power identities, and
 the Deza / divisible-design certificates of the odd-complement graph and
 the structure of its two common-neighbor-count graphs against the
-closed-form predictions.  Those last certificates are derived from the
-verified cover certificate of the chi graph and are skipped when an
-earlier check has already failed.  The outcome is a machine-readable
-certificate (schema fgl-cert-1).
+closed-form predictions.  The chi graph's cover certificate is made at the
+seed vertex (graphs.seed_vertex_cover3_certificate): conjugation preserves
+product orders, so it preserves the chi graph, and it acts transitively
+(the Schreier tree reaches every vertex), so every vertex pair is carried
+to a pair through vertex 0 and the checks there are exact; the
+distance-3 rows are derived from the seed's along the tree.  The
+odd-complement certificates are derived from that cover certificate and
+are skipped when an earlier check has already failed.  The outcome is a
+machine-readable certificate (schema fgl-cert-1).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import formulas, fusion, graphs, groups
+from . import bits, formulas, fusion, graphs, groups
 from .graphio import atomic_write, atomic_write_text
 
 SCHEMA = "fgl-cert-1"
@@ -97,7 +102,7 @@ def _derived_pi_analysis(v: int, cert: graphs.Cover3Cert, k: int, r: int, mu: in
     """Common-neighbor analysis of the odd-complement graph, derived
     exactly from an already-verified cover certificate.
 
-    The certificate has checked, over all vertex pairs: the chi-graph
+    The certificate has proved, for every vertex pair: the chi-graph
     counts (a1 = c2 = mu, 0 on antipodal pairs), that each vertex has
     exactly one chi-neighbor in every antipodal class but its own and
     none in its own, and that the odd-complement graph is the distance-2
@@ -199,7 +204,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
 
     # chi graph and its cover certificate
     chi_g = graphs.Graph(cls.size, masks.chi)
-    chi_info: dict = {}
+    chi_info: dict = {"method": "seed-vertex"}
     cert = None
     try:
         valency = chi_g.valency()
@@ -211,7 +216,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     predicted = formulas.predicted_chi_array(spec.family, q)
     chi_info["predicted_array"] = predicted.to_dict()
     try:
-        cert = graphs.antipodal_cover3_certificate(chi_g)
+        cert = graphs.seed_vertex_cover3_certificate(chi_g, cls.orbit_rows)
         chi_info["intersection_array"] = cert.array.to_dict()
         chi_info["array_match"] = cert.array == predicted
         chi_info["antipodal"] = True
@@ -256,7 +261,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
         if not g2_ok:
             failures.append("pi_graph: not equal to the distance-2 power of the chi graph")
         if labels is not None:
-            phi_rows = chi_g.rows | fusion.clique_rows(labels)
+            phi_rows = chi_g.rows | bits.clique_rows(labels)
             phi13 = bool(np.array_equal(phi_rows, cert.d13_rows))
             phic = bool(np.array_equal(phi_rows, pi_g.complement().rows))
             pi_info["phi_13_match"] = phi13

@@ -1,0 +1,165 @@
+"""Exhaustive graph oracles for the library's certificates.
+
+These brute-force routines check every vertex pair or every source; the
+library certifies the same facts more cheaply (the cover certificate from
+the seed vertex), and the tests compare the two.
+"""
+
+import numpy as np
+
+from fgl import bits
+from fgl.formulas import IntersectionArray
+from fgl.graphs import (Cover3Cert, Graph, NotAntipodal, NotDistanceRegular,
+                        NotRegular, connected_components, diameter,
+                        distances_from, iter_common_neighbor_counts)
+
+
+class InvalidDistanceSet(ValueError):
+    """Distance-power index set is not a subset of {1..diameter}."""
+
+
+class NotEdgeRegular(Exception):
+    pass
+
+
+def distance_power(g: Graph, dist_set) -> Graph:
+    """Graph joining vertices whose distance lies in dist_set (0 rejected)."""
+    ds = set(int(x) for x in dist_set)
+    if 0 in ds:
+        raise InvalidDistanceSet("0 is not an edge relation")
+    d = diameter(g)
+    if not ds or not ds.issubset(range(1, d + 1)):
+        raise InvalidDistanceSet(f"distance set {sorted(ds)} not within 1..{d}")
+    rows = bits.zero_rows(g.v, g.v)
+    for src in range(g.v):
+        dist = distances_from(g, src)
+        sel = np.isin(dist, list(ds))
+        rows[src] = bits.pack_bool(sel, g.v)
+    return Graph(g.v, rows)
+
+
+def edge_regular_lambda(g: Graph) -> int:
+    """Common neighbor count on edges; NotEdgeRegular if not constant."""
+    g.valency()
+    lam = None
+    for x, cn in iter_common_neighbor_counts(g):
+        adj = bits.unpack_rows(g.rows[x], g.v)[x + 1:]
+        vals = np.unique(cn[adj])
+        for val in vals:
+            if lam is None:
+                lam = int(val)
+            elif int(val) != lam:
+                raise NotEdgeRegular(f"edge common-neighbor counts {lam} and {int(val)}")
+    if lam is None:
+        raise NotEdgeRegular("graph has no edges")
+    return lam
+
+
+def clique_union_per_vertex(g: Graph):
+    """recognize_clique_union by comparing each vertex's row with its component."""
+    labels = connected_components(g)
+    _, sizes = np.unique(labels, return_counts=True)
+    if (sizes != sizes[0]).any():
+        return None
+    for x in range(g.v):
+        comp = labels == labels[x]
+        comp[x] = False
+        if not np.array_equal(bits.unpack_rows(g.rows[x], g.v), comp):
+            return None
+    return int(sizes.size), int(sizes[0])
+
+
+def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
+    """Certify that g is an antipodal distance-regular graph of diameter 3.
+
+    Single pass over all vertex pairs.  Each pair is classified by adjacency
+    and common-neighbor count (adjacent -> distance 1; cn > 0 -> distance 2;
+    cn = 0 -> distance >= 3), the candidate distance-3 relation is checked to
+    be an equivalence with uniform classes, and b2 = 1 / c3 = k are verified
+    through per-class neighbor counts.  Equivalent to intersection_array +
+    antipodal_classes on such graphs but quadratic instead of cubic.
+    """
+    v = g.v
+    try:
+        k = g.valency()
+    except NotRegular as e:
+        raise NotDistanceRegular(f"b_0 not constant: {e}") from e
+    if k == 0 or k == v - 1:
+        raise NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
+    a1 = None
+    mu = None
+    census: dict[int, int] = {}
+    up2 = bits.zero_rows(v, v)   # strict upper triangle of the distance-2 relation
+    up3 = bits.zero_rows(v, v)
+    for x, cn in iter_common_neighbor_counts(g):
+        adj = bits.unpack_rows(g.rows[x], v)[x + 1:]
+        if adj.any():
+            if a1 is None:
+                a1 = int(cn[adj][0])
+            bad = adj & (cn != a1)
+            if bad.any():
+                off = int(np.nonzero(bad)[0][0])
+                raise NotDistanceRegular(
+                    f"a_1 not constant on edges near vertex {x}",
+                    witness=(x, x + 1 + off, "a1", a1, int(cn[off])))
+        non = ~adj
+        d2 = non & (cn > 0)
+        if d2.any():
+            if mu is None:
+                mu = int(cn[d2][0])
+            bad = d2 & (cn != mu)
+            if bad.any():
+                off = int(np.nonzero(bad)[0][0])
+                raise NotDistanceRegular(
+                    f"c_2 not constant at distance 2 near vertex {x}",
+                    witness=(x, x + 1 + off, "c2", mu, int(cn[off])))
+        d3 = non & (cn == 0)
+        pad = np.zeros(x + 1, dtype=bool)
+        up2[x] = bits.pack_bool(np.concatenate([pad, d2]), v)
+        up3[x] = bits.pack_bool(np.concatenate([pad, d3]), v)
+        for val, cnt in zip(*np.unique(cn, return_counts=True)):
+            census[int(val)] = census.get(int(val), 0) + int(cnt)
+    if a1 is None or mu is None:
+        raise NotDistanceRegular("no edge or no distance-2 pair present")
+    d2_rows = up2 | bits.transpose(up2, v)
+    d3_rows = up3 | bits.transpose(up3, v)
+
+    # distance-3 candidate relation must be an equivalence with uniform classes
+    far_sizes = bits.popcount(d3_rows)
+    if (far_sizes != far_sizes[0]).any():
+        x = int(np.nonzero(far_sizes != far_sizes[0])[0][0])
+        raise NotDistanceRegular(
+            f"|distance-3 set| not constant: vertex {x}",
+            witness=(0, x, "k3", int(far_sizes[0]), int(far_sizes[x])))
+    r = int(far_sizes[0]) + 1
+    if r < 2 or v % r:
+        raise NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
+    labels, witness = bits.equivalence_classes(d3_rows | bits.identity(v), v)
+    if witness:
+        x, y, z = witness
+        raise NotAntipodal(f"distance-3 relation not transitive at ({x},{y},{z})",
+                           witness=witness)
+    nclass = int(labels.max()) + 1
+
+    # per-class neighbor counts: every vertex has exactly one neighbor in
+    # each class other than its own (certifies b2 = 1; c3 = k follows)
+    counts = np.zeros((nclass, v), dtype=np.int32)
+    for c in range(nclass):
+        members = np.nonzero(labels == c)[0]
+        counts[c] = bits.unpack_rows(g.rows[members], v).sum(axis=0, dtype=np.int32)
+    own = counts[labels, np.arange(v)]
+    if own.any():
+        y = int(np.nonzero(own)[0][0])
+        raise NotAntipodal(f"vertex {y} adjacent to an antipodal partner")
+    counts[labels, np.arange(v)] = 1
+    if (counts != 1).any():
+        c, y = map(int, np.argwhere(counts != 1)[0])
+        x = int(np.nonzero(labels == c)[0][0])
+        raise NotDistanceRegular(
+            f"vertex {y} has {int(counts[c, y])} neighbors in class {c}, expected 1",
+            witness=(x, y, "b2", 1, int(counts[c, y])))
+
+    arr = IntersectionArray(b=(k, k - 1 - a1, 1), c=(1, mu, k))
+    return Cover3Cert(array=arr, labels=labels, r=r, cn_spectrum=census,
+                      d2_rows=d2_rows, d3_rows=d3_rows,
+                      d13_rows=(g.rows | d3_rows))

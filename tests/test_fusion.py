@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fgl import bits, graphs
-from fgl.fusion import PiSpec, build_fusion_graph, clique_rows
-from fgl.graphs import (antipodal_cover3_certificate, deza_check, diameter,
-                        distance_power, recognize_clique_union,
-                        recognize_complete_multipartite)
+from fgl.fusion import PiSpec, build_fusion_graph
+from fgl.graphs import (NotAntipodal, NotDistanceRegular, deza_check, diameter,
+                        recognize_clique_union, recognize_complete_multipartite,
+                        seed_vertex_cover3_certificate)
 from fgl.groups import involution_class, make_group, sylow_partition
+from oracles import antipodal_cover3_certificate, distance_power
 
 
 # -- oracles: graph builders with the distance-power identities asserted ------
@@ -43,7 +46,7 @@ def phi_graph(chi_g: graphs.Graph, labels, pi_g: graphs.Graph | None = None) -> 
     Asserted equal to the distance-{1,3} power of the chi graph, and to the
     complement of the odd-complement graph when one is supplied.
     """
-    rows = chi_g.rows | clique_rows(labels)
+    rows = chi_g.rows | bits.clique_rows(labels)
     if not np.array_equal(rows, antipodal_cover3_certificate(chi_g).d13_rows):
         raise PhiIdentityMismatch(
             "clique-augmented graph differs from the distance-{1,3} power")
@@ -143,3 +146,56 @@ def test_cover_certificate_on_chi_graphs(psl2_8):
     assert cert.array.b == (8, 6, 1)
     assert cert.array.c == (1, 1, 8)
     assert cert.r == 7
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("sz", 3), ("psu3", 2)])
+def test_seed_vertex_certificate_equals_exhaustive(family, n):
+    cls = involution_class(make_group(family, n))
+    chi_g = chi_graph(cls)
+    seed = seed_vertex_cover3_certificate(chi_g, cls.orbit_rows)
+    full = antipodal_cover3_certificate(chi_g)
+    for f in dataclasses.fields(graphs.Cover3Cert):
+        got, want = getattr(seed, f.name), getattr(full, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+
+
+@pytest.mark.parametrize("relation,error", [("commuting", NotDistanceRegular),
+                                            ("odd-complement", NotDistanceRegular),
+                                            ("non-commuting", NotAntipodal)])
+def test_seed_vertex_certificate_rejects_invariant_non_covers(psl2_8, relation, error):
+    # all three relations are conjugation-invariant: the commuting graph
+    # (nine disjoint K7) has no distance-2 pair; the non-adjacent pairs of
+    # the odd-complement graph share 36 (chi pairs) or 40 (Sylow pairs)
+    # neighbors; the non-commuting graph has no distance-3 pair
+    v = psl2_8.size
+    comm = psl2_8.pair_masks().comm
+    g = {"commuting": graphs.Graph(v, comm),
+         "odd-complement": build_fusion_graph(psl2_8, PiSpec.odd_complement()),
+         "non-commuting": graphs.Graph(v, comm).complement()}[relation]
+    with pytest.raises(error) as ei:
+        seed_vertex_cover3_certificate(g, psl2_8.orbit_rows)
+    if relation == "odd-complement":
+        x, y, name, want, got = ei.value.witness
+        assert (x, name, want, got) == (0, "c2", 36, 40)
+        assert not bits.get_bit(g.rows[0], y)
+    with pytest.raises(error):
+        antipodal_cover3_certificate(g)
+
+
+def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8):
+    # orbit rows that are no equivalence, or classes of the right size that
+    # are not the antipodal classes, must fail with a witness
+    chi_g = chi_graph(psl2_8)
+    with pytest.raises(NotAntipodal) as ei:
+        seed_vertex_cover3_certificate(chi_g, lambda seed_rows: chi_g.rows[None])
+    assert len(ei.value.witness) == 3
+    shuffled = np.random.default_rng(0).permutation(sylow_partition(psl2_8))
+    with pytest.raises(NotDistanceRegular) as ei:
+        seed_vertex_cover3_certificate(chi_g, lambda seed_rows: bits.clique_rows(shuffled)[None])
+    x, y, name, want, got = ei.value.witness
+    assert (y, name, want) == (0, "b2", 1) and got != 1
+    assert shuffled[x] != shuffled[0]

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from fgl.formulas import IntersectionArray
-from fgl.graphs import (Disconnected, Graph, InvalidDistanceSet,
-                        MoreThanTwoValues, NotAntipodal, NotDistanceRegular,
-                        NotEdgeRegular, NotRegular, PartitionNotUniform,
-                        antipodal_classes, antipodal_cover3_certificate,
-                        common_neighbor_spectrum, connected_components,
-                        ddg_check, deza_check, diameter, distance_power,
-                        distances_from, edge_regular_lambda,
-                        intersection_array, recognize_clique_union,
-                        recognize_complete_multipartite)
+from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
+                        NotDistanceRegular, NotRegular, PartitionNotUniform,
+                        antipodal_classes, common_neighbor_spectrum,
+                        connected_components, ddg_check, deza_check, diameter,
+                        distances_from, intersection_array,
+                        recognize_clique_union, recognize_complete_multipartite)
+from oracles import (InvalidDistanceSet, NotEdgeRegular,
+                     antipodal_cover3_certificate, clique_union_per_vertex,
+                     distance_power, edge_regular_lambda)
 
 
 def complete_graph(v):
@@ -193,6 +193,29 @@ def test_recognizers():
     assert recognize_clique_union(petersen()) is None
     unequal = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
     assert recognize_clique_union(unequal) is None
+
+
+def test_clique_union_matches_per_vertex_oracle():
+    # unions of cliques, equal and unequal, then with one edge flipped
+    rng = np.random.default_rng(3)
+    cases = [complete_graph(5), Graph.empty(6), petersen(), octahedron(), prism()]
+    for trial in range(12):
+        sizes = [int(rng.integers(1, 5))] * int(rng.integers(1, 6))
+        if trial % 3 == 0:
+            sizes[0] += 1
+        labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        same = labels[:, None] == labels[None, :]
+        np.fill_diagonal(same, False)
+        g = Graph.from_bool(same)
+        cases.append(g)
+        if g.v > 2:
+            i, j = sorted(rng.choice(g.v, 2, replace=False))
+            same[i, j] = same[j, i] = not same[i, j]
+            cases.append(Graph.from_bool(same))
+    for g in cases:
+        assert recognize_clique_union(g) == clique_union_per_vertex(g)
+        assert recognize_complete_multipartite(g) == clique_union_per_vertex(g.complement())
+    assert recognize_complete_multipartite(complete_graph(4)) == (4, 1)
 
 
 def test_components():

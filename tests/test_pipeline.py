@@ -55,7 +55,8 @@ def test_derived_pi_analysis_equals_direct(family, n):
     cls = groups.involution_class(groups.make_group(family, n))
     k, r, mu = formulas.krmu(family, 1 << n)
     labels = groups.sylow_partition(cls)
-    cert = graphs.antipodal_cover3_certificate(graphs.Graph(cls.size, cls.pair_masks().chi))
+    cert = graphs.seed_vertex_cover3_certificate(graphs.Graph(cls.size, cls.pair_masks().chi),
+                                                 cls.orbit_rows)
     pi_g = graphs.Graph(cls.size, fusion.odd_complement_rows(cls))
     direct = analyze_pi_direct(pi_g, labels, k, r, mu)
     derived = _derived_pi_analysis(cls.size, cert, k, r, mu)
@@ -175,6 +176,29 @@ def test_warm_class_is_conjugated_once(tmp_path, monkeypatch):
     cls = pipeline.load_or_build_class(spec, str(tmp_path))
     cls.pair_masks()
     assert len(calls) == len(groups.generators(spec))
+
+
+def test_cold_class_is_conjugated_once(monkeypatch):
+    spec = groups.make_group("psl2", 3)
+    rows = []
+    real = groups._conjugate
+    monkeypatch.setattr(groups, "_conjugate",
+                        lambda kern, gi, g, x: rows.append(len(x)) or real(kern, gi, g, x))
+    cls = pipeline.load_or_build_class(spec, None)
+    cls.pair_masks()
+    assert sum(rows) == len(groups.generators(spec)) * cls.size
+
+
+def test_run_verify_makes_no_all_pairs_pass(monkeypatch):
+    calls = []
+    for module, name in ((graphs, "iter_common_neighbor_counts"), (bits, "transpose")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
+    d = run_verify("psl2", 4).data
+    assert d["status"] == "pass"
+    assert d["chi_graph"]["method"] == "seed-vertex"
+    assert calls == []
 
 
 def test_flipped_pi_edge_fails_with_named_failure(monkeypatch):
