@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 U64 = np.dtype("<u8")
+ROW_BLOCK_BITS = 1 << 21  # bit-matrix entries unpacked at once by row-block loops
 
 
 def word_count(v: int) -> int:
@@ -69,32 +70,19 @@ def set_bit(row: np.ndarray, j: int) -> None:
     row[j >> 6] |= np.uint64(1 << (j & 63))
 
 
-def rows_from_pairs(v: int, i: np.ndarray, j: np.ndarray, block: int = 1024) -> np.ndarray:
+def rows_from_pairs(v: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Symmetric bit-row matrix with bits (i, j) and (j, i) set.
 
-    Pair arrays may contain duplicates; loops (i == j) are rejected.
+    Pair arrays may contain duplicates; loops (i == j) are rejected.  The
+    bits (i, j) are set in one scatter and mirrored by a transpose.
     """
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     if i.size and (i == j).any():
         raise ValueError("loops are not representable")
-    src = np.concatenate([i, j])
-    dst = np.concatenate([j, i])
-    order = np.argsort(src, kind="stable")
-    src = src[order]
-    dst = dst[order]
-    starts = np.searchsorted(src, np.arange(v + 1))
     out = zero_rows(v, v)
-    buf = np.zeros((block, v), dtype=bool)
-    for lo in range(0, v, block):
-        hi = min(lo + block, v)
-        buf[: hi - lo] = False
-        for r in range(lo, hi):
-            cols = dst[starts[r]:starts[r + 1]]
-            if cols.size:
-                buf[r - lo, cols] = True
-        out[lo:hi] = pack_bool(buf[: hi - lo], v)
-    return out
+    np.bitwise_or.at(out, (i, j >> 6), _word_bits(j))
+    return out | transpose(out, v)
 
 
 def transpose(rows: np.ndarray, v: int, block: int = 4096) -> np.ndarray:

@@ -20,8 +20,7 @@ import sys
 
 from . import formulas, fusion, graphs, groups, pipeline
 from .formulas import FAMILIES, InvalidQ
-from .graphio import (GraphParseError, atomic_write_text, read_graph,
-                      to_json_obj, write_graph)
+from .graphio import GraphParseError, atomic_write_text, read_graph, write_graph
 
 EXIT_PASS = 0
 EXIT_FAIL = 1

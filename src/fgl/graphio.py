@@ -1,20 +1,29 @@
 """Graph import/export: graph6 and a canonical JSON edge-list form.
 
+Both formats go through one exchange form, the (m, 2) int64 edge array
+of Graph.edges() / Graph.from_edges, and no list or tuple per edge is
+built outside json.loads.
+
 graph6 is the standard header-free bit-packed encoding (column-major
 upper triangle, 6 bits per printable character, offset 63).  The JSON
 form is {"v": N, "edges": [[i, j], ...]} with i < j and edges sorted
-lexicographically, so identical graphs serialize byte-identically.
+lexicographically, written byte-identically to json.dumps of that
+object, so identical graphs serialize byte-identically.  Any JSON text
+of that object reads back (indented or with reordered keys), but the
+reader is strict: v and every endpoint must be JSON integers, not
+booleans, floats or strings, and edges a list of pairs.
 """
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import os
 import tempfile
 
 import numpy as np
 
-from . import bits
 from .graphs import Graph
 
 
@@ -22,15 +31,10 @@ class GraphParseError(ValueError):
     pass
 
 
-def _upper_triangle_bits(g: Graph) -> np.ndarray:
-    """Bits x(i,j) for 0 <= i < j < v ordered by (j, i), as uint8 0/1."""
-    cols = []
-    for j in range(1, g.v):
-        col = bits.unpack_rows(g.rows[j], g.v)[:j]
-        cols.append(col)
-    if not cols:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(cols).astype(np.uint8)
+def _column_starts(n: int) -> np.ndarray:
+    """Index j(j-1)/2 of bit (0, j) in the graph6 triangle, for j = 0..n-1."""
+    j = np.arange(n, dtype=np.int64)
+    return j * (j - 1) // 2
 
 
 def to_graph6(g: Graph) -> str:
@@ -43,14 +47,11 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    tri = _upper_triangle_bits(g)
-    pad = (-len(tri)) % 6
-    if pad:
-        tri = np.concatenate([tri, np.zeros(pad, dtype=np.uint8)])
-    groups = tri.reshape(-1, 6)
-    weights = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
-    vals = groups @ weights + 63
-    return head + "".join(map(chr, vals))
+    e = g.edges()
+    tri = np.zeros((n * (n - 1) // 2 + 5) // 6 * 6, dtype=np.uint8)
+    tri[_column_starts(n)[e[:, 1]] + e[:, 0]] = 1
+    chars = tri.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    return head + chars.tobytes().decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -59,18 +60,22 @@ def from_graph6(text: str) -> Graph:
         s = s[len(">>graph6<<"):]
     if not s:
         raise GraphParseError("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
+    try:
+        data = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - np.uint8(63)
+    except UnicodeEncodeError as e:
+        raise GraphParseError("invalid graph6 character") from e
+    if (data > 63).any():
         raise GraphParseError("invalid graph6 character")
-    if data[0] < 63:
-        n = data[0]
+    head = [int(x) for x in data[:8]]
+    if head[0] < 63:
+        n = head[0]
         body = data[1:]
-    elif len(data) >= 4 and data[1] < 63:
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+    elif len(head) >= 4 and head[1] < 63:
+        n = (head[1] << 12) | (head[2] << 6) | head[3]
         body = data[4:]
-    elif len(data) >= 8:
+    elif len(head) == 8:
         n = 0
-        for x in data[2:8]:
+        for x in head[2:8]:
             n = (n << 6) | x
         body = data[8:]
     else:
@@ -79,37 +84,66 @@ def from_graph6(text: str) -> Graph:
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError(
             f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}")
-    raw = np.array(body, dtype=np.uint8)
-    tri = np.zeros(len(body) * 6, dtype=np.uint8)
-    for b in range(6):
-        tri[b::6] = (raw >> (5 - b)) & 1
-    tri = tri[:nbits].astype(bool)
-    mat = np.zeros((n, n), dtype=bool)
-    pos = 0
-    for j in range(1, n):
-        col = tri[pos:pos + j]
-        mat[:j, j] = col
-        mat[j, :j] = col
-        pos += j
-    return Graph.from_bool(mat)
+    # the 6 low bits of each character, high bit first, without the padding
+    tri = np.unpackbits(body[:, None], axis=1)[:, 2:].reshape(-1)[:nbits]
+    pos = np.flatnonzero(tri)
+    starts = _column_starts(n)
+    j = np.searchsorted(starts, pos, side="right") - 1
+    return Graph.from_edges(n, np.stack([pos - starts[j], j], axis=1))
 
 
-def to_json_obj(g: Graph) -> dict:
-    return {"v": g.v, "edges": [[i, j] for i, j in g.edges()]}
+def _json_text(g: Graph) -> str:
+    """json.dumps({"v": v, "edges": [[i, j], ...]}) of g's sorted edge
+    array, assembled from a table of vertex names with no list per edge."""
+    e = g.edges()
+    names = [str(k) for k in range(g.v)]
+    pairs = "], [".join([names[i] + ", " + names[j]
+                         for i, j in zip(e[:, 0].tolist(), e[:, 1].tolist())])
+    body = "[" + pairs + "]" if len(e) else ""
+    return f'{{"v": {g.v}, "edges": [{body}]}}'
+
+
+def _load_json(text: str):
+    """json.loads with the cyclic collector paused.  The parse allocates
+    only acyclic lists and dicts, one per edge, and the collections they
+    would trigger cost about as much as the parse itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise GraphParseError(f"bad JSON: {e}") from e
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def from_json_obj(obj) -> Graph:
     try:
-        v = int(obj["v"])
+        v = obj["v"]
         edges = obj["edges"]
     except (KeyError, TypeError) as e:
         raise GraphParseError(f"bad graph JSON: {e}") from e
+    if type(v) is not int:
+        raise GraphParseError(f"vertex count must be an integer, not {type(v).__name__}")
     if v < 0:
         raise GraphParseError("negative vertex count")
     try:
-        return Graph.from_edges(v, [(int(i), int(j)) for i, j in edges])
-    except ValueError as e:
-        raise GraphParseError(str(e)) from e
+        e = np.asarray(edges)
+    except ValueError as err:
+        raise GraphParseError(f"edges are not a list of pairs: {err}") from err
+    if e.shape == (0,):
+        e = e.reshape(0, 2).astype(np.int64)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise GraphParseError(f"edges must be a list of [i, j] pairs, not shape {e.shape}")
+    # numpy reads true/false among integers as 1/0, so the types are checked too
+    if e.dtype != np.int64 or not {int}.issuperset(
+            map(type, itertools.chain.from_iterable(edges))):
+        raise GraphParseError("edge endpoints must be integers within int64")
+    try:
+        return Graph.from_edges(v, e)
+    except ValueError as err:
+        raise GraphParseError(str(err)) from err
 
 
 def atomic_write(path: str, write, mode: str = "w") -> None:
@@ -146,7 +180,7 @@ def write_graph(path: str, g: Graph, fmt: str | None = None) -> str:
     if fmt == "graph6":
         atomic_write_text(path, to_graph6(g) + "\n")
     else:
-        atomic_write_text(path, json.dumps(to_json_obj(g)) + "\n")
+        atomic_write_text(path, _json_text(g) + "\n")
     return fmt
 
 
@@ -157,10 +191,6 @@ def read_graph(path: str, fmt: str | None = None) -> Graph:
     if fmt == "graph6":
         g = from_graph6(text)
     else:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise GraphParseError(f"bad JSON: {e}") from e
-        g = from_json_obj(obj)
+        g = from_json_obj(_load_json(text))
     g.validate()
     return g

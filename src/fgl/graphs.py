@@ -70,7 +70,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, v: int, edges) -> "Graph":
-        e = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        """Graph on vertices 0..v-1 from an (m, 2) array or sequence of pairs."""
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if e.size:
             if e.min() < 0 or e.max() >= v:
                 raise ValueError("vertex id out of range")
@@ -109,14 +110,18 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         return bits.indices(self.rows[i], self.v)
 
-    def edges(self):
-        """Sorted (i, j) pairs with i < j."""
-        out = []
-        for i in range(self.v):
-            js = self.neighbors(i)
-            js = js[js > i]
-            out.extend((i, int(j)) for j in js)
-        return out
+    def edges(self) -> np.ndarray:
+        """(m, 2) int64 array of the pairs i < j, sorted lexicographically.
+
+        Rows are unpacked at most bits.ROW_BLOCK_BITS entries at a time.
+        """
+        step = max(1, bits.ROW_BLOCK_BITS // max(self.v, 1))
+        parts = [np.zeros((0, 2), dtype=np.int64)]
+        for lo in range(0, self.v, step):
+            block = bits.unpack_rows(self.rows[lo:lo + step], self.v)
+            i, j = np.nonzero(np.triu(block, lo + 1))
+            parts.append(np.stack([i + lo, j], axis=1))
+        return np.concatenate(parts, dtype=np.int64)
 
     def complement(self) -> "Graph":
         return Graph(self.v, ~(self.rows | bits.identity(self.v)) & bits.pad_mask(self.v))
@@ -136,9 +141,9 @@ class Graph:
 
     def validate(self) -> None:
         """Check symmetry and zero diagonal (used on import)."""
-        for i in range(self.v):
-            if bits.get_bit(self.rows[i], i):
-                raise ValueError(f"loop at vertex {i}")
+        loops = (self.rows & bits.identity(self.v)).any(axis=1)
+        if loops.any():
+            raise ValueError(f"loop at vertex {int(np.argmax(loops))}")
         if not np.array_equal(bits.transpose(self.rows, self.v), self.rows):
             raise ValueError("adjacency is not symmetric")
 
@@ -232,15 +237,30 @@ def intersection_array(g: Graph) -> IntersectionArray:
 
 
 def antipodal_classes(g: Graph) -> np.ndarray:
-    """Class labels of the distance-{0, d} relation; NotAntipodal with witness."""
+    """Class labels of the distance-{0, d} relation; NotAntipodal with witness.
+
+    One BFS per source records its eccentricity and the row of its vertices
+    at that distance; a source whose eccentricity is below the diameter d
+    relates only to itself.
+    """
     v = g.v
-    d = diameter(g)
+    if v == 0:
+        raise Disconnected("empty graph")
+    ecc = np.zeros(v, dtype=np.int64)
     far = bits.zero_rows(v, v)
     for src in range(v):
         dist = distances_from(g, src)
-        sel = dist == d
+        if (dist < 0).any():
+            if src == 0:
+                raise Disconnected(f"vertex {int(np.nonzero(dist < 0)[0][0])} unreachable from 0")
+            raise Disconnected(f"vertex unreachable from {src}")
+        ecc[src] = dist.max()
+        sel = dist == ecc[src]
         sel[src] = True
         far[src] = bits.pack_bool(sel, v)
+    d = int(ecc.max())
+    short = ecc < d
+    far[short] = bits.identity(v)[short]
     labels, witness = bits.equivalence_classes(far, v)
     if witness:
         x, y, z = witness

@@ -44,7 +44,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 ORDER_CAP_FACTOR = 4
 PAIR_BLOCK = 1 << 21
-ROW_BLOCK_BITS = 1 << 21  # relation entries unpacked at once while deriving rows
 
 
 class SzEvenExponent(InvalidQ):
@@ -544,7 +543,7 @@ class InvolutionClass:
         row pi(p) is row p with its columns permuted:
         row[pi(p)][z] = row[p][pi^-1(z)].  Rows are derived level by level
         along the Schreier tree, the rows reached by one generator together,
-        and unpacked ROW_BLOCK_BITS entries at a time, never as a dense
+        and unpacked bits.ROW_BLOCK_BITS entries at a time, never as a dense
         v x v.
         """
         v = self.size
@@ -553,7 +552,7 @@ class InvolutionClass:
         m = len(seed_rows)
         rows = np.zeros((m, v, bits.word_count(v)), dtype=bits.U64)
         rows[:, 0] = seed_rows
-        block = max(1, ROW_BLOCK_BITS // (m * v))
+        block = max(1, bits.ROW_BLOCK_BITS // (m * v))
         inverse = np.empty(v, dtype=np.int64)
         for level in levels[1:]:
             for t in np.unique(label[level]):

@@ -2,8 +2,12 @@
 
 These brute-force routines check every vertex pair or every source; the
 library certifies the same facts more cheaply (the cover certificate from
-the seed vertex), and the tests compare the two.
+the seed vertex), and the tests compare the two.  The edge list and JSON
+writer oracles walk the vertices one at a time, as the library did before
+it moved to a single edge array.
 """
+
+import json
 
 import numpy as np
 
@@ -12,6 +16,39 @@ from fgl.formulas import IntersectionArray
 from fgl.graphs import (Cover3Cert, Graph, NotAntipodal, NotDistanceRegular,
                         NotRegular, connected_components, diameter,
                         distances_from, iter_common_neighbor_counts)
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """Sorted (i, j) pairs with i < j, one vertex at a time."""
+    out = []
+    for i in range(g.v):
+        js = g.neighbors(i)
+        out.extend((i, int(j)) for j in js[js > i])
+    return out
+
+
+def json_dumps_graph(g: Graph) -> str:
+    """The graph JSON form as json.dumps of the edge lists."""
+    return json.dumps({"v": g.v, "edges": [[i, j] for i, j in edge_list(g)]})
+
+
+def antipodal_classes_two_pass(g: Graph) -> np.ndarray:
+    """Labels of the distance-{0, d} relation from a diameter pass and a
+    second BFS per source."""
+    v = g.v
+    d = diameter(g)
+    far = bits.zero_rows(v, v)
+    for src in range(v):
+        dist = distances_from(g, src)
+        sel = dist == d
+        sel[src] = True
+        far[src] = bits.pack_bool(sel, v)
+    labels, witness = bits.equivalence_classes(far, v)
+    if witness:
+        x, y, z = witness
+        raise NotAntipodal(
+            f"distance-{{0,{d}}} relation is not transitive at ({x},{y},{z})", witness=witness)
+    return labels
 
 
 class InvalidDistanceSet(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from fgl.cli import main
 from fgl.graphio import read_graph
 from fgl.pipeline import run_verify
+from test_graphio import BAD_GRAPH_JSON
 
 
 def run_cli(*argv):
@@ -144,6 +145,16 @@ def test_analyze_bad_file_exits_2(tmp_path, capsys):
     assert run_cli("analyze", "--in", str(bad), "--check", "drg") == 2
     assert run_cli("analyze", "--in", str(tmp_path / "absent.json"),
                    "--check", "drg") == 2
+
+
+@pytest.mark.parametrize("text", [json.dumps(obj) for obj in BAD_GRAPH_JSON.values()]
+                         + ["[" * 100000], ids=[*BAD_GRAPH_JSON, "deeply-nested"])
+def test_analyze_malformed_graph_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    assert run_cli("analyze", "--in", str(path), "--check", "deza") == 2
+    err = capsys.readouterr().err
+    assert "error reading graph" in err and "Traceback" not in err
 
 
 def test_unknown_check_exits_2(tmp_path, capsys):

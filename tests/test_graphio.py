@@ -6,8 +6,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgl.graphio import (GraphParseError, from_graph6, from_json_obj,
-                         read_graph, to_graph6, to_json_obj, write_graph)
+                         read_graph, to_graph6, write_graph)
 from fgl.graphs import Graph
+from oracles import edge_list, json_dumps_graph
+
+# parsed graph JSON that the reader must reject: non-integer or boolean
+# vertex counts and endpoints, non-lists, ragged or wrongly shaped lists,
+# endpoints outside int64
+BAD_GRAPH_JSON = {
+    "null-endpoint": {"v": 3, "edges": [[0, None]]},
+    "edges-not-list": {"v": 3, "edges": 5},
+    "float-endpoint": {"v": 3, "edges": [[0, 1.5]]},
+    "bool-endpoint": {"v": 3, "edges": [[True, 2]]},
+    "bool-pair": {"v": 3, "edges": [[True, False]]},
+    "string-endpoints": {"v": 3, "edges": [["0", "2"]]},
+    "float-v": {"v": 3.7, "edges": []},
+    "bool-v": {"v": True, "edges": []},
+    "string-v": {"v": "3", "edges": []},
+    "ragged": {"v": 3, "edges": [[0, 1], [2]]},
+    "triple": {"v": 3, "edges": [[0, 1, 2]]},
+    "nested": {"v": 3, "edges": [[[0], [1]]]},
+    "empty-pair": {"v": 3, "edges": [[]]},
+    "above-int64": {"v": 3, "edges": [[0, 2 ** 63]]},
+    "above-uint64": {"v": 3, "edges": [[0, 2 ** 64]]},
+    "below-int64": {"v": 3, "edges": [[-2 ** 63 - 1, 1]]},
+}
 
 
 def random_graph(seed, v=None, p=0.3):
@@ -35,7 +58,7 @@ def test_graph6_matches_networkx(seed):
     ours = to_graph6(g)
     ng = nx.from_graph6_bytes(ours.encode())
     assert set(ng.nodes) == set(range(g.v))
-    assert {tuple(sorted(e)) for e in ng.edges} == set(g.edges())
+    assert {tuple(sorted(e)) for e in ng.edges} == set(map(tuple, g.edges().tolist()))
     theirs = nx.to_graph6_bytes(ng, header=False).decode().strip()
     assert theirs == ours
 
@@ -68,12 +91,44 @@ def test_graph6_parse_errors():
         from_graph6("D\x01\x01")
 
 
-def test_json_roundtrip_and_canonical_order():
+def test_json_roundtrip_and_canonical_order(tmp_path):
     g = random_graph(11)
-    obj = to_json_obj(g)
+    path = str(tmp_path / "g.json")
+    write_graph(path, g)
+    obj = json.loads(open(path).read())
     assert obj["edges"] == sorted(obj["edges"])
     assert all(i < j for i, j in obj["edges"])
     assert from_json_obj(obj) == g
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 40), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_json_writer_matches_json_dumps(tmp_path_factory, seed, v, p):
+    g = random_graph(seed, v=v, p=p)
+    e = g.edges()
+    assert e.dtype == np.int64 and e.shape == (g.edge_count(), 2)
+    assert e.tolist() == [list(pair) for pair in edge_list(g)]
+    path = str(tmp_path_factory.mktemp("json") / "g.json")
+    write_graph(path, g)
+    assert open(path).read() == json_dumps_graph(g) + "\n"
+    assert read_graph(path) == g
+
+
+@pytest.mark.parametrize("resave", [lambda obj: json.dumps(obj, indent=2),
+                                    lambda obj: json.dumps(dict(reversed(obj.items())))],
+                         ids=["indented", "keys-reversed"])
+def test_resaved_json_reads_back(tmp_path, resave):
+    g = random_graph(5, v=23)
+    path = tmp_path / "g.json"
+    write_graph(str(path), g)
+    path.write_text(resave(json.loads(path.read_text())))
+    assert read_graph(str(path)) == g
+
+
+@pytest.mark.parametrize("obj", BAD_GRAPH_JSON.values(), ids=BAD_GRAPH_JSON.keys())
+def test_json_rejects_non_integer_input(obj):
+    with pytest.raises(GraphParseError):
+        from_json_obj(obj)
 
 
 def test_json_rejects_bad_input():
@@ -101,3 +156,40 @@ def test_write_is_deterministic(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
     obj = json.loads(open(p1).read())
     assert obj["v"] == 17
+
+
+# integers stay small, or beyond any array numpy can shape, where they
+# could be a vertex count: the reader allocates v * ceil(v / 64) words
+json_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+                | st.integers(-3, 40) | st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 64]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner,
+                                                                  max_size=4),
+    max_leaves=20)
+edge_lists = st.lists(st.lists(st.integers(-3, 40) | json_scalars, min_size=1, max_size=3),
+                      max_size=6)
+graph_like = st.fixed_dictionaries({"v": json_values, "edges": json_values | edge_lists})
+
+
+@given(st.one_of(json_values, graph_like))
+@settings(max_examples=300, deadline=None)
+def test_read_graph_fuzz_json(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(json.dumps(obj))
+    try:
+        read_graph(str(path))
+    except (GraphParseError, ValueError):
+        pass
+
+
+@given(st.text(max_size=30) | st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126),
+                                      max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_read_graph_fuzz_graph6(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "g.g6"
+    path.write_text(text)
+    try:
+        read_graph(str(path))
+    except (GraphParseError, ValueError):
+        pass

@@ -11,7 +11,7 @@ from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
                         distances_from, intersection_array,
                         recognize_clique_union, recognize_complete_multipartite)
 from oracles import (InvalidDistanceSet, NotEdgeRegular,
-                     antipodal_cover3_certificate, clique_union_per_vertex,
+                     antipodal_classes_two_pass, antipodal_cover3_certificate, clique_union_per_vertex,
                      distance_power, edge_regular_lambda)
 
 
@@ -34,7 +34,7 @@ def petersen():
 def petersen_line_graph():
     """15-vertex graph on the edges of the Petersen graph, adjacency = shared endpoint."""
     p = petersen()
-    es = p.edges()
+    es = p.edges().tolist()
     edges = [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
              if set(es[i]) & set(es[j])]
     return Graph.from_edges(len(es), edges)
@@ -89,6 +89,27 @@ def test_petersen_array_and_not_antipodal():
     assert intersection_array(g) == IntersectionArray(b=(3, 2), c=(1, 1))
     with pytest.raises(NotAntipodal):
         antipodal_classes(g)
+
+
+def _outcome(f, g):
+    try:
+        return f(g).tolist()
+    except (Disconnected, NotAntipodal) as e:
+        return type(e).__name__, str(e), getattr(e, "witness", None)
+
+
+def test_antipodal_classes_match_two_pass_oracle():
+    rng = np.random.default_rng(7)
+    cases = [cycle(6), cycle(7), petersen(), petersen_line_graph(), prism(), octahedron(),
+             complete_graph(4), Graph.from_edges(4, [(0, 1), (2, 3)]),
+             Graph.from_edges(4, [(1, 2), (2, 3)])]
+    for v in range(1, 13):
+        mat = np.triu(rng.random((v, v)) < 0.4, 1)
+        cases.append(Graph.from_bool(mat | mat.T))
+    for g in cases:
+        assert _outcome(antipodal_classes, g) == _outcome(antipodal_classes_two_pass, g)
+    with pytest.raises(Disconnected):
+        antipodal_classes(Graph.empty(0))
 
 
 def test_petersen_line_graph_is_diameter3_cover():
