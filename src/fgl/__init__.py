@@ -6,12 +6,11 @@ from .formulas import (IntersectionArray, InvalidQ, cn_graph_structure,
 from .fusion import PiSpec, build_fusion_graph
 from .gf2 import FieldCtx, field_ctx
 from .graphs import (DdgCert, DezaCert, Graph, antipodal_classes,
-                     common_neighbor_spectrum, deza_check, ddg_check, diameter,
+                     common_neighbor_spectrum, deza_check, ddg_check,
                      distances_from, intersection_array, recognize_clique_union,
                      recognize_complete_multipartite)
-from .groups import (GroupSpec, InvolutionClass, SzEvenExponent, element_order,
-                     generators, involution_class, make_group, product_order,
-                     sylow_partition)
+from .groups import (GroupSpec, InvolutionClass, SzEvenExponent, generators,
+                     involution_class, make_group, sylow_partition)
 from .pipeline import VerificationReport, run_verify
 
 __version__ = "0.1.0"

@@ -62,10 +62,6 @@ def popcount(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
 
 
-def get_bit(row: np.ndarray, j: int) -> bool:
-    return bool((row[j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-
 def set_bit(row: np.ndarray, j: int) -> None:
     row[j >> 6] |= np.uint64(1 << (j & 63))
 

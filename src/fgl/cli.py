@@ -18,6 +18,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import formulas, fusion, graphs, groups, pipeline
 from .formulas import FAMILIES, InvalidQ
 from .graphio import GraphParseError, atomic_write_text, read_graph, write_graph
@@ -101,6 +103,32 @@ def cmd_verify(args) -> int:
     return EXIT_PASS
 
 
+def _antipodal(g, labels) -> dict:
+    found = graphs.antipodal_classes(g)
+    return {"antipodal": True, "num_classes": int(found.max()) + 1,
+            "class_sizes": sorted(set(map(int, np.bincount(found))))}
+
+
+def _multipartite(g, labels) -> dict:
+    mp = graphs.recognize_complete_multipartite(g)
+    cu = graphs.recognize_clique_union(g)
+    return {"complete_multipartite": list(mp) if mp else None,
+            "clique_union": list(cu) if cu else None}
+
+
+# analyze check -> (verdict key of a graph without the structure, certificate of g)
+ANALYSES = {
+    "drg": ("distance_regular", lambda g, labels: {
+        "distance_regular": True, "intersection_array": graphs.intersection_array(g).to_dict()}),
+    "antipodal": ("antipodal", _antipodal),
+    "deza": ("deza", lambda g, labels: graphs.deza_check(g).to_dict()),
+    "ddg": ("ddg", lambda g, labels: graphs.ddg_check(g, labels).to_dict()),
+    "spectrum": (None, lambda g, labels: {
+        str(c): n for c, n in sorted(graphs.common_neighbor_spectrum(g).items())}),
+    "multipartite": (None, _multipartite),
+}
+
+
 def cmd_analyze(args) -> int:
     try:
         g = read_graph(args.input, args.format)
@@ -108,62 +136,31 @@ def cmd_analyze(args) -> int:
         print(f"error reading graph: {e}", file=sys.stderr)
         return EXIT_USAGE
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
-    known = {"drg", "antipodal", "deza", "ddg", "spectrum", "multipartite"}
-    bad = set(checks) - known
+    bad = set(checks) - set(ANALYSES)
     if bad:
         print(f"unknown checks: {sorted(bad)}", file=sys.stderr)
         return EXIT_USAGE
+    labels = None
+    if "ddg" in checks:
+        try:
+            labels = _partition_for(args)
+        except (OSError, ValueError) as e:
+            print(f"error reading partition: {e}", file=sys.stderr)
+            return EXIT_USAGE
+        if labels is None:
+            print("ddg check needs --partition or a sidecar meta file", file=sys.stderr)
+            return EXIT_USAGE
     out: dict = {"schema": pipeline.SCHEMA, "v": g.v, "edges": g.edge_count()}
     for check in checks:
-        if check == "drg":
-            try:
-                arr = graphs.intersection_array(g)
-                out["drg"] = {"distance_regular": True, "intersection_array": arr.to_dict()}
-            except graphs.Disconnected as e:
-                out["drg"] = {"distance_regular": False, "error": f"disconnected: {e}"}
-            except graphs.NotDistanceRegular as e:
-                out["drg"] = {"distance_regular": False, "witness": e.witness}
-        elif check == "antipodal":
-            try:
-                labels = graphs.antipodal_classes(g)
-                import numpy as np
-                sizes = np.bincount(labels)
-                out["antipodal"] = {"antipodal": True,
-                                    "num_classes": int(labels.max()) + 1,
-                                    "class_sizes": sorted(set(map(int, sizes)))}
-            except graphs.Disconnected as e:
-                out["antipodal"] = {"antipodal": False, "error": f"disconnected: {e}"}
-            except graphs.NotAntipodal as e:
-                out["antipodal"] = {"antipodal": False, "witness": e.witness}
-        elif check == "deza":
-            try:
-                out["deza"] = graphs.deza_check(g).to_dict()
-            except (graphs.NotRegular, graphs.MoreThanTwoValues) as e:
-                out["deza"] = {"deza": False, "error": str(e)}
-        elif check == "ddg":
-            try:
-                labels = _partition_for(args)
-            except (OSError, ValueError) as e:
-                print(f"error reading partition: {e}", file=sys.stderr)
-                return EXIT_USAGE
-            if labels is None:
-                print("ddg check needs --partition or a sidecar meta file", file=sys.stderr)
-                return EXIT_USAGE
-            try:
-                out["ddg"] = graphs.ddg_check(g, labels).to_dict()
-            except (graphs.NotRegular, graphs.MoreThanTwoValues,
-                    graphs.PartitionNotUniform) as e:
-                out["ddg"] = {"ddg": False, "error": str(e)}
-        elif check == "spectrum":
-            spec_ = graphs.common_neighbor_spectrum(g)
-            out["spectrum"] = {str(c): n for c, n in sorted(spec_.items())}
-        elif check == "multipartite":
-            mp = graphs.recognize_complete_multipartite(g)
-            cu = graphs.recognize_clique_union(g)
-            out["multipartite"] = {
-                "complete_multipartite": list(mp) if mp else None,
-                "clique_union": list(cu) if cu else None,
-            }
+        key, certify = ANALYSES[check]
+        try:
+            out[check] = certify(g, labels)
+        except graphs.Disconnected as e:
+            out[check] = {key: False, "error": f"disconnected: {e}"}
+        except (graphs.NotDistanceRegular, graphs.NotAntipodal) as e:
+            out[check] = {key: False, "witness": e.witness}
+        except (graphs.NotRegular, graphs.MoreThanTwoValues, graphs.PartitionNotUniform) as e:
+            out[check] = {key: False, "error": str(e)}
     _out_text(args, json.dumps(out, indent=2) + "\n")
     return EXIT_PASS
 

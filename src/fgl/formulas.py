@@ -58,8 +58,8 @@ class IntersectionArray:
     c: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.b) != len(self.c) or not self.b:
-            raise ValueError("b and c must have equal positive length")
+        if len(self.b) != len(self.c):
+            raise ValueError("b and c must have equal length")
 
     @property
     def diameter(self) -> int:
@@ -70,7 +70,7 @@ class IntersectionArray:
         """a_0..a_d via a_i = b_0 - b_i - c_i (b_d = c_0 = 0)."""
         b = self.b + (0,)
         c = (0,) + self.c
-        return tuple(self.b[0] - b[i] - c[i] for i in range(self.diameter + 1))
+        return tuple(b[0] - b[i] - c[i] for i in range(self.diameter + 1))
 
     def __str__(self) -> str:
         bs = ",".join(map(str, self.b))

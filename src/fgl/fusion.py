@@ -4,12 +4,12 @@ Vertices are the involutions of the class; the adjacency predicate is a
 condition on the order of the product of the two involutions.  Two
 predicates matter here: product order equal to the associated prime
 (the chi graph), and product order odd and not in {1, chi} (the
-odd-complement graph).  Both graphs are read off the class's pair masks,
-which groups.power_pair_masks derives from the seed's row by permuting it
-along a Schreier tree of the conjugation action.  The chi graph of each
-verified family is an antipodal distance-regular cover of diameter 3 and
-the odd-complement graph is its distance-2 power; the pipeline certifies
-both identities.
+odd-complement graph).  build_fusion_graph reads both off the class's
+pair masks (groups.power_pair_masks).  The chi graph of each verified
+family is an antipodal distance-regular cover of diameter 3 and the
+odd-complement graph its distance-2 power; conjugation preserves product
+orders and acts transitively, so both are certified from vertex 0's
+partner sets (seed_set_cover3_certificate, odd_complement_seed).
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bits, graphs
-from .groups import InvolutionClass
+from . import bits, graphs, groups
+from .formulas import IntersectionArray
+from .groups import InvolutionClass, SeedSets
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,103 @@ def odd_complement_rows(cls: InvolutionClass) -> np.ndarray:
     return ~(masks.comm | masks.chi | bits.identity(v)) & bits.pad_mask(v)
 
 
+def odd_complement_seed(v: int, sets: SeedSets) -> np.ndarray:
+    """Vertex 0's odd-complement neighbors: all but 0 and its commuting and
+    distinguished partners (exact under the same dichotomy)."""
+    return np.setdiff1d(np.arange(1, v), np.union1d(sets.comm, sets.chi))
+
+
 def build_fusion_graph(cls: InvolutionClass, pi: PiSpec) -> graphs.Graph:
     if pi.mode == PiSpec.CHI:
         return graphs.Graph(cls.size, cls.pair_masks().chi.copy())
     return graphs.Graph(cls.size, odd_complement_rows(cls))
+
+
+# -- seed-set certificate for diameter-3 antipodal covers -----------------
+
+
+@dataclass(frozen=True)
+class Cover3Cert:
+    """Distance-regularity + antipodality certificate, diameter 3: labels
+    are the antipodal classes, cn_spectrum the common-neighbor census over
+    unordered pairs, d2 and d3 vertex 0's distance-2 and -3 sets."""
+
+    array: IntersectionArray
+    labels: np.ndarray
+    r: int
+    cn_spectrum: dict
+    d2: np.ndarray
+    d3: np.ndarray
+
+
+def _constant_at_seed(cn: np.ndarray, sel: np.ndarray, name: str, what: str) -> int:
+    """The common value of cn on sel (the first selected count); raises
+    NotDistanceRegular with the witness (0, y, name, value, got) otherwise."""
+    ys = np.nonzero(sel)[0]
+    val = int(cn[ys[0]])
+    bad = ys[cn[ys] != val]
+    if bad.size:
+        y = int(bad[0])
+        raise graphs.NotDistanceRegular(f"{what} not constant at vertex 0: pair (0,{y}) "
+                                        f"has {int(cn[y])}, expected {val}",
+                                        witness=(0, y, name, val, int(cn[y])))
+    return val
+
+
+def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray) -> Cover3Cert:
+    """Certify that the conjugation-invariant graph with N(0) = nbrs is an
+    antipodal distance-regular graph of diameter 3.
+
+    N(x) = sigma_x(nbrs) (InvolutionClass.carry), and a conjugation carries
+    every pair to a pair (0, y), so checks at vertex 0 hold everywhere.  It
+    is symmetric when 0 is in N(z) for z in N(0); cn(0, .) is the bincount
+    of N(z) over z in N(0).  a1 must be constant on N(0), c2 = mu on the
+    other vertices with common neighbors, and the orbit of {0} + D3(0), the
+    rest, a partition (groups.block_partition): the antipodal classes.  One
+    neighbor of 0 in every class but its own is b2 = 1; c3 = k follows.
+    """
+    v, k = cls.size, len(nbrs)
+    if k == 0 or k >= v - 1:
+        raise graphs.NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
+    if nbrs[0] == 0:
+        raise graphs.NotDistanceRegular("vertex 0 is its own neighbor", witness=(0, 0))
+    rows = cls.carry(nbrs, nbrs)
+    lonely = np.flatnonzero(~(rows == 0).any(axis=1))
+    if lonely.size:
+        z = int(nbrs[lonely[0]])
+        raise graphs.NotDistanceRegular(f"not symmetric: {z} is a neighbor of 0, but 0 is "
+                                        f"not a neighbor of {z}", witness=(0, z))
+    cn = np.bincount(rows.ravel(), minlength=v)
+    adj = np.zeros(v, dtype=bool)
+    adj[nbrs] = True
+    non = ~adj
+    non[0] = False
+    a1 = _constant_at_seed(cn, adj, "a1", "a_1")
+    d2 = non & (cn > 0)
+    if not d2.any():
+        raise graphs.NotDistanceRegular("no edge or no distance-2 pair present")
+    mu = _constant_at_seed(cn, d2, "c2", "c_2")
+    d3 = np.flatnonzero(non & (cn == 0))
+    r = len(d3) + 1
+    if r < 2 or v % r:
+        raise graphs.NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
+    try:
+        labels = groups.block_partition(cls.generator_perms(), np.concatenate([[0], d3]))
+    except groups.NotAnEquivalence as e:
+        raise graphs.NotAntipodal(f"distance-3 relation is no equivalence: {e}",
+                                  witness=e.witness) from e
+    # 0's class is {0} + D3(0), which has no neighbor of 0
+    per_class = np.bincount(labels[nbrs], minlength=int(labels.max()) + 1)
+    per_class[labels[0]] = 1
+    if (per_class != 1).any():
+        c = int(np.nonzero(per_class != 1)[0][0])
+        x = int(np.nonzero(labels == c)[0][0])
+        raise graphs.NotDistanceRegular(
+            f"vertex 0 has {int(per_class[c])} neighbors in class {c}, expected 1",
+            witness=(x, 0, "b2", 1, int(per_class[c])))
+
+    row_census = np.bincount(cn[1:])
+    census = {int(c): v * int(n) // 2 for c, n in enumerate(row_census) if n}
+    arr = IntersectionArray(b=(k, k - 1 - a1, 1), c=(1, mu, k))
+    return Cover3Cert(array=arr, labels=labels, r=r, cn_spectrum=census,
+                      d2=np.flatnonzero(d2), d3=d3)

@@ -7,8 +7,10 @@ and, for fields of at most 2^16 elements, log/antilog tables that serve as
 the fast multiplication path; the polynomial path is always available and is
 the reference the tables are checked against.
 
-Contexts are immutable after construction, so they are safe to share freely
-between threads.
+The modulus and the scalar tables are fixed at construction; the numpy
+tables are filled lazily on first use (np_tables, np_mul_table).  The fill is
+idempotent and publishes each table whole, its guard attribute last, so
+contexts are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -227,8 +229,8 @@ class FieldCtx:
             period = np.array(self._exp, dtype=self.code_dtype)
             exp3[: q - 1] = period
             exp3[q - 1 : sentinel] = period
-            self._np_log = log
             self._np_exp3 = exp3
+            self._np_log = log  # the guard, written last
         return self._np_log, self._np_exp3
 
     def np_mul_table(self):

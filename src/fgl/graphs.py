@@ -5,10 +5,9 @@ Graphs are undirected, loop-free, and stored as packed bit rows (see
 antipodal classes, Deza and divisible-design checks, the recognizers)
 enumerate exhaustively: common-neighbor counts by row-AND + popcount over
 all vertex pairs, distance parameters over all (source, target) pairs.
-The cover certificate of a fusion graph, seed_vertex_cover3_certificate,
-checks the pairs through vertex 0 and derives the rest by automorphisms
-that act transitively, which makes it exact as well.  So a returned
-certificate is a proof for the given graph, and failures carry a witness.
+So a returned certificate is a proof for the given graph, and failures
+carry a witness.  The fusion graphs of the pipeline are certified from
+vertex 0 instead (fusion.seed_set_cover3_certificate).
 """
 
 from __future__ import annotations
@@ -168,19 +167,6 @@ def distances_from(g: Graph, src: int) -> np.ndarray:
         frontier = bits.indices(nxt, v)
         dist[frontier] = d
     return dist
-
-
-def diameter(g: Graph) -> int:
-    dist = distances_from(g, 0)
-    if (dist < 0).any():
-        raise Disconnected(f"vertex {int(np.nonzero(dist < 0)[0][0])} unreachable from 0")
-    ecc = int(dist.max())
-    for src in range(1, g.v):
-        dist = distances_from(g, src)
-        if (dist < 0).any():
-            raise Disconnected(f"vertex unreachable from {src}")
-        ecc = max(ecc, int(dist.max()))
-    return ecc
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -393,8 +379,8 @@ def deza_check(g: Graph) -> DezaCert:
 def ddg_check(g: Graph, labels) -> DdgCert:
     """Verify common-neighbor counts depend only on same-class vs cross-class."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (g.v,):
-        raise PartitionNotUniform("labels must assign a class to every vertex")
+    if labels.shape != (g.v,) or not g.v:
+        raise PartitionNotUniform("labels must assign a class to every vertex, of at least one")
     classes, sizes = np.unique(labels, return_counts=True)
     if (sizes != sizes[0]).any():
         raise PartitionNotUniform(f"class sizes differ: {sorted(set(map(int, sizes)))}")
@@ -441,7 +427,7 @@ def recognize_clique_union(g: Graph):
     """(count, size) if g is a disjoint union of equal-size cliques, else None."""
     labels = connected_components(g)
     _, sizes = np.unique(labels, return_counts=True)
-    if (sizes != sizes[0]).any() or not np.array_equal(g.rows, bits.clique_rows(labels)):
+    if not g.v or (sizes != sizes[0]).any() or not np.array_equal(g.rows, bits.clique_rows(labels)):
         return None
     return int(sizes.size), int(sizes[0])
 
@@ -449,106 +435,3 @@ def recognize_clique_union(g: Graph):
 def recognize_complete_multipartite(g: Graph):
     """(parts, size) if g is complete multipartite with equal parts, else None."""
     return recognize_clique_union(g.complement())
-
-
-# -- seed-vertex certificate for diameter-3 antipodal covers ---------------
-
-
-@dataclass(frozen=True)
-class Cover3Cert:
-    """Distance-regularity + antipodality certificate, diameter 3.
-
-    d2_rows / d3_rows / d13_rows are the packed adjacencies of the
-    distance-2, distance-3 and distance-{1,3} graphs, labels the
-    antipodal classes, cn_spectrum the common-neighbor census over all
-    unordered vertex pairs.
-    """
-
-    array: IntersectionArray
-    labels: np.ndarray
-    r: int
-    cn_spectrum: dict
-    d2_rows: np.ndarray
-    d3_rows: np.ndarray
-    d13_rows: np.ndarray
-
-
-def _constant_at_seed(cn: np.ndarray, sel: np.ndarray, name: str, what: str) -> int:
-    """The common value of cn on sel (the first selected count); raises
-    NotDistanceRegular with the witness (0, y, name, value, got) otherwise."""
-    ys = np.nonzero(sel)[0]
-    val = int(cn[ys[0]])
-    bad = ys[cn[ys] != val]
-    if bad.size:
-        y = int(bad[0])
-        raise NotDistanceRegular(f"{what} not constant at vertex 0: pair (0,{y}) has "
-                                 f"{int(cn[y])}, expected {val}",
-                                 witness=(0, y, name, val, int(cn[y])))
-    return val
-
-
-def seed_vertex_cover3_certificate(g: Graph, orbit_rows) -> Cover3Cert:
-    """Certify that g is an antipodal distance-regular graph of diameter 3
-    from the pairs through vertex 0.
-
-    orbit_rows maps (m, W) packed rows of vertex 0 in m relations that
-    g's automorphisms preserve to their (m, v, W) rows at every vertex, by
-    automorphisms that act transitively; for a fusion graph this is
-    InvolutionClass.orbit_rows (conjugation preserves product orders, and
-    the Schreier tree proves the action transitive).  Every vertex pair is
-    then carried to a pair (0, y) with the same adjacency and common-
-    neighbor count, so the checks made at vertex 0 hold at every vertex:
-    a1 constant on N(0), c2 = mu constant on the non-adjacent pairs with
-    common neighbors, the distance-3 set D3(0) (non-adjacent, no common
-    neighbor) of size r - 1 with r dividing v, the orbit rows of D3 an
-    equivalence (the antipodal classes), and exactly one neighbor of 0 in
-    every class but its own and none in its own (b2 = 1, c3 = k).  The
-    census over unordered pairs is v/2 times the seed's.  Only the valency
-    is checked on every row; the cost is one pass over the v rows and one
-    row derivation.
-    """
-    v = g.v
-    try:
-        k = g.valency()
-    except NotRegular as e:
-        raise NotDistanceRegular(f"b_0 not constant: {e}") from e
-    if k == 0 or k == v - 1:
-        raise NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
-    cn = bits.popcount(g.rows & g.rows[0])
-    adj = bits.unpack_rows(g.rows[0], v)
-    non = ~adj
-    non[0] = False
-    a1 = _constant_at_seed(cn, adj, "a1", "a_1")
-    d2 = non & (cn > 0)
-    if not d2.any():
-        raise NotDistanceRegular("no edge or no distance-2 pair present")
-    mu = _constant_at_seed(cn, d2, "c2", "c_2")
-    d3 = non & (cn == 0)
-    r = int(d3.sum()) + 1
-    if r < 2 or v % r:
-        raise NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
-
-    d3_rows = orbit_rows(bits.pack_bool(d3, v)[None])[0]
-    labels, witness = bits.equivalence_classes(d3_rows | bits.identity(v), v)
-    if witness:
-        x, y, z = witness
-        raise NotAntipodal(f"distance-3 relation not transitive at ({x},{y},{z})",
-                           witness=witness)
-    # the seed's class is {0} + D3(0), so 0 has no neighbor there; exactly
-    # one neighbor in every other class certifies b2 = 1, and c3 = k follows
-    per_class = np.bincount(labels[adj], minlength=int(labels.max()) + 1)
-    per_class[labels[0]] = 1
-    if (per_class != 1).any():
-        c = int(np.nonzero(per_class != 1)[0][0])
-        x = int(np.nonzero(labels == c)[0][0])
-        raise NotDistanceRegular(
-            f"vertex 0 has {int(per_class[c])} neighbors in class {c}, expected 1",
-            witness=(x, 0, "b2", 1, int(per_class[c])))
-
-    row_census = np.bincount(np.delete(cn, 0))
-    census = {int(c): v * int(n) // 2 for c, n in enumerate(row_census) if n}
-    arr = IntersectionArray(b=(k, k - 1 - a1, 1), c=(1, mu, k))
-    d13_rows = g.rows | d3_rows
-    return Cover3Cert(array=arr, labels=labels, r=r, cn_spectrum=census,
-                      d2_rows=~(d13_rows | bits.identity(v)) & bits.pad_mask(v),
-                      d3_rows=d3_rows, d13_rows=d13_rows)

@@ -9,20 +9,19 @@ under conjugation by the generators, deduplicating on canonical encodings;
 its size is checked against the closed-form count, which certifies both the
 generating set and the matrix model.
 
-Because the class is one orbit under conjugation, which preserves product
-orders, the census of product orders over all pairs is v/2 times the
-census of the seed's row (orbital_order_census), an exact count from v - 1
-products.  The same argument gives the pair classification
-(power_pair_masks): the orbit closure conjugates the class once by each
-generator, which yields its permutation of the vertices; a breadth-first
-Schreier tree over them reaches every vertex from the seed (the
-transitivity proof); and every row of a conjugation-invariant relation is
-the seed's row permuted along the tree (InvolutionClass.orbit_rows), so
-only the seed's v - 1 products are classified.  A class read from
-elsewhere is accepted only after check_closed_class re-proves that it is
-this orbit, in one conjugation pass that yields the same permutations.  The
-exhaustive scan full_order_scan and the sampled sampled_order_check are
-kept as oracles.
+The orbit closure conjugates the class once by each generator, which
+yields its permutations of the vertices; a breadth-first Schreier tree over
+them reaches every vertex from the seed (the transitivity proof), and the
+generators on the tree path to x compose to a conjugation sigma_x with
+sigma_x(0) = x (InvolutionClass.carry).  Conjugation preserves product
+orders, so every product-order fact is one about vertex 0: the order census
+is v/2 times the seed's (orbital_order_census), the commuting and
+distinguished partners of x are sigma_x of the seed's (power_seed_sets),
+and the commuting classes are the orbit of one block (sylow_partition).  A
+class read from elsewhere is accepted only after check_closed_class
+re-proves that it is this orbit, in one pass that yields the same
+permutations.  The bit relations of power_pair_masks serve graph
+construction; full_order_scan and sampled_order_check are oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -342,21 +341,6 @@ def canonicalize(spec: GroupSpec, m: Matrix) -> Matrix:
     return best
 
 
-# -- orders ---------------------------------------------------------------------
-
-
-def element_order(spec: GroupSpec, m: Matrix) -> int:
-    """Least k >= 1 with m^k a center scalar (projective order)."""
-    cur = m
-    for k in range(1, spec.order_cap + 1):
-        s = scalar_code(cur)
-        if s is not None and s in spec.center:
-            return k
-        cur = mat_mul(spec.ctx, cur, m)
-    raise OrderCapExceeded(
-        f"no power of the element is central within {spec.order_cap} steps")
-
-
 # -- vectorized kernels ----------------------------------------------------------
 
 
@@ -425,15 +409,14 @@ class _Kernels:
         return ok
 
     def encode_keys(self, x):
-        """(m, d, d) codes -> (m, B) uint8 byte encodings, matching encode()."""
+        """(m, d, d) codes -> (m, B) uint8 byte encodings, matching encode().
+
+        Kernels exist only up to GF(2^16) (np_tables), so a code is 1 or 2 bytes."""
         m, d = x.shape[0], x.shape[-1]
         flat = x.reshape(m, d * d)
-        w = _byte_width(self.spec)
-        if w == 1:
+        if _byte_width(self.spec) == 1:
             return flat.astype(np.uint8)
-        if w == 2:
-            return flat.astype("<u2").view(np.uint8).reshape(m, d * d * 2)
-        return _wide_encode(flat, w)
+        return flat.astype("<u2").view(np.uint8).reshape(m, d * d * 2)
 
     def canonical_batch(self, x):
         """Canonicalize a batch; returns (codes, keys)."""
@@ -450,14 +433,6 @@ class _Kernels:
                 best_x[less] = cand[less]
                 best_k[less] = ck[less]
         return best_x, best_k
-
-
-def _wide_encode(flat, w):
-    m, e = flat.shape
-    out = np.zeros((m, e * w), dtype=np.uint8)
-    for b in range(w):
-        out[:, b::w] = (flat >> (8 * b)).astype(np.uint8)
-    return out
 
 
 def _void_keys(keys):
@@ -498,6 +473,7 @@ class InvolutionClass:
         keys = self.kern.encode_keys(codes)
         self.index = {k.tobytes(): i for i, k in enumerate(keys)}
         self._sylow_labels = None
+        self._seed_sets = None
         self._pair_masks = None
         self._order_scan = None
         self._generator_perms = None
@@ -522,6 +498,11 @@ class InvolutionClass:
         if self._pair_masks is None:
             self._pair_masks = power_pair_masks(self)
         return self._pair_masks
+
+    def seed_sets(self) -> "SeedSets":
+        if self._seed_sets is None:
+            self._seed_sets = power_seed_sets(self)
+        return self._seed_sets
 
     def generator_perms(self) -> np.ndarray:
         """The permutations left by the closure pass of involution_class or,
@@ -563,6 +544,21 @@ class InvolutionClass:
                     parent_rows = bits.unpack_rows(rows[:, parent[xs]], v)
                     rows[:, xs] = bits.pack_bool(np.take(parent_rows, inverse, axis=-1), v)
         return rows
+
+    def carry(self, xs, seed) -> np.ndarray:
+        """(len(xs), len(seed)) array of sigma_x(seed) for x in xs: sigma_x,
+        the generators on the tree path from 0 to x, carries 0 to x and 0's
+        partners in a conjugation-invariant relation to x's."""
+        parent, label, _ = self.schreier_tree()
+        perms = self.generator_perms()
+        path = [np.asarray(xs, dtype=np.int64)]  # the ancestors, one step up at a time
+        while path[-1].any():
+            path.append(parent[path[-1]])
+        images = np.tile(np.asarray(seed, dtype=np.int64), (len(path[0]), 1))
+        for up in reversed(path):  # the generator nearest the root acts first
+            moved = np.flatnonzero(up)
+            images[moved] = perms[label[up[moved]][:, None], images[moved]]
+        return images
 
     def order_scan(self) -> "OrderScan":
         if self._order_scan is None:
@@ -713,19 +709,63 @@ def schreier_tree(perms: np.ndarray):
     return parent, label, levels
 
 
-def product_order(spec: GroupSpec, x: int, y: int, cls: InvolutionClass) -> int:
-    return element_order(spec, mat_mul(spec.ctx, cls.member(x), cls.member(y)))
+def block_partition(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Labels, numbered by least member, of the orbit of the vertex set base
+    under the permutations, proven a partition breadth-first over blocks:
+    every image of a block must be a known block or meet none, and new
+    images must be pairwise equal or disjoint.  Otherwise NotAnEquivalence,
+    with the witness (t, x, y) when generator t carries a block onto a set
+    holding x and y from different blocks (y = -1: none yet), or (x,) when
+    two new images overlap at x.
+    """
+    v, s = perms.shape[1], len(base)
+    label = np.full(v, -1, dtype=np.int64)
+    label[base] = 0
+    count, frontier = 1, base[None]
+    step = max(1, bits.ROW_BLOCK_BITS // (len(perms) * s))
+    while len(frontier):
+        found = []
+        for lo in range(0, len(frontier), step):
+            chunk = frontier[lo:lo + step]
+            images = perms[:, chunk].reshape(-1, s)
+            lab = label[images]
+            split = np.flatnonzero((lab != lab[:, :1]).any(axis=1))
+            if split.size:
+                i = int(split[0])
+                t, x = i // len(chunk), int(images[i, 0])
+                y = int(images[i, np.argmax(lab[i] != lab[i, 0])])
+                raise NotAnEquivalence(f"generator {t} carries a block onto a set meeting "
+                                       f"two blocks, at {x} and {y}", witness=(t, x, y))
+            new = np.unique(np.sort(images[lab[:, 0] < 0], axis=1), axis=0)
+            members, counts = np.unique(new, return_counts=True)
+            if (counts > 1).any():
+                x = int(members[np.argmax(counts > 1)])
+                raise NotAnEquivalence(f"two images of a block overlap at {x} without "
+                                       f"being equal", witness=(x,))
+            label[new] = np.arange(count, count + len(new))[:, None]
+            count += len(new)
+            found.append(new)
+        frontier = np.concatenate(found)
+    if (label < 0).any():
+        raise NotAnEquivalence(f"the blocks cover {int((label >= 0).sum())} of {v} vertices")
+    _, least, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(least))[inverse]
 
 
 def sylow_partition(cls: InvolutionClass) -> np.ndarray:
-    """Classes of the commuting relation; verified to be an equivalence."""
+    """Classes of the commuting relation, proven an equivalence at vertex 0:
+    with B0 = {0} + comm(0), comm(y) + {y} must be B0 for y in comm(0) and
+    the orbit of B0 a partition, whose block of x is {x} + comm(x)."""
     spec = cls.spec
-    labels, witness = bits.equivalence_classes(
-        cls.pair_masks().comm | bits.identity(cls.size), cls.size)
-    if witness:
-        x, y, z = witness
-        raise NotAnEquivalence(f"commuting is not transitive at ({x},{y},{z})",
-                               witness=witness)
+    comm = cls.seed_sets().comm
+    base = np.concatenate([[0], comm])
+    classes = np.sort(np.concatenate([comm[:, None], cls.carry(comm, comm)], axis=1), axis=1)
+    bad = np.nonzero((classes != base).any(axis=1))[0]
+    if bad.size:
+        y = int(comm[bad[0]])
+        z = int(np.setxor1d(classes[bad[0]], base)[0])
+        raise NotAnEquivalence(f"commuting is not transitive at (0,{y},{z})", witness=(0, y, z))
+    labels = block_partition(cls.generator_perms(), base)
     sizes = np.bincount(labels)
     nclass = len(sizes)
     want_m = spec.q ** spec.l + 1
@@ -743,6 +783,14 @@ def sylow_partition(cls: InvolutionClass) -> np.ndarray:
 @dataclass
 class PairMasks:
     """Bit rows over vertices: distinct commuting pairs / distinguished pairs."""
+
+    comm: np.ndarray
+    chi: np.ndarray
+
+
+@dataclass
+class SeedSets:
+    """Vertex 0's commuting and distinguished partners, sorted vertex arrays."""
 
     comm: np.ndarray
     chi: np.ndarray
@@ -834,6 +882,12 @@ def _power_rows(cls: InvolutionClass, x: int) -> np.ndarray:
     return rows
 
 
+def power_seed_sets(cls: InvolutionClass) -> SeedSets:
+    """Vertex 0's commuting and distinguished partners from fixed matrix powers."""
+    comm, chi = _power_rows(cls, 0)
+    return SeedSets(comm=np.flatnonzero(comm), chi=np.flatnonzero(chi))
+
+
 def power_pair_masks(cls: InvolutionClass) -> PairMasks:
     """Commuting and distinguished masks: the seed's row from fixed matrix
     powers, every other row permuted from it (InvolutionClass.orbit_rows)."""
@@ -841,11 +895,13 @@ def power_pair_masks(cls: InvolutionClass) -> PairMasks:
     return PairMasks(comm=rows[0], chi=rows[1])
 
 
-def cross_check_rows(cls: InvolutionClass, masks: PairMasks, xs) -> tuple | None:
-    """First (x, y) with x in xs where the masks disagree with the direct
-    products of vertex x, or None when every row in xs agrees."""
+def cross_check_rows(cls: InvolutionClass, sets: SeedSets, xs) -> tuple | None:
+    """First (x, y) with x in xs where sigma_x of the seed sets disagrees
+    with the direct products of vertex x, or None when every row agrees."""
     for x in xs:
-        got = bits.unpack_rows(np.stack([masks.comm[x], masks.chi[x]]), cls.size)
+        got = np.zeros((2, cls.size), dtype=bool)
+        for row, seed in zip(got, (sets.comm, sets.chi)):
+            row[cls.carry([x], seed)[0]] = True
         bad = np.nonzero((got != _power_rows(cls, x)).any(axis=0))[0]
         if bad.size:
             return int(x), int(bad[0])

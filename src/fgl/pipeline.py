@@ -1,24 +1,22 @@
 """End-to-end construction and verification pipeline.
 
-For a family and field size this builds the involution class, the chi
-graph and the odd-complement graph, and checks every structural claim
-exactly: the parity of product orders (from the orbital census, see
-groups.orbital_order_census), the commuting and distinguished pairs
-(derived from the seed's row along a Schreier tree, see
-groups.power_pair_masks, with two rows cross-checked by direct products),
-the intersection array of the chi graph, antipodality and its agreement
-with the commuting (Sylow) partition, the distance-power identities, and
-the Deza / divisible-design certificates of the odd-complement graph and
-the structure of its two common-neighbor-count graphs against the
-closed-form predictions.  The chi graph's cover certificate is made at the
-seed vertex (graphs.seed_vertex_cover3_certificate): conjugation preserves
-product orders, so it preserves the chi graph, and it acts transitively
-(the Schreier tree reaches every vertex), so every vertex pair is carried
-to a pair through vertex 0 and the checks there are exact; the
-distance-3 rows are derived from the seed's along the tree.  The
-odd-complement certificates are derived from that cover certificate and
-are skipped when an earlier check has already failed.  The outcome is a
-machine-readable certificate (schema fgl-cert-1).
+For a family and field size this builds the involution class and checks
+every structural claim exactly: the parity of product orders, the
+commuting (Sylow) partition, the intersection array of the chi graph,
+antipodality and its agreement with the Sylow partition, the
+distance-power identities, the Deza / divisible-design certificates of the
+odd-complement graph and the structure of its two common-neighbor-count
+graphs against the closed-form predictions.
+
+Conjugation preserves every claim and acts transitively on the class (the
+Schreier tree reaches every vertex), so each claim is one about vertex 0,
+proven from its index sets: its commuting and distinguished partners
+(groups.power_seed_sets, cross-checked against direct products at two more
+vertices), the Sylow block {0} + comm(0) (groups.sylow_partition), the chi
+graph's cover certificate (fusion.seed_set_cover3_certificate) and the
+odd-complement seed row.  The odd-complement certificates are derived from
+the cover certificate, skipped once an earlier check has failed.  No v x v
+relation is built.  The outcome is a certificate (schema fgl-cert-1).
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bits, formulas, fusion, graphs, groups
+from . import formulas, fusion, graphs, groups
 from .graphio import atomic_write, atomic_write_text
 
 SCHEMA = "fgl-cert-1"
@@ -52,17 +50,6 @@ class VerificationReport:
     @property
     def failures(self) -> list:
         return self.data.get("failures", [])
-
-
-def _partitions_equal(a, b) -> bool:
-    """Whether two label vectors induce the same partition."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    # the same partition iff label pairs correspond one to one
-    n_pairs = len(np.unique(np.stack([a, b], axis=1), axis=0))
-    return n_pairs == len(np.unique(a)) == len(np.unique(b))
 
 
 def _cache_path(cache_dir: str, family: str, n: int) -> str:
@@ -98,7 +85,7 @@ def load_or_build_class(spec: groups.GroupSpec, cache_dir: str | None):
     return cls
 
 
-def _derived_pi_analysis(v: int, cert: graphs.Cover3Cert, k: int, r: int, mu: int):
+def _derived_pi_analysis(v: int, k: int, r: int, mu: int):
     """Common-neighbor analysis of the odd-complement graph, derived
     exactly from an already-verified cover certificate.
 
@@ -110,19 +97,17 @@ def _derived_pi_analysis(v: int, cert: graphs.Cover3Cert, k: int, r: int, mu: in
     (the complement of a distance-2 row), inclusion-exclusion then pins
     |T(x) & T(y)| for every pair, so the distance-2 common-neighbor count
     is cnt_chi(x, y) + 2 on cross-class pairs and r on same-class pairs
-    plus the constant v - 2(k + r).  The test suite asserts this equals
-    a direct pass over all pairs.
+    plus the constant v - 2(k + r).  The test suite asserts this equals a
+    direct pass over all pairs.
     """
     base = v - 2 * (k + r)
     within, cross = base + r, base + mu + 2
     n_within = (k + 1) * (r * (r - 1) // 2)
     census = {within: n_within}
     census[cross] = census.get(cross, 0) + (v * (v - 1) // 2 - n_within)
-    omega_cliq = graphs.Graph(v, cert.d3_rows)  # the antipodal classes as cliques
     return {"census": census, "lam_edge": cross, "lam_edge_ok": True,
             "within_ok": within == k * (r - 2), "cross_ok": cross == (r - 1) ** 2 * mu,
-            "diam2": cross > 0 and within > 0,
-            "omega_mult": omega_cliq.complement(), "omega_cliq": omega_cliq}
+            "diam2": cross > 0 and within > 0}
 
 
 def run_verify(family: str, n: int, cache_dir: str | None = None) -> VerificationReport:
@@ -171,12 +156,12 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
         failures.append("orders: a non-commuting product has even order")
     t = clock("orders", t)
 
-    # commuting and distinguished pairs, derived from the seed's row
-    masks = cls.pair_masks()
+    # commuting and distinguished partners of vertex 0, carried to two more rows
+    sets = cls.seed_sets()
     _, _, levels = cls.schreier_tree()
     orbit = sum(len(level) for level in levels)
     checked = (cls.size // 2, cls.size - 1)
-    mismatch = groups.cross_check_rows(cls, masks, checked)
+    mismatch = groups.cross_check_rows(cls, sets, checked)
     data["pairs"] = {"method": "orbital", "generators": len(cls.generator_perms()),
                      "orbit_size": orbit, "transitive": orbit == cls.size,
                      "checked_rows": list(checked), "rows_match": mismatch is None,
@@ -187,7 +172,6 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     t = clock("pairs", t)
 
     # commuting (Sylow) partition
-    sylow_info: dict = {}
     labels = None
     try:
         labels = cls.sylow_labels()
@@ -203,20 +187,14 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     t = clock("sylow", t)
 
     # chi graph and its cover certificate
-    chi_g = graphs.Graph(cls.size, masks.chi)
-    chi_info: dict = {"method": "seed-vertex"}
-    cert = None
-    try:
-        valency = chi_g.valency()
-        chi_info["valency"] = valency
-        if valency != k:
-            failures.append(f"chi_graph: valency {valency} != {k}")
-    except graphs.NotRegular as e:
-        failures.append(f"chi_graph: {e}")
+    chi_info: dict = {"method": "seed-set", "valency": len(sets.chi)}
+    if len(sets.chi) != k:
+        failures.append(f"chi_graph: valency {len(sets.chi)} != {k}")
     predicted = formulas.predicted_chi_array(spec.family, q)
     chi_info["predicted_array"] = predicted.to_dict()
+    cert = None
     try:
-        cert = graphs.seed_vertex_cover3_certificate(chi_g, cls.orbit_rows)
+        cert = fusion.seed_set_cover3_certificate(cls, sets.chi)
         chi_info["intersection_array"] = cert.array.to_dict()
         chi_info["array_match"] = cert.array == predicted
         chi_info["antipodal"] = True
@@ -233,37 +211,36 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
         chi_info["deza"] = {"v": cls.size, "k": k, "b": mu, "a": 0,
                             "match": vals <= {0, mu}}
         if labels is not None:
-            same = _partitions_equal(cert.labels, labels)
+            # both are numbered by least member
+            same = bool(np.array_equal(cert.labels, labels))
             chi_info["antipodal_equals_sylow"] = same
             if not same:
                 failures.append("chi_graph: antipodal classes differ from Sylow classes")
     except (graphs.NotDistanceRegular, graphs.NotAntipodal) as e:
         chi_info["antipodal"] = False
         chi_info["error"] = str(e)
+        chi_info["witness"] = e.witness
         failures.append(f"chi_graph: {e}")
     data["chi_graph"] = chi_info
     t = clock("chi_graph", t)
 
-    # odd-complement graph and the distance-power identities
-    pi_info: dict = {}
-    pi_g = graphs.Graph(cls.size, fusion.odd_complement_rows(cls))
+    # odd-complement seed row and the distance-power identities at vertex 0
+    pi_seed = fusion.odd_complement_seed(cls.size, sets)
     kpi = (r - 1) * k
-    try:
-        val2 = pi_g.valency()
-        pi_info["valency"] = val2
-        if val2 != kpi:
-            failures.append(f"pi_graph: valency {val2} != {kpi}")
-    except graphs.NotRegular as e:
-        failures.append(f"pi_graph: {e}")
+    pi_info: dict = {"valency": len(pi_seed)}
+    if len(pi_seed) != kpi:
+        failures.append(f"pi_graph: valency {len(pi_seed)} != {kpi}")
     if cert is not None:
-        g2_ok = bool(np.array_equal(cert.d2_rows, pi_g.rows))
+        g2_ok = bool(np.array_equal(cert.d2, pi_seed))
         pi_info["gamma2_match"] = g2_ok
         if not g2_ok:
+            pi_info["gamma2_witness"] = [0, int(np.setxor1d(cert.d2, pi_seed)[0])]
             failures.append("pi_graph: not equal to the distance-2 power of the chi graph")
         if labels is not None:
-            phi_rows = chi_g.rows | bits.clique_rows(labels)
-            phi13 = bool(np.array_equal(phi_rows, cert.d13_rows))
-            phic = bool(np.array_equal(phi_rows, pi_g.complement().rows))
+            # the chi neighbors and the Sylow class of 0, 0 itself left out
+            phi = np.union1d(sets.chi, np.flatnonzero(labels == labels[0])[1:])
+            phi13 = bool(np.array_equal(phi, np.union1d(sets.chi, cert.d3)))
+            phic = bool(np.array_equal(phi, np.setdiff1d(np.arange(1, cls.size), pi_seed)))
             pi_info["phi_13_match"] = phi13
             pi_info["phi_complement_match"] = phic
             if not phi13:
@@ -282,7 +259,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
         # the derivation stands only on a certificate with every check so far passed
         pi_info["analysis"] = "skipped: an earlier check failed"
     else:
-        ana = _derived_pi_analysis(cls.size, cert, k, r, mu)
+        ana = _derived_pi_analysis(cls.size, k, r, mu)
         pi_info["analysis"] = "derived-from-cover-certificate"
         census = ana["census"]
         pi_info["cn_spectrum"] = {str(c): cnt for c, cnt in sorted(census.items())}
@@ -312,24 +289,16 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
         if not ddg_ok:
             failures.append("pi_graph: common-neighbor counts not constant on the partition")
 
-        # structure of the two common-neighbor-count graphs
+        # the pairs with the within-class count are the antipodal classes, a
+        # union of equal cliques, and the cross-class pairs complete multipartite
         if strict_pred:
-            om = ana["omega_mult"]
-            oc = ana["omega_cliq"]
-            comp_ok = bool(np.array_equal(om.rows, oc.complement().rows))
-            mp = graphs.recognize_complete_multipartite(om)
-            cu = graphs.recognize_clique_union(oc)
-            omega_info = {
-                "applicable": True,
-                "complement_pair": comp_ok,
-                "multipartite": {"c": (r - 1) ** 2 * mu,
-                                 "result": list(mp) if mp else None,
-                                 "match": mp == (k + 1, r)},
-                "clique_union": {"c": k * (r - 2),
-                                 "result": list(cu) if cu else None,
-                                 "match": cu == (k + 1, r)},
-            }
-            if not (mp == (k + 1, r) and cu == (k + 1, r) and comp_ok):
+            classes = [int(cert.labels.max()) + 1, cert.r]
+            match = classes == [k + 1, r]
+            omega_info = {"applicable": True, "complement_pair": True,
+                          "multipartite": {"c": (r - 1) ** 2 * mu, "result": classes,
+                                           "match": match},
+                          "clique_union": {"c": k * (r - 2), "result": classes, "match": match}}
+            if not match:
                 failures.append("omega: common-neighbor-count graphs lack the predicted structure")
         else:
             omega_info = {"applicable": False,

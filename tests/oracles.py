@@ -2,20 +2,38 @@
 
 These brute-force routines check every vertex pair or every source; the
 library certifies the same facts more cheaply (the cover certificate from
-the seed vertex), and the tests compare the two.  The edge list and JSON
+vertex 0's neighbor set), and the tests compare the two.  The scalar
+product order is the reference for the batched order kernels.  The edge list and JSON
 writer oracles walk the vertices one at a time, as the library did before
 it moved to a single edge array.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from fgl import bits
 from fgl.formulas import IntersectionArray
-from fgl.graphs import (Cover3Cert, Graph, NotAntipodal, NotDistanceRegular,
-                        NotRegular, connected_components, diameter,
-                        distances_from, iter_common_neighbor_counts)
+from fgl.graphs import (Disconnected, Graph, NotAntipodal, NotDistanceRegular,
+                        NotRegular, connected_components, distances_from,
+                        iter_common_neighbor_counts)
+from fgl.groups import OrderCapExceeded, mat_mul, scalar_code
+
+
+@dataclass(frozen=True)
+class ExhaustiveCover3Cert:
+    """The fields of fusion.Cover3Cert with the distance relations as full
+    packed rows: d2_rows / d3_rows / d13_rows are the adjacencies of the
+    distance-2, distance-3 and distance-{1,3} graphs."""
+
+    array: IntersectionArray
+    labels: np.ndarray
+    r: int
+    cn_spectrum: dict
+    d2_rows: np.ndarray
+    d3_rows: np.ndarray
+    d13_rows: np.ndarray
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -30,6 +48,36 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
 def json_dumps_graph(g: Graph) -> str:
     """The graph JSON form as json.dumps of the edge lists."""
     return json.dumps({"v": g.v, "edges": [[i, j] for i, j in edge_list(g)]})
+
+
+def diameter(g: Graph) -> int:
+    """Largest eccentricity, one BFS per source."""
+    dist = distances_from(g, 0)
+    if (dist < 0).any():
+        raise Disconnected(f"vertex {int(np.nonzero(dist < 0)[0][0])} unreachable from 0")
+    ecc = int(dist.max())
+    for src in range(1, g.v):
+        dist = distances_from(g, src)
+        if (dist < 0).any():
+            raise Disconnected(f"vertex unreachable from {src}")
+        ecc = max(ecc, int(dist.max()))
+    return ecc
+
+
+def element_order(spec, m) -> int:
+    """Least k >= 1 with m^k a center scalar (projective order)."""
+    cur = m
+    for k in range(1, spec.order_cap + 1):
+        s = scalar_code(cur)
+        if s is not None and s in spec.center:
+            return k
+        cur = mat_mul(spec.ctx, cur, m)
+    raise OrderCapExceeded(
+        f"no power of the element is central within {spec.order_cap} steps")
+
+
+def product_order(spec, x: int, y: int, cls) -> int:
+    return element_order(spec, mat_mul(spec.ctx, cls.member(x), cls.member(y)))
 
 
 def antipodal_classes_two_pass(g: Graph) -> np.ndarray:
@@ -106,7 +154,7 @@ def clique_union_per_vertex(g: Graph):
     return int(sizes.size), int(sizes[0])
 
 
-def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
+def antipodal_cover3_certificate(g: Graph) -> ExhaustiveCover3Cert:
     """Certify that g is an antipodal distance-regular graph of diameter 3.
 
     Single pass over all vertex pairs.  Each pair is classified by adjacency
@@ -197,6 +245,6 @@ def antipodal_cover3_certificate(g: Graph) -> Cover3Cert:
             witness=(x, y, "b2", 1, int(counts[c, y])))
 
     arr = IntersectionArray(b=(k, k - 1 - a1, 1), c=(1, mu, k))
-    return Cover3Cert(array=arr, labels=labels, r=r, cn_spectrum=census,
-                      d2_rows=d2_rows, d3_rows=d3_rows,
-                      d13_rows=(g.rows | d3_rows))
+    return ExhaustiveCover3Cert(array=arr, labels=labels, r=r, cn_spectrum=census,
+                                d2_rows=d2_rows, d3_rows=d3_rows,
+                                d13_rows=(g.rows | d3_rows))

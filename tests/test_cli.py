@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fgl.cli import main
+from fgl.cli import ANALYSES, main
 from fgl.graphio import read_graph
 from fgl.pipeline import run_verify
 from test_graphio import BAD_GRAPH_JSON
@@ -203,3 +206,34 @@ def test_verify_garbage_cache_exits_3(tmp_path, capsys):
 
 def test_verify_order_flags_are_gone(capsys):
     assert run_cli("verify", "--family", "psl2", "--n", "2", "--verify-orders", "full") == 2
+
+
+@pytest.mark.parametrize("v,check", [(0, "multipartite"), (1, "drg")])
+def test_analyze_degenerate_graphs(tmp_path, capsys, v, check):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"v": v, "edges": []}))
+    assert run_cli("analyze", "--in", str(path), "--check", check) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert[check] == {"multipartite": {"complete_multipartite": None, "clique_union": None},
+                           "drg": {"distance_regular": True,
+                                   "intersection_array": {"b": [], "c": []}}}[check]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 8), st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.integers(1, 3))
+def test_analyze_every_check_on_small_graphs(tmp_path, capsys, v, seed, p, parts):
+    # every check gives a definite answer or exit 2, never a traceback
+    rng = np.random.default_rng(seed)
+    mat = np.triu(rng.random((v, v)) < p, 1)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"v": v, "edges": np.argwhere(mat).tolist()}))
+    part = tmp_path / "part.json"
+    part.write_text(json.dumps(rng.integers(0, parts, size=v).tolist()))
+    for check in ANALYSES:
+        code = run_cli("analyze", "--in", str(path), "--check", check, "--partition", str(part))
+        out, err = capsys.readouterr()
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 0:
+            assert json.loads(out)["v"] == v

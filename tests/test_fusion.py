@@ -1,15 +1,14 @@
-import dataclasses
-
+import networkx as nx
 import numpy as np
 import pytest
 
-from fgl import bits, graphs
-from fgl.fusion import PiSpec, build_fusion_graph
-from fgl.graphs import (NotAntipodal, NotDistanceRegular, deza_check, diameter,
-                        recognize_clique_union, recognize_complete_multipartite,
-                        seed_vertex_cover3_certificate)
+from fgl import bits, graphs, groups
+from fgl.fusion import (PiSpec, build_fusion_graph, odd_complement_seed,
+                        seed_set_cover3_certificate)
+from fgl.graphs import (NotAntipodal, NotDistanceRegular, deza_check,
+                        recognize_clique_union, recognize_complete_multipartite)
 from fgl.groups import involution_class, make_group, sylow_partition
-from oracles import antipodal_cover3_certificate, distance_power
+from oracles import antipodal_cover3_certificate, diameter, distance_power
 
 
 # -- oracles: graph builders with the distance-power identities asserted ------
@@ -148,19 +147,41 @@ def test_cover_certificate_on_chi_graphs(psl2_8):
     assert cert.r == 7
 
 
+def _assert_cover_certs_equal(seed, full):
+    """The seed-set certificate against the exhaustive one, field for field;
+    its d2 and d3 are row 0 of the exhaustive distance relations."""
+    v = len(full.labels)
+    assert seed.array == full.array
+    assert seed.array.a[1] == full.array.a[1] and seed.array.c[1] == full.array.c[1]
+    assert np.array_equal(seed.labels, full.labels)
+    assert seed.r == full.r
+    assert seed.cn_spectrum == full.cn_spectrum
+    assert np.array_equal(seed.d2, bits.indices(full.d2_rows[0], v))
+    assert np.array_equal(seed.d3, bits.indices(full.d3_rows[0], v))
+
+
 @pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
                                       ("sz", 3), ("psu3", 2)])
 def test_seed_vertex_certificate_equals_exhaustive(family, n):
     cls = involution_class(make_group(family, n))
-    chi_g = chi_graph(cls)
-    seed = seed_vertex_cover3_certificate(chi_g, cls.orbit_rows)
-    full = antipodal_cover3_certificate(chi_g)
-    for f in dataclasses.fields(graphs.Cover3Cert):
-        got, want = getattr(seed, f.name), getattr(full, f.name)
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want), f.name
-        else:
-            assert got == want, f.name
+    seed = seed_set_cover3_certificate(cls, cls.seed_sets().chi)
+    _assert_cover_certs_equal(seed, antipodal_cover3_certificate(chi_graph(cls)))
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4),
+                                      ("sz", 3), ("psu3", 2)])
+def test_seed_set_certificate_matches_networkx(family, n):
+    # an independent distance-regularity oracle on the graph fgl construct builds
+    cls = involution_class(make_group(family, n))
+    chi_g = build_fusion_graph(cls, PiSpec.chi_only())
+    g = nx.Graph()
+    g.add_nodes_from(range(chi_g.v))
+    g.add_edges_from(chi_g.edges().tolist())
+    assert nx.is_distance_regular(g)
+    seed = seed_set_cover3_certificate(cls, cls.seed_sets().chi)
+    b, c = nx.intersection_array(g)
+    assert (tuple(b), tuple(c)) == (seed.array.b, seed.array.c)
+    _assert_cover_certs_equal(seed, antipodal_cover3_certificate(chi_g))
 
 
 @pytest.mark.parametrize("relation,error", [("commuting", NotDistanceRegular),
@@ -172,30 +193,49 @@ def test_seed_vertex_certificate_rejects_invariant_non_covers(psl2_8, relation, 
     # the odd-complement graph share 36 (chi pairs) or 40 (Sylow pairs)
     # neighbors; the non-commuting graph has no distance-3 pair
     v = psl2_8.size
+    sets = psl2_8.seed_sets()
     comm = psl2_8.pair_masks().comm
+    nbrs = {"commuting": sets.comm,
+            "odd-complement": odd_complement_seed(v, sets),
+            "non-commuting": np.setdiff1d(np.arange(1, v), sets.comm)}[relation]
     g = {"commuting": graphs.Graph(v, comm),
          "odd-complement": build_fusion_graph(psl2_8, PiSpec.odd_complement()),
          "non-commuting": graphs.Graph(v, comm).complement()}[relation]
+    assert np.array_equal(nbrs, g.neighbors(0))
     with pytest.raises(error) as ei:
-        seed_vertex_cover3_certificate(g, psl2_8.orbit_rows)
+        seed_set_cover3_certificate(psl2_8, nbrs)
     if relation == "odd-complement":
         x, y, name, want, got = ei.value.witness
         assert (x, name, want, got) == (0, "c2", 36, 40)
-        assert not bits.get_bit(g.rows[0], y)
+        assert y not in g.neighbors(0)
     with pytest.raises(error):
         antipodal_cover3_certificate(g)
 
 
-def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8):
-    # orbit rows that are no equivalence, or classes of the right size that
-    # are not the antipodal classes, must fail with a witness
-    chi_g = chi_graph(psl2_8)
-    with pytest.raises(NotAntipodal) as ei:
-        seed_vertex_cover3_certificate(chi_g, lambda seed_rows: chi_g.rows[None])
-    assert len(ei.value.witness) == 3
+def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8, monkeypatch):
+    # a distance-3 set whose orbit is no partition, or classes of the right
+    # size that are not the antipodal classes, must fail with a witness
+    chi = psl2_8.seed_sets().chi
+    not_a_block = np.concatenate([[0], chi])
     shuffled = np.random.default_rng(0).permutation(sylow_partition(psl2_8))
+    real = groups.block_partition
+    monkeypatch.setattr(groups, "block_partition", lambda perms, base: real(perms, not_a_block))
+    with pytest.raises(NotAntipodal) as ei:
+        seed_set_cover3_certificate(psl2_8, chi)
+    assert len(ei.value.witness) in (1, 3)
+    monkeypatch.setattr(groups, "block_partition", lambda perms, base: shuffled)
     with pytest.raises(NotDistanceRegular) as ei:
-        seed_vertex_cover3_certificate(chi_g, lambda seed_rows: bits.clique_rows(shuffled)[None])
+        seed_set_cover3_certificate(psl2_8, chi)
     x, y, name, want, got = ei.value.witness
     assert (y, name, want) == (0, "b2", 1) and got != 1
     assert shuffled[x] != shuffled[0]
+
+
+def test_seed_set_certificate_rejects_an_asymmetric_seed_set(psl2_8):
+    # one vertex added to N(0) whose own neighbor set does not contain 0
+    chi = psl2_8.seed_sets().chi
+    z = psl2_8.size - 1
+    assert z not in chi and 0 not in psl2_8.carry([z], chi)[0]
+    with pytest.raises(NotDistanceRegular) as ei:
+        seed_set_cover3_certificate(psl2_8, np.union1d(chi, [z]))
+    assert ei.value.witness == (0, z)

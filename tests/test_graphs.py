@@ -7,12 +7,12 @@ from fgl.formulas import IntersectionArray
 from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
                         NotDistanceRegular, NotRegular, PartitionNotUniform,
                         antipodal_classes, common_neighbor_spectrum,
-                        connected_components, ddg_check, deza_check, diameter,
+                        connected_components, ddg_check, deza_check,
                         distances_from, intersection_array,
                         recognize_clique_union, recognize_complete_multipartite)
 from oracles import (InvalidDistanceSet, NotEdgeRegular,
                      antipodal_classes_two_pass, antipodal_cover3_certificate, clique_union_per_vertex,
-                     distance_power, edge_regular_lambda)
+                     diameter, distance_power, edge_regular_lambda)
 
 
 def complete_graph(v):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import fgl.groups as gr
+from fgl import bits
 from fgl.formulas import InvalidQ
 from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
-                        canonicalize, check_group_form, element_order,
-                        encode, generators, identity, involution_class,
-                        make_group, mat_det, mat_inv_det1, mat_mul, mat_scale,
-                        product_order, reversal, seed_involution,
-                        sylow_partition)
+                        canonicalize, check_group_form, encode, generators,
+                        identity, involution_class, make_group, mat_det,
+                        mat_inv_det1, mat_mul, mat_scale, reversal,
+                        seed_involution, sylow_partition)
+from oracles import element_order, product_order
 
 
 @pytest.fixture(scope="module")
@@ -301,16 +302,44 @@ def test_closed_class_check_rejects_missing_seed(psl2_8_class):
 
 
 def test_sylow_partition_names_a_witness(psl2_8_class):
-    from fgl import bits
-    masks = psl2_8_class.pair_masks()
-    comm = masks.comm.copy()
-    y = int(bits.indices(comm[0], psl2_8_class.size)[0])
-    comm[0] = 0  # vertex 0 commutes with nothing, though its partners commute with it
+    # vertex 0 loses one commuting partner, though its other partners keep it
+    comm = psl2_8_class.seed_sets().comm
     cls = gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes)
-    cls._pair_masks = gr.PairMasks(comm=comm, chi=masks.chi)
+    cls._seed_sets = gr.SeedSets(comm=comm[1:], chi=psl2_8_class.seed_sets().chi)
     with pytest.raises(gr.NotAnEquivalence) as ei:
         sylow_partition(cls)
-    assert ei.value.witness == (y, 0, y)
+    x, y, z = ei.value.witness
+    base = {0, *comm[1:].tolist()}
+    carried = {y, *cls.carry([y], comm[1:])[0].tolist()}
+    assert x == 0 and y in base and (z in base) != (z in carried)
+
+
+def test_block_partition_rejects_a_non_block(psl2_8_class):
+    # {0} + N(0) in the chi graph is no block: some generator carries it onto
+    # a set that meets a known block without being it
+    perms = psl2_8_class.generator_perms()
+    chi = psl2_8_class.seed_sets().chi
+    with pytest.raises(gr.NotAnEquivalence) as ei:
+        gr.block_partition(perms, np.concatenate([[0], chi]))
+    assert len(ei.value.witness) in (1, 3)
+    # a Sylow class is a block; the labels are numbered by least member
+    labels = gr.block_partition(perms, np.concatenate([[0], psl2_8_class.seed_sets().comm]))
+    assert np.array_equal(labels, sylow_partition(psl2_8_class))
+    least = np.unique(labels, return_index=True)[1]
+    assert (np.diff(least) > 0).all()
+
+
+def test_carry_follows_the_schreier_tree(psu3_4_class):
+    # sigma_x(0) = x, and sigma_x of the seed's partners are x's partners
+    cls = psu3_4_class
+    xs = np.array([0, 1, cls.size // 2, cls.size - 1])
+    assert np.array_equal(cls.carry(xs, [0])[:, 0], xs)
+    masks = cls.pair_masks()
+    sets = cls.seed_sets()
+    for x, comm, chi in zip(xs, cls.carry(xs, sets.comm), cls.carry(xs, sets.chi)):
+        assert np.array_equal(np.sort(comm), bits.indices(masks.comm[x], cls.size))
+        assert np.array_equal(np.sort(chi), bits.indices(masks.chi[x], cls.size))
+    assert cls.carry([], sets.chi).shape == (0, len(sets.chi))
 
 
 def test_schreier_tree_spans_the_class(psu3_4_class):
@@ -350,9 +379,11 @@ def test_pair_masks_reject_intransitive_generators(psl2_8_class, monkeypatch):
 
 
 def test_cross_check_names_a_differing_pair(psl2_8_class):
-    masks = psl2_8_class.pair_masks()
-    assert gr.cross_check_rows(psl2_8_class, masks, (31, 62)) is None
-    chi = masks.chi.copy()
-    chi[62, 0] ^= np.uint64(1 << 5)
-    tampered = gr.PairMasks(comm=masks.comm, chi=chi)
-    assert gr.cross_check_rows(psl2_8_class, tampered, (31, 62)) == (62, 5)
+    sets = psl2_8_class.seed_sets()
+    assert gr.cross_check_rows(psl2_8_class, sets, (31, 62)) is None
+    # one vertex added to N(0) lands at its image under sigma_31 in row 31
+    w = int(np.setdiff1d(np.arange(1, psl2_8_class.size), np.union1d(sets.comm, sets.chi))[0])
+    tampered = gr.SeedSets(comm=sets.comm, chi=np.union1d(sets.chi, [w]))
+    y = int(psl2_8_class.carry([31], [w])[0, 0])
+    assert gr.cross_check_rows(psl2_8_class, tampered, (31, 62)) == (31, y)
+    assert gr.cross_check_rows(psl2_8_class, tampered, (62,))[0] == 62

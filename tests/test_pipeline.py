@@ -1,8 +1,17 @@
+import dataclasses
+import json
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fgl import bits, formulas, fusion, graphs, groups, pipeline
-from fgl.pipeline import _derived_pi_analysis, _partitions_equal, run_verify
+from fgl.cli import main as cli_main
+from fgl.gf2 import FieldCtx
+from fgl.pipeline import _derived_pi_analysis, run_verify
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def analyze_pi_direct(pi: graphs.Graph, labels: np.ndarray, k: int, r: int, mu: int):
@@ -55,15 +64,19 @@ def test_derived_pi_analysis_equals_direct(family, n):
     cls = groups.involution_class(groups.make_group(family, n))
     k, r, mu = formulas.krmu(family, 1 << n)
     labels = groups.sylow_partition(cls)
-    cert = graphs.seed_vertex_cover3_certificate(graphs.Graph(cls.size, cls.pair_masks().chi),
-                                                 cls.orbit_rows)
+    cert = fusion.seed_set_cover3_certificate(cls, cls.seed_sets().chi)
     pi_g = graphs.Graph(cls.size, fusion.odd_complement_rows(cls))
     direct = analyze_pi_direct(pi_g, labels, k, r, mu)
-    derived = _derived_pi_analysis(cls.size, cert, k, r, mu)
-    # with a = b both counts coincide and the omega graphs are not used
-    keys = direct if formulas.is_strict(k, r, mu) else set(direct) - {"omega_mult", "omega_cliq"}
-    for key in keys:
+    derived = _derived_pi_analysis(cls.size, k, r, mu)
+    for key in ("census", "lam_edge", "lam_edge_ok", "within_ok", "cross_ok", "diam2"):
         assert direct[key] == derived[key], key
+    # the omega graphs are the antipodal classes and their complement; with
+    # a = b both counts coincide and the omega graphs are not used
+    if formulas.is_strict(k, r, mu):
+        classes = (int(cert.labels.max()) + 1, cert.r)
+        assert graphs.recognize_complete_multipartite(direct["omega_mult"]) == classes
+        assert graphs.recognize_clique_union(direct["omega_cliq"]) == classes
+        assert direct["omega_mult"] == direct["omega_cliq"].complement()
 
 
 def test_symplectic_inverse_batch_matches_adjugate():
@@ -107,14 +120,41 @@ def test_report_json_serializable():
     assert parsed["status"] == "pass"
 
 
-def test_partitions_equal_helper():
-    assert _partitions_equal([0, 0, 1, 1], [5, 5, 2, 2])
-    assert not _partitions_equal([0, 0, 1, 1], [0, 1, 0, 1])
-    assert not _partitions_equal([0, 1], [0, 1, 2])
-    # one class of a split in two, or two merged into one, is not the same
-    assert not _partitions_equal([0, 0, 1, 1], [0, 0, 1, 2])
-    assert not _partitions_equal([0, 0, 1, 2], [0, 0, 1, 1])
-    assert _partitions_equal([], [])
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("psl2", 6), ("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_certificate_equals_golden(family, n):
+    # certificates made by the all-pairs relations before the seed-set
+    # certificate; only timings and the method names may differ
+    with open(os.path.join(GOLDEN, f"{family}-n{n}.json")) as f:
+        want = json.load(f)
+    got = json.loads(run_verify(family, n).to_json())
+    del got["timings_ms"]
+    for d in (got, want):
+        del d["chi_graph"]["method"], d["pi_graph"]["analysis"]
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_sylow_labels_number_classes_by_least_member():
+    # the labels fgl construct writes: the classes of the exhaustively scanned
+    # commuting relation, numbered by least member
+    cls = groups.involution_class(groups.make_group("psl2", 4))
+    scanned, _ = bits.equivalence_classes(cls.order_scan().comm | bits.identity(cls.size),
+                                          cls.size)
+    assert np.array_equal(cls.sylow_labels(), scanned)
+
+
+def test_run_verify_memory_stays_below_a_bit_relation():
+    # one 16383 x 16383 bit relation alone is 33.5 MB
+    tracemalloc.start()
+    try:
+        d = run_verify("psl2", 7).data
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d["status"] == "pass"
+    assert peak < 32 * 2 ** 20
 
 
 def test_degenerate_case_reported_not_strict():
@@ -127,25 +167,24 @@ def test_degenerate_case_reported_not_strict():
     assert d["pi_graph"]["cn_spectrum"] == {"4": 105}
 
 
-def _flip(rows, i, j):
-    rows = rows.copy()
-    for a, b in ((i, j), (j, i)):
-        rows[a, b >> 6] ^= np.uint64(1 << (b & 63))
-    return rows
+def _toggled(vertices, x):
+    return np.setxor1d(vertices, [x])
 
 
 def test_flipped_chi_edge_fails_with_named_failure(monkeypatch):
-    # a non-regular chi graph must give a fail certificate, not a traceback
-    real = groups.power_pair_masks
+    # one vertex added to N(0) must give a fail certificate, not a traceback
+    real = groups.power_seed_sets
 
     def flipped(cls):
-        masks = real(cls)
-        return groups.PairMasks(comm=masks.comm, chi=_flip(masks.chi, 0, cls.size - 1))
-    monkeypatch.setattr(groups, "power_pair_masks", flipped)
+        sets = real(cls)
+        return groups.SeedSets(comm=sets.comm, chi=_toggled(sets.chi, cls.size - 1))
+    monkeypatch.setattr(groups, "power_seed_sets", flipped)
     d = run_verify("psl2", 3).data
     assert d["status"] == "fail"
-    assert any(f.startswith("chi_graph: vertex") and "degree" in f for f in d["failures"])
+    assert "chi_graph: valency 9 != 8" in d["failures"]
+    assert any(f.startswith("chi_graph: not symmetric: 62") for f in d["failures"])
     assert d["chi_graph"]["antipodal"] is False
+    assert tuple(d["chi_graph"]["witness"]) == (0, 62)
     assert d["pi_graph"]["analysis"].startswith("skipped")
 
 
@@ -191,24 +230,27 @@ def test_cold_class_is_conjugated_once(monkeypatch):
 
 def test_run_verify_makes_no_all_pairs_pass(monkeypatch):
     calls = []
-    for module, name in ((graphs, "iter_common_neighbor_counts"), (bits, "transpose")):
+    for module, name in ((graphs, "iter_common_neighbor_counts"), (bits, "transpose"),
+                         (groups.InvolutionClass, "orbit_rows"),
+                         (bits, "equivalence_classes"), (bits, "identity")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k))
     d = run_verify("psl2", 4).data
     assert d["status"] == "pass"
-    assert d["chi_graph"]["method"] == "seed-vertex"
+    assert d["chi_graph"]["method"] == "seed-set"
     assert calls == []
 
 
 def test_flipped_pi_edge_fails_with_named_failure(monkeypatch):
-    real = fusion.odd_complement_rows
-    monkeypatch.setattr(fusion, "odd_complement_rows",
-                        lambda cls: _flip(real(cls), 0, cls.size - 1))
+    real = fusion.odd_complement_seed
+    monkeypatch.setattr(fusion, "odd_complement_seed",
+                        lambda v, sets: _toggled(real(v, sets), v - 1))
     d = run_verify("psl2", 3).data
     assert d["status"] == "fail"
     assert "pi_graph: not equal to the distance-2 power of the chi graph" in d["failures"]
     assert d["pi_graph"]["gamma2_match"] is False
+    assert d["pi_graph"]["gamma2_witness"] == [0, 62]
     assert d["pi_graph"]["analysis"].startswith("skipped")
 
 
@@ -257,3 +299,17 @@ def test_cache_write_leaves_no_temp_files(tmp_path):
                      f"psl2-n2-v{pipeline.CODE_VERSION}.npz"]
     warm = run_verify("psl2", 2, cache_dir=str(tmp_path))
     assert warm.passed
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 3), ("sz", 3)])
+def test_cache_rejects_class_made_under_another_modulus(tmp_path, capsys, family, n):
+    # the same construction over GF(8) = GF(2)[x]/(x^3 + x^2 + 1) gives a
+    # class of the right size whose codes mean other matrices here
+    spec = groups.make_group(family, n)
+    other = groups.involution_class(dataclasses.replace(spec, ctx=FieldCtx(3, 0b1101)))
+    assert other.size == spec.class_size()
+    _write_cache(tmp_path, family, n, other.codes)
+    with pytest.raises(groups.ClassSizeMismatch, match="not closed under conjugation by generator"):
+        pipeline.load_or_build_class(spec, str(tmp_path))
+    assert cli_main(["verify", "--family", family, "--n", str(n), "--cache", str(tmp_path)]) == 3
+    assert "construction error" in capsys.readouterr().err
