@@ -101,7 +101,8 @@ def _constant_at_seed(cn: np.ndarray, sel: np.ndarray, name: str, what: str) -> 
     return val
 
 
-def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray) -> Cover3Cert:
+def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
+                                known: np.ndarray | None = None) -> Cover3Cert:
     """Certify that the conjugation-invariant graph with N(0) = nbrs is an
     antipodal distance-regular graph of diameter 3.
 
@@ -112,6 +113,10 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray) -> Cover
     other vertices with common neighbors, and the orbit of {0} + D3(0), the
     rest, a partition (groups.block_partition): the antipodal classes.  One
     neighbor of 0 in every class but its own is b2 = 1; c3 = k follows.
+
+    known, if given, must be block_partition(cls.generator_perms(), B) for
+    the block B of 0 in it (the Sylow labels are).  When B = {0} + D3(0)
+    it is the same call, so its labels are used as they are.
     """
     v, k = cls.size, len(nbrs)
     if k == 0 or k >= v - 1:
@@ -138,8 +143,12 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray) -> Cover
     r = len(d3) + 1
     if r < 2 or v % r:
         raise graphs.NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
+    base = np.concatenate([[0], d3])
     try:
-        labels = groups.block_partition(cls.generator_perms(), np.concatenate([[0], d3]))
+        if known is not None and np.array_equal(np.flatnonzero(known == known[0]), base):
+            labels = known
+        else:
+            labels = groups.block_partition(cls.generator_perms(), base)
     except groups.NotAnEquivalence as e:
         raise graphs.NotAntipodal(f"distance-3 relation is no equivalence: {e}",
                                   witness=e.witness) from e

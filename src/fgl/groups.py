@@ -3,11 +3,15 @@
 Group elements are d x d matrices over GF(q) (GF(q^2) in the unitary case)
 stored as tuples of int element codes, kept in canonical projective form:
 among all center scalings of a matrix, the representative whose row-major
-little-endian byte encoding is least.  The conjugacy class of involutions
-is enumerated by breadth-first orbit closure of a fixed seed involution
-under conjugation by the generators, deduplicating on canonical encodings;
-its size is checked against the closed-form count, which certifies both the
-generating set and the matrix model.
+little-endian byte encoding is least.  The generating sets have O(n)
+elements: unipotents over a GF(2)-basis, the reversal and, for Sz, a torus
+element (generators).  The conjugacy class of involutions is enumerated by
+breadth-first orbit closure of a fixed seed involution under conjugation by
+the generators, deduplicating on canonical encodings; its size is checked
+against the closed-form count, which certifies both the generating set and
+the matrix model.  Vertices are numbered by the lexicographic order of
+their canonical encodings, so the numbering, and every vertex id derived
+from it, does not depend on the generating set.
 
 The orbit closure conjugates the class once by each generator, which
 yields its permutations of the vertices; a breadth-first Schreier tree over
@@ -267,44 +271,61 @@ def _sz_torus(spec: GroupSpec) -> Matrix:
                  for i in range(4))
 
 
+def _psu3_unipotent(spec: GroupSpec, x: int, y: int) -> Matrix:
+    """Lower unitriangular; unitary exactly when y + y^q = x^(q+1)."""
+    return ((1, 0, 0), (x, 1, 0), (y, spec.ctx.frobenius(x, spec.n), 1))
+
+
+def _gf2_basis(values) -> list[int]:
+    """The values, in order, that raise the GF(2)-rank of those before them."""
+    basis, reduced = [], []  # reduced: distinct leading bits, descending
+    for value in values:
+        r = value
+        for b in reduced:
+            r = min(r, r ^ b)
+        if r:
+            basis.append(value)
+            reduced = sorted(reduced + [r], reverse=True)
+    return basis
+
+
 def _psu3_unipotents(spec: GroupSpec) -> list[Matrix]:
-    """Brute-force scan of lower unitriangular matrices against the form."""
-    ctx = spec.ctx
-    out = []
-    for x in ctx.elements():
-        xq = ctx.frobenius(x, spec.n)
-        for y in ctx.elements():
-            m = ((1, 0, 0), (x, 1, 0), (y, xq, 1))
-            try:
-                check_group_form(spec, m)
-            except NotInGroupForm:
-                continue
-            out.append(m)
-    return out
+    """One unipotent over each GF(2)-basis element x of GF(q^2), and the
+    central ones (x = 0) over a GF(2)-basis y of GF(q).
+
+    The trace y + y^q maps GF(q^2) onto GF(q).  The code 2, the polynomial
+    t, generates GF(q^2), so it lies outside GF(q) and w = 2 / (2 + 2^q) has
+    trace 1; y = x^(q+1) w then solves y + y^q = x^(q+1).  The traces of
+    the basis of GF(q^2) span GF(q).
+    """
+    ctx, n, q = spec.ctx, spec.n, spec.q
+    w = ctx.mul(2, ctx.inv(2 ^ ctx.frobenius(2, n)))
+    basis = [1 << i for i in range(2 * n)]
+    moving = [_psu3_unipotent(spec, x, ctx.mul(ctx.pow(x, q + 1), w)) for x in basis]
+    centre = _gf2_basis(e ^ ctx.frobenius(e, n) for e in basis)
+    return moving + [_psu3_unipotent(spec, 0, y) for y in centre]
 
 
 def generators(spec: GroupSpec) -> list[Matrix]:
-    """A generating set; every element is form-checked here, and sufficiency
-    is certified downstream by the involution-class size contract."""
-    ctx = spec.ctx
+    """A generating set of O(n) matrices, each form-checked here.
+
+    PSL2: the n unipotents over the GF(2)-basis 2^i of GF(q), and the
+    reversal (n + 1).  Sz: the unipotents S(2^i, 0) and S(0, 2^i), a torus
+    element and the reversal (2n + 2).  PSU3: the 2n + n unipotents of
+    _psu3_unipotents and the reversal (3n + 1).  Sufficiency is certified
+    downstream: the orbit closure must reach the closed-form class size
+    and the Schreier tree every vertex.
+    """
+    n = spec.n
     if spec.family == PSL2:
-        gens = [((1, 1 << i), (0, 1)) for i in range(spec.n)]
-        gens.append(((0, 1), (1, 0)))
+        gens = [((1, 1 << i), (0, 1)) for i in range(n)]
     elif spec.family == SZ:
-        gens = [_sz_unipotent(spec, a, b)
-                for a in ctx.elements() for b in ctx.elements()
-                if (a, b) != (0, 0)]
-        if len(set(gens)) != spec.q * spec.q - 1:
-            raise GeneratorValidationFailed(
-                f"unipotent family has {len(set(gens))} matrices, expected {spec.q ** 2 - 1}")
+        gens = [_sz_unipotent(spec, 1 << i, 0) for i in range(n)]
+        gens += [_sz_unipotent(spec, 0, 1 << i) for i in range(n)]
         gens.append(_sz_torus(spec))
-        gens.append(reversal(4))
     else:
-        gens = [m for m in _psu3_unipotents(spec) if m != identity(3)]
-        if len(gens) != spec.q ** 3 - 1:
-            raise GeneratorValidationFailed(
-                f"unitriangular scan found {len(gens)} matrices, expected {spec.q ** 3 - 1}")
-        gens.append(reversal(3))
+        gens = _psu3_unipotents(spec)
+    gens.append(reversal(spec.dim))
     for g in gens:
         try:
             check_group_form(spec, g)
@@ -462,16 +483,17 @@ def _lex_less(a, b):
 class InvolutionClass:
     """The conjugacy class of involutions, indexed as graph vertices.
 
-    Vertex numbering is deterministic: breadth-first levels from the seed,
-    lexicographic on canonical encodings within a level.
+    involution_class numbers the vertices by the lexicographic order of
+    their canonical encodings.  With one-byte codes the seed's encoding is
+    the least, so it is vertex 0; the certificates work from vertex 0
+    whichever involution it is.
     """
 
     def __init__(self, spec: GroupSpec, codes: np.ndarray):
         self.spec = spec
         self.codes = codes
         self.kern = _Kernels(spec)
-        keys = self.kern.encode_keys(codes)
-        self.index = {k.tobytes(): i for i, k in enumerate(keys)}
+        self._key_order = None
         self._sylow_labels = None
         self._seed_sets = None
         self._pair_masks = None
@@ -489,10 +511,22 @@ class InvolutionClass:
     def encoding(self, i: int) -> bytes:
         return encode(self.spec, self.member(i))
 
+    def key_order(self):
+        """(order, ranked): the rows sorted by encoding, and their sorted keys."""
+        if self._key_order is None:
+            keys = _void_keys(self.kern.encode_keys(self.codes))
+            order = np.argsort(keys)
+            self._key_order = order, keys[order]
+        return self._key_order
+
     def vertex_of(self, m: Matrix) -> int:
+        order, ranked = self.key_order()
         key = self.kern.encode_keys(
-            np.array(canonicalize(self.spec, m), dtype=self.kern.dtype)[None])[0]
-        return self.index[key.tobytes()]
+            np.array(canonicalize(self.spec, m), dtype=self.kern.dtype)[None])
+        pos, known = _locate(ranked, _void_keys(key))
+        if not known[0]:
+            raise KeyError(f"{m} is not in the class")
+        return int(order[pos[0]])
 
     def pair_masks(self) -> "PairMasks":
         if self._pair_masks is None:
@@ -597,7 +631,8 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
     generator permutations (cls.generator_perms()).  An image on the next
     level is resolved once that level is numbered.  Reaching the
     closed-form size proves the set closed, as check_closed_class does for
-    a cached class.
+    a cached class.  The breadth-first numbers are then replaced by the
+    ranks of the encodings, in the codes and in the permutations.
     """
     kern = _Kernels(spec)
     seed_codes = _seed_codes(spec, kern.dtype)
@@ -640,8 +675,11 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
     if len(codes) != expected:
         raise ClassSizeMismatch(
             f"orbit closure found {len(codes)} involutions, expected {expected}")
-    cls = InvolutionClass(spec, codes)
-    cls._generator_perms = perms
+    # renumber by encoding: ids lists the breadth-first numbers in key order
+    rank = np.empty(expected, dtype=np.int32)
+    rank[ids] = np.arange(expected, dtype=np.int32)
+    cls = InvolutionClass(spec, codes[ids])
+    cls._generator_perms = rank[perms[:, ids]]
     return cls
 
 
@@ -660,14 +698,13 @@ def check_closed_class(cls: InvolutionClass) -> None:
     spec = cls.spec
     if cls.size != spec.class_size():
         raise ClassSizeMismatch(f"class has {cls.size} rows, expected {spec.class_size()}")
-    if len(cls.index) != cls.size:
-        raise ClassSizeMismatch(f"class has {cls.size - len(cls.index)} duplicate rows")
+    order, ranked = cls.key_order()
+    duplicates = int((ranked[1:] == ranked[:-1]).sum())
+    if duplicates:
+        raise ClassSizeMismatch(f"class has {duplicates} duplicate rows")
     kern = cls.kern
-    if kern.encode_keys(_seed_codes(spec, kern.dtype))[0].tobytes() not in cls.index:
+    if not _locate(ranked, _void_keys(kern.encode_keys(_seed_codes(spec, kern.dtype))))[1][0]:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
-    members = _void_keys(kern.encode_keys(cls.codes))
-    order = np.argsort(members)
-    ranked = members[order]
     conjugators = _conjugators(spec, kern)
     perms = np.empty((len(conjugators), cls.size), dtype=np.int32)
     for t, (gi, g) in enumerate(conjugators):

@@ -33,7 +33,7 @@ from . import formulas, fusion, graphs, groups
 from .graphio import atomic_write, atomic_write_text
 
 SCHEMA = "fgl-cert-1"
-CODE_VERSION = 2
+CODE_VERSION = 3
 
 
 @dataclass
@@ -73,6 +73,16 @@ def _load_cached_class(spec: groups.GroupSpec, path: str) -> groups.InvolutionCl
     return cls
 
 
+def _write_codes(f, codes: np.ndarray) -> None:
+    """An npz holding codes.npy, with a fixed entry timestamp, so that the
+    file's bytes are a function of the codes alone."""
+    with zipfile.ZipFile(f, "w") as z:
+        info = zipfile.ZipInfo("codes.npy")  # dated 1980-01-01
+        info.compress_type = zipfile.ZIP_DEFLATED
+        with z.open(info, "w", force_zip64=True) as entry:
+            np.lib.format.write_array(entry, codes, allow_pickle=False)
+
+
 def load_or_build_class(spec: groups.GroupSpec, cache_dir: str | None):
     """Involution class, optionally memoized as an npz of element codes."""
     path = _cache_path(cache_dir, spec.family, spec.n) if cache_dir else None
@@ -81,7 +91,7 @@ def load_or_build_class(spec: groups.GroupSpec, cache_dir: str | None):
     cls = groups.involution_class(spec)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        atomic_write(path, lambda f: np.savez_compressed(f, codes=cls.codes), "wb")
+        atomic_write(path, lambda f: _write_codes(f, cls.codes), "wb")
     return cls
 
 
@@ -194,7 +204,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     chi_info["predicted_array"] = predicted.to_dict()
     cert = None
     try:
-        cert = fusion.seed_set_cover3_certificate(cls, sets.chi)
+        cert = fusion.seed_set_cover3_certificate(cls, sets.chi, known=labels)
         chi_info["intersection_array"] = cert.array.to_dict()
         chi_info["array_match"] = cert.array == predicted
         chi_info["antipodal"] = True

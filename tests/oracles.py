@@ -1,11 +1,14 @@
-"""Exhaustive graph oracles for the library's certificates.
+"""Exhaustive graph and group oracles for the library's certificates.
 
 These brute-force routines check every vertex pair or every source; the
 library certifies the same facts more cheaply (the cover certificate from
 vertex 0's neighbor set), and the tests compare the two.  The scalar
 product order is the reference for the batched order kernels.  The edge list and JSON
 writer oracles walk the vertices one at a time, as the library did before
-it moved to a single edge array.
+it moved to a single edge array.  The full generating sets (every
+nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
+scan of all lower unitriangular matrices) must give the same class as the
+library's O(n) sets.
 """
 
 import json
@@ -14,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fgl import bits
-from fgl.formulas import IntersectionArray
+from fgl.formulas import PSU3, SZ, IntersectionArray
 from fgl.graphs import (Disconnected, Graph, NotAntipodal, NotDistanceRegular,
                         NotRegular, connected_components, distances_from,
                         iter_common_neighbor_counts)
-from fgl.groups import OrderCapExceeded, mat_mul, scalar_code
+from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
+                        check_group_form, generators, identity, mat_mul, reversal,
+                        scalar_code)
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,37 @@ def element_order(spec, m) -> int:
 
 def product_order(spec, x: int, y: int, cls) -> int:
     return element_order(spec, mat_mul(spec.ctx, cls.member(x), cls.member(y)))
+
+
+def psu3_unitriangular_scan(spec) -> list:
+    """Every lower unitriangular matrix ((1,0,0),(x,1,0),(y,x^q,1)) that
+    passes the form check, found by trying all q^4 pairs (x, y)."""
+    ctx = spec.ctx
+    out = []
+    for x in ctx.elements():
+        xq = ctx.frobenius(x, spec.n)
+        for y in ctx.elements():
+            m = ((1, 0, 0), (x, 1, 0), (y, xq, 1))
+            try:
+                check_group_form(spec, m)
+            except NotInGroupForm:
+                continue
+            out.append(m)
+    return out
+
+
+def full_generators(spec) -> list:
+    """Sz: all q^2 - 1 nontrivial unipotents S(a, b), a torus element and
+    the reversal.  PSU3: all q^3 - 1 nontrivial unitriangular unitary
+    matrices and the reversal.  PSL2: the library's set."""
+    ctx = spec.ctx
+    if spec.family == SZ:
+        gens = [_sz_unipotent(spec, a, b)
+                for a in ctx.elements() for b in ctx.elements() if (a, b) != (0, 0)]
+        return gens + [_sz_torus(spec), reversal(4)]
+    if spec.family == PSU3:
+        return [m for m in psu3_unitriangular_scan(spec) if m != identity(3)] + [reversal(3)]
+    return generators(spec)
 
 
 def antipodal_classes_two_pass(g: Graph) -> np.ndarray:

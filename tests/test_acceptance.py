@@ -2,15 +2,11 @@
 
 Each criterion pins the exact expected certificates and a wall-clock
 budget measured around the full pipeline run.  Reports are computed once
-per (family, n) and shared across criteria.  The large Sz(32) run is not
-gating and only executes when FGL_STRETCH is set.
+per (family, n) and shared across criteria.
 """
 
-import os
 import time
 from contextlib import contextmanager
-
-import pytest
 
 from fgl import formulas
 from fgl.formulas import IntersectionArray
@@ -239,22 +235,24 @@ def test_criterion_8_algebraic_grids():
                         ctx.mul(ctx.frobenius(a, 1), ctx.frobenius(b, 1))
 
 
-@pytest.mark.skipif(not os.environ.get("FGL_STRETCH"),
-                    reason="stretch instance; set FGL_STRETCH=1 to run")
-def test_criterion_9_stretch_sz_32():
-    with criterion(9, "sz q=32 (v=31775) with the orbital order census, <30min"):
-        t0 = time.monotonic()
-        rep = run_verify("sz", 5)
-        elapsed = time.monotonic() - t0
-        d = rep.data
-        assert d["status"] == "pass", d["failures"]
-        assert d["class_size"] == 31775
-        predicted = formulas.predicted_chi_array("sz", 32)
-        assert d["chi_graph"]["intersection_array"] == predicted.to_dict()
-        dz = d["pi_graph"]["deza"]
-        v, kk, b, a = formulas.predicted_deza_params("sz", 32)
-        assert (dz["v"], dz["k"], dz["b"], dz["a"]) == (v, kk, b, a)
-        assert d["orders"]["method"] == "orbital"
-        assert d["orders"]["noncommuting_all_odd"]
-        assert elapsed < 1800, f"took {elapsed:.0f}s"
-        print(f"(stretch completed in {elapsed:.0f}s)")
+def _check_against_formulas(family, n, budget_s):
+    rep = report_for(family, n, budget_s)
+    d = rep.data
+    q = 1 << n
+    assert d["status"] == "pass", d["failures"]
+    assert d["class_size"] == formulas.class_size(family, q)
+    predicted = formulas.predicted_chi_array(family, q)
+    assert d["chi_graph"]["intersection_array"] == predicted.to_dict()
+    dz = d["pi_graph"]["deza"]
+    assert (dz["v"], dz["k"], dz["b"], dz["a"]) == formulas.predicted_deza_params(family, q)
+    assert d["orders"]["noncommuting_all_odd"]
+
+
+def test_criterion_9_sz_32():
+    with criterion(9, "sz q=32: 31775 involutions, array, Deza, <120s"):
+        _check_against_formulas("sz", 5, 120.0)
+
+
+def test_criterion_10_psu3_16():
+    with criterion(10, "psu3 q=16: 61455 involutions, array, Deza, <120s"):
+        _check_against_formulas("psu3", 4, 120.0)

@@ -232,10 +232,11 @@ def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8, monkeypatch)
 
 
 def test_seed_set_certificate_rejects_an_asymmetric_seed_set(psl2_8):
-    # one vertex added to N(0) whose own neighbor set does not contain 0
+    # one vertex z added to N(0) whose own neighbor set, sigma_z of the
+    # enlarged N(0), does not contain 0; the last such vertex
     chi = psl2_8.seed_sets().chi
-    z = psl2_8.size - 1
-    assert z not in chi and 0 not in psl2_8.carry([z], chi)[0]
+    z = max(z for z in range(1, psl2_8.size)
+            if z not in chi and 0 not in psl2_8.carry([z], np.union1d(chi, [z]))[0])
     with pytest.raises(NotDistanceRegular) as ei:
         seed_set_cover3_certificate(psl2_8, np.union1d(chi, [z]))
     assert ei.value.witness == (0, z)

@@ -9,7 +9,8 @@ from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
                         identity, involution_class, make_group, mat_det,
                         mat_inv_det1, mat_mul, mat_scale, reversal,
                         seed_involution, sylow_partition)
-from oracles import element_order, product_order
+from oracles import (element_order, full_generators, product_order,
+                     psu3_unitriangular_scan)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,7 @@ def test_sz_unipotent_family_closed():
 def test_psu3_unipotent_scan_matches_derived_condition():
     spec = make_group("psu3", 2)
     ctx = spec.ctx
-    scanned = set(gr._psu3_unipotents(spec))
+    scanned = set(psu3_unitriangular_scan(spec))
     assert len(scanned) == spec.q ** 3
     # independent closed form: z = x^q and y + y^q = x^(q+1)
     derived = set()
@@ -90,6 +91,43 @@ def test_psu3_unipotent_scan_matches_derived_condition():
             if ctx.add(y, ctx.frobenius(y, spec.n)) == ctx.pow(x, spec.q + 1):
                 derived.add(((1, 0, 0), (x, 1, 0), (y, ctx.frobenius(x, spec.n), 1)))
     assert scanned == derived
+
+
+@pytest.mark.parametrize("family,n,count", [
+    ("psl2", 2, 3), ("psl2", 6, 7), ("sz", 3, 8), ("sz", 5, 12), ("sz", 7, 16),
+    ("psu3", 2, 7), ("psu3", 3, 10), ("psu3", 4, 13), ("psu3", 5, 16)])
+def test_generating_sets_are_small_and_distinct(family, n, count):
+    # n + 1 for PSL2, 2n + 2 for Sz, 3n + 1 for PSU3
+    gens = generators(make_group(family, n))
+    assert len(gens) == len(set(gens)) == count
+
+
+@pytest.mark.parametrize("family,n", [("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_full_generating_sets_give_the_same_class(family, n, monkeypatch, tmp_path):
+    # the vertex numbering, and so the class cache, is the same whichever
+    # generating set closes the orbit
+    from fgl import pipeline
+    spec = make_group(family, n)
+    small = pipeline.load_or_build_class(spec, str(tmp_path / "small"))
+    full = full_generators(spec)
+    assert len(full) == {"sz": spec.q ** 2 + 1, "psu3": spec.q ** 3}[family]
+    monkeypatch.setattr(gr, "generators", lambda s: full)
+    big = pipeline.load_or_build_class(spec, str(tmp_path / "full"))
+    assert big.codes.dtype == small.codes.dtype
+    assert big.codes.tobytes() == small.codes.tobytes()
+    name = f"{family}-n{n}-v{pipeline.CODE_VERSION}.npz"
+    assert (tmp_path / "small" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_vertices_numbered_by_encoding(psl2_8_class, sz8_class, psu3_4_class):
+    # strictly increasing encodings; the seed is the least one, so vertex 0;
+    # the closure's permutations are those check_closed_class finds
+    for cls in (psl2_8_class, sz8_class, psu3_4_class):
+        keys = [cls.encoding(i) for i in range(cls.size)]
+        assert keys == sorted(set(keys))
+        assert cls.member(0) == canonicalize(cls.spec, seed_involution(cls.spec))
+        again = gr.InvolutionClass(cls.spec, cls.codes)
+        assert np.array_equal(again.generator_perms(), cls.generator_perms())
 
 
 def test_form_rejections(psl2_4):

@@ -80,10 +80,11 @@ def test_derived_pi_analysis_equals_direct(family, n):
 
 
 def test_symplectic_inverse_batch_matches_adjugate():
-    from fgl.groups import (_symplectic_inverse_batch, generators, identity,
-                            make_group, mat_inv_det1, mat_mul)
+    from fgl.groups import (_symplectic_inverse_batch, identity, make_group,
+                            mat_inv_det1, mat_mul)
+    from oracles import full_generators
     spec = make_group("sz", 3)
-    gens = generators(spec)
+    gens = full_generators(spec)
     batch = np.array(gens[:40], dtype=np.uint8)
     inv = _symplectic_inverse_batch(batch)
     for g, gi in zip(gens[:40], inv):
@@ -172,19 +173,24 @@ def _toggled(vertices, x):
 
 
 def test_flipped_chi_edge_fails_with_named_failure(monkeypatch):
-    # one vertex added to N(0) must give a fail certificate, not a traceback
+    # one vertex added to N(0) must give a fail certificate, not a traceback;
+    # the last vertex w whose neighbor set, sigma_w of the enlarged N(0), lacks 0
+    cls = groups.involution_class(groups.make_group("psl2", 3))
+    chi = cls.seed_sets().chi
+    w = max(w for w in range(1, cls.size)
+            if w not in chi and 0 not in cls.carry([w], np.union1d(chi, [w]))[0])
     real = groups.power_seed_sets
 
     def flipped(cls):
         sets = real(cls)
-        return groups.SeedSets(comm=sets.comm, chi=_toggled(sets.chi, cls.size - 1))
+        return groups.SeedSets(comm=sets.comm, chi=_toggled(sets.chi, w))
     monkeypatch.setattr(groups, "power_seed_sets", flipped)
     d = run_verify("psl2", 3).data
     assert d["status"] == "fail"
     assert "chi_graph: valency 9 != 8" in d["failures"]
-    assert any(f.startswith("chi_graph: not symmetric: 62") for f in d["failures"])
+    assert any(f.startswith(f"chi_graph: not symmetric: {w}") for f in d["failures"])
     assert d["chi_graph"]["antipodal"] is False
-    assert tuple(d["chi_graph"]["witness"]) == (0, 62)
+    assert tuple(d["chi_graph"]["witness"]) == (0, w)
     assert d["pi_graph"]["analysis"].startswith("skipped")
 
 
@@ -204,6 +210,23 @@ def test_tampered_seed_row_fails_the_row_cross_check(monkeypatch):
     x, y = d["pairs"]["mismatch"]
     assert x == 31
     assert any(f.startswith("pairs: derived row 31") for f in d["failures"])
+
+
+def test_antipodal_block_reuses_the_sylow_partition(monkeypatch):
+    # {0} + D3(0) = {0} + comm(0) on a passing certificate: one block orbit
+    calls = []
+    real = groups.block_partition
+    monkeypatch.setattr(groups, "block_partition",
+                        lambda perms, base: calls.append(len(base)) or real(perms, base))
+    d = run_verify("sz", 3).data
+    assert d["status"] == "pass" and d["chi_graph"]["antipodal_equals_sylow"]
+    assert calls == [7]  # the Sylow block: q - 1 = 7 involutions, 0 among them
+    # labels whose block of 0 is another set are not reused
+    cls = groups.involution_class(groups.make_group("sz", 3))
+    sylow = cls.sylow_labels()
+    calls.clear()
+    cert = fusion.seed_set_cover3_certificate(cls, cls.seed_sets().chi, known=np.arange(cls.size))
+    assert calls == [7] and np.array_equal(cert.labels, sylow)
 
 
 def test_warm_class_is_conjugated_once(tmp_path, monkeypatch):
