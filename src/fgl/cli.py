@@ -144,7 +144,7 @@ def cmd_analyze(args) -> int:
     if "ddg" in checks:
         try:
             labels = _partition_for(args)
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:
             print(f"error reading partition: {e}", file=sys.stderr)
             return EXIT_USAGE
         if labels is None:
@@ -167,7 +167,7 @@ def cmd_analyze(args) -> int:
 
 def _partition_for(args):
     """Class labels from --partition or the sidecar, None if neither has
-    any; ValueError unless they are a JSON list of integers."""
+    any; ValueError unless they are a JSON list of int64 integers."""
     if args.partition:
         with open(args.partition) as f:
             labels = json.load(f)
@@ -180,10 +180,31 @@ def _partition_for(args):
         labels = meta.get("sylow_labels") if isinstance(meta, dict) else None
         if labels is None:
             return None
+    bounds = np.iinfo(np.int64)
     if not (isinstance(labels, list)
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in labels)):
-        raise ValueError("partition must be a JSON list of integer labels")
+            and all(type(x) is int and bounds.min <= x <= bounds.max for x in labels)):
+        raise ValueError("partition must be a JSON list of integer labels within int64")
     return labels
+
+
+def _cached_verdict(path: str, family: str, n: int) -> str:
+    """'pass' or 'FAIL' from a cached certificate of this row, 'unverified'
+    unless it is one: schema, family, n, q and class size must be the row's
+    and, for a pass, the chi array the predicted one."""
+    q = 1 << n
+    row = {"schema": pipeline.SCHEMA, "family": family, "n": n, "q": q,
+           "class_size": formulas.class_size(family, q)}
+    try:
+        with open(path) as f:
+            data = json.load(f)
+        if any(data[key] != want for key, want in row.items()):
+            return "unverified"
+        if data["status"] != "pass":
+            return "FAIL"
+        array = data["chi_graph"]["intersection_array"]
+    except (OSError, ValueError, RecursionError, KeyError, TypeError):
+        return "unverified"
+    return "pass" if array == formulas.predicted_chi_array(family, q).to_dict() else "unverified"
 
 
 def cmd_report(args) -> int:
@@ -205,8 +226,7 @@ def cmd_report(args) -> int:
                 path = os.path.join(
                     args.cache, f"{family}-n{n}-v{pipeline.CODE_VERSION}-report.json")
                 if os.path.exists(path):
-                    with open(path) as f:
-                        verified = "pass" if json.load(f).get("status") == "pass" else "FAIL"
+                    verified = _cached_verdict(path, family, n)
             lines.append(f"{family:6} {q:>6} {v:>8} {kk:>8} {b:>10} {a:>10} "
                          f"{str(arr):28} {verified:8}")
     _out_text(args, "\n".join(lines) + "\n")

@@ -4,12 +4,13 @@ Vertices are the involutions of the class; the adjacency predicate is a
 condition on the order of the product of the two involutions.  Two
 predicates matter here: product order equal to the associated prime
 (the chi graph), and product order odd and not in {1, chi} (the
-odd-complement graph).  build_fusion_graph reads both off the class's
-pair masks (groups.power_pair_masks).  The chi graph of each verified
-family is an antipodal distance-regular cover of diameter 3 and the
-odd-complement graph its distance-2 power; conjugation preserves product
-orders and acts transitively, so both are certified from vertex 0's
-partner sets (seed_set_cover3_certificate, odd_complement_seed).
+odd-complement graph).  Conjugation preserves product orders and acts
+transitively, so the neighbors of x are sigma_x of vertex 0's
+(InvolutionClass.carry): build_fusion_graph carries vertex 0's partner
+sets to every row.  The chi graph of each verified family is an antipodal
+distance-regular cover of diameter 3 and the odd-complement graph its
+distance-2 power; both are certified from vertex 0's partner sets
+(seed_set_cover3_certificate, odd_complement_seed).
 """
 
 from __future__ import annotations
@@ -45,29 +46,34 @@ class PiSpec:
         return cls(cls.ODD_COMPLEMENT)
 
 
-def odd_complement_rows(cls: InvolutionClass) -> np.ndarray:
-    """Adjacency of the odd-complement graph as the complement of
-    equality + commuting + distinguished pairs.
-
-    Exact given the dichotomy that every product of two non-commuting
-    involutions has odd order; the orders stage of the pipeline certifies
-    that dichotomy exactly with the orbital order census.
-    """
-    masks = cls.pair_masks()
-    v = cls.size
-    return ~(masks.comm | masks.chi | bits.identity(v)) & bits.pad_mask(v)
+def _not_odd_complement(sets: SeedSets) -> np.ndarray:
+    """comm(0) + chi(0): the odd-complement neighbors of x are all vertices
+    but x and sigma_x of these, exact given the dichotomy (every product of
+    two non-commuting involutions has odd order) the order census proves."""
+    return np.union1d(sets.comm, sets.chi)
 
 
 def odd_complement_seed(v: int, sets: SeedSets) -> np.ndarray:
-    """Vertex 0's odd-complement neighbors: all but 0 and its commuting and
-    distinguished partners (exact under the same dichotomy)."""
-    return np.setdiff1d(np.arange(1, v), np.union1d(sets.comm, sets.chi))
+    """Vertex 0's odd-complement neighbors."""
+    return np.setdiff1d(np.arange(1, v), _not_odd_complement(sets))
+
+
+def _carried_graph(cls: InvolutionClass, seed: np.ndarray) -> graphs.Graph:
+    """The conjugation-invariant graph with N(0) = seed: row x is sigma_x(seed)."""
+    v = cls.size
+    rows = bits.zero_rows(v, v)
+    for xs, images in cls.carry_blocks(np.arange(v), seed):
+        block = np.zeros((len(xs), v), dtype=bool)
+        block[np.arange(len(xs))[:, None], images] = True
+        rows[xs] = bits.pack_bool(block, v)
+    return graphs.Graph(v, rows)
 
 
 def build_fusion_graph(cls: InvolutionClass, pi: PiSpec) -> graphs.Graph:
+    sets = cls.seed_sets()
     if pi.mode == PiSpec.CHI:
-        return graphs.Graph(cls.size, cls.pair_masks().chi.copy())
-    return graphs.Graph(cls.size, odd_complement_rows(cls))
+        return _carried_graph(cls, sets.chi)
+    return _carried_graph(cls, _not_odd_complement(sets)).complement()
 
 
 # -- seed-set certificate for diameter-3 antipodal covers -----------------
@@ -109,10 +115,11 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
     N(x) = sigma_x(nbrs) (InvolutionClass.carry), and a conjugation carries
     every pair to a pair (0, y), so checks at vertex 0 hold everywhere.  It
     is symmetric when 0 is in N(z) for z in N(0); cn(0, .) is the bincount
-    of N(z) over z in N(0).  a1 must be constant on N(0), c2 = mu on the
-    other vertices with common neighbors, and the orbit of {0} + D3(0), the
-    rest, a partition (groups.block_partition): the antipodal classes.  One
-    neighbor of 0 in every class but its own is b2 = 1; c3 = k follows.
+    of N(z) over z in N(0), both taken a block of N(0) at a time.  a1 must
+    be constant on N(0), c2 = mu on the other vertices with common
+    neighbors, and the orbit of {0} + D3(0), the rest, a partition
+    (groups.block_partition): the antipodal classes.  One neighbor of 0 in
+    every class but its own is b2 = 1; c3 = k follows.
 
     known, if given, must be block_partition(cls.generator_perms(), B) for
     the block B of 0 in it (the Sylow labels are).  When B = {0} + D3(0)
@@ -123,13 +130,14 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
         raise graphs.NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
     if nbrs[0] == 0:
         raise graphs.NotDistanceRegular("vertex 0 is its own neighbor", witness=(0, 0))
-    rows = cls.carry(nbrs, nbrs)
-    lonely = np.flatnonzero(~(rows == 0).any(axis=1))
-    if lonely.size:
-        z = int(nbrs[lonely[0]])
-        raise graphs.NotDistanceRegular(f"not symmetric: {z} is a neighbor of 0, but 0 is "
-                                        f"not a neighbor of {z}", witness=(0, z))
-    cn = np.bincount(rows.ravel(), minlength=v)
+    cn = np.zeros(v, dtype=np.int64)
+    for zs, rows in cls.carry_blocks(nbrs, nbrs):
+        lonely = np.flatnonzero(~(rows == 0).any(axis=1))
+        if lonely.size:
+            z = int(zs[lonely[0]])
+            raise graphs.NotDistanceRegular(f"not symmetric: {z} is a neighbor of 0, but 0 "
+                                            f"is not a neighbor of {z}", witness=(0, z))
+        cn += np.bincount(rows.ravel(), minlength=v)
     adj = np.zeros(v, dtype=bool)
     adj[nbrs] = True
     non = ~adj

@@ -24,8 +24,9 @@ distinguished partners of x are sigma_x of the seed's (power_seed_sets),
 and the commuting classes are the orbit of one block (sylow_partition).  A
 class read from elsewhere is accepted only after check_closed_class
 re-proves that it is this orbit, in one pass that yields the same
-permutations.  The bit relations of power_pair_masks serve graph
-construction; full_order_scan and sampled_order_check are oracles.
+permutations.  Graph construction carries vertex 0's partner sets the same
+way (InvolutionClass.carry_blocks); full_order_scan and sampled_order_check
+are oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -496,10 +497,10 @@ class InvolutionClass:
         self._key_order = None
         self._sylow_labels = None
         self._seed_sets = None
-        self._pair_masks = None
         self._order_scan = None
         self._generator_perms = None
         self._schreier_tree = None
+        self._tree_steps = None
 
     @property
     def size(self) -> int:
@@ -528,11 +529,6 @@ class InvolutionClass:
             raise KeyError(f"{m} is not in the class")
         return int(order[pos[0]])
 
-    def pair_masks(self) -> "PairMasks":
-        if self._pair_masks is None:
-            self._pair_masks = power_pair_masks(self)
-        return self._pair_masks
-
     def seed_sets(self) -> "SeedSets":
         if self._seed_sets is None:
             self._seed_sets = power_seed_sets(self)
@@ -550,49 +546,39 @@ class InvolutionClass:
             self._schreier_tree = schreier_tree(self.generator_perms())
         return self._schreier_tree
 
-    def orbit_rows(self, seed_rows: np.ndarray) -> np.ndarray:
-        """Every row of m conjugation-invariant relations from the seed's.
-
-        seed_rows is (m, W), vertex 0's packed rows; the result is
-        (m, v, W).  Conjugation by a generator permutes the class by pi, so
-        row pi(p) is row p with its columns permuted:
-        row[pi(p)][z] = row[p][pi^-1(z)].  Rows are derived level by level
-        along the Schreier tree, the rows reached by one generator together,
-        and unpacked bits.ROW_BLOCK_BITS entries at a time, never as a dense
-        v x v.
-        """
-        v = self.size
-        parent, label, levels = self.schreier_tree()
-        perms = self.generator_perms()
-        m = len(seed_rows)
-        rows = np.zeros((m, v, bits.word_count(v)), dtype=bits.U64)
-        rows[:, 0] = seed_rows
-        block = max(1, bits.ROW_BLOCK_BITS // (m * v))
-        inverse = np.empty(v, dtype=np.int64)
-        for level in levels[1:]:
-            for t in np.unique(label[level]):
-                inverse[perms[t]] = np.arange(v)
-                reached = level[label[level] == t]
-                for lo in range(0, len(reached), block):
-                    xs = reached[lo:lo + block]
-                    parent_rows = bits.unpack_rows(rows[:, parent[xs]], v)
-                    rows[:, xs] = bits.pack_bool(np.take(parent_rows, inverse, axis=-1), v)
-        return rows
+    def tree_steps(self):
+        """(flat, offset): the generator permutations end to end, then the
+        identity; the tree edge into x (the root's: the identity) moves y to
+        flat[offset[x] + y]."""
+        if self._tree_steps is None:
+            perms, (_, label, _) = self.generator_perms(), self.schreier_tree()
+            flat = np.append(perms, np.arange(self.size, dtype=perms.dtype))
+            self._tree_steps = flat, np.where(label < 0, len(perms), label) * self.size
+        return self._tree_steps
 
     def carry(self, xs, seed) -> np.ndarray:
         """(len(xs), len(seed)) array of sigma_x(seed) for x in xs: sigma_x,
         the generators on the tree path from 0 to x, carries 0 to x and 0's
         partners in a conjugation-invariant relation to x's."""
-        parent, label, _ = self.schreier_tree()
-        perms = self.generator_perms()
+        parent, _, _ = self.schreier_tree()
+        flat, offset = self.tree_steps()
         path = [np.asarray(xs, dtype=np.int64)]  # the ancestors, one step up at a time
         while path[-1].any():
             path.append(parent[path[-1]])
-        images = np.tile(np.asarray(seed, dtype=np.int64), (len(path[0]), 1))
-        for up in reversed(path):  # the generator nearest the root acts first
-            moved = np.flatnonzero(up)
-            images[moved] = perms[label[up[moved]][:, None], images[moved]]
+        images = np.tile(np.asarray(seed, dtype=flat.dtype), (len(path[0]), 1))
+        for up in reversed(path[:-1]):  # the generator nearest the root acts first
+            images = flat[offset[up][:, None] + images]
         return images
+
+    def carry_blocks(self, xs, seed):
+        """carry(xs, seed) as (xs_chunk, images) over consecutive chunks of
+        xs, each of bits.ROW_BLOCK_BITS // v vertices: a chunk's images, or
+        its rows unpacked, hold at most bits.ROW_BLOCK_BITS entries."""
+        xs = np.asarray(xs, dtype=np.int64)
+        step = max(1, bits.ROW_BLOCK_BITS // self.size)
+        for lo in range(0, len(xs), step):
+            chunk = xs[lo:lo + step]
+            yield chunk, self.carry(chunk, seed)
 
     def order_scan(self) -> "OrderScan":
         if self._order_scan is None:
@@ -818,14 +804,6 @@ def sylow_partition(cls: InvolutionClass) -> np.ndarray:
 
 
 @dataclass
-class PairMasks:
-    """Bit rows over vertices: distinct commuting pairs / distinguished pairs."""
-
-    comm: np.ndarray
-    chi: np.ndarray
-
-
-@dataclass
 class SeedSets:
     """Vertex 0's commuting and distinguished partners, sorted vertex arrays."""
 
@@ -923,13 +901,6 @@ def power_seed_sets(cls: InvolutionClass) -> SeedSets:
     """Vertex 0's commuting and distinguished partners from fixed matrix powers."""
     comm, chi = _power_rows(cls, 0)
     return SeedSets(comm=np.flatnonzero(comm), chi=np.flatnonzero(chi))
-
-
-def power_pair_masks(cls: InvolutionClass) -> PairMasks:
-    """Commuting and distinguished masks: the seed's row from fixed matrix
-    powers, every other row permuted from it (InvolutionClass.orbit_rows)."""
-    rows = cls.orbit_rows(bits.pack_bool(_power_rows(cls, 0), cls.size))
-    return PairMasks(comm=rows[0], chi=rows[1])
 
 
 def cross_check_rows(cls: InvolutionClass, sets: SeedSets, xs) -> tuple | None:

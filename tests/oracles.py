@@ -8,7 +8,8 @@ writer oracles walk the vertices one at a time, as the library did before
 it moved to a single edge array.  The full generating sets (every
 nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
 scan of all lower unitriangular matrices) must give the same class as the
-library's O(n) sets.
+library's O(n) sets.  carried_rows carries the seed's partner sets to
+every vertex in one dense call, where the library works a block at a time.
 """
 
 import json
@@ -114,6 +115,15 @@ def full_generators(spec) -> list:
     if spec.family == PSU3:
         return [m for m in psu3_unitriangular_scan(spec) if m != identity(3)] + [reversal(3)]
     return generators(spec)
+
+
+def carried_rows(cls, seed) -> np.ndarray:
+    """Packed rows of the relation whose row x is sigma_x(seed), all rows
+    carried at once by InvolutionClass.carry."""
+    v = cls.size
+    mat = np.zeros((v, v), dtype=bool)
+    mat[np.arange(v)[:, None], cls.carry(np.arange(v), seed)] = True
+    return bits.pack_bool(mat, v)
 
 
 def antipodal_classes_two_pass(g: Graph) -> np.ndarray:

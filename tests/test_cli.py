@@ -7,10 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fgl.cli import ANALYSES, main
-from fgl.graphio import read_graph
-from fgl.pipeline import run_verify
-from test_graphio import BAD_GRAPH_JSON
+from fgl.cli import ANALYSES, _partition_for, build_parser, main
+from fgl.graphio import read_graph, write_graph
+from fgl.graphs import Graph
+from fgl.pipeline import CODE_VERSION, run_verify
+from test_graphio import BAD_GRAPH_JSON, json_values
 
 
 def run_cli(*argv):
@@ -90,6 +91,37 @@ def test_report_table_flags_verified(tmp_path, capsys):
     lines = [l for l in out.splitlines() if l.startswith("psl2")]
     assert any("pass" in l for l in lines)
     assert "{4,2,1;1,1,4}" in out
+
+
+def _report_verdicts(cache, capsys):
+    assert run_cli("report", "--psl2-max-n", "2", "--sz-max-n", "3",
+                   "--psu3-max-n", "2", "--cache", cache) == 0
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err
+    return {tuple(l.split()[:2]): l.split()[-1] for l in out.out.splitlines()[2:]}
+
+
+def test_report_marks_cached_certificates_it_cannot_check(tmp_path, capsys):
+    # a pass counts only for a certificate of its row with the predicted array
+    cache = tmp_path / "cache"
+    run_verify("psl2", 2, cache_dir=str(cache))
+    path = cache / f"psl2-n2-v{CODE_VERSION}-report.json"
+    genuine = json.loads(path.read_text())
+    assert _report_verdicts(str(cache), capsys)["psl2", "4"] == "pass"
+    tampered = [("class_size", 16), ("q", 8), ("n", 3), ("family", "sz"),
+                ("schema", "fgl-cert-0")]
+    for key, value in tampered:
+        path.write_text(json.dumps({**genuine, key: value}))
+        assert _report_verdicts(str(cache), capsys)["psl2", "4"] == "unverified", key
+    wrong_array = json.loads(json.dumps(genuine))
+    wrong_array["chi_graph"]["intersection_array"]["b"][1] += 1
+    path.write_text(json.dumps(wrong_array))
+    assert _report_verdicts(str(cache), capsys)["psl2", "4"] == "unverified"
+    for text in ("not json {", "[1, 2]", '{"status": "pass"}', "[" * 100000):
+        path.write_text(text)
+        assert _report_verdicts(str(cache), capsys)["psl2", "4"] == "unverified", text[:10]
+    path.write_text(json.dumps({**genuine, "status": "fail"}))
+    assert _report_verdicts(str(cache), capsys)["psl2", "4"] == "FAIL"
 
 
 def test_export_format_conversion(tmp_path, capsys):
@@ -193,6 +225,25 @@ def test_analyze_ddg_bad_partition_exits_2(tmp_path, capsys, content):
     part.write_text(content)
     assert run_cli("analyze", "--in", path, "--check", "ddg", "--partition", str(part)) == 2
     assert "error reading partition" in capsys.readouterr().err
+
+
+@given(json_values | st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=6))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_partition_fuzz(tmp_path, capsys, obj):
+    # a partition file gives a list of int labels, or analyze exits 2
+    path, part = str(tmp_path / "g.json"), tmp_path / "part.json"
+    write_graph(path, Graph.from_edges(4, [(0, 1), (2, 3)]))
+    part.write_text(json.dumps(obj))
+    argv = ["analyze", "--in", path, "--check", "ddg", "--partition", str(part)]
+    try:
+        labels = _partition_for(build_parser().parse_args(argv))
+    except ValueError:
+        assert run_cli(*argv) == 2
+    else:
+        assert isinstance(labels, list) and all(type(x) is int for x in labels)
+        assert run_cli(*argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_verify_garbage_cache_exits_3(tmp_path, capsys):

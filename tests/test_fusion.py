@@ -132,12 +132,27 @@ def test_deza_certs_match_predictions(psl2_8):
 
 def test_gamma2_mismatch_detectable(psl2_4, monkeypatch):
     # hand the verifier a wrong graph: it must not silently pass
-    import fgl.fusion as fu
-    rows = fu.odd_complement_rows(psl2_4)
-    rows[0] ^= rows[0]  # clear one row on purpose
-    monkeypatch.setattr(fu, "odd_complement_rows", lambda cls: rows)
+    real = build_fusion_graph
+
+    def cleared(cls, pi):
+        g = real(cls, pi)
+        if pi.mode == PiSpec.ODD_COMPLEMENT:
+            g.rows[0] = 0  # clear one row on purpose
+        return g
+    monkeypatch.setitem(globals(), "build_fusion_graph", cleared)
     with pytest.raises(Gamma2Mismatch):
         pi_graph(psl2_4)
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("sz", 3), ("psu3", 2)])
+def test_fusion_graphs_equal_full_order_scan(family, n):
+    # every row carried from vertex 0 against the product orders of all pairs
+    cls = involution_class(make_group(family, n))
+    scan = groups.full_order_scan(cls)
+    assert build_fusion_graph(cls, PiSpec.chi_only()) == graphs.Graph(cls.size, scan.chi)
+    assert build_fusion_graph(cls, PiSpec.odd_complement()) == \
+        graphs.Graph(cls.size, scan.comm | scan.chi).complement()
 
 
 def test_cover_certificate_on_chi_graphs(psl2_8):
@@ -194,7 +209,7 @@ def test_seed_vertex_certificate_rejects_invariant_non_covers(psl2_8, relation, 
     # neighbors; the non-commuting graph has no distance-3 pair
     v = psl2_8.size
     sets = psl2_8.seed_sets()
-    comm = psl2_8.pair_masks().comm
+    comm = psl2_8.order_scan().comm
     nbrs = {"commuting": sets.comm,
             "odd-complement": odd_complement_seed(v, sets),
             "non-commuting": np.setdiff1d(np.arange(1, v), sets.comm)}[relation]
@@ -231,12 +246,17 @@ def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8, monkeypatch)
     assert shuffled[x] != shuffled[0]
 
 
-def test_seed_set_certificate_rejects_an_asymmetric_seed_set(psl2_8):
+def test_seed_set_certificate_rejects_an_asymmetric_seed_set(psl2_8, monkeypatch):
     # one vertex z added to N(0) whose own neighbor set, sigma_z of the
-    # enlarged N(0), does not contain 0; the last such vertex
+    # enlarged N(0), does not contain 0; the last such vertex, also when
+    # N(0) is carried a row at a time
     chi = psl2_8.seed_sets().chi
     z = max(z for z in range(1, psl2_8.size)
             if z not in chi and 0 not in psl2_8.carry([z], np.union1d(chi, [z]))[0])
+    with pytest.raises(NotDistanceRegular) as ei:
+        seed_set_cover3_certificate(psl2_8, np.union1d(chi, [z]))
+    assert ei.value.witness == (0, z)
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", psl2_8.size)
     with pytest.raises(NotDistanceRegular) as ei:
         seed_set_cover3_certificate(psl2_8, np.union1d(chi, [z]))
     assert ei.value.witness == (0, z)

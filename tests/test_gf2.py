@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fgl.gf2 import (DegreeMismatch, DivisionByZero, FieldCtx,
@@ -127,3 +128,27 @@ def test_pow_large_exponent_reduces():
         assert ctx.pow(a, ctx.order - 1 + 7) == ctx.pow(a, 7)
     assert ctx.pow(0, 0) == 1
     assert ctx.pow(0, 5) == 0
+
+
+def _sympy_poly(code: int):
+    from sympy import Poly, symbols
+    return Poly([int(b) for b in bin(code)[2:]], symbols("t"), modulus=2)
+
+
+def _sympy_code(poly) -> int:
+    return int("".join(str(int(c) % 2) for c in poly.all_coeffs()), 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_arithmetic_matches_sympy(n):
+    # an independent GF(2)[t] implementation, reduced modulo the same polynomial
+    ctx = field_ctx(n)
+    m = _sympy_poly(default_modulus(n))
+    rng = np.random.default_rng(n)
+    a = np.concatenate([[0, 1, ctx.order - 1], rng.integers(0, ctx.order, 40)])
+    b = np.concatenate([[ctx.order - 1, 0, 1], rng.integers(0, ctx.order, 40)])
+    want = [_sympy_code((_sympy_poly(x) * _sympy_poly(y)).rem(m)) for x, y in zip(a, b)]
+    assert [ctx.mul(int(x), int(y)) for x, y in zip(a, b)] == want
+    assert ctx.np_mul(a, b).tolist() == want
+    for x in a[a > 0]:
+        assert ctx.inv(int(x)) == _sympy_code(_sympy_poly(int(x)).invert(m))

@@ -9,7 +9,8 @@ from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
                         identity, involution_class, make_group, mat_det,
                         mat_inv_det1, mat_mul, mat_scale, reversal,
                         seed_involution, sylow_partition)
-from oracles import (element_order, full_generators, product_order,
+from fgl.fusion import PiSpec, build_fusion_graph
+from oracles import (carried_rows, element_order, full_generators, product_order,
                      psu3_unitriangular_scan)
 
 
@@ -247,20 +248,20 @@ def test_product_orders_and_masks_agree(psl2_8_class):
     assert got_chi == chi_pairs
 
 
-def test_power_masks_equal_order_masks(sz8_class):
-    masks = gr.power_pair_masks(sz8_class)
+def test_carried_seed_sets_equal_order_masks(sz8_class):
+    sets = sz8_class.seed_sets()
     scan = gr.full_order_scan(sz8_class)
-    assert np.array_equal(masks.comm, scan.comm)
-    assert np.array_equal(masks.chi, scan.chi)
+    assert np.array_equal(carried_rows(sz8_class, sets.comm), scan.comm)
+    assert np.array_equal(carried_rows(sz8_class, sets.chi), scan.chi)
 
 
 def test_pair_predicates_partition_all_pairs(psl2_8_class, sz8_class):
     # equal / commuting / distinguished / odd-other is a partition of pairs
-    from fgl import bits
     for cls in (psl2_8_class, sz8_class):
-        masks = cls.pair_masks()
-        assert not (masks.comm & masks.chi).any()
-        counts = bits.popcount(masks.comm).sum() + bits.popcount(masks.chi).sum()
+        sets = cls.seed_sets()
+        comm, chi = carried_rows(cls, sets.comm), carried_rows(cls, sets.chi)
+        assert not (comm & chi).any()
+        counts = bits.popcount(comm).sum() + bits.popcount(chi).sum()
         scan = cls.order_scan()
         other = sum(c for o, c in scan.census.items() if o not in (2, cls.spec.chi))
         assert counts // 2 + other == cls.size * (cls.size - 1) // 2
@@ -270,13 +271,11 @@ def test_product_order_diagonal_and_commuting(psu3_4_class):
     cls = psu3_4_class
     spec = cls.spec
     assert product_order(spec, 5, 5, cls) == 1
-    from fgl import bits
-    comm = cls.pair_masks().comm
+    scan = cls.order_scan()
     x = 0
-    y = int(bits.indices(comm[x], cls.size)[0])
+    y = int(bits.indices(scan.comm[x], cls.size)[0])
     assert product_order(spec, x, y, cls) == 2
-    chi = cls.pair_masks().chi
-    z = int(bits.indices(chi[x], cls.size)[0])
+    z = int(bits.indices(scan.chi[x], cls.size)[0])
     assert product_order(spec, x, z, cls) == spec.chi
 
 
@@ -311,9 +310,9 @@ def test_orbital_census_equals_full_scan(family, n):
     assert orbital.max_order == scan.max_order
     assert orbital.noncommuting_all_odd == scan.noncommuting_all_odd
     assert orbital.n_pairs == scan.n_pairs == cls.size * (cls.size - 1) // 2
-    masks = gr.power_pair_masks(cls)
-    assert np.array_equal(masks.comm, scan.comm)
-    assert np.array_equal(masks.chi, scan.chi)
+    sets = cls.seed_sets()
+    assert np.array_equal(carried_rows(cls, sets.comm), scan.comm)
+    assert np.array_equal(carried_rows(cls, sets.chi), scan.chi)
 
 
 def test_orbital_census_reports_even_orders(psl2_8_class, monkeypatch):
@@ -372,12 +371,26 @@ def test_carry_follows_the_schreier_tree(psu3_4_class):
     cls = psu3_4_class
     xs = np.array([0, 1, cls.size // 2, cls.size - 1])
     assert np.array_equal(cls.carry(xs, [0])[:, 0], xs)
-    masks = cls.pair_masks()
+    scan = cls.order_scan()
     sets = cls.seed_sets()
     for x, comm, chi in zip(xs, cls.carry(xs, sets.comm), cls.carry(xs, sets.chi)):
-        assert np.array_equal(np.sort(comm), bits.indices(masks.comm[x], cls.size))
-        assert np.array_equal(np.sort(chi), bits.indices(masks.chi[x], cls.size))
+        assert np.array_equal(np.sort(comm), bits.indices(scan.comm[x], cls.size))
+        assert np.array_equal(np.sort(chi), bits.indices(scan.chi[x], cls.size))
     assert cls.carry([], sets.chi).shape == (0, len(sets.chi))
+
+
+def test_carry_blocks_chunk_carry(psu3_4_class, monkeypatch):
+    # the chunks are consecutive, cover xs, and unpack to at most
+    # ROW_BLOCK_BITS entries each
+    cls = psu3_4_class
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1000)
+    xs = np.arange(cls.size)[::-1]
+    chi = cls.seed_sets().chi
+    chunks = list(cls.carry_blocks(xs, chi))
+    assert len(chunks) > 1
+    assert all(len(c) * cls.size <= 1000 for c, _ in chunks)
+    assert np.array_equal(np.concatenate([c for c, _ in chunks]), xs)
+    assert np.array_equal(np.concatenate([im for _, im in chunks]), cls.carry(xs, chi))
 
 
 def test_schreier_tree_spans_the_class(psu3_4_class):
@@ -397,14 +410,14 @@ def test_schreier_tree_spans_the_class(psu3_4_class):
             assert cls.vertex_of(c) == perms[t, i]
 
 
-def test_pair_masks_reject_a_non_member(psl2_8_class):
+def test_fusion_graph_rejects_a_non_member(psl2_8_class):
     codes = psl2_8_class.codes.copy()
     codes[-1] = np.array(((1, 0), (0, 1)), dtype=codes.dtype)
     with pytest.raises(ClassSizeMismatch, match="not closed"):
-        gr.power_pair_masks(gr.InvolutionClass(psl2_8_class.spec, codes))
+        build_fusion_graph(gr.InvolutionClass(psl2_8_class.spec, codes), PiSpec.chi_only())
 
 
-def test_pair_masks_reject_intransitive_generators(psl2_8_class, monkeypatch):
+def test_fusion_graph_rejects_intransitive_generators(psl2_8_class, monkeypatch):
     # the unipotents (a Sylow 2-subgroup) map the class into itself, so the
     # closure check passes, but they move the seed through only q = 8 vertices
     spec = psl2_8_class.spec
@@ -413,7 +426,7 @@ def test_pair_masks_reject_intransitive_generators(psl2_8_class, monkeypatch):
     cls = gr.InvolutionClass(spec, psl2_8_class.codes)
     gr.check_closed_class(cls)
     with pytest.raises(ClassSizeMismatch, match="8 of 63"):
-        gr.power_pair_masks(cls)
+        build_fusion_graph(cls, PiSpec.odd_complement())
 
 
 def test_cross_check_names_a_differing_pair(psl2_8_class):
