@@ -62,10 +62,6 @@ def popcount(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_count(rows).sum(axis=-1, dtype=np.int64)
 
 
-def set_bit(row: np.ndarray, j: int) -> None:
-    row[j >> 6] |= np.uint64(1 << (j & 63))
-
-
 def rows_from_pairs(v: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Symmetric bit-row matrix with bits (i, j) and (j, i) set.
 

@@ -30,14 +30,6 @@ EXIT_USAGE = 2
 EXIT_CONSTRUCTION = 3
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("FGL_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
 def _family_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", required=True, type=int, metavar="N",
@@ -290,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

@@ -128,18 +128,17 @@ def from_json_obj(obj) -> Graph:
         raise GraphParseError(f"vertex count must be an integer, not {type(v).__name__}")
     if v < 0:
         raise GraphParseError("negative vertex count")
-    try:
-        e = np.asarray(edges)
-    except ValueError as err:
-        raise GraphParseError(f"edges are not a list of pairs: {err}") from err
-    if e.shape == (0,):
-        e = e.reshape(0, 2).astype(np.int64)
-    if e.ndim != 2 or e.shape[1] != 2:
-        raise GraphParseError(f"edges must be a list of [i, j] pairs, not shape {e.shape}")
-    # numpy reads true/false among integers as 1/0, so the types are checked too
-    if e.dtype != np.int64 or not {int}.issuperset(
-            map(type, itertools.chain.from_iterable(edges))):
+    if not (type(edges) is list and {list}.issuperset(map(type, edges))
+            and {2}.issuperset(map(len, edges))):
+        raise GraphParseError("edges must be a list of [i, j] pairs")
+    # fromiter would take true/false as 1/0, so the types are checked first
+    endpoints = itertools.chain.from_iterable
+    if not {int}.issuperset(map(type, endpoints(edges))):
         raise GraphParseError("edge endpoints must be integers within int64")
+    try:
+        e = np.fromiter(endpoints(edges), np.int64, count=2 * len(edges)).reshape(-1, 2)
+    except OverflowError as err:
+        raise GraphParseError("edge endpoints must be integers within int64") from err
     try:
         return Graph.from_edges(v, e)
     except ValueError as err:

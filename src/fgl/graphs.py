@@ -2,12 +2,18 @@
 
 Graphs are undirected, loop-free, and stored as packed bit rows (see
 :mod:`fgl.bits`).  The generic certificates (intersection arrays,
-antipodal classes, Deza and divisible-design checks, the recognizers)
-enumerate exhaustively: common-neighbor counts by row-AND + popcount over
-all vertex pairs, distance parameters over all (source, target) pairs.
-So a returned certificate is a proof for the given graph, and failures
-carry a witness.  The fusion graphs of the pipeline are certified from
-vertex 0 instead (fusion.seed_set_cover3_certificate).
+antipodal classes, Deza and divisible-design checks, the common-neighbor
+spectrum) are exhaustive over all vertex pairs, all from one kernel: a
+block of at most bits.ROW_BLOCK_BITS entries of source rows, unpacked to
+0/1 float32, times the unpacked adjacency A.  Common-neighbor counts are
+A[block] @ A; the distance checks search the whole block breadth-first,
+one product per distance layer.  Each count is exact: every partial sum
+is an integer of at most v, and float32 holds every integer below 2^24
+(larger graphs are refused), so no BLAS thread count or summation order
+changes it.  So a returned certificate is a proof for the given graph,
+and failures carry a witness that names a violating pair.  The fusion
+graphs of the pipeline are certified from vertex 0 instead
+(fusion.seed_set_cover3_certificate).
 """
 
 from __future__ import annotations
@@ -18,6 +24,8 @@ import numpy as np
 
 from . import bits
 from .formulas import IntersectionArray
+
+EXACT_LIMIT = 1 << 24  # float32 holds every integer count below this exactly
 
 
 class Disconnected(Exception):
@@ -114,10 +122,9 @@ class Graph:
 
         Rows are unpacked at most bits.ROW_BLOCK_BITS entries at a time.
         """
-        step = max(1, bits.ROW_BLOCK_BITS // max(self.v, 1))
         parts = [np.zeros((0, 2), dtype=np.int64)]
-        for lo in range(0, self.v, step):
-            block = bits.unpack_rows(self.rows[lo:lo + step], self.v)
+        for lo, hi in _row_blocks(self.v):
+            block = bits.unpack_rows(self.rows[lo:hi], self.v)
             i, j = np.nonzero(np.triu(block, lo + 1))
             parts.append(np.stack([i + lo, j], axis=1))
         return np.concatenate(parts, dtype=np.int64)
@@ -152,21 +159,70 @@ class Graph:
 
 def distances_from(g: Graph, src: int) -> np.ndarray:
     """Exact BFS distances from src; unreachable vertices get -1."""
-    v = g.v
-    dist = np.full(v, -1, dtype=np.int32)
+    dist = np.full(g.v, -1, dtype=np.int32)
     dist[src] = 0
-    seen = bits.zero_rows(1, v)[0]
-    bits.set_bit(seen, src)
-    frontier = np.array([src], dtype=np.int64)
-    d = 0
+    frontier, d = np.array([src]), 0
     while frontier.size:
         d += 1
-        nxt = np.bitwise_or.reduce(g.rows[frontier], axis=0)
-        nxt &= ~seen
-        seen |= nxt
-        frontier = bits.indices(nxt, v)
+        reached = bits.unpack_rows(np.bitwise_or.reduce(g.rows[frontier], axis=0), g.v)
+        frontier = np.flatnonzero(reached & (dist < 0))
         dist[frontier] = d
     return dist
+
+
+def _row_blocks(v: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of at most bits.ROW_BLOCK_BITS entries each."""
+    step = max(1, bits.ROW_BLOCK_BITS // max(v, 1))
+    return [(lo, min(lo + step, v)) for lo in range(0, v, step)]
+
+
+def _adjacency(g: Graph) -> np.ndarray:
+    """The 0/1 adjacency matrix in float32, unpacked a row block at a time."""
+    if g.v >= EXACT_LIMIT:
+        raise ValueError(f"{g.v} vertices: float32 counts are exact only below 2^24 vertices")
+    a = np.empty((g.v, g.v), dtype=np.float32)
+    for lo, hi in _row_blocks(g.v):
+        a[lo:hi] = bits.unpack_rows(g.rows[lo:hi], g.v)
+    return a
+
+
+def _common_neighbor_blocks(g: Graph):
+    """Yield (xs, cn, upper) per row block: cn[t, y] = |N(xs[t]) & N(y)|
+    from A[xs] @ A, and upper[t, y] = y > xs[t]."""
+    a = _adjacency(g)
+    for lo, hi in _row_blocks(g.v):
+        xs = np.arange(lo, hi)
+        yield xs, (a[lo:hi] @ a).astype(np.int32), np.arange(g.v) > xs[:, None]
+
+
+def _distance_blocks(g: Graph):
+    """Yield (lo, dist, c, b) per block of sources lo, lo+1, ...: dist[t, y]
+    is the distance from lo + t to y (-1 if unreachable) and, for y at
+    distance i, c[t, y] = |N(y) & D_{i-1}| and b[t, y] = |N(y) & D_{i+1}|.
+
+    N_i = D_i @ A counts N(y) & D_i for each y (N_0 and D_1 are A[block]):
+    it gives c on D_{i+1} and a on D_i, and D_{i+1} is its support outside
+    the layers seen; b = deg - c - a, and 0 on the layer that sees the last
+    vertex.
+    """
+    a = _adjacency(g)
+    deg = g.degrees().astype(np.int32)
+    for lo, hi in _row_blocks(g.v):
+        dist = np.full((hi - lo, g.v), -1, dtype=np.int32)
+        np.fill_diagonal(dist[:, lo:], 0)
+        c, same = np.zeros_like(dist), np.zeros_like(dist)
+        layer, count, i = dist == 0, a[lo:hi], 0
+        while True:
+            nxt = (count > 0) & (dist < 0)
+            np.copyto(c, count, casting="unsafe", where=nxt)
+            np.copyto(same, count, casting="unsafe", where=layer)
+            dist[nxt] = i + 1
+            if not nxt.any() or (dist >= 0).all():
+                break
+            layer, count, i = nxt, (a[lo:hi] if i == 0 else nxt.astype(np.float32)) @ a, i + 1
+        b = deg - c - same
+        b[nxt] = 0
+        yield lo, dist, c, b
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -175,79 +231,68 @@ def distances_from(g: Graph, src: int) -> np.ndarray:
 def intersection_array(g: Graph) -> IntersectionArray:
     """Verify distance-regularity over all vertex pairs and return the array.
 
+    Every source's c and b counts must equal source 0's at each distance.
     Raises NotDistanceRegular with a witness (src, y, parameter, expected,
-    got) on the first violated constancy, Disconnected if not connected.
+    got) at the first violation in source order, Disconnected if not connected.
     """
-    v = g.v
-    if v == 0:
+    if g.v == 0:
         raise Disconnected("empty graph")
-    ref = distances_from(g, 0)
-    if (ref < 0).any():
-        raise Disconnected("graph is not connected")
-    d = int(ref.max())
-    bvals = [None] * (d + 1)
-    cvals = [None] * (d + 1)
-    for src in range(v):
-        dist = distances_from(g, src) if src else ref
-        if (dist < 0).any():
-            raise Disconnected("graph is not connected")
-        if int(dist.max()) != d:
-            raise NotDistanceRegular(
-                f"eccentricity of {src} is {int(dist.max())}, expected {d}",
-                witness=(src, int(dist.argmax())))
-        masks = [bits.pack_bool(dist == i, v) for i in range(d + 1)]
-        for i in range(d + 1):
-            ys = np.nonzero(dist == i)[0]
-            sub = g.rows[ys]
-            for name, store, mask_i in (("c", cvals, i - 1), ("b", bvals, i + 1)):
-                if not (0 <= mask_i <= d):
-                    continue
-                cnt = bits.popcount(sub & masks[mask_i])
-                if cnt.size == 0:
-                    continue
-                first = int(cnt[0])
-                bad = np.nonzero(cnt != first)[0]
-                if bad.size:
-                    y = int(ys[bad[0]])
-                    raise NotDistanceRegular(
-                        f"{name}_{i} not constant: {int(cnt[bad[0]])} vs {first} "
-                        f"(pair {src},{y} at distance {i})",
-                        witness=(src, y, f"{name}{i}", first, int(cnt[bad[0]])))
-                if store[i] is None:
-                    store[i] = first
-                elif store[i] != first:
-                    raise NotDistanceRegular(
-                        f"{name}_{i} differs between sources: {first} vs {store[i]}",
-                        witness=(src, int(ys[0]), f"{name}{i}", store[i], first))
-    return IntersectionArray(b=tuple(bvals[:d]), c=tuple(cvals[1:]))
+    for lo, dist, c, b in _distance_blocks(g):
+        if lo == 0:
+            if (dist[0] < 0).any():
+                raise Disconnected("graph is not connected")
+            d = int(dist[0].max())
+            firsts = np.unique(dist[0], return_index=True)[1]
+            c0, b0 = c[0, firsts], b[0, firsts]
+        at = np.minimum(dist, d)
+        bad = (dist.max(axis=1) != d) | ((c != c0[at]) | (b != b0[at])).any(axis=1)
+        if bad.any():
+            t = int(np.argmax(bad))
+            raise _drg_violation(lo + t, dist[t], c[t], b[t], c0, b0, d)
+    return IntersectionArray(b=tuple(map(int, b0[:d])), c=tuple(map(int, c0[1:])))
+
+
+def _drg_violation(src: int, dist, c, b, c0, b0, d: int) -> NotDistanceRegular:
+    """The first violation at a failing source: its eccentricity, then per
+    distance i the c and then the b counts, constancy before source 0's value."""
+    if dist.max() != d:
+        return NotDistanceRegular(f"eccentricity of {src} is {int(dist.max())}, expected {d}",
+                                  witness=(src, int(dist.argmax())))
+    for i in range(d + 1):
+        ys = np.nonzero(dist == i)[0]
+        for name, cnt, want in (("c", c, int(c0[i])), ("b", b, int(b0[i]))):
+            first, bad = int(cnt[ys[0]]), ys[cnt[ys] != cnt[ys[0]]]
+            if bad.size:
+                y, got = int(bad[0]), int(cnt[bad[0]])
+                return NotDistanceRegular(
+                    f"{name}_{i} not constant: {got} vs {first} (pair {src},{y} at distance {i})",
+                    witness=(src, y, f"{name}{i}", first, got))
+            if first != want:
+                return NotDistanceRegular(f"{name}_{i} differs between sources: {first} vs {want}",
+                                          witness=(src, int(ys[0]), f"{name}{i}", want, first))
 
 
 def antipodal_classes(g: Graph) -> np.ndarray:
     """Class labels of the distance-{0, d} relation; NotAntipodal with witness.
 
-    One BFS per source records its eccentricity and the row of its vertices
-    at that distance; a source whose eccentricity is below the diameter d
-    relates only to itself.
+    A source relates to the vertices at its eccentricity, or only to itself
+    if that is below the diameter d.
     """
-    v = g.v
-    if v == 0:
+    if g.v == 0:
         raise Disconnected("empty graph")
-    ecc = np.zeros(v, dtype=np.int64)
-    far = bits.zero_rows(v, v)
-    for src in range(v):
-        dist = distances_from(g, src)
-        if (dist < 0).any():
-            if src == 0:
-                raise Disconnected(f"vertex {int(np.nonzero(dist < 0)[0][0])} unreachable from 0")
-            raise Disconnected(f"vertex unreachable from {src}")
-        ecc[src] = dist.max()
-        sel = dist == ecc[src]
-        sel[src] = True
-        far[src] = bits.pack_bool(sel, v)
+    ecc, far = np.zeros(g.v, dtype=np.int64), bits.zero_rows(g.v, g.v)
+    for lo, dist, _, _ in _distance_blocks(g):
+        if lo == 0 and (dist[0] < 0).any():
+            raise Disconnected(f"vertex {int(np.argmax(dist[0] < 0))} unreachable from 0")
+        hi = lo + len(dist)
+        ecc[lo:hi] = dist.max(axis=1)
+        sel = dist == ecc[lo:hi, None]
+        np.fill_diagonal(sel[:, lo:], True)
+        far[lo:hi] = bits.pack_bool(sel, g.v)
     d = int(ecc.max())
     short = ecc < d
-    far[short] = bits.identity(v)[short]
-    labels, witness = bits.equivalence_classes(far, v)
+    far[short] = bits.identity(g.v)[short]
+    labels, witness = bits.equivalence_classes(far, g.v)
     if witness:
         x, y, z = witness
         raise NotAntipodal(
@@ -255,42 +300,21 @@ def antipodal_classes(g: Graph) -> np.ndarray:
     return labels
 
 
-# -- common-neighbor machinery ---------------------------------------------
+# -- common-neighbor certificates --------------------------------------------
 
 
-def iter_common_neighbor_counts(g: Graph, chunk: int = 8192):
-    """Yield (x, counts) where counts[t] = |N(x) & N(y)| for y = x+1+t.
-
-    Works in fixed-size chunks with preallocated buffers; the all-pairs
-    passes are memory-bandwidth bound, so temporaries are kept small.
-    """
-    rows = g.rows
-    v, w = g.v, rows.shape[1]
-    andbuf = np.empty((chunk, w), dtype=rows.dtype)
-    cntbuf = np.empty((chunk, w), dtype=np.uint8)
-    for x in range(v - 1):
-        counts = np.empty(v - x - 1, dtype=np.int64)
-        row = rows[x]
-        for lo in range(x + 1, v, chunk):
-            hi = min(lo + chunk, v)
-            m = hi - lo
-            np.bitwise_and(row, rows[lo:hi], out=andbuf[:m])
-            np.bitwise_count(andbuf[:m], out=cntbuf[:m], casting="unsafe")
-            counts[lo - x - 1 : hi - x - 1] = cntbuf[:m].sum(axis=1, dtype=np.int64)
-        yield x, counts
+def _census(counts: np.ndarray) -> dict[int, int]:
+    """{value: count} over the nonzero entries of a bincount."""
+    nz = np.flatnonzero(counts)
+    return dict(zip(nz.tolist(), counts[nz].tolist()))
 
 
 def common_neighbor_spectrum(g: Graph) -> dict[int, int]:
     """Census {count: number of unordered distinct pairs realizing it}."""
-    acc = np.zeros(1, dtype=np.int64)
-    for _, cn in iter_common_neighbor_counts(g):
-        if cn.size == 0:
-            continue
-        m = int(cn.max()) + 1
-        if m > acc.size:
-            acc = np.concatenate([acc, np.zeros(m - acc.size, dtype=np.int64)])
-        acc += np.bincount(cn, minlength=acc.size)
-    return {int(c): int(n) for c, n in enumerate(acc) if n}
+    acc = np.zeros(g.v + 1, dtype=np.int64)
+    for _, cn, upper in _common_neighbor_blocks(g):
+        acc += np.bincount(cn[upper], minlength=g.v + 1)
+    return _census(acc)
 
 
 @dataclass(frozen=True)
@@ -336,48 +360,40 @@ class DdgCert:
 
 def deza_check(g: Graph) -> DezaCert:
     """Exhaustive Deza certificate; raises NotRegular / MoreThanTwoValues."""
-    k = g.valency()
-    v = g.v
-    values: list[int] = []
-    edge_vals: set[int] = set()
-    nonedge_vals: set[int] = set()
-    spectrum: dict[int, int] = {}
-    diam2 = v > 1
-    for x, cn in iter_common_neighbor_counts(g):
-        adj = bits.unpack_rows(g.rows[x], v)[x + 1:]
-        for val in np.unique(cn[adj]):
-            edge_vals.add(int(val))
-        non = cn[~adj]
-        for val in np.unique(non):
-            nonedge_vals.add(int(val))
-        if (non == 0).any():
-            diam2 = False
-        for val, cnt in zip(*np.unique(cn, return_counts=True)):
-            val = int(val)
-            spectrum[val] = spectrum.get(val, 0) + int(cnt)
-            if val not in values:
-                values.append(val)
-                if len(values) > 2:
-                    y = x + 1 + int(np.nonzero(cn == val)[0][0])
-                    raise MoreThanTwoValues(
-                        f"third common-neighbor value {val} at pair ({x},{y}); "
-                        f"already saw {sorted(values[:2])}",
-                        witness=(x, y, sorted(values)))
-    if not values:
-        values = [0]
-    a = min(values)
-    b = max(values)
-    complete = (k == v - 1)
-    is_strict = diam2 and not complete and a != b
-    is_edge_regular = len(edge_vals) <= 1
-    is_sr = is_edge_regular and len(nonedge_vals) <= 1
-    return DezaCert(v=v, k=k, b=b, a=a, is_strict=is_strict,
-                    is_edge_regular=is_edge_regular, is_strongly_regular=is_sr,
-                    spectrum=spectrum)
+    k, v = g.valency(), g.v
+    joint = np.zeros((v + 1, 2), dtype=np.int64)  # pairs x < y by count and adjacency
+    seen = np.zeros(0, dtype=np.int64)
+    for xs, cn, upper in _common_neighbor_blocks(g):
+        vals = cn[upper]
+        joint += np.bincount(2 * vals + bits.unpack_rows(g.rows[xs], v)[upper],
+                             minlength=2 * v + 2).reshape(-1, 2)
+        found = np.flatnonzero(joint.sum(axis=1))
+        if found.size > 2:  # the third value met, in order of first row, then value
+            rows, cols = np.nonzero(upper)
+            new, at = np.unique(vals, return_index=True)
+            at = at[~np.isin(new, seen)]
+            at = at[np.lexsort((vals[at], rows[at]))]
+            values = seen.tolist() + vals[at].tolist()
+            x, y = int(xs[rows[at[2 - seen.size]]]), int(cols[at[2 - seen.size]])
+            raise MoreThanTwoValues(
+                f"third common-neighbor value {values[2]} at pair ({x},{y}); "
+                f"already saw {sorted(values[:2])}", witness=(x, y, sorted(values[:3])))
+        seen = found
+    a, b = (int(seen.min()), int(seen.max())) if seen.size else (0, 0)
+    diam2 = v > 1 and not joint[0, 0]
+    edge_regular, nonedge_regular = (int(np.count_nonzero(joint[:, j])) <= 1 for j in (1, 0))
+    return DezaCert(v=v, k=k, b=b, a=a, is_strict=diam2 and k != v - 1 and a != b,
+                    is_edge_regular=edge_regular,
+                    is_strongly_regular=edge_regular and nonedge_regular,
+                    spectrum=_census(joint.sum(axis=1)))
 
 
 def ddg_check(g: Graph, labels) -> DdgCert:
-    """Verify common-neighbor counts depend only on same-class vs cross-class."""
+    """Verify common-neighbor counts depend only on same-class vs cross-class.
+
+    A failure names the first row x whose within-class (then cross-class)
+    counts are not all the first such row's value, at its first such pair.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.v,) or not g.v:
         raise PartitionNotUniform("labels must assign a class to every vertex, of at least one")
@@ -385,27 +401,25 @@ def ddg_check(g: Graph, labels) -> DdgCert:
     if (sizes != sizes[0]).any():
         raise PartitionNotUniform(f"class sizes differ: {sorted(set(map(int, sizes)))}")
     g.valency()
-    lam_w = None
-    lam_c = None
-    for x, cn in iter_common_neighbor_counts(g):
-        same = labels[x + 1:] == labels[x]
-        for sel, name, cur in ((same, "within", lam_w), (~same, "cross", lam_c)):
-            vals = np.unique(cn[sel])
-            if vals.size > 1 or (cur is not None and vals.size and int(vals[0]) != cur):
-                got = sorted(set(map(int, vals)) | ({cur} if cur is not None else set()))
-                y = x + 1 + int(np.nonzero(sel)[0][0])
-                raise MoreThanTwoValues(
-                    f"{name}-class common-neighbor count not constant: {got}",
-                    witness=(x, y, got))
-            if vals.size and cur is None:
-                if name == "within":
-                    lam_w = int(vals[0])
-                else:
-                    lam_c = int(vals[0])
-    if lam_w is None or lam_c is None:
+    lam, sels, bad = {}, {}, {}
+    for xs, cn, upper in _common_neighbor_blocks(g):
+        same = labels[xs, None] == labels
+        for name, sel in (("within", upper & same), ("cross", upper & ~same)):
+            sels[name], has = sel, sel.any(axis=1)
+            lo = np.where(sel, cn, np.iinfo(np.int32).max).min(axis=1)
+            if has.any():
+                lam.setdefault(name, int(lo[np.argmax(has)]))
+            bad[name] = has & ((lo != np.where(sel, cn, -1).max(axis=1)) | (lo != lam.get(name)))
+        if (bad["within"] | bad["cross"]).any():
+            t = int(np.argmax(bad["within"] | bad["cross"]))
+            name = "within" if bad["within"][t] else "cross"
+            got = sorted(set(cn[t][sels[name][t]].tolist()) | {lam[name]})
+            raise MoreThanTwoValues(f"{name}-class common-neighbor count not constant: {got}",
+                                    witness=(int(xs[t]), int(np.argmax(sels[name][t])), got))
+    if len(lam) < 2:
         raise PartitionNotUniform("partition admits no within- or no cross-class pair")
     return DdgCert(m=int(classes.size), r=int(sizes[0]),
-                   lambda_within=lam_w, lambda_cross=lam_c)
+                   lambda_within=lam["within"], lambda_cross=lam["cross"])
 
 
 # -- component / structure recognizers --------------------------------------

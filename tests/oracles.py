@@ -10,6 +10,9 @@ nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
 scan of all lower unitriangular matrices) must give the same class as the
 library's O(n) sets.  carried_rows carries the seed's partner sets to
 every vertex in one dense call, where the library works a block at a time.
+The per-source and per-row certificates (one BFS per source, one
+row-AND + popcount pass per vertex) are the references for the library's
+blocked adjacency products.
 """
 
 import json
@@ -19,9 +22,9 @@ import numpy as np
 
 from fgl import bits
 from fgl.formulas import PSU3, SZ, IntersectionArray
-from fgl.graphs import (Disconnected, Graph, NotAntipodal, NotDistanceRegular,
-                        NotRegular, connected_components, distances_from,
-                        iter_common_neighbor_counts)
+from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValues,
+                        NotAntipodal, NotDistanceRegular, NotRegular,
+                        PartitionNotUniform, connected_components, distances_from)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
                         check_group_form, generators, identity, mat_mul, reversal,
                         scalar_code)
@@ -56,8 +59,141 @@ def json_dumps_graph(g: Graph) -> str:
     return json.dumps({"v": g.v, "edges": [[i, j] for i, j in edge_list(g)]})
 
 
+def iter_common_neighbor_counts(g: Graph, chunk: int = 8192):
+    """Yield (x, counts) where counts[t] = |N(x) & N(y)| for y = x+1+t, by
+    row-AND + popcount, one row x at a time."""
+    rows = g.rows
+    v, w = g.v, rows.shape[1]
+    andbuf = np.empty((chunk, w), dtype=rows.dtype)
+    cntbuf = np.empty((chunk, w), dtype=np.uint8)
+    for x in range(v - 1):
+        counts = np.empty(v - x - 1, dtype=np.int64)
+        row = rows[x]
+        for lo in range(x + 1, v, chunk):
+            hi = min(lo + chunk, v)
+            m = hi - lo
+            np.bitwise_and(row, rows[lo:hi], out=andbuf[:m])
+            np.bitwise_count(andbuf[:m], out=cntbuf[:m], casting="unsafe")
+            counts[lo - x - 1 : hi - x - 1] = cntbuf[:m].sum(axis=1, dtype=np.int64)
+        yield x, counts
+
+
+def intersection_array_per_source(g: Graph) -> IntersectionArray:
+    """graphs.intersection_array with one BFS per source."""
+    v = g.v
+    if v == 0:
+        raise Disconnected("empty graph")
+    ref = distances_from(g, 0)
+    if (ref < 0).any():
+        raise Disconnected("graph is not connected")
+    d = int(ref.max())
+    bvals = [None] * (d + 1)
+    cvals = [None] * (d + 1)
+    for src in range(v):
+        dist = distances_from(g, src) if src else ref
+        if int(dist.max()) != d:
+            raise NotDistanceRegular(
+                f"eccentricity of {src} is {int(dist.max())}, expected {d}",
+                witness=(src, int(dist.argmax())))
+        masks = [bits.pack_bool(dist == i, v) for i in range(d + 1)]
+        for i in range(d + 1):
+            ys = np.nonzero(dist == i)[0]
+            sub = g.rows[ys]
+            for name, store, mask_i in (("c", cvals, i - 1), ("b", bvals, i + 1)):
+                if not (0 <= mask_i <= d):
+                    continue
+                cnt = bits.popcount(sub & masks[mask_i])
+                first = int(cnt[0])
+                bad = np.nonzero(cnt != first)[0]
+                if bad.size:
+                    y = int(ys[bad[0]])
+                    raise NotDistanceRegular(
+                        f"{name}_{i} not constant: {int(cnt[bad[0]])} vs {first} "
+                        f"(pair {src},{y} at distance {i})",
+                        witness=(src, y, f"{name}{i}", first, int(cnt[bad[0]])))
+                if store[i] is None:
+                    store[i] = first
+                elif store[i] != first:
+                    raise NotDistanceRegular(
+                        f"{name}_{i} differs between sources: {first} vs {store[i]}",
+                        witness=(src, int(ys[0]), f"{name}{i}", store[i], first))
+    return IntersectionArray(b=tuple(bvals[:d]), c=tuple(cvals[1:]))
+
+
+def common_neighbor_spectrum_per_row(g: Graph) -> dict[int, int]:
+    """graphs.common_neighbor_spectrum, one row at a time."""
+    out: dict[int, int] = {}
+    for _, cn in iter_common_neighbor_counts(g):
+        for val, cnt in zip(*np.unique(cn, return_counts=True)):
+            out[int(val)] = out.get(int(val), 0) + int(cnt)
+    return dict(sorted(out.items()))
+
+
+def deza_check_per_row(g: Graph) -> DezaCert:
+    """graphs.deza_check, one row at a time; a third value is the first met
+    in row order, the values of one row in increasing order."""
+    k = g.valency()
+    v = g.v
+    values: list[int] = []
+    edge_vals: set[int] = set()
+    nonedge_vals: set[int] = set()
+    diam2 = v > 1
+    for x, cn in iter_common_neighbor_counts(g):
+        adj = bits.unpack_rows(g.rows[x], v)[x + 1:]
+        edge_vals.update(map(int, cn[adj]))
+        nonedge_vals.update(map(int, cn[~adj]))
+        if (cn[~adj] == 0).any():
+            diam2 = False
+        for val in map(int, np.unique(cn)):
+            if val not in values:
+                values.append(val)
+                if len(values) > 2:
+                    y = x + 1 + int(np.nonzero(cn == val)[0][0])
+                    raise MoreThanTwoValues(
+                        f"third common-neighbor value {val} at pair ({x},{y}); "
+                        f"already saw {sorted(values[:2])}",
+                        witness=(x, y, sorted(values)))
+    a, b = min(values, default=0), max(values, default=0)
+    is_edge_regular = len(edge_vals) <= 1
+    return DezaCert(v=v, k=k, b=b, a=a, is_strict=diam2 and k != v - 1 and a != b,
+                    is_edge_regular=is_edge_regular,
+                    is_strongly_regular=is_edge_regular and len(nonedge_vals) <= 1,
+                    spectrum=common_neighbor_spectrum_per_row(g))
+
+
+def ddg_check_per_row(g: Graph, labels) -> DdgCert:
+    """graphs.ddg_check, one row at a time."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != (g.v,) or not g.v:
+        raise PartitionNotUniform("labels must assign a class to every vertex, of at least one")
+    classes, sizes = np.unique(labels, return_counts=True)
+    if (sizes != sizes[0]).any():
+        raise PartitionNotUniform(f"class sizes differ: {sorted(set(map(int, sizes)))}")
+    g.valency()
+    lam = {"within": None, "cross": None}
+    for x, cn in iter_common_neighbor_counts(g):
+        same = labels[x + 1:] == labels[x]
+        for sel, name in ((same, "within"), (~same, "cross")):
+            vals = set(map(int, cn[sel]))
+            cur = lam[name]
+            if len(vals) > 1 or (cur is not None and vals and vals != {cur}):
+                got = sorted(vals | ({cur} if cur is not None else set()))
+                y = x + 1 + int(np.nonzero(sel)[0][0])
+                raise MoreThanTwoValues(
+                    f"{name}-class common-neighbor count not constant: {got}",
+                    witness=(x, y, got))
+            if vals and cur is None:
+                lam[name] = vals.pop()
+    if lam["within"] is None or lam["cross"] is None:
+        raise PartitionNotUniform("partition admits no within- or no cross-class pair")
+    return DdgCert(m=int(classes.size), r=int(sizes[0]),
+                   lambda_within=lam["within"], lambda_cross=lam["cross"])
+
+
 def diameter(g: Graph) -> int:
     """Largest eccentricity, one BFS per source."""
+    if g.v == 0:
+        raise Disconnected("empty graph")
     dist = distances_from(g, 0)
     if (dist < 0).any():
         raise Disconnected(f"vertex {int(np.nonzero(dist < 0)[0][0])} unreachable from 0")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fgl
 from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
 from fgl.graphs import Graph
@@ -208,6 +210,67 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "psl2" in proc.stdout
+
+
+def _construct_psl2_8(tmp_path, pi):
+    path = str(tmp_path / f"{pi}.json")
+    assert run_cli("construct", "--family", "psl2", "--n", "3", "--pi", pi, "--out", path) == 0
+    return path
+
+
+def _analyze_subprocess(path, threads):
+    src = os.path.dirname(os.path.dirname(fgl.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
+               PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fgl.cli", "analyze", "--in", path,
+         "--check", "drg,antipodal,deza,spectrum"],
+        capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("pi", ["chi", "odd-complement"])
+def test_analyze_output_does_not_depend_on_blas_threads(tmp_path, capsys, pi):
+    # the products count exactly, so the BLAS thread count cannot change a byte
+    path = _construct_psl2_8(tmp_path, pi)
+    capsys.readouterr()
+    assert _analyze_subprocess(path, 1) == _analyze_subprocess(path, 2)
+
+
+def _flip_first_edge(path):
+    obj = json.loads(open(path).read())
+    obj["edges"] = obj["edges"][1:]
+    flipped = path.replace(".json", "-flipped.json")
+    with open(flipped, "w") as f:
+        json.dump(obj, f)
+    return flipped
+
+
+def _analyze(path, check, capsys):
+    assert run_cli("analyze", "--in", path, "--check", check) == 0
+    return json.loads(capsys.readouterr().out)[check]
+
+
+def test_analyze_catches_one_flipped_chi_edge(tmp_path, capsys):
+    path = _construct_psl2_8(tmp_path, "chi")
+    flipped = _flip_first_edge(path)
+    capsys.readouterr()
+    assert _analyze(path, "drg", capsys)["distance_regular"] is True
+    assert _analyze(path, "antipodal", capsys)["antipodal"] is True
+    for check, key in (("drg", "distance_regular"), ("antipodal", "antipodal")):
+        cert = _analyze(flipped, check, capsys)
+        assert cert[key] is False and cert["witness"]
+
+
+def test_analyze_catches_one_flipped_odd_complement_edge(tmp_path, capsys):
+    path = _construct_psl2_8(tmp_path, "odd-complement")
+    flipped = _flip_first_edge(path)
+    capsys.readouterr()
+    assert _analyze(path, "deza", capsys) == {"v": 63, "k": 48, "b": 40, "a": 36, "strict": True,
+                                             "edge_regular": True, "strongly_regular": False}
+    cert = _analyze(flipped, "deza", capsys)
+    assert cert["deza"] is False and cert["error"]
 
 
 def test_usage_error_exit_code():

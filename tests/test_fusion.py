@@ -8,7 +8,8 @@ from fgl.fusion import (PiSpec, build_fusion_graph, odd_complement_seed,
 from fgl.graphs import (NotAntipodal, NotDistanceRegular, deza_check,
                         recognize_clique_union, recognize_complete_multipartite)
 from fgl.groups import involution_class, make_group, sylow_partition
-from oracles import antipodal_cover3_certificate, diameter, distance_power
+from oracles import (antipodal_cover3_certificate, diameter, distance_power,
+                     iter_common_neighbor_counts)
 
 
 # -- oracles: graph builders with the distance-power identities asserted ------
@@ -59,7 +60,7 @@ def common_neighbor_graph(g: graphs.Graph, c: int) -> graphs.Graph:
     """Graph joining distinct vertices with exactly c common neighbors in g."""
     v = g.v
     up = bits.zero_rows(v, v)
-    for x, cn in graphs.iter_common_neighbor_counts(g):
+    for x, cn in iter_common_neighbor_counts(g):
         sel = np.concatenate([np.zeros(x + 1, dtype=bool), cn == c])
         up[x] = bits.pack_bool(sel, v)
     return graphs.Graph(v, up | bits.transpose(up, v))

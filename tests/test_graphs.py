@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fgl import bits, fusion, graphs, groups
 from fgl.formulas import IntersectionArray
 from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
                         NotDistanceRegular, NotRegular, PartitionNotUniform,
@@ -12,7 +15,9 @@ from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
                         recognize_clique_union, recognize_complete_multipartite)
 from oracles import (InvalidDistanceSet, NotEdgeRegular,
                      antipodal_classes_two_pass, antipodal_cover3_certificate, clique_union_per_vertex,
-                     diameter, distance_power, edge_regular_lambda)
+                     common_neighbor_spectrum_per_row, ddg_check_per_row, deza_check_per_row,
+                     diameter, distance_power, edge_regular_lambda,
+                     intersection_array_per_source)
 
 
 def complete_graph(v):
@@ -289,3 +294,144 @@ def test_equivalence_classes_labels_and_witness():
     rel = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
     labels, witness = bits.equivalence_classes(bits.pack_bool(rel), 3)
     assert labels is None and witness == (0, 1, 2)
+
+
+# -- the blocked product kernel against the per-vertex oracles ------------------
+
+CHECK_ERRORS = (Disconnected, NotDistanceRegular, NotAntipodal, NotRegular,
+                MoreThanTwoValues, PartitionNotUniform)
+
+
+def _result(f, *args):
+    """A check's value, or its exception's class, message and witness."""
+    try:
+        out = f(*args)
+    except CHECK_ERRORS as e:
+        return type(e).__name__, str(e), getattr(e, "witness", None)
+    return out.tolist() if isinstance(out, np.ndarray) else out
+
+
+def _cn(g, x, y):
+    return len(set(g.neighbors(x).tolist()) & set(g.neighbors(y).tolist()))
+
+
+def _layer_count(g, src, y, name):
+    """c: neighbors of y one step nearer to src; b: one step farther."""
+    dist = distances_from(g, src)
+    step = -1 if name == "c" else 1
+    return int(np.count_nonzero(dist[g.neighbors(y)] == dist[y] + step))
+
+
+def _assert_drg_witness(g, witness):
+    if len(witness) == 2:  # eccentricity differs from vertex 0's
+        src, y = witness
+        dist = distances_from(g, src)
+        assert dist[y] == dist.max() != distances_from(g, 0).max()
+        return
+    src, y, param, expected, got = witness
+    name, i = param[0], int(param[1:])
+    assert distances_from(g, src)[y] == i
+    assert _layer_count(g, src, y, name) == got != expected
+    # the expected value is realized at distance i, at src itself or at vertex 0
+    assert any(_layer_count(g, s, z, name) == expected
+               for s in {0, src} for z in np.nonzero(distances_from(g, s) == i)[0])
+
+
+def _assert_antipodal_witness(g, witness):
+    x, y, z = witness
+    d = diameter(g)
+
+    def related(a, b):
+        return a == b or distances_from(g, a)[b] == d
+    assert related(x, y) and related(x, z) != related(y, z)
+
+
+def _assert_cn_witness(g, witness, labels=None):
+    x, y, values = witness
+    assert x < y and _cn(g, x, y) in values and len(values) == len(set(values)) >= 2
+    same = labels is not None and labels[x] == labels[y]
+    realized = {_cn(g, a, b) for a in range(g.v) for b in range(a + 1, g.v)
+                if labels is None or (labels[a] == labels[b]) == same}
+    assert set(values) <= realized
+    if labels is None:
+        assert len(values) == 3
+
+
+def _circulant(v, rng, p):
+    """Regular, vertex-transitive: DRG, Deza or three-valued by the draw."""
+    conn = rng.random(v) < p
+    conn = (conn | conn[(-np.arange(v)) % v]) & (np.arange(v) > 0)
+    return conn[(np.arange(v)[None, :] - np.arange(v)[:, None]) % v]
+
+
+@st.composite
+def oracle_cases(draw):
+    v = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["random", "circulant", "copies", "flipped"]))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    divisors = [m for m in range(1, v + 1) if v % m == 0] or [1]
+    if kind == "random":  # mostly irregular
+        mat = rng.random((v, v)) < p
+    elif kind == "copies":  # regular and disconnected
+        m = draw(st.sampled_from(divisors))
+        mat = np.kron(np.eye(v // m, dtype=bool), _circulant(min(m, v), rng, p)).reshape(v, v)
+    else:
+        mat = _circulant(v, rng, p)
+    mat = np.triu(mat, 1)
+    if kind == "flipped" and v > 1:  # one edge off a regular graph
+        i, j = sorted(rng.choice(v, 2, replace=False))
+        mat[i, j] = not mat[i, j]
+    m = draw(st.sampled_from(divisors))
+    labels = np.arange(v) % m if draw(st.booleans()) else rng.permutation(np.arange(v) % m)
+    return Graph.from_bool(mat | mat.T), labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_product_kernel_checks_equal_per_vertex_oracles(case):
+    g, labels = case
+    for check, oracle, args in (
+            (intersection_array, intersection_array_per_source, (g,)),
+            (antipodal_classes, antipodal_classes_two_pass, (g,)),
+            (deza_check, deza_check_per_row, (g,)),
+            (ddg_check, ddg_check_per_row, (g, labels)),
+            (common_neighbor_spectrum, common_neighbor_spectrum_per_row, (g,))):
+        got = _result(check, *args)
+        assert got == _result(oracle, *args), check.__name__
+        if not (isinstance(got, tuple) and got[2]):
+            continue
+        kind, witness = got[0], got[2]
+        if kind == "NotDistanceRegular":
+            _assert_drg_witness(g, witness)
+        elif kind == "NotAntipodal":
+            _assert_antipodal_witness(g, witness)
+        else:
+            _assert_cn_witness(g, witness, labels if check is ddg_check else None)
+    assert common_neighbor_spectrum(g) == spectrum_oracle(g)
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 4), ("psu3", 2)])
+def test_fusion_graph_checks_in_small_blocks(family, n, monkeypatch):
+    # a few rows per product block give the oracles' results, failures included
+    cls = groups.involution_class(groups.make_group(family, n))
+    labels = cls.sylow_labels()
+    cases = [(g, labels) for g in (fusion.build_fusion_graph(cls, fusion.PiSpec.chi_only()),
+                                   fusion.build_fusion_graph(cls, fusion.PiSpec.odd_complement()))]
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1 << 10)
+    assert max(hi - lo for lo, hi in graphs._row_blocks(cls.size)) < cls.size // 8
+    for g, labels in cases:
+        for check, oracle, args in (
+                (intersection_array, intersection_array_per_source, (g,)),
+                (antipodal_classes, antipodal_classes_two_pass, (g,)),
+                (deza_check, deza_check_per_row, (g,)),
+                (ddg_check, ddg_check_per_row, (g, labels)),
+                (common_neighbor_spectrum, common_neighbor_spectrum_per_row, (g,))):
+            assert _result(check, *args) == _result(oracle, *args), check.__name__
+
+
+def test_product_kernel_refuses_inexact_sizes(monkeypatch):
+    monkeypatch.setattr(graphs, "EXACT_LIMIT", 8)
+    with pytest.raises(ValueError, match="exact only below"):
+        common_neighbor_spectrum(cycle(8))
+    assert common_neighbor_spectrum(cycle(7)) == {0: 14, 1: 7}
