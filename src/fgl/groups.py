@@ -19,9 +19,14 @@ them reaches every vertex from the seed (the transitivity proof), and the
 generators on the tree path to x compose to a conjugation sigma_x with
 sigma_x(0) = x (InvolutionClass.carry).  Conjugation preserves product
 orders, so every product-order fact is one about vertex 0: the order census
-is v/2 times the seed's (orbital_order_census), the commuting and
-distinguished partners of x are sigma_x of the seed's (power_seed_sets),
-and the commuting classes are the orbit of one block (sylow_partition).  A
+is v/2 times the seed's row, the commuting and distinguished partners of x
+are sigma_x of the seed's (power_seed_sets), and the commuting classes are
+the orbit of one block (sylow_partition).  The row itself is constant on
+the suborbits, the orbits of vertex 0's stabiliser, whose Schreier
+generators sigma_g(u)^-1 g sigma_u the tree also yields
+(stabiliser_suborbits), so the census takes one product per suborbit
+(orbital_order_census): 2q - 2 of them on every instance the tests
+cover, against v - 1 products.  A
 class read from elsewhere is accepted only after check_closed_class
 re-proves that it is this orbit, in one pass that yields the same
 permutations.  Graph construction carries vertex 0's partner sets the same
@@ -36,6 +41,7 @@ reference path.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +88,10 @@ class NotAnEquivalence(RuntimeError):
 
 class SylowCountMismatch(RuntimeError):
     pass
+
+
+class NotInStabiliser(RuntimeError):
+    """A permutation offered as one of vertex 0's stabiliser moves vertex 0."""
 
 
 # -- dense matrices over a field context -------------------------------------
@@ -570,6 +580,20 @@ class InvolutionClass:
             images = flat[offset[up][:, None] + images]
         return images
 
+    def sigma(self, x: int) -> np.ndarray:
+        """sigma_x as an array over all vertices, carry([x], range(v))[0],
+        walked one tree edge at a time."""
+        parent, _, _ = self.schreier_tree()
+        flat, offset = self.tree_steps()
+        steps = []
+        while x:
+            steps.append(offset[x])
+            x = parent[x]
+        images = np.arange(self.size, dtype=flat.dtype)
+        for step in reversed(steps):  # the generator nearest the root acts first
+            images = flat[step + images]
+        return images
+
     def carry_blocks(self, xs, seed):
         """carry(xs, seed) as (xs_chunk, images) over consecutive chunks of
         xs, each of bits.ROW_BLOCK_BITS // v vertices: a chunk's images, or
@@ -730,6 +754,91 @@ def schreier_tree(perms: np.ndarray):
         raise ClassSizeMismatch(f"the generators carry the seed to "
                                 f"{int((parent >= 0).sum())} of {v} vertices")
     return parent, label, levels
+
+
+def schreier_generators(cls: InvolutionClass):
+    """Permutations s = sigma_g(u)^-1 o g o sigma_u of vertex 0's stabiliser,
+    one for each vertex u and generator g, less the identities.  The u run
+    k * stride mod v for k = 0 .. v - 1, stride the integer nearest v / phi^2
+    that is prime to v, so that every vertex comes once and consecutive
+    ones lie far apart.
+
+    sigma_x is the generators' composite along the Schreier tree
+    (InvolutionClass.sigma), so s(0) = 0, and s is conjugation by an
+    element commuting with vertex 0's involution.  By Schreier's lemma all
+    of them generate the stabiliser.  A tree edge gives the identity, so it
+    is skipped before any sigma is walked: g is the edge into g(u)
+    (sigma_g(u) = g o sigma_u), or g is an involution and the edge into u
+    (sigma_u = g o sigma_g(u)).  Each s is made when asked for, so memory
+    stays O(v).
+    """
+    perms = cls.generator_perms()
+    parent, label, _ = cls.schreier_tree()
+    every = np.arange(cls.size, dtype=perms.dtype)
+    involution = [np.array_equal(g[g], every) for g in perms]
+    back = np.empty_like(every)
+    stride = max(1, round(cls.size * (3 - 5 ** 0.5) / 2))
+    while math.gcd(stride, cls.size) != 1:
+        stride += 1
+    for k in range(cls.size):
+        u, sigma_u = k * stride % cls.size, None
+        for t, g in enumerate(perms):
+            w = g[u]
+            if (parent[w] == u and label[w] == t
+                    or involution[t] and parent[u] == w and label[u] == t):
+                continue
+            if sigma_u is None:
+                sigma_u = cls.sigma(u)
+            back[cls.sigma(w)] = every
+            s = back[g[sigma_u]]
+            if not np.array_equal(s, every):
+                yield s
+
+
+def merge_suborbits(root: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Join the classes of root (root[y] is the least vertex of y's class)
+    that s links, y with s(y); returns the new root and whether any joined.
+
+    Raises NotInStabiliser unless s fixes vertex 0: only a conjugation
+    fixing vertex 0 keeps the order of 0's products.
+    """
+    if s[0] != 0:
+        raise NotInStabiliser(f"the permutation moves vertex 0 to {int(s[0])}")
+    a, b = root, root[s]
+    joined = False
+    while True:
+        differ = a != b
+        if not differ.any():
+            return root, joined
+        lo, hi = np.minimum(a[differ], b[differ]), np.maximum(a[differ], b[differ])
+        root = root.copy()
+        np.minimum.at(root, hi, lo)  # each class's least vertex hooks under a smaller one
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+        a, b, joined = root[lo], root[hi], True
+
+
+def stabiliser_suborbits(cls: InvolutionClass) -> np.ndarray:
+    """root[y]: the least vertex of y's class, the classes being the orbits
+    of the group generated by the Schreier generators merged so far.
+
+    Each class lies in one suborbit (orbit of vertex 0's stabiliser), and
+    {0} is a class of its own.  Merging stops once |generators| Schreier
+    generators in a row have joined nothing; run to the end it would give
+    the suborbits themselves, and stopping early can only leave a suborbit
+    split into more classes.
+    """
+    root = np.arange(cls.size, dtype=np.int32)
+    idle, patience = 0, len(cls.generator_perms())
+    for s in schreier_generators(cls):
+        root, joined = merge_suborbits(root, s)
+        idle = 0 if joined else idle + 1
+        if idle == patience:
+            break
+    return root
 
 
 def block_partition(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
@@ -942,23 +1051,31 @@ def _batch_orders(kern: _Kernels, p: np.ndarray, cap: int) -> np.ndarray:
 
 
 def orbital_order_census(cls: InvolutionClass) -> OrderCensus:
-    """Exact product-order census of all pairs from the v - 1 products of row 0.
+    """Exact product-order census of all pairs from one product per class
+    of stabiliser_suborbits.
 
     Conjugation permutes the class, preserves product orders, and acts on
     the class transitively (it is the orbit of the seed; a cached class
     passes check_closed_class first).  So every vertex has the same
     multiset of orders with the other vertices, and the census over
-    unordered pairs is v/2 times that of row 0.  The witness, if any,
-    lies in row 0.
+    unordered pairs is v/2 times that of row 0.  Each Schreier generator s
+    is conjugation by some h with h x0 h^-1 = x0, so
+    order(x0 y) = order(h x0 h^-1 . h y h^-1) = order(x0 s(y)): the order
+    is constant on each class, which is counted once from its least vertex
+    and weighted by its size.  The witness, if any, is the least such
+    vertex of row 0.
     """
     v = cls.size
-    j = np.arange(1, v, dtype=np.int64)
-    row = OrderCensus()
-    row.add_block(cls, np.zeros_like(j), j)
-    return OrderCensus(census={o: v * c // 2 for o, c in row.census.items()},
-                       n_pairs=v * (v - 1) // 2, max_order=row.max_order,
-                       even_gt2_pairs=v * row.even_gt2_pairs // 2,
-                       even_witness=row.even_witness)
+    reps, sizes = np.unique(stabiliser_suborbits(cls)[1:], return_counts=True)
+    p = cls.kern.mul_batch(cls.codes[np.zeros_like(reps)], cls.codes[reps])
+    orders = _batch_orders(cls.kern, p, cls.spec.order_cap)
+    even = (orders % 2 == 0) & (orders > 2)
+    witness = (0, int(reps[even][0]), int(orders[even][0])) if even.any() else None
+    return OrderCensus(census={int(o): v * int(sizes[orders == o].sum()) // 2
+                               for o in np.unique(orders)},
+                       n_pairs=v * (v - 1) // 2, max_order=int(orders.max()),
+                       even_gt2_pairs=v * int(sizes[even].sum()) // 2,
+                       even_witness=witness)
 
 
 def full_order_scan(cls: InvolutionClass) -> OrderScan:

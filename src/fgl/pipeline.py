@@ -10,13 +10,15 @@ graphs against the closed-form predictions.
 
 Conjugation preserves every claim and acts transitively on the class (the
 Schreier tree reaches every vertex), so each claim is one about vertex 0,
-proven from its index sets: its commuting and distinguished partners
-(groups.power_seed_sets, cross-checked against direct products at two more
-vertices), the Sylow block {0} + comm(0) (groups.sylow_partition), the chi
-graph's cover certificate (fusion.seed_set_cover3_certificate) and the
-odd-complement seed row.  The odd-complement certificates are derived from
-the cover certificate, skipped once an earlier check has failed.  No v x v
-relation is built.  The outcome is a certificate (schema fgl-cert-1).
+proven from its index sets: the orders of its products, one per suborbit
+of its stabiliser (groups.orbital_order_census), its commuting and
+distinguished partners (groups.power_seed_sets, cross-checked against
+direct products at two more vertices), the Sylow block {0} + comm(0)
+(groups.sylow_partition), the chi graph's cover certificate
+(fusion.seed_set_cover3_certificate) and the odd-complement seed row.
+The odd-complement certificates are derived from the cover certificate,
+skipped once an earlier check has failed.  No v x v relation is built.
+The outcome is a certificate (schema fgl-cert-1).
 """
 
 from __future__ import annotations
@@ -153,6 +155,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     data["class_size"] = cls.size
     t = clock("involution_class", t)
 
+    # the census builds the Schreier tree (for the suborbits), so its time is in "orders"
     orders = groups.orbital_order_census(cls)
     data["orders"] = {
         "method": "orbital",

@@ -256,3 +256,9 @@ def test_criterion_9_sz_32():
 def test_criterion_10_psu3_16():
     with criterion(10, "psu3 q=16: 61455 involutions, array, Deza, <120s"):
         _check_against_formulas("psu3", 4, 120.0)
+
+
+def test_criterion_11_psl2_512():
+    # q = 512: two-byte codes, so vertex 0 is not the seed involution
+    with criterion(11, "psl2 q=512: 262143 involutions, array, Deza, <120s"):
+        _check_against_formulas("psl2", 9, 120.0)

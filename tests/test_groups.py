@@ -325,6 +325,108 @@ def test_orbital_census_reports_even_orders(psl2_8_class, monkeypatch):
     assert i == 0 and order > 2 and order % 2 == 0
 
 
+def _row0_orders(cls):
+    """Orders of vertex 0's products with every vertex, by scalar powers;
+    v/2 times their census must be full_order_scan's."""
+    row = np.array([product_order(cls.spec, 0, y, cls) for y in range(cls.size)])
+    values, counts = np.unique(row[1:], return_counts=True)
+    assert {int(o): cls.size * int(c) // 2 for o, c in zip(values, counts)} == \
+        gr.full_order_scan(cls).census
+    return row
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 4), ("sz", 3), ("psu3", 2)])
+def test_stabiliser_permutations_fix_vertex_0_and_keep_orders(family, n):
+    # every Schreier generator, over all vertices u, not only those merged
+    cls = involution_class(make_group(family, n))
+    v = cls.size
+    row = _row0_orders(cls)
+    root = np.arange(v, dtype=np.int32)
+    made = []
+    for s in gr.schreier_generators(cls):
+        assert s[0] == 0
+        assert np.array_equal(np.sort(s), np.arange(v))
+        assert np.array_equal(row[s], row)
+        root, _ = gr.merge_suborbits(root, s)
+        made.append(s.tobytes())
+    # they are sigma_g(u)^-1 g sigma_u over all (u, g), identities left out
+    sigma = cls.carry(np.arange(v), np.arange(v))
+    assert all(np.array_equal(sigma[x], cls.sigma(x)) for x in range(v))
+    every = np.arange(v, dtype=sigma.dtype)
+    want = []
+    for g in cls.generator_perms():
+        for u in range(v):
+            s = np.argsort(sigma[g[u]])[g[sigma[u]]].astype(sigma.dtype)
+            if not np.array_equal(s, every):
+                want.append(s.tobytes())
+    assert sorted(made) == sorted(want)
+    # all of them generate the stabiliser; the stop rule lost no suborbit
+    assert np.array_equal(root, gr.stabiliser_suborbits(cls))
+
+
+def test_census_witness_is_the_least_vertex_of_row_0(monkeypatch):
+    cls = involution_class(make_group("psl2", 4))
+    row = _row0_orders(cls)
+    top = int(row.max())
+    real = gr._batch_orders
+    monkeypatch.setattr(gr, "_batch_orders",
+                        lambda *a: (lambda o: np.where(o == top, 2 * o, o))(real(*a)))
+    orbital = gr.orbital_order_census(cls)
+    assert orbital.even_witness == (0, int(np.argmax(row == top)), 2 * top)
+    assert orbital.even_gt2_pairs == cls.size * int((row == top).sum()) // 2
+
+
+def test_a_permutation_moving_vertex_0_is_refused(psl2_8_class, monkeypatch):
+    v = psl2_8_class.size
+    forged = np.roll(np.arange(v, dtype=np.int32), 1)
+    with pytest.raises(gr.NotInStabiliser, match="moves vertex 0"):
+        gr.merge_suborbits(np.arange(v, dtype=np.int32), forged)
+    monkeypatch.setattr(gr, "schreier_generators", lambda cls: iter([forged]))
+    with pytest.raises(gr.NotInStabiliser):
+        gr.orbital_order_census(psl2_8_class)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merged_classes_are_the_orbits(seed):
+    # against a plain union-find over random permutations fixing 0
+    rng = np.random.default_rng(seed)
+    v = int(rng.integers(2, 60))
+    root = np.arange(v, dtype=np.int32)
+    parent = list(range(v))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for _ in range(int(rng.integers(1, 5))):
+        moved = 1 + np.flatnonzero(rng.random(v - 1) < rng.random())
+        s = np.arange(v, dtype=np.int32)
+        s[moved] = rng.permutation(moved)
+        before = root
+        root, joined = gr.merge_suborbits(root, s)
+        for y in range(v):
+            a, b = find(y), find(int(s[y]))
+            parent[max(a, b)] = min(a, b)
+        assert joined == (not np.array_equal(before, root))
+    assert root.tolist() == [min(x for x in range(v) if find(x) == find(y))
+                             for y in range(v)]
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("psl2", 6), ("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_census_takes_one_product_per_suborbit(family, n, monkeypatch):
+    cls = involution_class(make_group(family, n))
+    q = cls.spec.q
+    assert len(np.unique(gr.stabiliser_suborbits(cls))) == 2 * q - 2
+    seen = []
+    real = gr._batch_orders
+    monkeypatch.setattr(gr, "_batch_orders",
+                        lambda kern, p, cap: seen.append(len(p)) or real(kern, p, cap))
+    gr.orbital_order_census(cls)
+    assert seen == [2 * q - 3]
+
+
 def test_closed_class_check_accepts_built_classes(psl2_8_class, sz8_class, psu3_4_class):
     for cls in (psl2_8_class, sz8_class, psu3_4_class):
         gr.check_closed_class(cls)
