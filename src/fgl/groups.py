@@ -580,20 +580,6 @@ class InvolutionClass:
             images = flat[offset[up][:, None] + images]
         return images
 
-    def sigma(self, x: int) -> np.ndarray:
-        """sigma_x as an array over all vertices, carry([x], range(v))[0],
-        walked one tree edge at a time."""
-        parent, _, _ = self.schreier_tree()
-        flat, offset = self.tree_steps()
-        steps = []
-        while x:
-            steps.append(offset[x])
-            x = parent[x]
-        images = np.arange(self.size, dtype=flat.dtype)
-        for step in reversed(steps):  # the generator nearest the root acts first
-            images = flat[step + images]
-        return images
-
     def carry_blocks(self, xs, seed):
         """carry(xs, seed) as (xs_chunk, images) over consecutive chunks of
         xs, each of bits.ROW_BLOCK_BITS // v vertices: a chunk's images, or
@@ -763,14 +749,14 @@ def schreier_generators(cls: InvolutionClass):
     that is prime to v, so that every vertex comes once and consecutive
     ones lie far apart.
 
-    sigma_x is the generators' composite along the Schreier tree
-    (InvolutionClass.sigma), so s(0) = 0, and s is conjugation by an
-    element commuting with vertex 0's involution.  By Schreier's lemma all
-    of them generate the stabiliser.  A tree edge gives the identity, so it
-    is skipped before any sigma is walked: g is the edge into g(u)
-    (sigma_g(u) = g o sigma_u), or g is an involution and the edge into u
-    (sigma_u = g o sigma_g(u)).  Each s is made when asked for, so memory
-    stays O(v).
+    sigma_x is the generators' composite along the Schreier tree, carried
+    over all vertices (InvolutionClass.carry), so s(0) = 0, and s is
+    conjugation by an element commuting with vertex 0's involution.  By
+    Schreier's lemma all of them generate the stabiliser.  A tree edge gives
+    the identity, so it is skipped before any sigma is carried: g is the
+    edge into g(u) (sigma_g(u) = g o sigma_u), or g is an involution and
+    the edge into u (sigma_u = g o sigma_g(u)).  Each s is made when asked
+    for, so memory stays O(v).
     """
     perms = cls.generator_perms()
     parent, label, _ = cls.schreier_tree()
@@ -788,8 +774,8 @@ def schreier_generators(cls: InvolutionClass):
                     or involution[t] and parent[u] == w and label[u] == t):
                 continue
             if sigma_u is None:
-                sigma_u = cls.sigma(u)
-            back[cls.sigma(w)] = every
+                sigma_u = cls.carry([u], every)[0]
+            back[cls.carry([w], every)[0]] = every
             s = back[g[sigma_u]]
             if not np.array_equal(s, every):
                 yield s

@@ -351,7 +351,6 @@ def test_stabiliser_permutations_fix_vertex_0_and_keep_orders(family, n):
         made.append(s.tobytes())
     # they are sigma_g(u)^-1 g sigma_u over all (u, g), identities left out
     sigma = cls.carry(np.arange(v), np.arange(v))
-    assert all(np.array_equal(sigma[x], cls.sigma(x)) for x in range(v))
     every = np.arange(v, dtype=sigma.dtype)
     want = []
     for g in cls.generator_perms():
@@ -414,7 +413,9 @@ def test_merged_classes_are_the_orbits(seed):
 
 
 @pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
-                                      ("psl2", 6), ("sz", 3), ("psu3", 2), ("psu3", 3)])
+                                      ("psl2", 6), ("psl2", 7), ("psl2", 8), ("psl2", 9),
+                                      ("sz", 3), ("sz", 5), ("psu3", 2), ("psu3", 3),
+                                      ("psu3", 4)])
 def test_census_takes_one_product_per_suborbit(family, n, monkeypatch):
     cls = involution_class(make_group(family, n))
     q = cls.spec.q
