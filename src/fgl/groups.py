@@ -557,13 +557,16 @@ class InvolutionClass:
         return self._schreier_tree
 
     def tree_steps(self):
-        """(flat, offset): the generator permutations end to end, then the
-        identity; the tree edge into x (the root's: the identity) moves y to
-        flat[offset[x] + y]."""
+        """(flat, offset, depth): the generator permutations end to end, then
+        the identity; the tree edge into x (the root's: the identity) moves y
+        to flat[offset[x] + y], and x is depth[x] edges below the root."""
         if self._tree_steps is None:
-            perms, (_, label, _) = self.generator_perms(), self.schreier_tree()
+            perms, (_, label, levels) = self.generator_perms(), self.schreier_tree()
             flat = np.append(perms, np.arange(self.size, dtype=perms.dtype))
-            self._tree_steps = flat, np.where(label < 0, len(perms), label) * self.size
+            depth = np.empty(self.size, dtype=np.int64)
+            for d, level in enumerate(levels):
+                depth[level] = d
+            self._tree_steps = flat, np.where(label < 0, len(perms), label) * self.size, depth
         return self._tree_steps
 
     def carry(self, xs, seed) -> np.ndarray:
@@ -571,13 +574,15 @@ class InvolutionClass:
         the generators on the tree path from 0 to x, carries 0 to x and 0's
         partners in a conjugation-invariant relation to x's."""
         parent, _, _ = self.schreier_tree()
-        flat, offset = self.tree_steps()
-        path = [np.asarray(xs, dtype=np.int64)]  # the ancestors, one step up at a time
-        while path[-1].any():
-            path.append(parent[path[-1]])
-        images = np.tile(np.asarray(seed, dtype=flat.dtype), (len(path[0]), 1))
-        for up in reversed(path[:-1]):  # the generator nearest the root acts first
-            images = flat[offset[up][:, None] + images]
+        flat, offset, depth = self.tree_steps()
+        up = np.asarray(xs, dtype=np.int64)
+        steps = []  # the edges into the ancestors, one step up at a time
+        for _ in range(int(depth[up].max(initial=0))):
+            steps.append(offset[up][:, None])
+            up = parent[up]
+        images = np.tile(np.asarray(seed, dtype=flat.dtype), (len(up), 1))
+        for step in reversed(steps):  # the generator nearest the root acts first
+            images = flat[step + images]
         return images
 
     def carry_blocks(self, xs, seed):
