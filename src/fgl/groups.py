@@ -757,16 +757,14 @@ def schreier_generators(cls: InvolutionClass):
     sigma_x is the generators' composite along the Schreier tree, carried
     over all vertices (InvolutionClass.carry), so s(0) = 0, and s is
     conjugation by an element commuting with vertex 0's involution.  By
-    Schreier's lemma all of them generate the stabiliser.  A tree edge gives
-    the identity, so it is skipped before any sigma is carried: g is the
-    edge into g(u) (sigma_g(u) = g o sigma_u), or g is an involution and
-    the edge into u (sigma_u = g o sigma_g(u)).  Each s is made when asked
-    for, so memory stays O(v).
+    Schreier's lemma all of them generate the stabiliser.  When g is the
+    tree edge into g(u), sigma_g(u) = g o sigma_u and s is the identity, so
+    no sigma is carried for it.  Each s is made when asked for, so memory
+    stays O(v).
     """
     perms = cls.generator_perms()
     parent, label, _ = cls.schreier_tree()
     every = np.arange(cls.size, dtype=perms.dtype)
-    involution = [np.array_equal(g[g], every) for g in perms]
     back = np.empty_like(every)
     stride = max(1, round(cls.size * (3 - 5 ** 0.5) / 2))
     while math.gcd(stride, cls.size) != 1:
@@ -775,8 +773,7 @@ def schreier_generators(cls: InvolutionClass):
         u, sigma_u = k * stride % cls.size, None
         for t, g in enumerate(perms):
             w = g[u]
-            if (parent[w] == u and label[w] == t
-                    or involution[t] and parent[u] == w and label[u] == t):
+            if parent[w] == u and label[w] == t:
                 continue
             if sigma_u is None:
                 sigma_u = cls.carry([u], every)[0]
