@@ -113,11 +113,12 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
     antipodal distance-regular graph of diameter 3.
 
     N(x) = sigma_x(nbrs) (InvolutionClass.carry), and a conjugation carries
-    every pair to a pair (0, y), so checks at vertex 0 hold everywhere.  It
-    is symmetric when 0 is in N(z) for z in N(0); cn(0, .) is the bincount
-    of N(z) over z in N(0), both taken a block of N(0) at a time.  a1 must
-    be constant on N(0), c2 = mu on the other vertices with common
-    neighbors, and the orbit of {0} + D3(0), the rest, a partition
+    every pair to a pair (0, y), so checks at vertex 0 hold everywhere.
+    Those fixing 0 join the classes of cls.suborbits(): nbrs must be a union
+    of classes, cn(0, .) is constant on each (one carried N(y) per class),
+    and 0 in N(z) for one z per class in N(0) proves symmetry.  a1 must be
+    constant on N(0), c2 = mu on the other vertices with common neighbors,
+    and the orbit of {0} + D3(0), the rest, a partition
     (groups.block_partition): the antipodal classes.  One neighbor of 0 in
     every class but its own is b2 = 1; c3 = k follows.
 
@@ -130,16 +131,21 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
         raise graphs.NotDistanceRegular(f"valency {k} leaves no diameter-3 structure")
     if nbrs[0] == 0:
         raise graphs.NotDistanceRegular("vertex 0 is its own neighbor", witness=(0, 0))
-    cn = np.zeros(v, dtype=np.int64)
-    for zs, rows in cls.carry_blocks(nbrs, nbrs):
-        lonely = np.flatnonzero(~(rows == 0).any(axis=1))
-        if lonely.size:
-            z = int(zs[lonely[0]])
-            raise graphs.NotDistanceRegular(f"not symmetric: {z} is a neighbor of 0, but 0 "
-                                            f"is not a neighbor of {z}", witness=(0, z))
-        cn += np.bincount(rows.ravel(), minlength=v)
+    table = cls.suborbits()
+    cut = table.root[nbrs]
+    split = nbrs[np.bincount(cut, minlength=v)[cut] < table.spread(table.sizes)[nbrs]]
+    if split.size:
+        raise graphs.NotDistanceRegular(f"not a union of stabiliser classes at {split[0]}",
+                                        witness=(0, int(split[0])))
     adj = np.zeros(v, dtype=bool)
     adj[nbrs] = True
+    rows = cls.carry(table.reps, nbrs)
+    lonely = np.flatnonzero(adj[table.reps] & ~(rows == 0).any(axis=1))
+    if lonely.size:
+        z = int(table.reps[lonely[0]])
+        raise graphs.NotDistanceRegular(f"not symmetric: {z} is a neighbor of 0, but 0 "
+                                        f"is not a neighbor of {z}", witness=(0, z))
+    cn = table.spread(adj[rows].sum(axis=1))
     non = ~adj
     non[0] = False
     a1 = _constant_at_seed(cn, adj, "a1", "a_1")

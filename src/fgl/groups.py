@@ -18,20 +18,19 @@ yields its permutations of the vertices; a breadth-first Schreier tree over
 them reaches every vertex from the seed (the transitivity proof), and the
 generators on the tree path to x compose to a conjugation sigma_x with
 sigma_x(0) = x (InvolutionClass.carry).  Conjugation preserves product
-orders, so every product-order fact is one about vertex 0: the order census
-is v/2 times the seed's row, the commuting and distinguished partners of x
-are sigma_x of the seed's (power_seed_sets), and the commuting classes are
-the orbit of one block (sylow_partition).  The row itself is constant on
-the suborbits, the orbits of vertex 0's stabiliser, whose Schreier
-generators sigma_g(u)^-1 g sigma_u the tree also yields
-(stabiliser_suborbits), so the census takes one product per suborbit
-(orbital_order_census): 2q - 2 of them on every instance the tests
-cover, against v - 1 products.  A
+orders, so every product-order fact is one about vertex 0 and constant on
+the orbits of vertex 0's stabiliser, whose Schreier generators
+sigma_g(u)^-1 g sigma_u the tree also yields (stabiliser_suborbits).  One
+product per class, 2q - 3 on every instance the tests cover, gives the
+table every vertex-0 fact reads (InvolutionClass.suborbits): the order
+census is v/2 times the seed's row (orbital_order_census), the partners
+of x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
+the commuting classes are the orbit of one block (sylow_partition).  A
 class read from elsewhere is accepted only after check_closed_class
 re-proves that it is this orbit, in one pass that yields the same
 permutations.  Graph construction carries vertex 0's partner sets the same
-way (InvolutionClass.carry_blocks); full_order_scan and sampled_order_check
-are oracles.
+way (InvolutionClass.carry_blocks); full_order_scan, sampled_order_check
+and the direct products of cross_check_rows are oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -43,12 +42,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import bits, formulas
 from .formulas import InvalidQ, PSL2, PSU3, SZ
-from .gf2 import FieldCtx
+from .gf2 import TABLE_MAX_ORDER, FieldCtx
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -217,6 +217,10 @@ def make_group(family: str, n: int) -> GroupSpec:
         raise InvalidQ(f"need q = 2^n >= 4, got n = {n}")
     if family == SZ and n % 2 == 0:
         raise SzEvenExponent(f"Sz(q) needs odd n >= 3, got n = {n}")
+    degree = 2 * n if family == PSU3 else n
+    if 1 << degree > TABLE_MAX_ORDER:
+        raise InvalidQ(f"the {family} matrices need GF(2^{degree}), above the "
+                       f"GF({TABLE_MAX_ORDER}) the vectorized arithmetic supports")
     q = 1 << n
     l = formulas.SYLOW_EXPONENT[family]
     chi = formulas.ASSOCIATED_PRIME[family]
@@ -507,6 +511,7 @@ class InvolutionClass:
         self._key_order = None
         self._sylow_labels = None
         self._seed_sets = None
+        self._suborbits = None
         self._order_scan = None
         self._generator_perms = None
         self._schreier_tree = None
@@ -539,9 +544,23 @@ class InvolutionClass:
             raise KeyError(f"{m} is not in the class")
         return int(order[pos[0]])
 
+    def suborbits(self) -> "Suborbits":
+        """stabiliser_suborbits with the order of one product per class."""
+        if self._suborbits is None:
+            root = stabiliser_suborbits(self)
+            reps, sizes = np.unique(root[1:], return_counts=True)
+            p = self.kern.mul_batch(self.codes[np.zeros_like(reps)], self.codes[reps])
+            self._suborbits = Suborbits(root, reps, sizes,
+                                        _batch_orders(self.kern, p, self.spec.order_cap))
+        return self._suborbits
+
     def seed_sets(self) -> "SeedSets":
+        """Vertex 0's partners of order 2 and chi, unions of suborbit classes."""
         if self._seed_sets is None:
-            self._seed_sets = power_seed_sets(self)
+            table = self.suborbits()
+            row = table.spread(table.orders)
+            self._seed_sets = SeedSets(comm=np.flatnonzero(row == 2),
+                                       chi=np.flatnonzero(row == self.spec.chi))
         return self._seed_sets
 
     def generator_perms(self) -> np.ndarray:
@@ -908,6 +927,24 @@ class SeedSets:
     chi: np.ndarray
 
 
+class Suborbits(NamedTuple):
+    """The classes of stabiliser_suborbits but {0}: root[y] is the least
+    vertex of y's class; class t has least vertex reps[t], sizes[t] members
+    and orders[t], the order of x0 y for every y in it, since each Schreier
+    generator s conjugates by an h fixing x0: order(x0 y) = order(x0 s(y))."""
+
+    root: np.ndarray
+    reps: np.ndarray
+    sizes: np.ndarray
+    orders: np.ndarray
+
+    def spread(self, per_class: np.ndarray) -> np.ndarray:
+        """A value per class as one per vertex; vertex 0 gets zero."""
+        out = np.zeros(len(self.root), dtype=per_class.dtype)
+        out[self.reps] = per_class
+        return out[self.root]
+
+
 @dataclass
 class OrderCensus:
     """Product-order census over unordered vertex pairs, with the first pair
@@ -963,41 +1000,22 @@ def _pair_blocks(v: int, target: int = PAIR_BLOCK):
         yield i, j
 
 
-def _symplectic_inverse_batch(x: np.ndarray) -> np.ndarray:
-    """Inverse of symplectic matrices w.r.t. the antidiagonal form, char 2.
-
-    M^T B M = B gives M^-1 = B M^T B, which is entrywise
-    (M^-1)[i, j] = M[d-1-j, d-1-i]: a pure index shuffle.
-    """
-    return np.ascontiguousarray(x.transpose(0, 2, 1)[:, ::-1, ::-1])
-
-
 def _power_rows(cls: InvolutionClass, x: int) -> np.ndarray:
     """(2, v) bool: the commuting and distinguished rows of vertex x from
     fixed powers of its products with every vertex.
 
     A product P of two distinct involutions commutes iff P^2 is central,
     and has order chi iff P^chi is central (chi is prime, so no smaller
-    order can collapse there).  For chi = 5 the suspect P^5 = 1 is tested
-    as P^3 = (P^2)^-1 with the form-based inverse, saving a product.
+    order can collapse there).
     """
     kern = cls.kern
     p = kern.mul_left(cls.codes[x], cls.codes)
     p2 = kern.mul_batch(p, p)
     p3 = kern.mul_batch(p2, p)
-    if cls.spec.chi == 3:
-        dist = kern.central_scalar_mask(p3)
-    else:
-        dist = (p3 == _symplectic_inverse_batch(p2)).all(axis=(1, 2))
-    rows = np.stack([kern.central_scalar_mask(p2), dist])
+    pchi = p3 if cls.spec.chi == 3 else kern.mul_batch(p3, p2)
+    rows = np.stack([kern.central_scalar_mask(p2), kern.central_scalar_mask(pchi)])
     rows[:, x] = False
     return rows
-
-
-def power_seed_sets(cls: InvolutionClass) -> SeedSets:
-    """Vertex 0's commuting and distinguished partners from fixed matrix powers."""
-    comm, chi = _power_rows(cls, 0)
-    return SeedSets(comm=np.flatnonzero(comm), chi=np.flatnonzero(chi))
 
 
 def cross_check_rows(cls: InvolutionClass, sets: SeedSets, xs) -> tuple | None:
@@ -1039,24 +1057,15 @@ def _batch_orders(kern: _Kernels, p: np.ndarray, cap: int) -> np.ndarray:
 
 
 def orbital_order_census(cls: InvolutionClass) -> OrderCensus:
-    """Exact product-order census of all pairs from one product per class
-    of stabiliser_suborbits.
+    """Exact product-order census of all pairs from cls.suborbits().
 
     Conjugation permutes the class, preserves product orders, and acts on
     the class transitively (it is the orbit of the seed; a cached class
-    passes check_closed_class first).  So every vertex has the same
-    multiset of orders with the other vertices, and the census over
-    unordered pairs is v/2 times that of row 0.  Each Schreier generator s
-    is conjugation by some h with h x0 h^-1 = x0, so
-    order(x0 y) = order(h x0 h^-1 . h y h^-1) = order(x0 s(y)): the order
-    is constant on each class, which is counted once from its least vertex
-    and weighted by its size.  The witness, if any, is the least such
-    vertex of row 0.
+    passes check_closed_class first).  So the census over unordered pairs
+    is v/2 times that of row 0, each class's order weighted by its size.
+    The witness, if any, is the least such vertex of row 0.
     """
-    v = cls.size
-    reps, sizes = np.unique(stabiliser_suborbits(cls)[1:], return_counts=True)
-    p = cls.kern.mul_batch(cls.codes[np.zeros_like(reps)], cls.codes[reps])
-    orders = _batch_orders(cls.kern, p, cls.spec.order_cap)
+    v, (_, reps, sizes, orders) = cls.size, cls.suborbits()
     even = (orders % 2 == 0) & (orders > 2)
     witness = (0, int(reps[even][0]), int(orders[even][0])) if even.any() else None
     return OrderCensus(census={int(o): v * int(sizes[orders == o].sum()) // 2

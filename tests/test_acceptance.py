@@ -8,6 +8,8 @@ per (family, n) and shared across criteria.
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from fgl import formulas
 from fgl.formulas import IntersectionArray
 from fgl.pipeline import run_verify
@@ -262,3 +264,9 @@ def test_criterion_11_psl2_512():
     # q = 512: two-byte codes, so vertex 0 is not the seed involution
     with criterion(11, "psl2 q=512: 262143 involutions, array, Deza, <120s"):
         _check_against_formulas("psl2", 9, 120.0)
+
+
+@pytest.mark.ladder
+def test_ladder_psu3_n5():
+    # v = 1015839; deselected by default, run with: pytest -m ladder
+    _check_against_formulas("psu3", 5, 120.0)

@@ -65,6 +65,20 @@ def test_sz_even_exponent_exits_2(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["verify", "construct"])
+@pytest.mark.parametrize("family,n", [("psl2", 17), ("psu3", 9), ("psu3", 25)])
+def test_field_beyond_the_kernels_exits_2(tmp_path, capsys, cmd, family, n):
+    # the vectorized arithmetic stops at GF(2^16): a usage error, not a traceback
+    args = ["--family", family, "--n", str(n)]
+    if cmd == "construct":
+        args += ["--pi", "chi", "--out", str(tmp_path / "g.g6")]
+    assert run_cli(cmd, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GF(65536)" in err
+    assert "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
 def test_verify_cli_psl2(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     assert run_cli("verify", "--family", "psl2", "--n", "2", "--out", out) == 0

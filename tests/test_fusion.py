@@ -261,3 +261,15 @@ def test_seed_set_certificate_rejects_an_asymmetric_seed_set(psl2_8, monkeypatch
     with pytest.raises(NotDistanceRegular) as ei:
         seed_set_cover3_certificate(psl2_8, np.union1d(chi, [z]))
     assert ei.value.witness == (0, z)
+
+
+def test_seed_set_certificate_rejects_a_seed_set_cut_from_a_class(psl2_8):
+    # chi(0) less one vertex is no union of stabiliser classes; the witness
+    # is the least vertex of N(0) whose class is not wholly inside N(0)
+    chi, root = psl2_8.seed_sets().chi, psl2_8.suborbits().root
+    for y in (chi[0], chi[-1]):
+        nbrs = np.setdiff1d(chi, [y])
+        cut = nbrs[root[nbrs] == root[y]]
+        with pytest.raises(NotDistanceRegular, match="not a union of stabiliser classes") as ei:
+            seed_set_cover3_certificate(psl2_8, nbrs)
+        assert ei.value.witness == (0, int(cut[0]))

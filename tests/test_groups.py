@@ -267,6 +267,26 @@ def test_pair_predicates_partition_all_pairs(psl2_8_class, sz8_class):
         assert counts // 2 + other == cls.size * (cls.size - 1) // 2
 
 
+def test_power_rows_equal_the_order_scan(psl2_8_class, sz8_class, psu3_4_class):
+    # the direct rows of cross_check_rows, P^5 = P^3 P^2 central for Sz
+    for cls in (psl2_8_class, sz8_class, psu3_4_class):
+        scan = cls.order_scan()
+        for x in (0, 1, cls.size // 2, cls.size - 1):
+            comm, chi = gr._power_rows(cls, x)
+            assert np.array_equal(np.flatnonzero(comm), bits.indices(scan.comm[x], cls.size))
+            assert np.array_equal(np.flatnonzero(chi), bits.indices(scan.chi[x], cls.size))
+
+
+def test_suborbit_table_holds_row_0_orders(psl2_8_class, sz8_class, psu3_4_class):
+    # every member of a class has its representative's order (scalar oracle)
+    for cls in (psl2_8_class, sz8_class, psu3_4_class):
+        table, row = cls.suborbits(), _row0_orders(cls)
+        assert table.root[0] == 0 and 0 not in table.reps
+        assert np.array_equal(table.root[table.reps], table.reps)
+        assert np.array_equal(np.bincount(table.root)[table.reps], table.sizes)
+        assert np.array_equal(table.spread(table.orders)[1:], row[1:])
+
+
 def test_product_order_diagonal_and_commuting(psu3_4_class):
     cls = psu3_4_class
     spec = cls.spec
@@ -316,10 +336,11 @@ def test_orbital_census_equals_full_scan(family, n):
 
 
 def test_orbital_census_reports_even_orders(psl2_8_class, monkeypatch):
-    # a kernel that doubles every order must show up as a failed dichotomy
+    # a kernel that doubles every order must show up as a failed dichotomy;
+    # a fresh class, since the fixture's may hold a suborbit table already
     real = gr._batch_orders
     monkeypatch.setattr(gr, "_batch_orders", lambda *a: 2 * real(*a))
-    orbital = gr.orbital_order_census(psl2_8_class)
+    orbital = gr.orbital_order_census(gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes))
     assert not orbital.noncommuting_all_odd
     i, j, order = orbital.even_witness
     assert i == 0 and order > 2 and order % 2 == 0
@@ -382,7 +403,7 @@ def test_a_permutation_moving_vertex_0_is_refused(psl2_8_class, monkeypatch):
         gr.merge_suborbits(np.arange(v, dtype=np.int32), forged)
     monkeypatch.setattr(gr, "schreier_generators", lambda cls: iter([forged]))
     with pytest.raises(gr.NotInStabiliser):
-        gr.orbital_order_census(psl2_8_class)
+        gr.orbital_order_census(gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -80,20 +80,6 @@ def test_derived_pi_analysis_equals_direct(family, n):
         assert direct["omega_mult"] == direct["omega_cliq"].complement()
 
 
-def test_symplectic_inverse_batch_matches_adjugate():
-    from fgl.groups import (_symplectic_inverse_batch, identity, make_group,
-                            mat_inv_det1, mat_mul)
-    from oracles import full_generators
-    spec = make_group("sz", 3)
-    gens = full_generators(spec)
-    batch = np.array(gens[:40], dtype=np.uint8)
-    inv = _symplectic_inverse_batch(batch)
-    for g, gi in zip(gens[:40], inv):
-        tgi = tuple(tuple(int(e) for e in row) for row in gi)
-        assert tgi == mat_inv_det1(spec.ctx, g)
-        assert mat_mul(spec.ctx, g, tgi) == identity(4)
-
-
 def test_report_contents_psl2_8():
     rep = run_verify("psl2", 3)
     d = rep.data
@@ -187,12 +173,12 @@ def test_flipped_chi_edge_fails_with_named_failure(monkeypatch):
     chi = cls.seed_sets().chi
     w = max(w for w in range(1, cls.size)
             if w not in chi and 0 not in cls.carry([w], np.union1d(chi, [w]))[0])
-    real = groups.power_seed_sets
+    real = groups.InvolutionClass.seed_sets
 
     def flipped(cls):
         sets = real(cls)
         return groups.SeedSets(comm=sets.comm, chi=_toggled(sets.chi, w))
-    monkeypatch.setattr(groups, "power_seed_sets", flipped)
+    monkeypatch.setattr(groups.InvolutionClass, "seed_sets", flipped)
     d = run_verify("psl2", 3).data
     assert d["status"] == "fail"
     assert "chi_graph: valency 9 != 8" in d["failures"]
@@ -204,20 +190,30 @@ def test_flipped_chi_edge_fails_with_named_failure(monkeypatch):
 
 def test_tampered_seed_row_fails_the_row_cross_check(monkeypatch):
     # one wrong pair in the seed's row spreads to every derived row
-    real = groups._power_rows
+    real = groups.InvolutionClass.seed_sets
 
-    def tampered(cls, x):
-        rows = real(cls, x)
-        if x == 0:
-            rows[1, 1] = ~rows[1, 1]
-        return rows
-    monkeypatch.setattr(groups, "_power_rows", tampered)
+    def tampered(cls):
+        sets = real(cls)
+        return groups.SeedSets(comm=sets.comm, chi=_toggled(sets.chi, 1))
+    monkeypatch.setattr(groups.InvolutionClass, "seed_sets", tampered)
     d = run_verify("psl2", 3).data
     assert d["status"] == "fail"
     assert d["pairs"]["rows_match"] is False
     x, y = d["pairs"]["mismatch"]
     assert x == 31
     assert any(f.startswith("pairs: derived row 31") for f in d["failures"])
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 4), ("sz", 3)])
+def test_one_suborbit_table_per_run(family, n, monkeypatch):
+    # the census, the seed sets and the cover certificate read one table
+    calls = []
+    real = groups.stabiliser_suborbits
+    monkeypatch.setattr(groups, "stabiliser_suborbits",
+                        lambda cls: calls.append(cls.size) or real(cls))
+    d = run_verify(family, n).data
+    assert d["status"] == "pass"
+    assert calls == [d["class_size"]]
 
 
 def test_antipodal_block_reuses_the_sylow_partition(monkeypatch):
