@@ -43,6 +43,11 @@ def _out_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _out_of_memory(e: MemoryError) -> int:
+    print(f"construction error: out of memory: {e}", file=sys.stderr)
+    return EXIT_CONSTRUCTION
+
+
 def cmd_construct(args) -> int:
     try:
         spec = groups.make_group(args.family, args.n)
@@ -60,6 +65,8 @@ def cmd_construct(args) -> int:
             groups.SeedNotInvolution, groups.OrderCapExceeded) as e:
         print(f"construction error: {e}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except MemoryError as e:
+        return _out_of_memory(e)
     fmt = write_graph(args.out, g, args.format)
     meta = {
         "schema": pipeline.SCHEMA,
@@ -88,6 +95,8 @@ def cmd_verify(args) -> int:
             groups.SeedNotInvolution, groups.OrderCapExceeded) as e:
         print(f"construction error: {e}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except MemoryError as e:
+        return _out_of_memory(e)
     _out_text(args, report.to_json() + "\n")
     if not report.passed:
         print(f"VERIFY FAILED: {report.failures[0]}", file=sys.stderr)

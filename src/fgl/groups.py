@@ -54,6 +54,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 ORDER_CAP_FACTOR = 4
 PAIR_BLOCK = 1 << 21
+SEARCH_BLOCK = 1 << 16  # conjugates involution_class looks up in one search
 
 
 class SzEvenExponent(InvalidQ):
@@ -222,6 +223,10 @@ def make_group(family: str, n: int) -> GroupSpec:
         raise InvalidQ(f"the {family} matrices need GF(2^{degree}), above the "
                        f"GF({TABLE_MAX_ORDER}) the vectorized arithmetic supports")
     q = 1 << n
+    v = formulas.class_size(family, q)
+    if v > np.iinfo(np.int32).max:
+        raise InvalidQ(f"the {family} class for q = 2^{n} has {v} involutions, more than "
+                       f"the int32 vertex ids hold")
     l = formulas.SYLOW_EXPONENT[family]
     chi = formulas.ASSOCIATED_PRIME[family]
     dim = formulas.MATRIX_DIM[family]
@@ -445,14 +450,15 @@ class _Kernels:
         return ok
 
     def encode_keys(self, x):
-        """(m, d, d) codes -> (m, B) uint8 byte encodings, matching encode().
+        """(m, d, d) codes -> the _word_keys of their byte encodings, which
+        match encode().
 
         Kernels exist only up to GF(2^16) (np_tables), so a code is 1 or 2 bytes."""
         m, d = x.shape[0], x.shape[-1]
         flat = x.reshape(m, d * d)
         if _byte_width(self.spec) == 1:
-            return flat.astype(np.uint8)
-        return flat.astype("<u2").view(np.uint8).reshape(m, d * d * 2)
+            return _word_keys(flat.astype(np.uint8))
+        return _word_keys(flat.astype("<u2").view(np.uint8).reshape(m, d * d * 2))
 
     def canonical_batch(self, x):
         """Canonicalize a batch; returns (codes, keys)."""
@@ -471,20 +477,109 @@ class _Kernels:
         return best_x, best_k
 
 
-def _void_keys(keys):
-    """One opaque scalar per key row, for sorting and set membership."""
-    keys = np.ascontiguousarray(keys)
-    return keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+def _word_keys(keys):
+    """(m, B) uint8 encodings -> (m, W) uint64 words, W = ceil(B / 8): the
+    bytes zero-padded to 8W and read big-endian, so that the word-wise
+    lexicographic order of the rows is the byte order of the encodings."""
+    m, b = keys.shape
+    padded = np.zeros((m, -(-b // 8) * 8), dtype=np.uint8)
+    padded[:, :b] = keys
+    return padded.view(">u8").astype(np.uint64)
 
 
-def _locate(ranked, keys):
-    """Positions of keys in the sorted key array ranked, and which are in it."""
-    pos = np.minimum(np.searchsorted(ranked, keys), len(ranked) - 1)
-    return pos, ranked[pos] == keys
+_FOLD_COLLISION = "two distinct encodings share a search key (their fold)"
+_FOLD_MIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
+
+
+def _fold(words):
+    """One uint64 search key per row of words: the word itself when there
+    is one, else each word XORed into a mix (the 64-bit finaliser of
+    MurmurHash3) of the fold of those before it.  Not injective: a fold
+    only finds a row, and _KeyIndex confirms every match on all words."""
+    out = words[:, 0].copy()
+    for j in range(1, words.shape[1]):
+        for mul in _FOLD_MIX:
+            out ^= out >> np.uint64(33)
+            out *= mul
+        out ^= out >> np.uint64(33)
+        out ^= words[:, j]
+    return out
+
+
+class _KeyIndex:
+    """Vertex ids by canonical encoding, as _word_keys rows.
+
+    words[i] holds vertex i's words for the first size vertices; the rows
+    after them are room for add.  The search runs over one sorted uint64
+    array, the vertices' _fold values, with the vertex ids in the same
+    order.  A fold match is a hit only if all its words agree; a match
+    whose words differ, or two vertices with one fold, raises
+    ClassSizeMismatch, so no two involutions are ever taken for one.
+    """
+
+    def __init__(self, words: np.ndarray, size: int):
+        self.words, self.size = words, size
+        folds = _fold(words[:size])
+        self.ids = np.argsort(folds)
+        self.folds = folds[self.ids]
+        same = np.flatnonzero(self.folds[1:] == self.folds[:-1])
+        if same.size:
+            dup = (words[self.ids[same]] == words[self.ids[same + 1]]).all(axis=1)
+            if dup.any():
+                raise ClassSizeMismatch(f"class has {int(dup.sum())} duplicate rows")
+            raise ClassSizeMismatch(_FOLD_COLLISION)
+
+    def _search(self, words: np.ndarray):
+        """The rows of words in fold order (order), their folds, where each
+        sorts among the vertices' (at), whether it is a vertex (known) and
+        which (ids, where known)."""
+        folds = _fold(words)
+        order = np.argsort(folds)  # sorted queries search faster
+        folds = folds[order]
+        at = np.searchsorted(self.folds, folds)
+        pos = np.minimum(at, self.size - 1)
+        known = self.folds[pos] == folds
+        ids = self.ids[pos]
+        if not (self.words[ids[known]] == words[order[known]]).all():
+            raise ClassSizeMismatch(_FOLD_COLLISION)
+        return order, folds, at, known, ids
+
+    def find(self, words: np.ndarray):
+        """(ids, known): the vertex of each row of words, where it is one."""
+        order, _, _, known, ids = self._search(words)
+        out, found = np.empty_like(ids), np.empty_like(known)
+        out[order], found[order] = ids, known
+        return out, found
+
+    def add(self, words: np.ndarray):
+        """find, with the distinct rows that are not vertices numbered as new
+        vertices in the order of their folds and merged into the index;
+        returns (ids, first): each row's vertex, and the first row of each
+        new vertex."""
+        order, folds, at, known, ids = self._search(words)
+        new = np.flatnonzero(~known)
+        lead = np.ones(len(new), dtype=bool)
+        lead[1:] = folds[new[1:]] != folds[new[:-1]]
+        first, group = new[lead], np.cumsum(lead) - 1
+        if not (words[order[new]] == words[order[first[group]]]).all():
+            raise ClassSizeMismatch(_FOLD_COLLISION)
+        lo, hi = self.size, self.size + len(first)
+        if hi > len(self.words):
+            raise ClassSizeMismatch(
+                f"orbit closure found {hi} involutions, expected {len(self.words)}")
+        level = np.arange(lo, hi)
+        self.words[lo:hi] = words[order[first]]
+        self.folds = np.insert(self.folds, at[first], folds[first])
+        self.ids = np.insert(self.ids, at[first], level)
+        self.size = hi
+        ids[new] = level[group]
+        out = np.empty_like(ids)
+        out[order] = ids
+        return out, order[first]
 
 
 def _lex_less(a, b):
-    """Row-wise lexicographic a < b for equal-shape uint8 key arrays."""
+    """Row-wise lexicographic a < b for equal-shape key arrays."""
     neq = a != b
     any_neq = neq.any(axis=1)
     first = np.where(any_neq, neq.argmax(axis=1), 0)
@@ -508,7 +603,6 @@ class InvolutionClass:
         self.spec = spec
         self.codes = codes
         self.kern = _Kernels(spec)
-        self._key_order = None
         self._sylow_labels = None
         self._seed_sets = None
         self._suborbits = None
@@ -526,23 +620,6 @@ class InvolutionClass:
 
     def encoding(self, i: int) -> bytes:
         return encode(self.spec, self.member(i))
-
-    def key_order(self):
-        """(order, ranked): the rows sorted by encoding, and their sorted keys."""
-        if self._key_order is None:
-            keys = _void_keys(self.kern.encode_keys(self.codes))
-            order = np.argsort(keys)
-            self._key_order = order, keys[order]
-        return self._key_order
-
-    def vertex_of(self, m: Matrix) -> int:
-        order, ranked = self.key_order()
-        key = self.kern.encode_keys(
-            np.array(canonicalize(self.spec, m), dtype=self.kern.dtype)[None])
-        pos, known = _locate(ranked, _void_keys(key))
-        if not known[0]:
-            raise KeyError(f"{m} is not in the class")
-        return int(order[pos[0]])
 
     def suborbits(self) -> "Suborbits":
         """stabiliser_suborbits with the order of one product per class."""
@@ -648,8 +725,10 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
 
     Each vertex is in exactly one frontier, so conjugating the frontiers
     by every generator conjugates the class once, and the images are the
-    generator permutations (cls.generator_perms()).  An image on the next
-    level is resolved once that level is numbered.  Reaching the
+    generator permutations (cls.generator_perms()).  The images of a
+    frontier (of each chunk of it, on large levels) are looked up in one
+    _KeyIndex search; those not found are numbered as vertices of the next
+    level, which the index takes in by a merge.  Reaching the
     closed-form size proves the set closed, as check_closed_class does for
     a cached class.  The breadth-first numbers are then replaced by the
     ranks of the encodings, in the codes and in the permutations.
@@ -660,46 +739,36 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
 
     expected = spec.class_size()
     perms = np.empty((len(conjugators), expected), dtype=np.int32)
+    seed_words = kern.encode_keys(seed_codes)
+    words = np.empty((expected, seed_words.shape[1]), dtype=np.uint64)
+    words[:1] = seed_words
+    index = _KeyIndex(words, 1)  # vertices numbered breadth-first
+    step = max(1, SEARCH_BLOCK // len(conjugators))
     members = [seed_codes]
-    ranked = _void_keys(kern.encode_keys(seed_codes))  # sorted keys of numbered vertices
-    ids = np.zeros(1, dtype=np.int64)                  # their vertex numbers
-    frontier = seed_codes
-    start, total = 0, 1
-    while True:
-        new = []  # (generator, frontier positions, keys, codes) of unnumbered images
-        for t, (gi, g) in enumerate(conjugators):
-            cand, keys = _conjugate(kern, gi, g, frontier)
-            keys = _void_keys(keys)
-            pos, known = _locate(ranked, keys)
-            perms[t, start:start + len(keys)] = np.where(known, ids[pos], -1)
-            if not known.all():
-                cols = np.nonzero(~known)[0]
-                new.append((t, cols, keys[cols], cand[cols]))
-        if not new:
-            break
-        # deterministic numbering: lexicographic on encodings within the level
-        level_keys, first = np.unique(np.concatenate([k for _, _, k, _ in new]),
-                                      return_index=True)
-        frontier = np.concatenate([c for _, _, _, c in new])[first]
-        level_ids = np.arange(total, total + len(level_keys))
-        for t, cols, keys, _ in new:
-            perms[t, start + cols] = level_ids[np.searchsorted(level_keys, keys)]
+    frontier, start = seed_codes, 0
+    while len(frontier):
+        found = []
+        for lo in range(0, len(frontier), step):
+            chunk = frontier[lo:lo + step]
+            images = [_conjugate(kern, gi, g, chunk) for gi, g in conjugators]
+            ids, first = index.add(np.concatenate([k for _, k in images]))
+            perms[:, start + lo:start + lo + len(chunk)] = ids.reshape(len(conjugators), -1)
+            found.append(np.concatenate([c for c, _ in images])[first])
+        start += len(frontier)
+        frontier = np.concatenate(found)
         members.append(frontier)
-        ranked = np.concatenate([ranked, level_keys])
-        order = np.argsort(ranked)
-        ranked, ids = ranked[order], np.concatenate([ids, level_ids])[order]
-        start, total = total, total + len(level_keys)
-        if total > expected:
-            break
-    codes = np.concatenate(members, axis=0)
-    if len(codes) != expected:
+    if index.size != expected:
         raise ClassSizeMismatch(
-            f"orbit closure found {len(codes)} involutions, expected {expected}")
+            f"orbit closure found {index.size} involutions, expected {expected}")
+    codes = np.concatenate(members, axis=0)
     # renumber by encoding: ids lists the breadth-first numbers in key order
+    ids = np.lexsort(words.T[::-1])
     rank = np.empty(expected, dtype=np.int32)
     rank[ids] = np.arange(expected, dtype=np.int32)
+    for row in perms:  # in place, so that one copy of the permutations is held
+        row[:] = rank[row[ids]]
     cls = InvolutionClass(spec, codes[ids])
-    cls._generator_perms = rank[perms[:, ids]]
+    cls._generator_perms = perms
     return cls
 
 
@@ -718,21 +787,18 @@ def check_closed_class(cls: InvolutionClass) -> None:
     spec = cls.spec
     if cls.size != spec.class_size():
         raise ClassSizeMismatch(f"class has {cls.size} rows, expected {spec.class_size()}")
-    order, ranked = cls.key_order()
-    duplicates = int((ranked[1:] == ranked[:-1]).sum())
-    if duplicates:
-        raise ClassSizeMismatch(f"class has {duplicates} duplicate rows")
     kern = cls.kern
-    if not _locate(ranked, _void_keys(kern.encode_keys(_seed_codes(spec, kern.dtype))))[1][0]:
+    index = _KeyIndex(kern.encode_keys(cls.codes), cls.size)
+    if not index.find(kern.encode_keys(_seed_codes(spec, kern.dtype)))[1][0]:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     conjugators = _conjugators(spec, kern)
     perms = np.empty((len(conjugators), cls.size), dtype=np.int32)
     for t, (gi, g) in enumerate(conjugators):
         _, keys = _conjugate(kern, gi, g, cls.codes)
-        pos, known = _locate(ranked, _void_keys(keys))
+        ids, known = index.find(keys)
         if not known.all():
             raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
-        perms[t] = order[pos]
+        perms[t] = ids
     cls._generator_perms = perms
 
 

@@ -253,7 +253,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
             # the chi neighbors and the Sylow class of 0, 0 itself left out
             phi = np.union1d(sets.chi, np.flatnonzero(labels == labels[0])[1:])
             phi13 = bool(np.array_equal(phi, np.union1d(sets.chi, cert.d3)))
-            phic = bool(np.array_equal(phi, np.setdiff1d(np.arange(1, cls.size), pi_seed)))
+            phic = bool(np.array_equal(phi, fusion.seed_complement(cls.size, pi_seed)))
             pi_info["phi_13_match"] = phi13
             pi_info["phi_complement_match"] = phic
             if not phi13:

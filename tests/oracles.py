@@ -12,7 +12,9 @@ library's O(n) sets.  carried_rows carries the seed's partner sets to
 every vertex in one dense call, where the library works a block at a time.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
-blocked adjacency products.
+blocked adjacency products.  involution_class_by_dict builds the class
+with a Python dict keyed by encode() bytes, one matrix at a time, where
+the library searches sorted uint64 word keys a level at a time.
 """
 
 import json
@@ -26,8 +28,9 @@ from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValue
                         NotAntipodal, NotDistanceRegular, NotRegular,
                         PartitionNotUniform, connected_components, distances_from)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
-                        check_group_form, generators, identity, mat_mul, reversal,
-                        scalar_code)
+                        canonicalize, check_group_form, encode, generators, identity,
+                        mat_inv_det1, mat_mul, mat_scale, reversal, scalar_code,
+                        seed_involution)
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,41 @@ def element_order(spec, m) -> int:
 
 def product_order(spec, x: int, y: int, cls) -> int:
     return element_order(spec, mat_mul(spec.ctx, cls.member(x), cls.member(y)))
+
+
+def vertex_index(cls) -> dict[bytes, int]:
+    """encode() bytes of each member of cls -> its vertex."""
+    return {cls.encoding(i): i for i in range(cls.size)}
+
+
+def involution_class_by_dict(spec):
+    """(codes, generator_perms) of the class: breadth-first from the seed
+    under conjugation by the library's generators, on scalar matrices, with
+    a dict from canonical encodings to breadth-first numbers; vertices are
+    then numbered by encoding, as the library numbers them."""
+    ctx = spec.ctx
+    gens = [(mat_inv_det1(ctx, g), g) for g in generators(spec)]
+
+    def canonical(m):
+        return min((mat_scale(ctx, z, m) for z in spec.center), key=lambda a: encode(spec, a))
+
+    seed = canonicalize(spec, seed_involution(spec))
+    members, number = [seed], {encode(spec, seed): 0}
+    images = [[] for _ in gens]
+    for m in members:  # grows as the search goes
+        for row, (gi, g) in zip(images, gens):
+            c = canonical(mat_mul(ctx, gi, mat_mul(ctx, m, g)))
+            key = encode(spec, c)
+            if key not in number:
+                number[key] = len(members)
+                members.append(c)
+            row.append(number[key])
+    keys = list(number)  # in breadth-first order
+    order = sorted(range(len(members)), key=keys.__getitem__)
+    rank = np.empty(len(members), dtype=np.int64)
+    rank[order] = np.arange(len(members))
+    codes = np.array([members[i] for i in order], dtype=spec.ctx.code_dtype)
+    return codes, rank[np.array(images)[:, order]]
 
 
 def psu3_unitriangular_scan(spec) -> list:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fgl
+from fgl import groups
 from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
 from fgl.graphs import Graph
@@ -76,6 +77,34 @@ def test_field_beyond_the_kernels_exits_2(tmp_path, capsys, cmd, family, n):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "GF(65536)" in err
     assert "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("cmd", ["verify", "construct"])
+@pytest.mark.parametrize("family,n", [("psl2", 16), ("sz", 11), ("psu3", 8)])
+def test_class_beyond_the_vertex_ids_exits_2(tmp_path, capsys, cmd, family, n):
+    # inside GF(2^16), but more involutions than int32 vertex ids: refused before any build
+    args = ["--family", family, "--n", str(n)]
+    if cmd == "construct":
+        args += ["--pi", "chi", "--out", str(tmp_path / "g.g6")]
+    assert run_cli(cmd, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "int32" in err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("cmd", ["verify", "construct"])
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, cmd):
+    def exhausted(spec):
+        raise MemoryError("Unable to allocate 272. GiB")
+
+    monkeypatch.setattr(groups, "involution_class", exhausted)
+    args = ["--family", "psl2", "--n", "2"]
+    if cmd == "construct":
+        args += ["--pi", "chi", "--out", str(tmp_path / "g.g6")]
+    assert run_cli(cmd, *args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of memory" in err and "272. GiB" in err
     assert not os.listdir(tmp_path)
 
 

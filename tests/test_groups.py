@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fgl.groups as gr
 from fgl import bits
@@ -10,8 +12,9 @@ from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
                         mat_inv_det1, mat_mul, mat_scale, reversal,
                         seed_involution, sylow_partition)
 from fgl.fusion import PiSpec, build_fusion_graph
-from oracles import (carried_rows, element_order, full_generators, product_order,
-                     psu3_unitriangular_scan)
+from oracles import (carried_rows, element_order, full_generators,
+                     involution_class_by_dict, product_order, psu3_unitriangular_scan,
+                     vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -190,8 +193,9 @@ def test_class_sizes_and_indexing(psl2_8_class, sz8_class, psu3_4_class):
     assert psu3_4_class.size == 195
     # index is consistent with members
     cls = psl2_8_class
+    vertex = vertex_index(cls)
     for i in (0, 1, 17, 62):
-        assert cls.vertex_of(cls.member(i)) == i
+        assert vertex[encode(cls.spec, canonicalize(cls.spec, cls.member(i)))] == i
 
 
 def test_every_member_is_an_involution(sz8_class):
@@ -205,11 +209,12 @@ def test_every_member_is_an_involution(sz8_class):
 def test_conjugation_closure(psl2_8_class):
     cls = psl2_8_class
     spec = cls.spec
+    vertex = vertex_index(cls)
     for g in generators(spec):
         gi = mat_inv_det1(spec.ctx, g)
         for i in range(cls.size):
             c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, cls.member(i), g))
-            assert cls.vertex_of(c) >= 0
+            assert vertex[encode(spec, canonicalize(spec, c))] >= 0
 
 
 def test_class_size_contract_catches_bad_generators(monkeypatch):
@@ -218,6 +223,44 @@ def test_class_size_contract_catches_bad_generators(monkeypatch):
     monkeypatch.setattr(gr, "generators", lambda s: small)
     with pytest.raises(ClassSizeMismatch):
         involution_class(spec)
+
+
+def test_make_group_refuses_classes_beyond_int32_vertex_ids():
+    for family, n in (("psl2", 16), ("sz", 11), ("sz", 13), ("psu3", 8)):
+        with pytest.raises(InvalidQ, match="int32"):
+            make_group(family, n)
+    for family, n in (("psl2", 15), ("sz", 9), ("psu3", 7)):
+        assert make_group(family, n).class_size() < 2 ** 31
+
+
+# widths of the encodings: psl2 (n <= 8), psu3 (n <= 4), sz (n <= 8), psu3 (n >= 5)
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_word_key_order_is_the_byte_order(data):
+    width = data.draw(st.sampled_from([4, 9, 16, 18]))
+    byte = st.sampled_from([0, 1, 2, 127, 128, 254, 255])  # few values, so prefixes repeat
+    rows = data.draw(st.lists(st.lists(byte, min_size=width, max_size=width), max_size=24))
+    keys = np.array(rows, dtype=np.uint8).reshape(len(rows), width)
+    order = np.lexsort(gr._word_keys(keys).T[::-1])
+    assert order.tolist() == sorted(range(len(rows)), key=lambda i: bytes(rows[i]))
+
+
+def test_a_fold_collision_raises_instead_of_merging(sz8_class, monkeypatch):
+    monkeypatch.setattr(gr, "_fold", lambda words: np.zeros(len(words), dtype=np.uint64))
+    with pytest.raises(ClassSizeMismatch, match="search key"):
+        involution_class(sz8_class.spec)
+    with pytest.raises(ClassSizeMismatch, match="search key"):
+        gr.check_closed_class(gr.InvolutionClass(sz8_class.spec, sz8_class.codes))
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_class_matches_the_dict_oracle(family, n):
+    spec = make_group(family, n)
+    codes, perms = involution_class_by_dict(spec)
+    cls = involution_class(spec)
+    assert cls.codes.dtype == codes.dtype and np.array_equal(cls.codes, codes)
+    assert np.array_equal(cls.generator_perms(), perms)
 
 
 def test_product_orders_and_masks_agree(psl2_8_class):
@@ -526,12 +569,13 @@ def test_schreier_tree_spans_the_class(psu3_4_class):
     assert np.array_equal(perms[label[x], parent[x]], x)
     # each generator permutes the vertices exactly as conjugation does
     spec = cls.spec
+    vertex = vertex_index(cls)
     for t in (0, len(perms) - 1):
         g = generators(spec)[t]
         gi = mat_inv_det1(spec.ctx, g)
         for i in (0, 7, cls.size - 1):
             c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, cls.member(i), g))
-            assert cls.vertex_of(c) == perms[t, i]
+            assert vertex[encode(spec, canonicalize(spec, c))] == perms[t, i]
 
 
 def test_fusion_graph_rejects_a_non_member(psl2_8_class):
