@@ -68,18 +68,26 @@ def rows_from_pairs(v: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     Pair arrays may contain duplicates; loops (i == j) are rejected.  The
     bits (i, j) are set in one scatter and mirrored by a transpose.
     """
+    out = or_pairs(zero_rows(v, v), i, j)
+    return out | transpose(out, v)
+
+
+def or_pairs(out: np.ndarray, i, j) -> np.ndarray:
+    """Set the bits (i, j) of the bit-row matrix out in place, in one
+    scatter, and return out.  Loops (i == j) are rejected."""
     i = np.asarray(i, dtype=np.int64)
     j = np.asarray(j, dtype=np.int64)
     if i.size and (i == j).any():
         raise ValueError("loops are not representable")
-    out = zero_rows(v, v)
     np.bitwise_or.at(out, (i, j >> 6), _word_bits(j))
-    return out | transpose(out, v)
+    return out
 
 
-def transpose(rows: np.ndarray, v: int, block: int = 4096) -> np.ndarray:
-    """Transpose of a (v, W) bit matrix, column-chunked to bound memory."""
+def transpose(rows: np.ndarray, v: int) -> np.ndarray:
+    """Transpose of a (v, W) bit matrix, in column blocks of at most
+    ROW_BLOCK_BITS unpacked entries."""
     out = zero_rows(v, v)
+    block = max(64, ROW_BLOCK_BITS // max(v, 1) & -64)
     for lo in range(0, v, block):
         hi = min(lo + block, v)
         wlo, whi = lo >> 6, (hi + 63) >> 6

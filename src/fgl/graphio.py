@@ -1,29 +1,43 @@
 """Graph import/export: graph6 and a canonical JSON edge-list form.
 
-Both formats go through one exchange form, the (m, 2) int64 edge array
-of Graph.edges() / Graph.from_edges, and no list or tuple per edge is
-built outside json.loads.
+No list, tuple or str is built per edge: graph6 goes through the (m, 2)
+int64 edge array of Graph.edges() / Graph.from_edges, and JSON through
+numpy passes over bytes, one block of at most JSON_CHUNK bytes at a time.
 
 graph6 is the standard header-free bit-packed encoding (column-major
 upper triangle, 6 bits per printable character, offset 63).  The JSON
 form is {"v": N, "edges": [[i, j], ...]} with i < j and edges sorted
 lexicographically, written byte-identically to json.dumps of that
-object, so identical graphs serialize byte-identically.  Any JSON text
-of that object reads back (indented or with reordered keys), but the
-reader is strict: v and every endpoint must be JSON integers, not
-booleans, floats or strings, and edges a list of pairs.
+object, so identical graphs serialize byte-identically.
+
+The JSON reader takes exactly this grammar, ws being any run of space,
+tab, CR and LF:
+
+    graph  = ws "{" ws (v ws "," ws edges | edges ws "," ws v) ws "}" ws
+    v      = '"v"' ws ":" ws int
+    edges  = '"edges"' ws ":" ws "[" ws [pair *(ws "," ws pair) ws] "]"
+    pair   = "[" ws int ws "," ws int ws "]"
+    int    = ["-"] ("0" | "1".."9" *digit)
+
+Every graph JSON that json.loads reads to a valid graph is in it, except
+that the object must have exactly the keys "v" and "edges", once each
+and written without escapes: an extra key, a repeated key or an escaped
+key name is a parse error.  An endpoint with more digits than v - 1 is
+rejected before it is converted.  The edge list is parsed in chunks that
+end at a "]", each the last one within JSON_CHUNK bytes (or the first
+beyond), so every temporary is O(JSON_CHUNK) besides the file's bytes
+and the bit rows.
 """
 
 from __future__ import annotations
 
-import gc
-import itertools
-import json
 import os
+import re
 import tempfile
 
 import numpy as np
 
+from . import bits
 from .graphs import Graph
 
 
@@ -54,16 +68,16 @@ def to_graph6(g: Graph) -> str:
     return head + chars.tobytes().decode("ascii")
 
 
-def from_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<"):]
+def from_graph6(text: str | bytes) -> Graph:
+    if isinstance(text, str):
+        try:
+            text = text.strip().encode("ascii")
+        except UnicodeEncodeError as e:
+            raise GraphParseError("invalid graph6 character") from e
+    s = text.strip().removeprefix(b">>graph6<<")
     if not s:
         raise GraphParseError("empty graph6 string")
-    try:
-        data = np.frombuffer(s.encode("ascii"), dtype=np.uint8) - np.uint8(63)
-    except UnicodeEncodeError as e:
-        raise GraphParseError("invalid graph6 character") from e
+    data = np.frombuffer(s, dtype=np.uint8) - np.uint8(63)
     if (data > 63).any():
         raise GraphParseError("invalid graph6 character")
     head = [int(x) for x in data[:8]]
@@ -92,57 +106,164 @@ def from_graph6(text: str) -> Graph:
     return Graph.from_edges(n, np.stack([pos - starts[j], j], axis=1))
 
 
-def _json_text(g: Graph) -> str:
-    """json.dumps({"v": v, "edges": [[i, j], ...]}) of g's sorted edge
-    array, assembled from a table of vertex names with no list per edge."""
-    e = g.edges()
-    names = [str(k) for k in range(g.v)]
-    pairs = "], [".join([names[i] + ", " + names[j]
-                         for i, j in zip(e[:, 0].tolist(), e[:, 1].tolist())])
-    body = "[" + pairs + "]" if len(e) else ""
-    return f'{{"v": {g.v}, "edges": [{body}]}}'
+JSON_CHUNK = 1 << 18  # bytes of JSON edge text built or parsed per block
+
+_JSON_SPACE = rb"[ \t\r\n]*"
+_JSON_INT = rb"(-?(?:0|[1-9][0-9]*))"
+_HEAD = re.compile(_JSON_SPACE + rb'\{' + _JSON_SPACE + rb'"(v|edges)"' + _JSON_SPACE
+                   + rb':' + _JSON_SPACE)
+_V_THEN_EDGES = re.compile(_JSON_INT + _JSON_SPACE + rb',' + _JSON_SPACE + rb'"edges"'
+                           + _JSON_SPACE + rb':' + _JSON_SPACE + rb'\[')
+_TAIL_AFTER_EDGES = {
+    b"v": re.compile(rb'\]' + _JSON_SPACE + rb'\}' + _JSON_SPACE),
+    b"edges": re.compile(rb'\]' + _JSON_SPACE + rb',' + _JSON_SPACE + rb'"v"' + _JSON_SPACE
+                         + rb':' + _JSON_SPACE + _JSON_INT + _JSON_SPACE + rb'\}'
+                         + _JSON_SPACE),
+}
+
+# byte classes of the edge list: numbers are the bytes up to _MINUS,
+# punctuation the bytes from _COMMA on
+_OTHER, _DIGIT, _MINUS, _SPACE, _COMMA, _OPEN, _CLOSE = range(7)
+_CLASS = np.zeros(256, dtype=np.uint8)
+_CLASS[list(b"0123456789")] = _DIGIT
+_CLASS[list(b" \t\r\n")] = _SPACE
+_CLASS[list(b"-,[]")] = [_MINUS, _COMMA, _OPEN, _CLOSE]
+_PAIR = np.frombuffer(b",[,]", dtype=np.uint8)  # the punctuation of ', [i, j]'
 
 
-def _load_json(text: str):
-    """json.loads with the cyclic collector paused.  The parse allocates
-    only acyclic lists and dicts, one per edge, and the collections they
-    would trigger cost about as much as the parse itself."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        raise GraphParseError(f"bad JSON: {e}") from e
-    finally:
-        if enabled:
-            gc.enable()
+def _digit_table(v: int) -> np.ndarray:
+    """The decimal names of 0..v-1 as one w-byte void item each, w the
+    width of v - 1, right-aligned and padded on the left with zero bytes."""
+    k = np.arange(v, dtype=np.int64)
+    w = len(str(max(v - 1, 0)))
+    names = np.zeros((v, w), dtype=np.uint8)
+    for c in range(w):
+        shown = (k >= 10 ** c) | (c == 0)
+        names[shown, w - 1 - c] = 48 + (k[shown] // 10 ** c) % 10
+    return names.view(np.dtype((np.void, w)))[:, 0]
 
 
-def from_json_obj(obj) -> Graph:
-    try:
-        v = obj["v"]
-        edges = obj["edges"]
-    except (KeyError, TypeError) as e:
-        raise GraphParseError(f"bad graph JSON: {e}") from e
-    if type(v) is not int:
-        raise GraphParseError(f"vertex count must be an integer, not {type(v).__name__}")
+def _write_json(f, g: Graph) -> None:
+    """Write json.dumps({"v": v, "edges": [[i, j], ...]}) of g's sorted
+    edges to the binary file f, one block of at most JSON_CHUNK bytes at a
+    time.  Each edge is a fixed-width row ', [i, j]' of the digit table's
+    names, and the pad bytes are dropped."""
+    names = _digit_table(g.v)
+    w = names.itemsize
+    row = np.frombuffer(b", [" + bytes(w) + b", " + bytes(w) + b"]", dtype=np.uint8)
+    f.write(b'{"v": %d, "edges": [' % g.v)
+    skip = 2  # the first edge has no ', ' before it
+    for e in g.edge_blocks(max(1, JSON_CHUNK // len(row))):
+        if len(e):
+            rows = np.empty((len(e), len(row)), dtype=np.uint8)
+            rows[:] = row
+            rows[:, 3:3 + w].view(names.dtype)[:, 0] = names[e[:, 0]]
+            rows[:, 5 + w:5 + 2 * w].view(names.dtype)[:, 0] = names[e[:, 1]]
+            f.write(rows[rows != 0][skip:])
+            skip = 0
+    f.write(b"]}\n")
+
+
+def from_json(text: str | bytes) -> Graph:
+    """Graph of a JSON text {"v": N, "edges": [[i, j], ...]}, the grammar
+    of the module docstring, parsed JSON_CHUNK bytes at a time."""
+    data = text.encode("ascii", "replace") if isinstance(text, str) else text
+    head = _HEAD.match(data)
+    if head is None:
+        raise GraphParseError('graph JSON must be an object {"v": N, "edges": [...]}')
+    first = head.group(1)
+    pos = head.end()
+    if first == b"v":
+        body = _V_THEN_EDGES.match(data, pos)
+        if body is None:
+            raise GraphParseError('expected an integer "v" and then "edges": [...]')
+        v, lo = int(body.group(1)), body.end()
+        hi = data.rfind(b"]", lo)
+    else:
+        if data[pos:pos + 1] != b"[":
+            raise GraphParseError('"edges" must be a list')
+        lo = pos + 1
+        hi = data.rfind(b"]", lo, data.find(b'"', lo) + 1)
+    tail = _TAIL_AFTER_EDGES[first].fullmatch(data, hi) if hi >= lo else None
+    if tail is None:
+        raise GraphParseError('graph JSON must be an object {"v": N, "edges": [...]}')
+    if first == b"edges":
+        v = int(tail.group(1))
     if v < 0:
         raise GraphParseError("negative vertex count")
-    if not (type(edges) is list and {list}.issuperset(map(type, edges))
-            and {2}.issuperset(map(len, edges))):
-        raise GraphParseError("edges must be a list of [i, j] pairs")
-    # fromiter would take true/false as 1/0, so the types are checked first
-    endpoints = itertools.chain.from_iterable
-    if not {int}.issuperset(map(type, endpoints(edges))):
-        raise GraphParseError("edge endpoints must be integers within int64")
+    rows = bits.zero_rows(v, v)
     try:
-        e = np.fromiter(endpoints(edges), np.int64, count=2 * len(edges)).reshape(-1, 2)
-    except OverflowError as err:
-        raise GraphParseError("edge endpoints must be integers within int64") from err
-    try:
-        return Graph.from_edges(v, e)
+        for i, j in _json_pairs(data, lo, hi, v):
+            bits.or_pairs(rows, i, j)
     except ValueError as err:
         raise GraphParseError(str(err)) from err
+    return Graph(v, rows | bits.transpose(rows, v))
+
+
+def _json_pairs(data: bytes, lo: int, hi: int, v: int):
+    """Yield the (i, j) endpoint arrays of the edge list data[lo:hi] (the
+    text between its brackets), one chunk at a time.  A chunk ends after
+    the last ']' within JSON_CHUNK bytes, or the first one beyond, so no
+    pair is split."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    digits = len(str(v - 1)) if v else 0
+    lead = True
+    while lo < hi:
+        end = hi
+        if hi - lo > JSON_CHUNK:
+            end = (data.rfind(b"]", lo, lo + JSON_CHUNK) + 1
+                   or data.find(b"]", lo + JSON_CHUNK, hi) + 1 or hi)
+        val = _chunk_endpoints(buf[lo:end], lead, v, digits)
+        lead = lead and not val.size
+        lo = end
+        yield val[0::2], val[1::2]
+
+
+def _chunk_endpoints(chunk: np.ndarray, lead: bool, v: int, digits: int) -> np.ndarray:
+    """The endpoints i0, j0, i1, j1, ... of the pairs in one chunk.
+
+    The chunk's punctuation must be ',[,]' per pair, with the ',' before
+    the list's first pair implied (lead), and its numbers, the maximal
+    runs of digits and '-', must lie one in each slot of a pair; every
+    other byte is whitespace.
+    """
+    cls = np.take(_CLASS, chunk)
+    if not cls.all():
+        raise GraphParseError("unexpected character in the edge list")
+    num = cls <= _MINUS
+    if num[0] or num[-1]:
+        raise GraphParseError("edges must be a list of [i, j] pairs")
+    ends = np.flatnonzero(num[1:] != num[:-1])
+    punct = np.flatnonzero(cls >= _COMMA)
+    minus = np.count_nonzero(cls == _MINUS)
+    del cls, num
+    marks = chunk[punct]
+    if lead and punct.size:
+        punct = np.concatenate([[-1], punct])
+        marks = np.concatenate([_PAIR[:1], marks])
+    k = len(punct) // 4
+    if len(punct) != 4 * k or len(ends) != 4 * k or not (marks.reshape(k, 4) == _PAIR).all():
+        raise GraphParseError("edges must be a list of [i, j] pairs")
+    p = punct.reshape(k, 4)
+    s, e = ends[0::2] + 1, ends[1::2]
+    if not ((p[:, 1] < s[0::2]) & (e[0::2] < p[:, 2])
+            & (p[:, 2] < s[1::2]) & (e[1::2] < p[:, 3])).all():
+        raise GraphParseError("edges must be a list of [i, j] pairs")
+    del punct, p
+    neg = chunk[s] == ord("-")
+    width = e - s + 1 - neg
+    if minus != np.count_nonzero(neg) or (width < 1).any():
+        raise GraphParseError("misplaced '-' in an edge endpoint")
+    if width.max(initial=0) > digits:
+        raise GraphParseError(f"edge endpoint has more digits than v - 1 = {v - 1}")
+    if ((chunk[s + neg] == ord("0")) & (width > 1)).any():
+        raise GraphParseError("leading zero in an edge endpoint")
+    val = np.zeros(len(e), dtype=np.int64)
+    for c in range(int(width.max(initial=0))):
+        val += (chunk[e - c] - np.uint8(48)) * (width > c) * np.int64(10 ** c)
+    if (val >= v).any() or (neg & (val != 0)).any():
+        raise GraphParseError("vertex id out of range")
+    return val
 
 
 def atomic_write(path: str, write, mode: str = "w") -> None:
@@ -179,17 +300,14 @@ def write_graph(path: str, g: Graph, fmt: str | None = None) -> str:
     if fmt == "graph6":
         atomic_write_text(path, to_graph6(g) + "\n")
     else:
-        atomic_write_text(path, _json_text(g) + "\n")
+        atomic_write(path, lambda f: _write_json(f, g), "wb")
     return fmt
 
 
 def read_graph(path: str, fmt: str | None = None) -> Graph:
     fmt = detect_format(path, fmt)
-    with open(path) as f:
-        text = f.read()
-    if fmt == "graph6":
-        g = from_graph6(text)
-    else:
-        g = from_json_obj(_load_json(text))
+    with open(path, "rb") as f:
+        data = f.read()
+    g = from_graph6(data) if fmt == "graph6" else from_json(data)
     g.validate()
     return g

@@ -79,11 +79,8 @@ class Graph:
     def from_edges(cls, v: int, edges) -> "Graph":
         """Graph on vertices 0..v-1 from an (m, 2) array or sequence of pairs."""
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if e.size:
-            if e.min() < 0 or e.max() >= v:
-                raise ValueError("vertex id out of range")
-            if (e[:, 0] == e[:, 1]).any():
-                raise ValueError("loops not allowed")
+        if e.size and (e.min() < 0 or e.max() >= v):
+            raise ValueError("vertex id out of range")
         return cls(v, bits.rows_from_pairs(v, e[:, 0], e[:, 1]))
 
     @classmethod
@@ -118,16 +115,25 @@ class Graph:
         return bits.indices(self.rows[i], self.v)
 
     def edges(self) -> np.ndarray:
-        """(m, 2) int64 array of the pairs i < j, sorted lexicographically.
+        """(m, 2) int64 array of the pairs i < j, sorted lexicographically."""
+        return np.concatenate([np.zeros((0, 2), dtype=np.int64), *self.edge_blocks()],
+                              dtype=np.int64)
 
-        Rows are unpacked at most bits.ROW_BLOCK_BITS entries at a time.
+    def edge_blocks(self, max_edges: int = bits.ROW_BLOCK_BITS):
+        """Yield edges() in consecutive pieces, one per row range.
+
+        A range unpacks at most bits.ROW_BLOCK_BITS entries, and its
+        degrees sum to at most max_edges unless it is a single row.
         """
-        parts = [np.zeros((0, 2), dtype=np.int64)]
+        ends = np.cumsum(self.degrees())
         for lo, hi in _row_blocks(self.v):
-            block = bits.unpack_rows(self.rows[lo:hi], self.v)
-            i, j = np.nonzero(np.triu(block, lo + 1))
-            parts.append(np.stack([i + lo, j], axis=1))
-        return np.concatenate(parts, dtype=np.int64)
+            while lo < hi:
+                budget = (ends[lo - 1] if lo else 0) + max_edges
+                top = min(hi, max(lo + 1, int(np.searchsorted(ends, budget, side="right"))))
+                block = bits.unpack_rows(self.rows[lo:top], self.v)
+                i, j = np.nonzero(np.triu(block, lo + 1))
+                yield np.stack([i + lo, j], axis=1)
+                lo = top
 
     def complement(self) -> "Graph":
         return Graph(self.v, ~(self.rows | bits.identity(self.v)) & bits.pad_mask(self.v))

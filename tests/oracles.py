@@ -5,7 +5,8 @@ library certifies the same facts more cheaply (the cover certificate from
 vertex 0's neighbor set), and the tests compare the two.  The scalar
 product order is the reference for the batched order kernels.  The edge list and JSON
 writer oracles walk the vertices one at a time, as the library did before
-it moved to a single edge array.  The full generating sets (every
+it moved to a single edge array; the JSON reader oracle is json.loads with
+a type check per endpoint, where the library parses the bytes in chunks.  The full generating sets (every
 nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
 scan of all lower unitriangular matrices) must give the same class as the
 library's O(n) sets.  carried_rows carries the seed's partner sets to
@@ -17,6 +18,8 @@ with a Python dict keyed by encode() bytes, one matrix at a time, where
 the library searches sorted uint64 word keys a level at a time.
 """
 
+import gc
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from fgl import bits
 from fgl.formulas import PSU3, SZ, IntersectionArray
+from fgl.graphio import GraphParseError
 from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValues,
                         NotAntipodal, NotDistanceRegular, NotRegular,
                         PartitionNotUniform, connected_components, distances_from)
@@ -60,6 +64,56 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
 def json_dumps_graph(g: Graph) -> str:
     """The graph JSON form as json.dumps of the edge lists."""
     return json.dumps({"v": g.v, "edges": [[i, j] for i, j in edge_list(g)]})
+
+
+def load_json(text: str):
+    """json.loads with the cyclic collector paused.  The parse allocates
+    only acyclic lists and dicts, one per edge, and the collections they
+    would trigger cost about as much as the parse itself."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:
+        raise GraphParseError(f"bad JSON: {e}") from e
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def from_json_obj(obj) -> Graph:
+    try:
+        v = obj["v"]
+        edges = obj["edges"]
+    except (KeyError, TypeError) as e:
+        raise GraphParseError(f"bad graph JSON: {e}") from e
+    if type(v) is not int:
+        raise GraphParseError(f"vertex count must be an integer, not {type(v).__name__}")
+    if v < 0:
+        raise GraphParseError("negative vertex count")
+    if not (type(edges) is list and {list}.issuperset(map(type, edges))
+            and {2}.issuperset(map(len, edges))):
+        raise GraphParseError("edges must be a list of [i, j] pairs")
+    # fromiter would take true/false as 1/0, so the types are checked first
+    endpoints = itertools.chain.from_iterable
+    if not {int}.issuperset(map(type, endpoints(edges))):
+        raise GraphParseError("edge endpoints must be integers within int64")
+    try:
+        e = np.fromiter(endpoints(edges), np.int64, count=2 * len(edges)).reshape(-1, 2)
+    except OverflowError as err:
+        raise GraphParseError("edge endpoints must be integers within int64") from err
+    try:
+        return Graph.from_edges(v, e)
+    except ValueError as err:
+        raise GraphParseError(str(err)) from err
+
+
+def read_json_graph(text: str) -> Graph:
+    """The reference graph JSON reader: json.loads, then a type check per
+    endpoint and per pair, as read_graph did before it parsed bytes."""
+    g = from_json_obj(load_json(text))
+    g.validate()
+    return g
 
 
 def iter_common_neighbor_counts(g: Graph, chunk: int = 8192):

@@ -1,18 +1,20 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.graphio import (GraphParseError, from_graph6, from_json_obj,
+from fgl.graphio import (JSON_CHUNK, GraphParseError, from_graph6, from_json,
                          read_graph, to_graph6, write_graph)
 from fgl.graphs import Graph
-from oracles import edge_list, json_dumps_graph
+from oracles import edge_list, json_dumps_graph, read_json_graph
 
-# parsed graph JSON that the reader must reject: non-integer or boolean
-# vertex counts and endpoints, non-lists, ragged or wrongly shaped lists,
-# endpoints outside int64
+# graph JSON objects that the reader must reject, given as json.dumps text:
+# non-integer or boolean vertex counts and endpoints, non-lists, ragged or
+# wrongly shaped lists, endpoints outside int64
 BAD_GRAPH_JSON = {
     "null-endpoint": {"v": 3, "edges": [[0, None]]},
     "edges-not-list": {"v": 3, "edges": 5},
@@ -30,6 +32,47 @@ BAD_GRAPH_JSON = {
     "above-int64": {"v": 3, "edges": [[0, 2 ** 63]]},
     "above-uint64": {"v": 3, "edges": [[0, 2 ** 64]]},
     "below-int64": {"v": 3, "edges": [[-2 ** 63 - 1, 1]]},
+}
+
+# JSON texts that json.loads rejects or reads to an invalid graph, and that
+# the reader must reject too
+BAD_GRAPH_TEXT = {
+    "leading-zero": '{"v": 3, "edges": [[01, 2]]}',
+    "leading-zero-v": '{"v": 03, "edges": []}',
+    "lone-minus": '{"v": 3, "edges": [[-, 2]]}',
+    "minus-inside": '{"v": 3, "edges": [[1-2, 0]]}',
+    "exponent": '{"v": 3, "edges": [[0, 1e2]]}',
+    "decimal": '{"v": 3, "edges": [[0, 1.0]]}',
+    "true": '{"v": 3, "edges": [[true, 2]]}',
+    "more-digits-than-v": '{"v": 3, "edges": [[0, 1000000000000000000000000000000]]}',
+    "negative-endpoint": '{"v": 3, "edges": [[-1, 2]]}',
+    "negative-v": '{"v": -1, "edges": []}',
+    "trailing-comma": '{"v": 3, "edges": [[0, 1],]}',
+    "missing-comma": '{"v": 3, "edges": [[0, 1] [1, 2]]}',
+    "space-in-number": '{"v": 30, "edges": [[1 2, 0]]}',
+    "space-after-minus": '{"v": 3, "edges": [[- 0, 1]]}',
+    "vertical-tab": '{"v": 3,\x0b"edges": []}',
+    "trailing-text": '{"v": 3, "edges": []} x',
+    "loop": '{"v": 3, "edges": [[1, 1]]}',
+    "missing-v": '{"edges": []}',
+}
+
+# valid JSON of a graph object that json.loads reads but the reader
+# rejects: it takes exactly the keys "v" and "edges", spelled without escapes
+NARROWED_GRAPH_TEXT = {
+    "extra-key": '{"v": 3, "edges": [[0, 1]], "name": "k2"}',
+    "duplicate-key": '{"v": 3, "v": 3, "edges": [[0, 1]]}',
+    "escaped-key": '{"\\u0076": 3, "edges": [[0, 1]]}',
+}
+
+# unusual but valid graph JSON that the reader must read as json.loads does
+ODD_GRAPH_TEXT = {
+    "spaced-empty-list": '{"v": 3, "edges": [ ]}',
+    "no-vertices": '{"v": 0, "edges": []}',
+    "minus-zero": '{"v": 3, "edges": [[-0, 2]]}',
+    "minus-zero-v": '{"v": -0, "edges": []}',
+    "reversed-pair": '{"v": 3, "edges": [[2, 0], [0, 2]]}',
+    "all-whitespace": ' \t{\r\n"edges"\t:[ [ 2 ,0 ] ,\n[1,0]\r]\n, "v" :3 }\n\n',
 }
 
 
@@ -95,10 +138,11 @@ def test_json_roundtrip_and_canonical_order(tmp_path):
     g = random_graph(11)
     path = str(tmp_path / "g.json")
     write_graph(path, g)
-    obj = json.loads(open(path).read())
+    text = open(path).read()
+    obj = json.loads(text)
     assert obj["edges"] == sorted(obj["edges"])
     assert all(i < j for i, j in obj["edges"])
-    assert from_json_obj(obj) == g
+    assert from_json(text) == g
 
 
 @given(st.integers(0, 10 ** 6), st.integers(0, 40), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
@@ -128,16 +172,98 @@ def test_resaved_json_reads_back(tmp_path, resave):
 @pytest.mark.parametrize("obj", BAD_GRAPH_JSON.values(), ids=BAD_GRAPH_JSON.keys())
 def test_json_rejects_non_integer_input(obj):
     with pytest.raises(GraphParseError):
-        from_json_obj(obj)
+        from_json(json.dumps(obj))
 
 
 def test_json_rejects_bad_input():
+    for obj in ({"edges": []}, {"v": 2, "edges": [[0, 0]]}, {"v": 2, "edges": [[0, 5]]}):
+        with pytest.raises(GraphParseError):
+            from_json(json.dumps(obj))
+    for name, text in BAD_GRAPH_TEXT.items():
+        with pytest.raises(GraphParseError):
+            read_json_graph(text)
+        with pytest.raises(GraphParseError):
+            from_json(text)
+        with pytest.raises(GraphParseError):
+            from_json(text.encode())
+
+
+@pytest.mark.parametrize("text", NARROWED_GRAPH_TEXT.values(), ids=NARROWED_GRAPH_TEXT.keys())
+def test_json_reader_is_narrower_than_json_loads(text):
+    assert read_json_graph(text) == Graph.from_edges(3, [(0, 1)])
     with pytest.raises(GraphParseError):
-        from_json_obj({"edges": []})
-    with pytest.raises(GraphParseError):
-        from_json_obj({"v": 2, "edges": [[0, 0]]})
-    with pytest.raises(GraphParseError):
-        from_json_obj({"v": 2, "edges": [[0, 5]]})
+        from_json(text)
+
+
+@pytest.mark.parametrize("text", ODD_GRAPH_TEXT.values(), ids=ODD_GRAPH_TEXT.keys())
+def test_json_reads_odd_valid_text(tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_bytes(text.encode())
+    assert read_graph(str(path)) == from_json(text) == read_json_graph(text)
+
+
+def outcome(read, text):
+    """The graph read from text, or None where the reader rejects it."""
+    try:
+        return read(text)
+    except (GraphParseError, ValueError):
+        return None
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 30), st.sampled_from([0.0, 0.3, 1.0]),
+       st.sampled_from([None, 0, 2, "\t"]), st.sampled_from([None, (",", ":")]),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_json_reader_matches_json_loads_on_any_formatting(seed, v, p, indent, separators,
+                                                         keys_reversed):
+    g = random_graph(seed, v=v, p=p)
+    obj = json.loads(json_dumps_graph(g))
+    if keys_reversed:
+        obj = dict(reversed(obj.items()))
+    text = json.dumps(obj, indent=indent, separators=separators)
+    assert from_json(text) == read_json_graph(text) == g
+
+
+# bytes of JSON syntax, of numbers and of the key names, plus whitespace
+# that JSON does not allow and one non-ASCII character
+EDIT_CHARS = '0123456789-+.eE,[]{}":vedgs \t\r\n\x0b\x0c\\ntrufalé'
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 5), st.booleans(),
+       st.sampled_from(["insert", "delete", "substitute"]), st.sampled_from(EDIT_CHARS),
+       st.integers(0, 10 ** 4))
+@settings(max_examples=600, deadline=None)
+def test_json_reader_matches_json_loads_on_one_byte_edits(seed, v, keys_reversed, edit, ch,
+                                                         where):
+    obj = json.loads(json_dumps_graph(random_graph(seed, v=v, p=0.5)))
+    text = json.dumps(dict(reversed(obj.items())) if keys_reversed else obj)
+    at = where % (len(text) + (edit == "insert"))
+    rest = text[at + (edit != "insert"):]
+    text = text[:at] + ("" if edit == "delete" else ch) + rest
+    assert outcome(from_json, text) == outcome(read_json_graph, text)
+
+
+def test_json_io_memory_is_bounded(tmp_path):
+    # the JSON spans at least three chunks; the bound allows the file, a few
+    # copies of the bit rows, and no more than a constant number of chunks
+    g = random_graph(7, v=600, p=0.5)
+    path = str(tmp_path / "g.json")
+    tracemalloc.start()
+    try:
+        write_graph(path, g)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        h = read_graph(path)
+        read_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert size >= 3 * JSON_CHUNK
+    assert h == g
+    bound = size + 4 * g.rows.nbytes + 16 * JSON_CHUNK
+    assert write_peak < bound
+    assert read_peak < bound
 
 
 def test_file_roundtrip_both_formats(tmp_path):
