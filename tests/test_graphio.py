@@ -179,7 +179,7 @@ def test_json_rejects_bad_input():
     for obj in ({"edges": []}, {"v": 2, "edges": [[0, 0]]}, {"v": 2, "edges": [[0, 5]]}):
         with pytest.raises(GraphParseError):
             from_json(json.dumps(obj))
-    for name, text in BAD_GRAPH_TEXT.items():
+    for text in BAD_GRAPH_TEXT.values():
         with pytest.raises(GraphParseError):
             read_json_graph(text)
         with pytest.raises(GraphParseError):
