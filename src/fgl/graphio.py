@@ -25,8 +25,9 @@ and written without escapes: an extra key, a repeated key or an escaped
 key name is a parse error.  An endpoint with more digits than v - 1 is
 rejected before it is converted.  The edge list is parsed in chunks that
 end at a "]", each the last one within JSON_CHUNK bytes (or the first
-beyond), so every temporary is O(JSON_CHUNK) besides the file's bytes
-and the bit rows.
+beyond), so every parse temporary is O(JSON_CHUNK); besides them a read
+holds the file's bytes, a few copies of the bit rows and the column
+blocks of bits.transpose, at most bits.ROW_BLOCK_BITS entries each.
 """
 
 from __future__ import annotations
