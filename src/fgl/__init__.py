@@ -7,7 +7,7 @@ from .fusion import PiSpec, build_fusion_graph
 from .gf2 import FieldCtx, field_ctx
 from .graphs import (DdgCert, DezaCert, Graph, antipodal_classes,
                      common_neighbor_spectrum, deza_check, ddg_check,
-                     distances_from, intersection_array, recognize_clique_union,
+                     intersection_array, recognize_clique_union,
                      recognize_complete_multipartite)
 from .groups import (GroupSpec, InvolutionClass, SzEvenExponent, generators,
                      involution_class, make_group, sylow_partition)

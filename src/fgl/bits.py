@@ -132,12 +132,3 @@ def identity(v: int) -> np.ndarray:
     rows[i, i >> 6] = _word_bits(i)
     return rows
 
-
-def clique_rows(labels) -> np.ndarray:
-    """(v, W) bit matrix joining distinct items with equal labels."""
-    _, inv = np.unique(np.asarray(labels, dtype=np.int64), return_inverse=True)
-    v = len(inv)
-    i = np.arange(v)
-    classes = zero_rows(int(inv.max(initial=-1)) + 1, v)
-    np.bitwise_or.at(classes, (inv, i >> 6), _word_bits(i))
-    return classes[inv] ^ identity(v)

@@ -43,30 +43,24 @@ def _out_text(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _out_of_memory(e: MemoryError) -> int:
-    print(f"construction error: out of memory: {e}", file=sys.stderr)
-    return EXIT_CONSTRUCTION
+def _read_input(path: str, fmt: str | None) -> graphs.Graph | None:
+    """read_graph, or None once a graph that cannot be read, parsed or held
+    in memory is reported on stderr (a usage error)."""
+    try:
+        return read_graph(path, fmt)
+    except (OSError, GraphParseError, ValueError, MemoryError) as e:
+        print(f"error reading graph: {e}", file=sys.stderr)
+        return None
 
 
 def cmd_construct(args) -> int:
-    try:
-        spec = groups.make_group(args.family, args.n)
-    except InvalidQ as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cls = pipeline.load_or_build_class(spec, args.cache)
-        if args.pi == "chi":
-            pi = fusion.PiSpec.chi_only()
-        else:
-            pi = fusion.PiSpec.odd_complement()
-        g = fusion.build_fusion_graph(cls, pi)
-    except (groups.GeneratorValidationFailed, groups.ClassSizeMismatch,
-            groups.SeedNotInvolution, groups.OrderCapExceeded) as e:
-        print(f"construction error: {e}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except MemoryError as e:
-        return _out_of_memory(e)
+    spec = groups.make_group(args.family, args.n)
+    cls = pipeline.load_or_build_class(spec, args.cache)
+    if args.pi == "chi":
+        pi = fusion.PiSpec.chi_only()
+    else:
+        pi = fusion.PiSpec.odd_complement()
+    g = fusion.build_fusion_graph(cls, pi)
     fmt = write_graph(args.out, g, args.format)
     meta = {
         "schema": pipeline.SCHEMA,
@@ -86,17 +80,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        report = pipeline.run_verify(args.family, args.n, cache_dir=args.cache)
-    except InvalidQ as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (groups.GeneratorValidationFailed, groups.ClassSizeMismatch,
-            groups.SeedNotInvolution, groups.OrderCapExceeded) as e:
-        print(f"construction error: {e}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
-    except MemoryError as e:
-        return _out_of_memory(e)
+    report = pipeline.run_verify(args.family, args.n, cache_dir=args.cache)
     _out_text(args, report.to_json() + "\n")
     if not report.passed:
         print(f"VERIFY FAILED: {report.failures[0]}", file=sys.stderr)
@@ -131,10 +115,8 @@ ANALYSES = {
 
 
 def cmd_analyze(args) -> int:
-    try:
-        g = read_graph(args.input, args.format)
-    except (OSError, GraphParseError, ValueError) as e:
-        print(f"error reading graph: {e}", file=sys.stderr)
+    g = _read_input(args.input, args.format)
+    if g is None:
         return EXIT_USAGE
     checks = [c.strip() for c in args.check.split(",") if c.strip()]
     bad = set(checks) - set(ANALYSES)
@@ -224,8 +206,7 @@ def cmd_report(args) -> int:
             arr = formulas.predicted_chi_array(family, q)
             verified = ""
             if args.cache:
-                path = os.path.join(
-                    args.cache, f"{family}-n{n}-v{pipeline.CODE_VERSION}-report.json")
+                path = pipeline.report_path(args.cache, family, n)
                 if os.path.exists(path):
                     verified = _cached_verdict(path, family, n)
             lines.append(f"{family:6} {q:>6} {v:>8} {kk:>8} {b:>10} {a:>10} "
@@ -235,10 +216,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        g = read_graph(args.input, args.informat)
-    except (OSError, GraphParseError, ValueError) as e:
-        print(f"error reading graph: {e}", file=sys.stderr)
+    g = _read_input(args.input, args.informat)
+    if g is None:
         return EXIT_USAGE
     fmt = write_graph(args.out, g, args.format)
     print(f"wrote {args.out} ({fmt})")
@@ -301,6 +280,13 @@ def main(argv=None) -> int:
     except InvalidQ as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (groups.GeneratorValidationFailed, groups.ClassSizeMismatch,
+            groups.SeedNotInvolution, groups.OrderCapExceeded) as e:
+        print(f"construction error: {e}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
+    except MemoryError as e:
+        print(f"construction error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
 
 
 if __name__ == "__main__":

@@ -132,7 +132,7 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
     (groups.block_partition): the antipodal classes.  One neighbor of 0 in
     every class but its own is b2 = 1; c3 = k follows.
 
-    known, if given, must be block_partition(cls.generator_perms(), B) for
+    known, if given, must be block_partition(cls.perms, B) for
     the block B of 0 in it (the Sylow labels are).  When B = {0} + D3(0)
     it is the same call, so its labels are used as they are.
     """
@@ -172,7 +172,7 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
         if known is not None and np.array_equal(np.flatnonzero(known == known[0]), base):
             labels = known
         else:
-            labels = groups.block_partition(cls.generator_perms(), base)
+            labels = groups.block_partition(cls.perms, base)
     except groups.NotAnEquivalence as e:
         raise graphs.NotAntipodal(f"distance-3 relation is no equivalence: {e}",
                                   witness=e.witness) from e

@@ -160,20 +160,7 @@ class Graph:
             raise ValueError("adjacency is not symmetric")
 
 
-# -- distances ------------------------------------------------------------
-
-
-def distances_from(g: Graph, src: int) -> np.ndarray:
-    """Exact BFS distances from src; unreachable vertices get -1."""
-    dist = np.full(g.v, -1, dtype=np.int32)
-    dist[src] = 0
-    frontier, d = np.array([src]), 0
-    while frontier.size:
-        d += 1
-        reached = bits.unpack_rows(np.bitwise_or.reduce(g.rows[frontier], axis=0), g.v)
-        frontier = np.flatnonzero(reached & (dist < 0))
-        dist[frontier] = d
-    return dist
+# -- blocked adjacency products ---------------------------------------------
 
 
 def _row_blocks(v: int) -> list[tuple[int, int]]:
@@ -428,26 +415,17 @@ def ddg_check(g: Graph, labels) -> DdgCert:
                    lambda_within=lam["within"], lambda_cross=lam["cross"])
 
 
-# -- component / structure recognizers --------------------------------------
-
-
-def connected_components(g: Graph) -> np.ndarray:
-    labels = np.full(g.v, -1, dtype=np.int64)
-    nxt = 0
-    for x in range(g.v):
-        if labels[x] >= 0:
-            continue
-        dist = distances_from(g, x)
-        labels[dist >= 0] = nxt
-        nxt += 1
-    return labels
+# -- structure recognizers ---------------------------------------------------
 
 
 def recognize_clique_union(g: Graph):
-    """(count, size) if g is a disjoint union of equal-size cliques, else None."""
-    labels = connected_components(g)
-    _, sizes = np.unique(labels, return_counts=True)
-    if not g.v or (sizes != sizes[0]).any() or not np.array_equal(g.rows, bits.clique_rows(labels)):
+    """(count, size) if g is a disjoint union of equal-size cliques, that is,
+    if A + I is an equivalence whose classes have one size, else None."""
+    labels, witness = bits.equivalence_classes(g.rows | bits.identity(g.v), g.v)
+    if witness is not None or not g.v:
+        return None
+    sizes = np.bincount(labels)
+    if (sizes != sizes[0]).any():
         return None
     return int(sizes.size), int(sizes[0])
 

@@ -26,11 +26,13 @@ table every vertex-0 fact reads (InvolutionClass.suborbits): the order
 census is v/2 times the seed's row (orbital_order_census), the partners
 of x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
 the commuting classes are the orbit of one block (sylow_partition).  A
-class read from elsewhere is accepted only after check_closed_class
-re-proves that it is this orbit, in one pass that yields the same
-permutations.  Graph construction carries vertex 0's partner sets the same
-way (InvolutionClass.carry_blocks); full_order_scan, sampled_order_check
-and the direct products of cross_check_rows are oracles.
+class is proven where it is made: involution_class builds the orbit, and
+closed_class returns codes read from elsewhere as a class only once it
+re-proves that they are this orbit, in one pass that yields the same
+permutations.  Graph construction carries vertex 0's partner sets the
+same way (InvolutionClass.carry_blocks); full_order_scan,
+sampled_order_check and the direct products of cross_check_rows are
+oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -596,18 +598,20 @@ class InvolutionClass:
     involution_class numbers the vertices by the lexicographic order of
     their canonical encodings.  With one-byte codes the seed's encoding is
     the least, so it is vertex 0; the certificates work from vertex 0
-    whichever involution it is.
+    whichever involution it is.  perms[t, x] is the vertex g_t^-1 x g_t
+    for the t-th generator g_t.  Only involution_class and closed_class
+    make one, and both prove it the class first.
     """
 
-    def __init__(self, spec: GroupSpec, codes: np.ndarray):
+    def __init__(self, spec: GroupSpec, codes: np.ndarray, perms: np.ndarray):
         self.spec = spec
         self.codes = codes
+        self.perms = perms
         self.kern = _Kernels(spec)
         self._sylow_labels = None
         self._seed_sets = None
         self._suborbits = None
         self._order_scan = None
-        self._generator_perms = None
         self._schreier_tree = None
         self._tree_steps = None
 
@@ -640,16 +644,9 @@ class InvolutionClass:
                                        chi=np.flatnonzero(row == self.spec.chi))
         return self._seed_sets
 
-    def generator_perms(self) -> np.ndarray:
-        """The permutations left by the closure pass of involution_class or,
-        for a class made from given codes, of check_closed_class."""
-        if self._generator_perms is None:
-            check_closed_class(self)
-        return self._generator_perms
-
     def schreier_tree(self):
         if self._schreier_tree is None:
-            self._schreier_tree = schreier_tree(self.generator_perms())
+            self._schreier_tree = schreier_tree(self.perms)
         return self._schreier_tree
 
     def tree_steps(self):
@@ -657,7 +654,7 @@ class InvolutionClass:
         the identity; the tree edge into x (the root's: the identity) moves y
         to flat[offset[x] + y], and x is depth[x] edges below the root."""
         if self._tree_steps is None:
-            perms, (_, label, levels) = self.generator_perms(), self.schreier_tree()
+            perms, (_, label, levels) = self.perms, self.schreier_tree()
             flat = np.append(perms, np.arange(self.size, dtype=perms.dtype))
             depth = np.empty(self.size, dtype=np.int64)
             for d, level in enumerate(levels):
@@ -725,12 +722,12 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
 
     Each vertex is in exactly one frontier, so conjugating the frontiers
     by every generator conjugates the class once, and the images are the
-    generator permutations (cls.generator_perms()).  The images of a
+    generator permutations (cls.perms).  The images of a
     frontier (of each chunk of it, on large levels) are looked up in one
     _KeyIndex search; those not found are numbered as vertices of the next
     level, which the index takes in by a merge.  Reaching the
-    closed-form size proves the set closed, as check_closed_class does for
-    a cached class.  The breadth-first numbers are then replaced by the
+    closed-form size proves the set closed, as closed_class does for
+    given codes.  The breadth-first numbers are then replaced by the
     ranks of the encodings, in the codes and in the permutations.
     """
     kern = _Kernels(spec)
@@ -767,39 +764,36 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
     rank[ids] = np.arange(expected, dtype=np.int32)
     for row in perms:  # in place, so that one copy of the permutations is held
         row[:] = rank[row[ids]]
-    cls = InvolutionClass(spec, codes[ids])
-    cls._generator_perms = perms
-    return cls
+    return InvolutionClass(spec, codes[ids], perms)
 
 
-def check_closed_class(cls: InvolutionClass) -> None:
-    """Raise ClassSizeMismatch unless cls holds exactly the class of the seed.
+def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
+    """The class whose vertices are the rows of codes, once proven to be
+    exactly the class of the seed; ClassSizeMismatch otherwise.
 
     The rows must be distinct, include the canonical seed and be closed
     under conjugation by every generator, and their number must be the
     closed-form class size.  Closure puts the seed's whole orbit in the
     set.  That orbit has the closed-form size (involution_class checks it
     for the same generators), so the set is exactly the orbit, which is
-    what the orbital order census relies on.  The closure pass leaves the
-    generator permutations on the class: entry [t, i] of
-    cls.generator_perms() is the vertex of g_t^-1 c_i g_t.
+    what the orbital order census relies on.  The closure pass yields the
+    generator permutations of the class.
     """
-    spec = cls.spec
-    if cls.size != spec.class_size():
-        raise ClassSizeMismatch(f"class has {cls.size} rows, expected {spec.class_size()}")
-    kern = cls.kern
-    index = _KeyIndex(kern.encode_keys(cls.codes), cls.size)
+    if len(codes) != spec.class_size():
+        raise ClassSizeMismatch(f"class has {len(codes)} rows, expected {spec.class_size()}")
+    kern = _Kernels(spec)
+    index = _KeyIndex(kern.encode_keys(codes), len(codes))
     if not index.find(kern.encode_keys(_seed_codes(spec, kern.dtype)))[1][0]:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     conjugators = _conjugators(spec, kern)
-    perms = np.empty((len(conjugators), cls.size), dtype=np.int32)
+    perms = np.empty((len(conjugators), len(codes)), dtype=np.int32)
     for t, (gi, g) in enumerate(conjugators):
-        _, keys = _conjugate(kern, gi, g, cls.codes)
+        _, keys = _conjugate(kern, gi, g, codes)
         ids, known = index.find(keys)
         if not known.all():
             raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
         perms[t] = ids
-    cls._generator_perms = perms
+    return InvolutionClass(spec, codes, perms)
 
 
 def schreier_tree(perms: np.ndarray):
@@ -847,7 +841,7 @@ def schreier_generators(cls: InvolutionClass):
     no sigma is carried for it.  Each s is made when asked for, so memory
     stays O(v).
     """
-    perms = cls.generator_perms()
+    perms = cls.perms
     parent, label, _ = cls.schreier_tree()
     every = np.arange(cls.size, dtype=perms.dtype)
     back = np.empty_like(every)
@@ -905,7 +899,7 @@ def stabiliser_suborbits(cls: InvolutionClass) -> np.ndarray:
     split into more classes.
     """
     root = np.arange(cls.size, dtype=np.int32)
-    idle, patience = 0, len(cls.generator_perms())
+    idle, patience = 0, len(cls.perms)
     for s in schreier_generators(cls):
         root, joined = merge_suborbits(root, s)
         idle = 0 if joined else idle + 1
@@ -970,7 +964,7 @@ def sylow_partition(cls: InvolutionClass) -> np.ndarray:
         y = int(comm[bad[0]])
         z = int(np.setxor1d(classes[bad[0]], base)[0])
         raise NotAnEquivalence(f"commuting is not transitive at (0,{y},{z})", witness=(0, y, z))
-    labels = block_partition(cls.generator_perms(), base)
+    labels = block_partition(cls.perms, base)
     sizes = np.bincount(labels)
     nclass = len(sizes)
     want_m = spec.q ** spec.l + 1
@@ -1126,8 +1120,8 @@ def orbital_order_census(cls: InvolutionClass) -> OrderCensus:
     """Exact product-order census of all pairs from cls.suborbits().
 
     Conjugation permutes the class, preserves product orders, and acts on
-    the class transitively (it is the orbit of the seed; a cached class
-    passes check_closed_class first).  So the census over unordered pairs
+    the class transitively (it is the orbit of the seed; closed_class
+    proves a cached class so).  So the census over unordered pairs
     is v/2 times that of row 0, each class's order weighted by its size.
     The witness, if any, is the least such vertex of row 0.
     """

@@ -58,6 +58,10 @@ def _cache_path(cache_dir: str, family: str, n: int) -> str:
     return os.path.join(cache_dir, f"{family}-n{n}-v{CODE_VERSION}.npz")
 
 
+def report_path(cache_dir: str, family: str, n: int) -> str:
+    return os.path.join(cache_dir, f"{family}-n{n}-v{CODE_VERSION}-report.json")
+
+
 def _load_cached_class(spec: groups.GroupSpec, path: str) -> groups.InvolutionClass:
     """A cached class, accepted only once it is proven to be the class."""
     try:
@@ -70,9 +74,7 @@ def _load_cached_class(spec: groups.GroupSpec, path: str) -> groups.InvolutionCl
             or codes.size and not (0 <= codes.min() and codes.max() < spec.ctx.order)):
         raise groups.ClassSizeMismatch(
             f"class cache {path} does not hold {d}x{d} matrices over GF({spec.ctx.order})")
-    cls = groups.InvolutionClass(spec, codes.astype(spec.ctx.code_dtype))
-    groups.check_closed_class(cls)
-    return cls
+    return groups.closed_class(spec, codes.astype(spec.ctx.code_dtype))
 
 
 def _write_codes(f, codes: np.ndarray) -> None:
@@ -175,7 +177,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     orbit = sum(len(level) for level in levels)
     checked = (cls.size // 2, cls.size - 1)
     mismatch = groups.cross_check_rows(cls, sets, checked)
-    data["pairs"] = {"method": "orbital", "generators": len(cls.generator_perms()),
+    data["pairs"] = {"method": "orbital", "generators": len(cls.perms),
                      "orbit_size": orbit, "transitive": orbit == cls.size,
                      "checked_rows": list(checked), "rows_match": mismatch is None,
                      "mismatch": mismatch}
@@ -342,6 +344,5 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     report = VerificationReport(data)
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
-        path = os.path.join(cache_dir, f"{spec.family}-n{n}-v{CODE_VERSION}-report.json")
-        atomic_write_text(path, report.to_json() + "\n")
+        atomic_write_text(report_path(cache_dir, spec.family, n), report.to_json() + "\n")
     return report

@@ -9,7 +9,10 @@ it moved to a single edge array; the JSON reader oracle is json.loads with
 a type check per endpoint, where the library parses the bytes in chunks.  The full generating sets (every
 nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
 scan of all lower unitriangular matrices) must give the same class as the
-library's O(n) sets.  carried_rows carries the seed's partner sets to
+library's O(n) sets.  distances_from and connected_components search
+breadth-first from one source at a time, where the library labels the
+classes of an equivalence given as bit rows; clique_rows builds the dense
+same-label relation.  carried_rows carries the seed's partner sets to
 every vertex in one dense call, where the library works a block at a time.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
@@ -30,7 +33,7 @@ from fgl.formulas import PSU3, SZ, IntersectionArray
 from fgl.graphio import GraphParseError
 from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValues,
                         NotAntipodal, NotDistanceRegular, NotRegular,
-                        PartitionNotUniform, connected_components, distances_from)
+                        PartitionNotUniform)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
                         canonicalize, check_group_form, encode, generators, identity,
                         mat_inv_det1, mat_mul, mat_scale, reversal, scalar_code,
@@ -50,6 +53,39 @@ class ExhaustiveCover3Cert:
     d2_rows: np.ndarray
     d3_rows: np.ndarray
     d13_rows: np.ndarray
+
+
+def distances_from(g: Graph, src: int) -> np.ndarray:
+    """Exact BFS distances from src; unreachable vertices get -1."""
+    dist = np.full(g.v, -1, dtype=np.int32)
+    dist[src] = 0
+    frontier, d = np.array([src]), 0
+    while frontier.size:
+        d += 1
+        reached = bits.unpack_rows(np.bitwise_or.reduce(g.rows[frontier], axis=0), g.v)
+        frontier = np.flatnonzero(reached & (dist < 0))
+        dist[frontier] = d
+    return dist
+
+
+def connected_components(g: Graph) -> np.ndarray:
+    """Component labels, numbered by least member, one BFS per component."""
+    labels = np.full(g.v, -1, dtype=np.int64)
+    nxt = 0
+    for x in range(g.v):
+        if labels[x] >= 0:
+            continue
+        labels[distances_from(g, x) >= 0] = nxt
+        nxt += 1
+    return labels
+
+
+def clique_rows(labels) -> np.ndarray:
+    """(v, W) bit matrix joining distinct items with equal labels."""
+    labels = np.asarray(labels, dtype=np.int64)
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    return bits.pack_bool(same)
 
 
 def edge_list(g: Graph) -> list[tuple[int, int]]:
@@ -285,7 +321,7 @@ def vertex_index(cls) -> dict[bytes, int]:
 
 
 def involution_class_by_dict(spec):
-    """(codes, generator_perms) of the class: breadth-first from the seed
+    """(codes, perms) of the class: breadth-first from the seed
     under conjugation by the library's generators, on scalar matrices, with
     a dict from canonical encodings to breadth-first numbers; vertices are
     then numbered by encoding, as the library numbers them."""

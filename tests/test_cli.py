@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fgl
-from fgl import groups
+from fgl import bits, groups
 from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
 from fgl.graphs import Graph
@@ -106,6 +106,21 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, cmd):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "out of memory" in err and "272. GiB" in err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "export"])
+def test_graph_beyond_memory_exits_2(tmp_path, capsys, monkeypatch, cmd):
+    # the bit rows of 3000000 vertices would take 1.02 TiB: refused, never allocated
+    def exhausted(rows, v):
+        raise MemoryError("Unable to allocate 1.02 TiB")
+
+    path = tmp_path / "big.json"
+    path.write_text('{"v": 3000000, "edges": []}')
+    monkeypatch.setattr(bits, "zero_rows", exhausted)
+    args = ["--check", "deza"] if cmd == "analyze" else ["--out", str(tmp_path / "big.g6")]
+    assert run_cli(cmd, "--in", str(path), *args) == 2
+    assert capsys.readouterr().err == "error reading graph: Unable to allocate 1.02 TiB\n"
+    assert os.listdir(tmp_path) == ["big.json"]
 
 
 def test_verify_cli_psl2(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fgl.fusion import (PiSpec, build_fusion_graph, odd_complement_seed,
 from fgl.graphs import (NotAntipodal, NotDistanceRegular, deza_check,
                         recognize_clique_union, recognize_complete_multipartite)
 from fgl.groups import involution_class, make_group, sylow_partition
-from oracles import (antipodal_cover3_certificate, diameter, distance_power,
+from oracles import (antipodal_cover3_certificate, clique_rows, diameter, distance_power,
                      iter_common_neighbor_counts)
 
 
@@ -46,7 +46,7 @@ def phi_graph(chi_g: graphs.Graph, labels, pi_g: graphs.Graph | None = None) -> 
     Asserted equal to the distance-{1,3} power of the chi graph, and to the
     complement of the odd-complement graph when one is supplied.
     """
-    rows = chi_g.rows | bits.clique_rows(labels)
+    rows = chi_g.rows | clique_rows(labels)
     if not np.array_equal(rows, antipodal_cover3_certificate(chi_g).d13_rows):
         raise PhiIdentityMismatch(
             "clique-augmented graph differs from the distance-{1,3} power")

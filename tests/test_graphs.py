@@ -10,14 +10,13 @@ from fgl.formulas import IntersectionArray
 from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
                         NotDistanceRegular, NotRegular, PartitionNotUniform,
                         antipodal_classes, common_neighbor_spectrum,
-                        connected_components, ddg_check, deza_check,
-                        distances_from, intersection_array,
+                        ddg_check, deza_check, intersection_array,
                         recognize_clique_union, recognize_complete_multipartite)
 from oracles import (InvalidDistanceSet, NotEdgeRegular,
                      antipodal_classes_two_pass, antipodal_cover3_certificate, clique_union_per_vertex,
-                     common_neighbor_spectrum_per_row, ddg_check_per_row, deza_check_per_row,
-                     diameter, distance_power, edge_regular_lambda,
-                     intersection_array_per_source)
+                     common_neighbor_spectrum_per_row, connected_components, ddg_check_per_row,
+                     deza_check_per_row, diameter, distance_power, distances_from,
+                     edge_regular_lambda, intersection_array_per_source)
 
 
 def complete_graph(v):

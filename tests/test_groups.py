@@ -125,13 +125,13 @@ def test_full_generating_sets_give_the_same_class(family, n, monkeypatch, tmp_pa
 
 def test_vertices_numbered_by_encoding(psl2_8_class, sz8_class, psu3_4_class):
     # strictly increasing encodings; the seed is the least one, so vertex 0;
-    # the closure's permutations are those check_closed_class finds
+    # the closure's permutations are those closed_class finds
     for cls in (psl2_8_class, sz8_class, psu3_4_class):
         keys = [cls.encoding(i) for i in range(cls.size)]
         assert keys == sorted(set(keys))
         assert cls.member(0) == canonicalize(cls.spec, seed_involution(cls.spec))
-        again = gr.InvolutionClass(cls.spec, cls.codes)
-        assert np.array_equal(again.generator_perms(), cls.generator_perms())
+        again = gr.closed_class(cls.spec, cls.codes)
+        assert np.array_equal(again.perms, cls.perms)
 
 
 def test_form_rejections(psl2_4):
@@ -250,7 +250,7 @@ def test_a_fold_collision_raises_instead_of_merging(sz8_class, monkeypatch):
     with pytest.raises(ClassSizeMismatch, match="search key"):
         involution_class(sz8_class.spec)
     with pytest.raises(ClassSizeMismatch, match="search key"):
-        gr.check_closed_class(gr.InvolutionClass(sz8_class.spec, sz8_class.codes))
+        gr.closed_class(sz8_class.spec, sz8_class.codes)
 
 
 @pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
@@ -260,7 +260,7 @@ def test_class_matches_the_dict_oracle(family, n):
     codes, perms = involution_class_by_dict(spec)
     cls = involution_class(spec)
     assert cls.codes.dtype == codes.dtype and np.array_equal(cls.codes, codes)
-    assert np.array_equal(cls.generator_perms(), perms)
+    assert np.array_equal(cls.perms, perms)
 
 
 def test_product_orders_and_masks_agree(psl2_8_class):
@@ -383,7 +383,7 @@ def test_orbital_census_reports_even_orders(psl2_8_class, monkeypatch):
     # a fresh class, since the fixture's may hold a suborbit table already
     real = gr._batch_orders
     monkeypatch.setattr(gr, "_batch_orders", lambda *a: 2 * real(*a))
-    orbital = gr.orbital_order_census(gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes))
+    orbital = gr.orbital_order_census(gr.closed_class(psl2_8_class.spec, psl2_8_class.codes))
     assert not orbital.noncommuting_all_odd
     i, j, order = orbital.even_witness
     assert i == 0 and order > 2 and order % 2 == 0
@@ -417,7 +417,7 @@ def test_stabiliser_permutations_fix_vertex_0_and_keep_orders(family, n):
     sigma = cls.carry(np.arange(v), np.arange(v))
     every = np.arange(v, dtype=sigma.dtype)
     want = []
-    for g in cls.generator_perms():
+    for g in cls.perms:
         for u in range(v):
             s = np.argsort(sigma[g[u]])[g[sigma[u]]].astype(sigma.dtype)
             if not np.array_equal(s, every):
@@ -446,7 +446,7 @@ def test_a_permutation_moving_vertex_0_is_refused(psl2_8_class, monkeypatch):
         gr.merge_suborbits(np.arange(v, dtype=np.int32), forged)
     monkeypatch.setattr(gr, "schreier_generators", lambda cls: iter([forged]))
     with pytest.raises(gr.NotInStabiliser):
-        gr.orbital_order_census(gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes))
+        gr.orbital_order_census(gr.closed_class(psl2_8_class.spec, psl2_8_class.codes))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -494,21 +494,20 @@ def test_census_takes_one_product_per_suborbit(family, n, monkeypatch):
 
 def test_closed_class_check_accepts_built_classes(psl2_8_class, sz8_class, psu3_4_class):
     for cls in (psl2_8_class, sz8_class, psu3_4_class):
-        gr.check_closed_class(cls)
+        assert np.array_equal(gr.closed_class(cls.spec, cls.codes).perms, cls.perms)
 
 
 def test_closed_class_check_rejects_missing_seed(psl2_8_class):
     codes = psl2_8_class.codes.copy()
     codes[0] = codes[1]  # the seed is row 0
-    cls = gr.InvolutionClass(psl2_8_class.spec, codes)
     with pytest.raises(ClassSizeMismatch):
-        gr.check_closed_class(cls)
+        gr.closed_class(psl2_8_class.spec, codes)
 
 
 def test_sylow_partition_names_a_witness(psl2_8_class):
     # vertex 0 loses one commuting partner, though its other partners keep it
     comm = psl2_8_class.seed_sets().comm
-    cls = gr.InvolutionClass(psl2_8_class.spec, psl2_8_class.codes)
+    cls = gr.closed_class(psl2_8_class.spec, psl2_8_class.codes)
     cls._seed_sets = gr.SeedSets(comm=comm[1:], chi=psl2_8_class.seed_sets().chi)
     with pytest.raises(gr.NotAnEquivalence) as ei:
         sylow_partition(cls)
@@ -521,7 +520,7 @@ def test_sylow_partition_names_a_witness(psl2_8_class):
 def test_block_partition_rejects_a_non_block(psl2_8_class):
     # {0} + N(0) in the chi graph is no block: some generator carries it onto
     # a set that meets a known block without being it
-    perms = psl2_8_class.generator_perms()
+    perms = psl2_8_class.perms
     chi = psl2_8_class.seed_sets().chi
     with pytest.raises(gr.NotAnEquivalence) as ei:
         gr.block_partition(perms, np.concatenate([[0], chi]))
@@ -561,8 +560,8 @@ def test_carry_blocks_chunk_carry(psu3_4_class, monkeypatch):
 
 
 def test_schreier_tree_spans_the_class(psu3_4_class):
-    cls = gr.InvolutionClass(psu3_4_class.spec, psu3_4_class.codes)
-    perms = cls.generator_perms()
+    cls = gr.closed_class(psu3_4_class.spec, psu3_4_class.codes)
+    perms = cls.perms
     parent, label, levels = cls.schreier_tree()
     assert sorted(np.concatenate(levels).tolist()) == list(range(cls.size))
     x = np.concatenate(levels[1:])
@@ -582,7 +581,7 @@ def test_fusion_graph_rejects_a_non_member(psl2_8_class):
     codes = psl2_8_class.codes.copy()
     codes[-1] = np.array(((1, 0), (0, 1)), dtype=codes.dtype)
     with pytest.raises(ClassSizeMismatch, match="not closed"):
-        build_fusion_graph(gr.InvolutionClass(psl2_8_class.spec, codes), PiSpec.chi_only())
+        gr.closed_class(psl2_8_class.spec, codes)
 
 
 def test_fusion_graph_rejects_intransitive_generators(psl2_8_class, monkeypatch):
@@ -591,8 +590,7 @@ def test_fusion_graph_rejects_intransitive_generators(psl2_8_class, monkeypatch)
     spec = psl2_8_class.spec
     unipotents = generators(spec)[:-1]
     monkeypatch.setattr(gr, "generators", lambda s: unipotents)
-    cls = gr.InvolutionClass(spec, psl2_8_class.codes)
-    gr.check_closed_class(cls)
+    cls = gr.closed_class(spec, psl2_8_class.codes)
     with pytest.raises(ClassSizeMismatch, match="8 of 63"):
         build_fusion_graph(cls, PiSpec.odd_complement())
 
