@@ -7,8 +7,8 @@ Subcommands:
   report      tabulate predicted parameters per family and q
   export      convert a graph file between formats
 
-Exit codes: 0 pass, 1 verification failure, 2 usage/parse error,
-3 internal construction error.
+Exit codes: 0 pass, 1 verification failure, 2 usage/parse error or a
+path that cannot be written, 3 internal construction error.
 """
 
 from __future__ import annotations
@@ -234,13 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", choices=["chi", "odd-complement"], default="chi")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["json", "graph6"])
-    p.add_argument("--cache")
+    p.add_argument("--cache", help="class cache directory: <family>-n<N>-v3.npy is read "
+                                    "once proven to be the class, else built and written")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run the full verification pipeline")
     _family_arg(p)
     p.add_argument("--out")
-    p.add_argument("--cache")
+    p.add_argument("--cache", help="class cache directory, as for construct; the "
+                                    "certificate is written there too, for report")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("analyze", help="run checks on an imported graph")
@@ -256,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psl2-max-n", type=int, default=4)
     p.add_argument("--sz-max-n", type=int, default=5)
     p.add_argument("--psu3-max-n", type=int, default=3)
-    p.add_argument("--cache")
+    p.add_argument("--cache", help="directory of verify --cache certificates, "
+                                    "to mark the rows they confirm")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)
 
@@ -287,6 +290,9 @@ def main(argv=None) -> int:
     except MemoryError as e:
         print(f"construction error: out of memory: {e}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

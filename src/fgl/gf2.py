@@ -2,10 +2,11 @@
 
 An element of GF(2^n) is an int in [0, 2^n); bit i is the coefficient of
 x^i.  Addition is xor.  Multiplication is carry-less multiplication reduced
-modulo a fixed irreducible polynomial.  A :class:`FieldCtx` owns the modulus
-and, for fields of at most 2^16 elements, log/antilog tables that serve as
-the fast multiplication path; the polynomial path is always available and is
-the reference the tables are checked against.
+modulo a fixed irreducible polynomial.  Fields have at most 2^16 elements,
+the most the vectorized group arithmetic supports.  A :class:`FieldCtx` owns
+the modulus and log/antilog tables that serve as the multiplication path;
+the polynomial product is the reference the tables are built from and
+checked against.
 
 The modulus and the scalar tables are fixed at construction; the numpy
 tables are filled lazily on first use (np_tables, np_mul_table).  The fill is
@@ -20,16 +21,16 @@ import functools
 import numpy as np
 
 MIN_DEGREE = 2
-MAX_DEGREE = 24
+MAX_DEGREE = 16
 
-# log/antilog tables are built up to this field order
-TABLE_MAX_ORDER = 1 << 16
+# the largest field order, up to which log/antilog tables are built
+TABLE_MAX_ORDER = 1 << MAX_DEGREE
 # a dense q x q multiplication table (for numpy gathers) up to this order
 FULL_TABLE_MAX_ORDER = 1 << 10
 
 
 class UnsupportedDegree(ValueError):
-    """Extension degree outside [2, 24]."""
+    """Extension degree outside [2, 16]."""
 
 
 class DegreeMismatch(ValueError):
@@ -108,13 +109,10 @@ class FieldCtx:
         self.n = n
         self.modulus = modulus
         self.order = 1 << n
-        self._exp = None
-        self._log = None
         self._np_log = None
         self._np_exp3 = None
         self._np_full = None
-        if self.order <= TABLE_MAX_ORDER:
-            self._build_tables()
+        self._build_tables()
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#b})"
@@ -161,18 +159,14 @@ class FieldCtx:
         return clmod(clmul(a, b), self.modulus)
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self.mul_poly(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self.pow(a, self.order - 2)
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -206,9 +200,7 @@ class FieldCtx:
 
     @property
     def code_dtype(self):
-        if self.order <= 1 << 8:
-            return np.uint8
-        return np.uint16 if self.order <= 1 << 16 else np.uint32
+        return np.uint8 if self.order <= 1 << 8 else np.uint16
 
     def np_tables(self):
         """(log, exp3) arrays for gather-based multiplication.
@@ -216,9 +208,6 @@ class FieldCtx:
         log[0] is a sentinel L = 2(q-1) and exp3 is zero from index L on,
         so exp3[log[a] + log[b]] is correct including zero operands.
         """
-        if self._exp is None:
-            raise UnsupportedDegree(
-                f"vectorized arithmetic needs log tables (order <= {TABLE_MAX_ORDER})")
         if self._np_log is None:
             q = self.order
             sentinel = 2 * (q - 1)

@@ -28,7 +28,8 @@ of x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
 the commuting classes are the orbit of one block (sylow_partition).  A
 class is proven where it is made: involution_class builds the orbit, and
 closed_class returns codes read from elsewhere as a class only once it
-re-proves that they are this orbit, in one pass that yields the same
+re-proves that they are this orbit, each row at its vertex id (the
+encodings strictly increase), in one pass that yields the same
 permutations.  Graph construction carries vertex 0's partner sets the
 same way (InvolutionClass.carry_blocks); full_order_scan,
 sampled_order_check and the direct products of cross_check_rows are
@@ -511,10 +512,10 @@ def _fold(words):
 class _KeyIndex:
     """Vertex ids by canonical encoding, as _word_keys rows.
 
-    words[i] holds vertex i's words for the first size vertices; the rows
-    after them are room for add.  The search runs over one sorted uint64
-    array, the vertices' _fold values, with the vertex ids in the same
-    order.  A fold match is a hit only if all its words agree; a match
+    words[i] holds vertex i's words for the first size vertices, which
+    are distinct; the rows after them are room for add.  The search runs
+    over one sorted uint64 array, the vertices' _fold values, with the
+    vertex ids in the same order.  A fold match is a hit only if all its words agree; a match
     whose words differ, or two vertices with one fold, raises
     ClassSizeMismatch, so no two involutions are ever taken for one.
     """
@@ -524,11 +525,7 @@ class _KeyIndex:
         folds = _fold(words[:size])
         self.ids = np.argsort(folds)
         self.folds = folds[self.ids]
-        same = np.flatnonzero(self.folds[1:] == self.folds[:-1])
-        if same.size:
-            dup = (words[self.ids[same]] == words[self.ids[same + 1]]).all(axis=1)
-            if dup.any():
-                raise ClassSizeMismatch(f"class has {int(dup.sum())} duplicate rows")
+        if (self.folds[1:] == self.folds[:-1]).any():
             raise ClassSizeMismatch(_FOLD_COLLISION)
 
     def _search(self, words: np.ndarray):
@@ -600,7 +597,7 @@ class InvolutionClass:
     the least, so it is vertex 0; the certificates work from vertex 0
     whichever involution it is.  perms[t, x] is the vertex g_t^-1 x g_t
     for the t-th generator g_t.  Only involution_class and closed_class
-    make one, and both prove it the class first.
+    make one, and both prove it the class, in this numbering, first.
     """
 
     def __init__(self, spec: GroupSpec, codes: np.ndarray, perms: np.ndarray):
@@ -768,21 +765,34 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
 
 
 def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
-    """The class whose vertices are the rows of codes, once proven to be
-    exactly the class of the seed; ClassSizeMismatch otherwise.
+    """The class whose vertex i is row i of codes, once proven to be
+    exactly the class of the seed in involution_class's numbering;
+    ClassSizeMismatch otherwise.  It is the one check on codes from
+    outside the program.
 
-    The rows must be distinct, include the canonical seed and be closed
-    under conjugation by every generator, and their number must be the
-    closed-form class size.  Closure puts the seed's whole orbit in the
-    set.  That orbit has the closed-form size (involution_class checks it
-    for the same generators), so the set is exactly the orbit, which is
-    what the orbital order census relies on.  The closure pass yields the
+    The rows must be d x d matrices of field codes, as many as the
+    closed-form class size, with strictly increasing encodings (so
+    distinct, and each at its vertex id); they must include the canonical
+    seed and be closed under conjugation by every generator.  Closure
+    puts the seed's whole orbit in the set.  That orbit has the
+    closed-form size (involution_class checks it for the same
+    generators), so the set is exactly the orbit, which is what the
+    orbital order census relies on.  The closure pass yields the
     generator permutations of the class.
     """
+    d = spec.dim
+    if (codes.dtype.kind not in "iu" or codes.ndim != 3 or codes.shape[1:] != (d, d)
+            or codes.size and not (0 <= codes.min() and codes.max() < spec.ctx.order)):
+        raise ClassSizeMismatch(f"class rows are not {d}x{d} matrices over GF({spec.ctx.order})")
     if len(codes) != spec.class_size():
         raise ClassSizeMismatch(f"class has {len(codes)} rows, expected {spec.class_size()}")
+    codes = codes.astype(spec.ctx.code_dtype, copy=False)
     kern = _Kernels(spec)
-    index = _KeyIndex(kern.encode_keys(codes), len(codes))
+    words = kern.encode_keys(codes)
+    if not _lex_less(words[:-1], words[1:]).all():
+        raise ClassSizeMismatch("class has a duplicate or a reordered row: "
+                                "encodings do not strictly increase")
+    index = _KeyIndex(words, len(codes))
     if not index.find(kern.encode_keys(_seed_codes(spec, kern.dtype)))[1][0]:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     conjugators = _conjugators(spec, kern)

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +54,7 @@ class VerificationReport:
 
 
 def _cache_path(cache_dir: str, family: str, n: int) -> str:
-    return os.path.join(cache_dir, f"{family}-n{n}-v{CODE_VERSION}.npz")
+    return os.path.join(cache_dir, f"{family}-n{n}-v{CODE_VERSION}.npy")
 
 
 def report_path(cache_dir: str, family: str, n: int) -> str:
@@ -63,39 +62,26 @@ def report_path(cache_dir: str, family: str, n: int) -> str:
 
 
 def _load_cached_class(spec: groups.GroupSpec, path: str) -> groups.InvolutionClass:
-    """A cached class, accepted only once it is proven to be the class."""
+    """A cached class, accepted only once closed_class proves it the class."""
     try:
-        with np.load(path, allow_pickle=False) as z:
-            codes = np.asarray(z["codes"])
-    except (OSError, ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile) as e:
+        with open(path, "rb") as f:
+            codes = np.lib.format.read_array(f, allow_pickle=False)
+    except Exception as e:  # besides ValueError, a bad header raises TokenError, TypeError...
         raise groups.ClassSizeMismatch(f"unreadable class cache {path}: {e}") from e
-    d = spec.dim
-    if (codes.dtype.kind not in "iu" or codes.ndim != 3 or codes.shape[1:] != (d, d)
-            or codes.size and not (0 <= codes.min() and codes.max() < spec.ctx.order)):
-        raise groups.ClassSizeMismatch(
-            f"class cache {path} does not hold {d}x{d} matrices over GF({spec.ctx.order})")
-    return groups.closed_class(spec, codes.astype(spec.ctx.code_dtype))
-
-
-def _write_codes(f, codes: np.ndarray) -> None:
-    """An npz holding codes.npy, with a fixed entry timestamp, so that the
-    file's bytes are a function of the codes alone."""
-    with zipfile.ZipFile(f, "w") as z:
-        info = zipfile.ZipInfo("codes.npy")  # dated 1980-01-01
-        info.compress_type = zipfile.ZIP_DEFLATED
-        with z.open(info, "w", force_zip64=True) as entry:
-            np.lib.format.write_array(entry, codes, allow_pickle=False)
+    return groups.closed_class(spec, codes)
 
 
 def load_or_build_class(spec: groups.GroupSpec, cache_dir: str | None):
-    """Involution class, optionally memoized as an npz of element codes."""
+    """Involution class, optionally memoized as a .npy of element codes
+    whose bytes are a function of the codes alone."""
     path = _cache_path(cache_dir, spec.family, spec.n) if cache_dir else None
     if path and os.path.exists(path):
         return _load_cached_class(spec, path)
     cls = groups.involution_class(spec)
     if path:
         os.makedirs(cache_dir, exist_ok=True)
-        atomic_write(path, lambda f: _write_codes(f, cls.codes), "wb")
+        atomic_write(path, lambda f: np.lib.format.write_array(f, cls.codes, allow_pickle=False),
+                     "wb")
     return cls
 
 

@@ -138,7 +138,7 @@ def test_verify_cache_reuse(tmp_path, capsys):
     assert r1.passed and r2.passed
     assert r1.data["class_size"] == r2.data["class_size"]
     files = list((tmp_path / "cache").iterdir())
-    assert any(f.name.endswith(".npz") for f in files)
+    assert any(f.name.endswith(".npy") for f in files)
     assert any(f.name.endswith("report.json") for f in files)
 
 
@@ -371,9 +371,60 @@ def test_verify_garbage_cache_exits_3(tmp_path, capsys):
     from fgl.pipeline import CODE_VERSION
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / f"psl2-n2-v{CODE_VERSION}.npz").write_bytes(b"\x00garbage")
+    (cache / f"psl2-n2-v{CODE_VERSION}.npy").write_bytes(b"\x00garbage")
     assert run_cli("verify", "--family", "psl2", "--n", "2", "--cache", str(cache)) == 3
     assert "unreadable class cache" in capsys.readouterr().err
+
+
+def _bad_psl2_8_codes(bad):
+    codes = groups.involution_class(groups.make_group("psl2", 3)).codes.copy()
+    if bad == "reordered":
+        codes[[1, 2]] = codes[[2, 1]]
+    elif bad == "duplicate":
+        codes[-1] = codes[-2]
+    elif bad == "shape":
+        codes = codes.reshape(63, 4)
+    elif bad == "range":
+        codes[-1, 0, 0] = 8
+    elif bad == "float":
+        codes = codes.astype(np.float32)
+    return codes
+
+
+@pytest.mark.parametrize("cmd", ["verify", "construct"])
+@pytest.mark.parametrize("bad", ["reordered", "duplicate", "shape", "range", "float",
+                                 "unreadable"])
+def test_bad_class_cache_exits_3(tmp_path, capsys, cmd, bad):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    path = cache / f"psl2-n3-v{CODE_VERSION}.npy"
+    if bad == "unreadable":
+        path.write_bytes(b"\x93NUMPY\x01\x00")
+    else:
+        np.save(path, _bad_psl2_8_codes(bad), allow_pickle=False)
+    out = ["--out", str(tmp_path / "g.json")] if cmd == "construct" else []
+    assert run_cli(cmd, "--family", "psl2", "--n", "3", "--cache", str(cache), *out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("construction error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(cache)) == [path.name]
+    assert sorted(os.listdir(tmp_path)) == ["cache"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--cache", "{file}"],
+    ["verify", "--out", "{missing}/x.json"],
+    ["construct", "--out", "{missing}/g.json"],
+    ["construct", "--cache", "{file}", "--out", "{dir}/g.json"],
+])
+def test_unwritable_path_exits_2(tmp_path, capsys, argv):
+    # exit 1 means a failed verification; a path that cannot be written is a usage error
+    (tmp_path / "file").write_text("")
+    names = {"file": tmp_path / "file", "missing": tmp_path / "missing", "dir": tmp_path}
+    argv = [a.format(**names) for a in argv]
+    assert run_cli(argv[0], "--family", "psl2", "--n", "2", *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["file"]
 
 
 def test_verify_order_flags_are_gone(capsys):

@@ -32,6 +32,8 @@ def test_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
         field_ctx(1)
     with pytest.raises(UnsupportedDegree):
+        field_ctx(17)  # above GF(2^16), the largest field make_group takes
+    with pytest.raises(UnsupportedDegree):
         field_ctx(25)
 
 

@@ -119,7 +119,7 @@ def test_full_generating_sets_give_the_same_class(family, n, monkeypatch, tmp_pa
     big = pipeline.load_or_build_class(spec, str(tmp_path / "full"))
     assert big.codes.dtype == small.codes.dtype
     assert big.codes.tobytes() == small.codes.tobytes()
-    name = f"{family}-n{n}-v{pipeline.CODE_VERSION}.npz"
+    name = f"{family}-n{n}-v{pipeline.CODE_VERSION}.npy"
     assert (tmp_path / "small" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
 
 
@@ -497,10 +497,20 @@ def test_closed_class_check_accepts_built_classes(psl2_8_class, sz8_class, psu3_
         assert np.array_equal(gr.closed_class(cls.spec, cls.codes).perms, cls.perms)
 
 
+@pytest.mark.parametrize("swap", [(1, 2), (0, 62), (30, 31)])
+def test_closed_class_check_rejects_reordered_rows(psl2_8_class, swap):
+    # the same rows in another order are the same set, closed and holding
+    # the seed, but they would give the vertices other ids
+    codes = psl2_8_class.codes.copy()
+    codes[list(swap)] = codes[list(swap[::-1])]
+    with pytest.raises(ClassSizeMismatch, match="reordered"):
+        gr.closed_class(psl2_8_class.spec, codes)
+
+
 def test_closed_class_check_rejects_missing_seed(psl2_8_class):
     codes = psl2_8_class.codes.copy()
-    codes[0] = codes[1]  # the seed is row 0
-    with pytest.raises(ClassSizeMismatch):
+    codes[0] = 0  # the seed is row 0; the zero matrix keeps the rows sorted
+    with pytest.raises(ClassSizeMismatch, match="seed"):
         gr.closed_class(psl2_8_class.spec, codes)
 
 
@@ -579,7 +589,7 @@ def test_schreier_tree_spans_the_class(psu3_4_class):
 
 def test_fusion_graph_rejects_a_non_member(psl2_8_class):
     codes = psl2_8_class.codes.copy()
-    codes[-1] = np.array(((1, 0), (0, 1)), dtype=codes.dtype)
+    codes[-1] = psl2_8_class.spec.q - 1  # determinant 0, the greatest encoding
     with pytest.raises(ClassSizeMismatch, match="not closed"):
         gr.closed_class(psl2_8_class.spec, codes)
 

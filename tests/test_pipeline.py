@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import tracemalloc
@@ -281,16 +282,100 @@ def test_flipped_pi_edge_fails_with_named_failure(monkeypatch):
     assert d["pi_graph"]["analysis"].startswith("skipped")
 
 
+def _cache_name(family, n):
+    return f"{family}-n{n}-v{pipeline.CODE_VERSION}.npy"
+
+
 def _write_cache(cache, family, n, codes):
-    path = cache / f"{family}-n{n}-v{pipeline.CODE_VERSION}.npz"
-    np.savez_compressed(path, codes=codes)
+    path = cache / _cache_name(family, n)
+    np.save(path, codes, allow_pickle=False)
     return path
 
 
+def _npy_header(text):
+    text += " " * (117 - len(text)) + "\n"
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text.encode("latin1")
+
+
+# a file read_array cannot read: each raises one of ValueError, MemoryError,
+# tokenize.TokenError, SyntaxError or TypeError there
+UNREADABLE_CACHES = {
+    "empty": b"",
+    "truncated-header": _npy_header("{'descr': '|u1', 'fortran_order': False, 'shape': (63, 2, 2), }")[:40],
+    "truncated-codes": _npy_header("{'descr': '|u1', 'fortran_order': False, 'shape': (63, 2, 2), }")
+    + bytes(251),
+    "unclosed-header": _npy_header("{'descr': '|u1', 'fortran_order': False, 'shape': (63, 2, 2), "),
+    "bad-descr": _npy_header("{'descr': '|,1', 'fortran_order': False, 'shape': (63, 2, 2), }"),
+    "bytes-key": _npy_header("{'descr': '|u1', b'fortran_order': False, 'shape': (63, 2, 2), }"),
+    "pickled": _npy_header("{'descr': '|O', 'fortran_order': False, 'shape': (1,), }") + bytes(8),
+    "beyond-memory": _npy_header("{'descr': '|u1', 'fortran_order': False, "
+                                 "'shape': (1000000000000, 2, 2), }"),
+}
+
+
 def test_cache_rejects_garbage_file(tmp_path):
-    (tmp_path / f"psl2-n2-v{pipeline.CODE_VERSION}.npz").write_bytes(b"not an npz file")
+    (tmp_path / _cache_name("psl2", 2)).write_bytes(b"not an npy file")
     with pytest.raises(groups.ClassSizeMismatch, match="unreadable"):
         run_verify("psl2", 2, cache_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE_CACHES))
+def test_cache_rejects_unreadable_file(tmp_path, name):
+    (tmp_path / _cache_name("psl2", 3)).write_bytes(UNREADABLE_CACHES[name])
+    with pytest.raises(groups.ClassSizeMismatch, match="unreadable class cache"):
+        run_verify("psl2", 3, cache_dir=str(tmp_path))
+
+
+def _psl2_8_codes():
+    return groups.involution_class(groups.make_group("psl2", 3)).codes.copy()
+
+
+def test_cache_rejects_reordered_rows(tmp_path):
+    # the same set of rows, so the class and the certificate would pass, but
+    # vertex ids taken from it would differ from a cold build's
+    codes = _psl2_8_codes()
+    codes[1:] = codes[1:][::-1]
+    _write_cache(tmp_path, "psl2", 3, codes)
+    with pytest.raises(groups.ClassSizeMismatch, match="reordered"):
+        pipeline.load_or_build_class(groups.make_group("psl2", 3), str(tmp_path))
+
+
+@pytest.mark.parametrize("bad", ["3x3 rows", "code 8", "float64", "flat"])
+def test_cache_rejects_rows_that_are_not_matrices_over_the_field(tmp_path, bad):
+    codes = _psl2_8_codes()
+    if bad == "3x3 rows":
+        codes = np.zeros((63, 3, 3), dtype=codes.dtype)
+    elif bad == "code 8":
+        codes[-1, 1, 1] = 8
+    elif bad == "float64":
+        codes = codes.astype(np.float64)
+    else:
+        codes = codes.reshape(63, 4)
+    _write_cache(tmp_path, "psl2", 3, codes)
+    with pytest.raises(groups.ClassSizeMismatch, match="2x2 matrices over GF"):
+        pipeline.load_or_build_class(groups.make_group("psl2", 3), str(tmp_path))
+
+
+def test_cache_file_is_the_npy_header_and_the_codes(tmp_path):
+    spec = groups.make_group("psu3", 2)
+    cls = pipeline.load_or_build_class(spec, str(tmp_path))
+    data = (tmp_path / _cache_name("psu3", 2)).read_bytes()
+    header = data[:-cls.codes.nbytes]
+    assert data[len(header):] == cls.codes.tobytes()
+    f = io.BytesIO(header)
+    assert np.lib.format.read_magic(f) == (1, 0)
+    assert np.lib.format.read_array_header_1_0(f) == (cls.codes.shape, False, cls.codes.dtype)
+    assert f.tell() == len(header)
+
+
+def test_stale_npz_cache_is_never_read(tmp_path):
+    stale = tmp_path / f"psl2-n3-v{pipeline.CODE_VERSION}.npz"
+    stale.write_bytes(b"a cache file of an earlier release")
+    cold = pipeline.load_or_build_class(groups.make_group("psl2", 3), str(tmp_path))
+    assert (tmp_path / _cache_name("psl2", 3)).exists()
+    assert stale.read_bytes() == b"a cache file of an earlier release"
+    warm = pipeline.load_or_build_class(groups.make_group("psl2", 3), str(tmp_path))
+    assert np.array_equal(warm.perms, cold.perms)
 
 
 def test_cache_rejects_duplicate_row(tmp_path):
@@ -309,11 +394,12 @@ def test_cache_rejects_truncated_class(tmp_path):
 
 
 def test_cache_rejects_class_that_is_not_closed(tmp_path):
-    # right size, distinct rows, seed present: one row swapped for the
-    # identity is caught by the conjugation pass
+    # right size, sorted distinct rows, seed present: the last row swapped
+    # for the all-7 matrix (determinant 0, the greatest encoding) is caught
+    # by the conjugation pass
     spec = groups.make_group("psl2", 3)
     codes = groups.involution_class(spec).codes.copy()
-    codes[-1] = np.array(((1, 0), (0, 1)), dtype=codes.dtype)
+    codes[-1] = spec.q - 1
     _write_cache(tmp_path, "psl2", 3, codes)
     with pytest.raises(groups.ClassSizeMismatch, match="not closed"):
         run_verify("psl2", 3, cache_dir=str(tmp_path))
@@ -322,8 +408,7 @@ def test_cache_rejects_class_that_is_not_closed(tmp_path):
 def test_cache_write_leaves_no_temp_files(tmp_path):
     run_verify("psl2", 2, cache_dir=str(tmp_path))
     names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == [f"psl2-n2-v{pipeline.CODE_VERSION}-report.json",
-                     f"psl2-n2-v{pipeline.CODE_VERSION}.npz"]
+    assert names == [f"psl2-n2-v{pipeline.CODE_VERSION}-report.json", _cache_name("psl2", 2)]
     warm = run_verify("psl2", 2, cache_dir=str(tmp_path))
     assert warm.passed
 
