@@ -53,6 +53,18 @@ def _read_input(path: str, fmt: str | None) -> graphs.Graph | None:
         return None
 
 
+def _unwritable(args) -> str | None:
+    """Why --out or --cache cannot be written, found before any work is
+    done, or None: --out must name a file in an existing directory, and
+    --cache must not be anything but a directory."""
+    out, cache = getattr(args, "out", None), getattr(args, "cache", None)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        return f"--out {out}: not a file in an existing directory"
+    if cache and os.path.exists(cache) and not os.path.isdir(cache):
+        return f"--cache {cache}: not a directory"
+    return None
+
+
 def cmd_construct(args) -> int:
     spec = groups.make_group(args.family, args.n)
     cls = pipeline.load_or_build_class(spec, args.cache)
@@ -278,6 +290,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    problem = _unwritable(args)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except InvalidQ as e:

@@ -193,9 +193,6 @@ class FieldCtx:
     def elements(self) -> range:
         return range(self.order)
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
-
     # -- numpy kernels ---------------------------------------------------
 
     @property
@@ -231,14 +228,6 @@ class FieldCtx:
             a = np.arange(self.order)
             self._np_full = exp3[log[a][:, None] + log[a][None, :]]
         return self._np_full
-
-    def np_mul(self, a, b):
-        """Elementwise product of two arrays of element codes."""
-        full = self.np_mul_table()
-        if full is not None:
-            return full[a, b]
-        log, exp3 = self.np_tables()
-        return exp3[log[a] + log[b]]
 
 
 def field_ctx(n: int, modulus: int | None = None) -> FieldCtx:

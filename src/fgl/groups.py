@@ -5,35 +5,33 @@ stored as tuples of int element codes, kept in canonical projective form:
 among all center scalings of a matrix, the representative whose row-major
 little-endian byte encoding is least.  The generating sets have O(n)
 elements: unipotents over a GF(2)-basis, the reversal and, for Sz, a torus
-element (generators).  The conjugacy class of involutions is enumerated by
-breadth-first orbit closure of a fixed seed involution under conjugation by
-the generators, deduplicating on canonical encodings; its size is checked
-against the closed-form count, which certifies both the generating set and
-the matrix model.  Vertices are numbered by the lexicographic order of
+element (generators).  The conjugacy class of involutions is the disjoint
+union of the q^l + 1 Sylow 2-centres less the identity: Z(U)^# for the
+lower unitriangular Sylow subgroup U (sylow_unipotents) and its
+conjugates u^-1 (w Z(U)^# w) u by the reversal w and each u in U
+(involution_class).  Vertices are numbered by the lexicographic order of
 their canonical encodings, so the numbering, and every vertex id derived
 from it, does not depend on the generating set.
 
-The orbit closure conjugates the class once by each generator, which
-yields its permutations of the vertices; a breadth-first Schreier tree over
-them reaches every vertex from the seed (the transitivity proof), and the
-generators on the tree path to x compose to a conjugation sigma_x with
-sigma_x(0) = x (InvolutionClass.carry).  Conjugation preserves product
-orders, so every product-order fact is one about vertex 0 and constant on
-the orbits of vertex 0's stabiliser, whose Schreier generators
-sigma_g(u)^-1 g sigma_u the tree also yields (stabiliser_suborbits).  One
-product per class, 2q - 3 on every instance the tests cover, gives the
-table every vertex-0 fact reads (InvolutionClass.suborbits): the order
-census is v/2 times the seed's row (orbital_order_census), the partners
-of x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
-the commuting classes are the orbit of one block (sylow_partition).  A
-class is proven where it is made: involution_class builds the orbit, and
-closed_class returns codes read from elsewhere as a class only once it
-re-proves that they are this orbit, each row at its vertex id (the
-encodings strictly increase), in one pass that yields the same
-permutations.  Graph construction carries vertex 0's partner sets the
-same way (InvolutionClass.carry_blocks); full_order_scan,
-sampled_order_check and the direct products of cross_check_rows are
-oracles.
+A class is proven where it is made, and only closed_class makes one: it
+takes rows from the enumeration or from a cache and proves them the class,
+each row at its vertex id (the encodings strictly increase).  Conjugating
+the class once by each generator yields its permutations of the vertices
+and proves the set closed; a breadth-first Schreier tree over them reaches
+every vertex from vertex 0 (the transitivity proof), and the generators on
+the tree path to x compose to a conjugation sigma_x with sigma_x(0) = x
+(InvolutionClass.carry).  Conjugation preserves product orders, so every
+product-order fact is one about vertex 0 and constant on the orbits of
+vertex 0's stabiliser, whose Schreier generators sigma_g(u)^-1 g sigma_u
+the tree also yields (stabiliser_suborbits).  One product per class,
+2q - 3 on every instance the tests cover, gives the table every vertex-0
+fact reads (InvolutionClass.suborbits): the order census is v/2 times the
+seed's row (orbital_order_census), the partners of x are sigma_x of the
+seed's classes of order 2 and chi (seed_sets), and the commuting classes
+are the orbit of one block (sylow_partition).  Graph construction carries
+vertex 0's partner sets the same way (InvolutionClass.carry_blocks);
+full_order_scan, sampled_order_check and the direct products of
+cross_check_rows are oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -57,7 +55,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 ORDER_CAP_FACTOR = 4
 PAIR_BLOCK = 1 << 21
-SEARCH_BLOCK = 1 << 16  # conjugates involution_class looks up in one search
+CLASS_BLOCK = 1 << 18  # class rows conjugated at once, which bounds their temporaries
 
 
 class SzEvenExponent(InvalidQ):
@@ -312,21 +310,47 @@ def _gf2_basis(values) -> list[int]:
     return basis
 
 
+def _psu3_trace_one(spec: GroupSpec) -> int:
+    """w = 2 / (2 + 2^q), of trace w + w^q = 1, so that y = x^(q+1) w
+    solves y + y^q = x^(q+1).  The code 2, the polynomial t, generates
+    GF(q^2), so it lies outside GF(q) and 2 + 2^q is not 0."""
+    ctx = spec.ctx
+    return ctx.mul(2, ctx.inv(2 ^ ctx.frobenius(2, spec.n)))
+
+
 def _psu3_unipotents(spec: GroupSpec) -> list[Matrix]:
     """One unipotent over each GF(2)-basis element x of GF(q^2), and the
-    central ones (x = 0) over a GF(2)-basis y of GF(q).
-
-    The trace y + y^q maps GF(q^2) onto GF(q).  The code 2, the polynomial
-    t, generates GF(q^2), so it lies outside GF(q) and w = 2 / (2 + 2^q) has
-    trace 1; y = x^(q+1) w then solves y + y^q = x^(q+1).  The traces of
-    the basis of GF(q^2) span GF(q).
-    """
+    central ones (x = 0) over a GF(2)-basis y of GF(q), the traces of the
+    basis of GF(q^2), which span GF(q)."""
     ctx, n, q = spec.ctx, spec.n, spec.q
-    w = ctx.mul(2, ctx.inv(2 ^ ctx.frobenius(2, n)))
+    w = _psu3_trace_one(spec)
     basis = [1 << i for i in range(2 * n)]
     moving = [_psu3_unipotent(spec, x, ctx.mul(ctx.pow(x, q + 1), w)) for x in basis]
     centre = _gf2_basis(e ^ ctx.frobenius(e, n) for e in basis)
     return moving + [_psu3_unipotent(spec, 0, y) for y in centre]
+
+
+def sylow_unipotents(spec: GroupSpec) -> tuple[list[Matrix], list[Matrix]]:
+    """(U, Z(U)^#): the q^l elements of the lower unitriangular Sylow
+    2-subgroup U, identity first, and the q - 1 involutions of its centre.
+
+    PSL2: [[1, 0], [a, 1]], all of U central.  Sz: S(a, b), centre S(0, b).
+    PSU3: (x, x^(q+1) w + t) for x in GF(q^2) and t in GF(q), w of trace 1
+    (_psu3_trace_one), centre (0, t).  Not checked here: closed_class
+    proves whatever involution_class makes of them.
+    """
+    ctx, q = spec.ctx, spec.q
+    if spec.family == PSL2:
+        unip = [((1, 0), (a, 1)) for a in range(q)]
+    elif spec.family == SZ:
+        unip = [_sz_unipotent(spec, a, b) for a in range(q) for b in range(q)]
+    else:
+        w = _psu3_trace_one(spec)
+        subfield = [t for t in range(ctx.order) if ctx.frobenius(t, spec.n) == t]
+        unip = [_psu3_unipotent(spec, x, y ^ t)
+                for x, y in ((x, ctx.mul(ctx.pow(x, q + 1), w)) for x in range(ctx.order))
+                for t in subfield]
+    return unip, unip[1:q]  # a = 0 (psl2: any a), b or t != 0
 
 
 def generators(spec: GroupSpec) -> list[Matrix]:
@@ -336,8 +360,8 @@ def generators(spec: GroupSpec) -> list[Matrix]:
     reversal (n + 1).  Sz: the unipotents S(2^i, 0) and S(0, 2^i), a torus
     element and the reversal (2n + 2).  PSU3: the 2n + n unipotents of
     _psu3_unipotents and the reversal (3n + 1).  Sufficiency is certified
-    downstream: the orbit closure must reach the closed-form class size
-    and the Schreier tree every vertex.
+    where a class is made: closed_class's Schreier tree must reach every
+    one of the closed-form count of vertices.
     """
     n = spec.n
     if spec.family == PSL2:
@@ -419,7 +443,7 @@ class _Kernels:
             for k in range(d):
                 e = int(g[i][k])
                 if e:
-                    out[:, i, :] ^= self._mul(np.asarray(e, dtype=self.dtype), x[:, k, :])
+                    out[:, i, :] ^= self.scale(e, x[:, k, :])
         return out
 
     def mul_right(self, x, g):
@@ -430,11 +454,13 @@ class _Kernels:
             for k in range(d):
                 e = int(g[k][j])
                 if e:
-                    out[:, :, j] ^= self._mul(x[:, :, k], np.asarray(e, dtype=self.dtype))
+                    out[:, :, j] ^= self.scale(e, x[:, :, k])
         return out
 
-    def scale(self, z, x):
-        return self._mul(np.asarray(z, dtype=self.dtype), x)
+    def scale(self, z: int, x):
+        """z * x for a field element z; x itself, not a copy, for z = 1,
+        which most generator and unipotent entries are."""
+        return x if z == 1 else self._mul(np.asarray(z, dtype=self.dtype), x)
 
     def central_scalar_mask(self, x):
         """Per-matrix: is x a scalar matrix with scalar in the center."""
@@ -510,71 +536,37 @@ def _fold(words):
 
 
 class _KeyIndex:
-    """Vertex ids by canonical encoding, as _word_keys rows.
+    """Vertex ids by canonical encoding: words[i] is vertex i's _word_keys
+    row, all of them distinct.
 
-    words[i] holds vertex i's words for the first size vertices, which
-    are distinct; the rows after them are room for add.  The search runs
-    over one sorted uint64 array, the vertices' _fold values, with the
-    vertex ids in the same order.  A fold match is a hit only if all its words agree; a match
-    whose words differ, or two vertices with one fold, raises
-    ClassSizeMismatch, so no two involutions are ever taken for one.
+    The search runs over one sorted uint64 array, the vertices' _fold
+    values, with the vertex ids in the same order.  A fold match is a hit
+    only if all its words agree; a match whose words differ, or two
+    vertices with one fold, raises ClassSizeMismatch, so no two involutions
+    are ever taken for one.
     """
 
-    def __init__(self, words: np.ndarray, size: int):
-        self.words, self.size = words, size
-        folds = _fold(words[:size])
+    def __init__(self, words: np.ndarray):
+        self.words = words
+        folds = _fold(words)
         self.ids = np.argsort(folds)
         self.folds = folds[self.ids]
         if (self.folds[1:] == self.folds[:-1]).any():
             raise ClassSizeMismatch(_FOLD_COLLISION)
 
-    def _search(self, words: np.ndarray):
-        """The rows of words in fold order (order), their folds, where each
-        sorts among the vertices' (at), whether it is a vertex (known) and
-        which (ids, where known)."""
+    def find(self, words: np.ndarray):
+        """(ids, known): the vertex of each row of words, where it is one."""
         folds = _fold(words)
         order = np.argsort(folds)  # sorted queries search faster
         folds = folds[order]
-        at = np.searchsorted(self.folds, folds)
-        pos = np.minimum(at, self.size - 1)
+        pos = np.minimum(np.searchsorted(self.folds, folds), len(self.folds) - 1)
         known = self.folds[pos] == folds
         ids = self.ids[pos]
         if not (self.words[ids[known]] == words[order[known]]).all():
             raise ClassSizeMismatch(_FOLD_COLLISION)
-        return order, folds, at, known, ids
-
-    def find(self, words: np.ndarray):
-        """(ids, known): the vertex of each row of words, where it is one."""
-        order, _, _, known, ids = self._search(words)
         out, found = np.empty_like(ids), np.empty_like(known)
         out[order], found[order] = ids, known
         return out, found
-
-    def add(self, words: np.ndarray):
-        """find, with the distinct rows that are not vertices numbered as new
-        vertices in the order of their folds and merged into the index;
-        returns (ids, first): each row's vertex, and the first row of each
-        new vertex."""
-        order, folds, at, known, ids = self._search(words)
-        new = np.flatnonzero(~known)
-        lead = np.ones(len(new), dtype=bool)
-        lead[1:] = folds[new[1:]] != folds[new[:-1]]
-        first, group = new[lead], np.cumsum(lead) - 1
-        if not (words[order[new]] == words[order[first[group]]]).all():
-            raise ClassSizeMismatch(_FOLD_COLLISION)
-        lo, hi = self.size, self.size + len(first)
-        if hi > len(self.words):
-            raise ClassSizeMismatch(
-                f"orbit closure found {hi} involutions, expected {len(self.words)}")
-        level = np.arange(lo, hi)
-        self.words[lo:hi] = words[order[first]]
-        self.folds = np.insert(self.folds, at[first], folds[first])
-        self.ids = np.insert(self.ids, at[first], level)
-        self.size = hi
-        ids[new] = level[group]
-        out = np.empty_like(ids)
-        out[order] = ids
-        return out, order[first]
 
 
 def _lex_less(a, b):
@@ -592,24 +584,25 @@ def _lex_less(a, b):
 class InvolutionClass:
     """The conjugacy class of involutions, indexed as graph vertices.
 
-    involution_class numbers the vertices by the lexicographic order of
-    their canonical encodings.  With one-byte codes the seed's encoding is
-    the least, so it is vertex 0; the certificates work from vertex 0
-    whichever involution it is.  perms[t, x] is the vertex g_t^-1 x g_t
-    for the t-th generator g_t.  Only involution_class and closed_class
-    make one, and both prove it the class, in this numbering, first.
+    Vertices are numbered by the lexicographic order of their canonical
+    encodings.  With one-byte codes the seed's encoding is the least, so
+    it is vertex 0; the certificates work from vertex 0 whichever
+    involution it is.  perms[t, x] is the vertex g_t^-1 x g_t for the
+    t-th generator g_t, and tree is their Schreier tree of vertex 0
+    (schreier_tree).  Only closed_class makes one, once it has proven
+    codes the class, in this numbering.
     """
 
-    def __init__(self, spec: GroupSpec, codes: np.ndarray, perms: np.ndarray):
+    def __init__(self, spec: GroupSpec, codes: np.ndarray, perms: np.ndarray, tree):
         self.spec = spec
         self.codes = codes
         self.perms = perms
+        self.tree = tree
         self.kern = _Kernels(spec)
         self._sylow_labels = None
         self._seed_sets = None
         self._suborbits = None
         self._order_scan = None
-        self._schreier_tree = None
         self._tree_steps = None
 
     @property
@@ -641,17 +634,12 @@ class InvolutionClass:
                                        chi=np.flatnonzero(row == self.spec.chi))
         return self._seed_sets
 
-    def schreier_tree(self):
-        if self._schreier_tree is None:
-            self._schreier_tree = schreier_tree(self.perms)
-        return self._schreier_tree
-
     def tree_steps(self):
         """(flat, offset, depth): the generator permutations end to end, then
         the identity; the tree edge into x (the root's: the identity) moves y
         to flat[offset[x] + y], and x is depth[x] edges below the root."""
         if self._tree_steps is None:
-            perms, (_, label, levels) = self.perms, self.schreier_tree()
+            perms, (_, label, levels) = self.perms, self.tree
             flat = np.append(perms, np.arange(self.size, dtype=perms.dtype))
             depth = np.empty(self.size, dtype=np.int64)
             for d, level in enumerate(levels):
@@ -663,7 +651,7 @@ class InvolutionClass:
         """(len(xs), len(seed)) array of sigma_x(seed) for x in xs: sigma_x,
         the generators on the tree path from 0 to x, carries 0 to x and 0's
         partners in a conjugation-invariant relation to x's."""
-        parent, _, _ = self.schreier_tree()
+        parent, _, _ = self.tree
         flat, offset, depth = self.tree_steps()
         up = np.asarray(xs, dtype=np.int64)
         steps = []  # the edges into the ancestors, one step up at a time
@@ -714,71 +702,66 @@ def _seed_codes(spec: GroupSpec, dtype) -> np.ndarray:
     return np.array(canonicalize(spec, seed), dtype=dtype)[None]
 
 
-def involution_class(spec: GroupSpec) -> InvolutionClass:
-    """The class as the breadth-first orbit of the seed under conjugation.
+def _unipotent_inverse(kern: _Kernels, u: np.ndarray) -> np.ndarray:
+    """Inverses of a batch of unipotent u = I + N: I + N + ... + N^(d-1),
+    since N^d = 0 and signs vanish in characteristic 2."""
+    n = u ^ np.eye(u.shape[-1], dtype=u.dtype)
+    inv, power = u.copy(), n
+    for _ in range(u.shape[-1] - 2):
+        power = kern.mul_batch(power, n)
+        inv ^= power
+    return inv
 
-    Each vertex is in exactly one frontier, so conjugating the frontiers
-    by every generator conjugates the class once, and the images are the
-    generator permutations (cls.perms).  The images of a
-    frontier (of each chunk of it, on large levels) are looked up in one
-    _KeyIndex search; those not found are numbered as vertices of the next
-    level, which the index takes in by a merge.  Reaching the
-    closed-form size proves the set closed, as closed_class does for
-    given codes.  The breadth-first numbers are then replaced by the
-    ranks of the encodings, in the codes and in the permutations.
-    """
+
+def _sylow_centre_rows(spec: GroupSpec) -> np.ndarray:
+    """The canonical rows of Z(U)^# and of u^-1 (w z w) u for u in U and z
+    in Z(U)^#, sorted by encoding (w the reversal).  A function of its
+    own, so that its temporaries are freed before closed_class runs."""
     kern = _Kernels(spec)
-    seed_codes = _seed_codes(spec, kern.dtype)
-    conjugators = _conjugators(spec, kern)
+    unip, centre = sylow_unipotents(spec)
+    u = np.array(unip, dtype=kern.dtype)
+    z = np.array(centre, dtype=kern.dtype)
+    w = reversal(spec.dim)
+    wzw = kern.mul_right(kern.mul_left(w, z), w)
+    ui, rows = _unipotent_inverse(kern, u), [kern.canonical_batch(z)]
+    for lo in range(0, len(u) * len(z), CLASS_BLOCK):
+        pick_u, pick_z = np.divmod(np.arange(lo, min(lo + CLASS_BLOCK, len(u) * len(z))), len(z))
+        rows.append(kern.canonical_batch(
+            kern.mul_batch(kern.mul_batch(ui[pick_u], wzw[pick_z]), u[pick_u])))
+    codes, keys = (np.concatenate(part) for part in zip(*rows))
+    return codes[np.lexsort(keys.T[::-1])]
 
-    expected = spec.class_size()
-    perms = np.empty((len(conjugators), expected), dtype=np.int32)
-    seed_words = kern.encode_keys(seed_codes)
-    words = np.empty((expected, seed_words.shape[1]), dtype=np.uint64)
-    words[:1] = seed_words
-    index = _KeyIndex(words, 1)  # vertices numbered breadth-first
-    step = max(1, SEARCH_BLOCK // len(conjugators))
-    members = [seed_codes]
-    frontier, start = seed_codes, 0
-    while len(frontier):
-        found = []
-        for lo in range(0, len(frontier), step):
-            chunk = frontier[lo:lo + step]
-            images = [_conjugate(kern, gi, g, chunk) for gi, g in conjugators]
-            ids, first = index.add(np.concatenate([k for _, k in images]))
-            perms[:, start + lo:start + lo + len(chunk)] = ids.reshape(len(conjugators), -1)
-            found.append(np.concatenate([c for c, _ in images])[first])
-        start += len(frontier)
-        frontier = np.concatenate(found)
-        members.append(frontier)
-    if index.size != expected:
-        raise ClassSizeMismatch(
-            f"orbit closure found {index.size} involutions, expected {expected}")
-    codes = np.concatenate(members, axis=0)
-    # renumber by encoding: ids lists the breadth-first numbers in key order
-    ids = np.lexsort(words.T[::-1])
-    rank = np.empty(expected, dtype=np.int32)
-    rank[ids] = np.arange(expected, dtype=np.int32)
-    for row in perms:  # in place, so that one copy of the permutations is held
-        row[:] = rank[row[ids]]
-    return InvolutionClass(spec, codes[ids], perms)
+
+def involution_class(spec: GroupSpec) -> InvolutionClass:
+    """The class from the Sylow 2-centres, proven by closed_class.
+
+    The Sylow 2-subgroups are U (sylow_unipotents) and u^-1 U^w u for u in
+    U, w the reversal; each centre holds q - 1 involutions, and the class
+    is their disjoint union: Z(U)^# and u^-1 (w z w) u for u in U and z in
+    Z(U)^#, (q - 1)(q^l + 1) rows.  Canonical and sorted by encoding, they
+    are only candidates (_sylow_centre_rows): closed_class proves them the
+    class and finds the generator permutations.
+    """
+    return closed_class(spec, _sylow_centre_rows(spec))
 
 
 def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
     """The class whose vertex i is row i of codes, once proven to be
-    exactly the class of the seed in involution_class's numbering;
-    ClassSizeMismatch otherwise.  It is the one check on codes from
-    outside the program.
+    exactly the class of the seed in the numbering by encoding;
+    ClassSizeMismatch otherwise.  It is the one check on codes, whether
+    involution_class enumerated them or they were read from outside the
+    program.
 
     The rows must be d x d matrices of field codes, as many as the
     closed-form class size, with strictly increasing encodings (so
     distinct, and each at its vertex id); they must include the canonical
-    seed and be closed under conjugation by every generator.  Closure
-    puts the seed's whole orbit in the set.  That orbit has the
-    closed-form size (involution_class checks it for the same
-    generators), so the set is exactly the orbit, which is what the
-    orbital order census relies on.  The closure pass yields the
-    generator permutations of the class.
+    seed and be closed under conjugation by every generator, and the
+    generators must act on them transitively: their Schreier tree from
+    vertex 0 reaches every vertex.  Closure and transitivity make the set
+    the seed's orbit under the generators, so a subset of its class; the
+    closed-form size makes it the whole class, which is what the orbital
+    order census relies on.  The closure pass yields the generator
+    permutations.
     """
     d = spec.dim
     if (codes.dtype.kind not in "iu" or codes.ndim != 3 or codes.shape[1:] != (d, d)
@@ -787,23 +770,32 @@ def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
     if len(codes) != spec.class_size():
         raise ClassSizeMismatch(f"class has {len(codes)} rows, expected {spec.class_size()}")
     codes = codes.astype(spec.ctx.code_dtype, copy=False)
+    perms = _closure_perms(spec, codes)
+    return InvolutionClass(spec, codes, perms, schreier_tree(perms))
+
+
+def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
+    """closed_class's generator permutations of the rows, once their
+    encodings strictly increase, they hold the seed and every generator
+    conjugates them into themselves.  The search index dies on return,
+    before the Schreier tree, which sets the peak memory, is built."""
     kern = _Kernels(spec)
     words = kern.encode_keys(codes)
     if not _lex_less(words[:-1], words[1:]).all():
         raise ClassSizeMismatch("class has a duplicate or a reordered row: "
                                 "encodings do not strictly increase")
-    index = _KeyIndex(words, len(codes))
+    index = _KeyIndex(words)
     if not index.find(kern.encode_keys(_seed_codes(spec, kern.dtype)))[1][0]:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     conjugators = _conjugators(spec, kern)
     perms = np.empty((len(conjugators), len(codes)), dtype=np.int32)
     for t, (gi, g) in enumerate(conjugators):
-        _, keys = _conjugate(kern, gi, g, codes)
-        ids, known = index.find(keys)
-        if not known.all():
-            raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
-        perms[t] = ids
-    return InvolutionClass(spec, codes, perms)
+        for lo in range(0, len(codes), CLASS_BLOCK):
+            ids, known = index.find(_conjugate(kern, gi, g, codes[lo:lo + CLASS_BLOCK])[1])
+            if not known.all():
+                raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
+            perms[t, lo:lo + CLASS_BLOCK] = ids
+    return perms
 
 
 def schreier_tree(perms: np.ndarray):
@@ -831,7 +823,7 @@ def schreier_tree(perms: np.ndarray):
         label[new] = t[first]
         levels.append(new)
     if (parent < 0).any():
-        raise ClassSizeMismatch(f"the generators carry the seed to "
+        raise ClassSizeMismatch(f"the generators carry vertex 0 to "
                                 f"{int((parent >= 0).sum())} of {v} vertices")
     return parent, label, levels
 
@@ -852,7 +844,7 @@ def schreier_generators(cls: InvolutionClass):
     stays O(v).
     """
     perms = cls.perms
-    parent, label, _ = cls.schreier_tree()
+    parent, label, _ = cls.tree
     every = np.arange(cls.size, dtype=perms.dtype)
     back = np.empty_like(every)
     stride = max(1, round(cls.size * (3 - 5 ** 0.5) / 2))
@@ -1130,8 +1122,8 @@ def orbital_order_census(cls: InvolutionClass) -> OrderCensus:
     """Exact product-order census of all pairs from cls.suborbits().
 
     Conjugation permutes the class, preserves product orders, and acts on
-    the class transitively (it is the orbit of the seed; closed_class
-    proves a cached class so).  So the census over unordered pairs
+    the class transitively (closed_class proves every class so, by its
+    Schreier tree).  So the census over unordered pairs
     is v/2 times that of row 0, each class's order weighted by its size.
     The witness, if any, is the least such vertex of row 0.
     """

@@ -16,9 +16,10 @@ same-label relation.  carried_rows carries the seed's partner sets to
 every vertex in one dense call, where the library works a block at a time.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
-blocked adjacency products.  involution_class_by_dict builds the class
-with a Python dict keyed by encode() bytes, one matrix at a time, where
-the library searches sorted uint64 word keys a level at a time.
+blocked adjacency products.  involution_class_by_dict is the only
+breadth-first builder of the class: the orbit of the seed under the
+generators, with a Python dict keyed by encode() bytes, one matrix at a
+time, where the library enumerates the Sylow 2-centres in closed form.
 """
 
 import gc

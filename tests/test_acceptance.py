@@ -268,17 +268,17 @@ def test_criterion_11_psl2_512():
 
 @pytest.mark.ladder
 def test_ladder_psu3_n5():
-    # v = 1015839; deselected by default, run with: pytest -m ladder
+    # v = 1015839; about 22 s on two cores; deselected by default, run with: pytest -m ladder
     _check_against_formulas("psu3", 5, 120.0)
 
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 12 s on two cores
+    # v = 1048575; about 11 s on two cores
     _check_against_formulas("psl2", 10, 25.0)
 
 
 @pytest.mark.ladder
 def test_ladder_sz_n7():
-    # v = 2080895; about 52 s on two cores
+    # v = 2080895; about 48 s on two cores
     _check_against_formulas("sz", 7, 105.0)

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fgl
-from fgl import bits, groups
+from fgl import bits, groups, pipeline
 from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
 from fgl.graphs import Graph
@@ -410,20 +410,28 @@ def test_bad_class_cache_exits_3(tmp_path, capsys, cmd, bad):
     assert sorted(os.listdir(tmp_path)) == ["cache"]
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv", [  # the path that cannot be written comes last
     ["verify", "--cache", "{file}"],
     ["verify", "--out", "{missing}/x.json"],
     ["construct", "--out", "{missing}/g.json"],
-    ["construct", "--cache", "{file}", "--out", "{dir}/g.json"],
+    ["construct", "--out", "{dir}/g.json", "--cache", "{file}"],
+    ["verify", "--out", "{dir}"],
 ])
-def test_unwritable_path_exits_2(tmp_path, capsys, argv):
-    # exit 1 means a failed verification; a path that cannot be written is a usage error
+def test_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # exit 1 means a failed verification; a path that cannot be written is a
+    # usage error, found before the class is built or the pipeline runs
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran before the path was checked")
+
+    monkeypatch.setattr(pipeline, "run_verify", work)
+    monkeypatch.setattr(pipeline, "load_or_build_class", work)
     (tmp_path / "file").write_text("")
     names = {"file": tmp_path / "file", "missing": tmp_path / "missing", "dir": tmp_path}
     argv = [a.format(**names) for a in argv]
     assert run_cli(argv[0], "--family", "psl2", "--n", "2", *argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {argv[-1]}: " in err and ".tmp" not in err
     assert os.listdir(tmp_path) == ["file"]
 
 

@@ -11,7 +11,6 @@ from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
                         identity, involution_class, make_group, mat_det,
                         mat_inv_det1, mat_mul, mat_scale, reversal,
                         seed_involution, sylow_partition)
-from fgl.fusion import PiSpec, build_fusion_graph
 from oracles import (carried_rows, element_order, full_generators,
                      involution_class_by_dict, product_order, psu3_unitriangular_scan,
                      vertex_index)
@@ -78,7 +77,7 @@ def test_sz_unipotent_family_closed():
     for s1 in fam:
         for s2 in list(fam)[:8]:
             assert mat_mul(spec.ctx, s1, s2) in fam
-    for b in spec.ctx.nonzero_elements():
+    for b in range(1, spec.q):
         s = gr._sz_unipotent(spec, 0, b)
         assert mat_mul(spec.ctx, s, s) == identity(4)
 
@@ -95,6 +94,26 @@ def test_psu3_unipotent_scan_matches_derived_condition():
             if ctx.add(y, ctx.frobenius(y, spec.n)) == ctx.pow(x, spec.q + 1):
                 derived.add(((1, 0, 0), (x, 1, 0), (y, ctx.frobenius(x, spec.n), 1)))
     assert scanned == derived
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 3), ("sz", 3), ("psu3", 2)])
+def test_sylow_unipotents_are_a_sylow_subgroup_and_its_centre(family, n):
+    spec = make_group(family, n)
+    unip, centre = gr.sylow_unipotents(spec)
+    assert len(unip) == len(set(unip)) == spec.q ** spec.l
+    assert unip[0] == identity(spec.dim)
+    for m in unip:
+        check_group_form(spec, m)
+    # closed under products, so a group of the Sylow 2-subgroup's order
+    assert {mat_mul(spec.ctx, a, b) for a in unip for b in unip} == set(unip)
+    assert len(centre) == len(set(centre)) == spec.q - 1
+    assert set(centre) <= set(unip) - {identity(spec.dim)}
+    for z in centre:
+        assert mat_mul(spec.ctx, z, z) == identity(spec.dim)
+        for u in unip:
+            assert mat_mul(spec.ctx, z, u) == mat_mul(spec.ctx, u, z)
+    if family == "psu3":
+        assert set(unip) == set(psu3_unitriangular_scan(spec))
 
 
 @pytest.mark.parametrize("family,n,count", [
@@ -261,6 +280,15 @@ def test_class_matches_the_dict_oracle(family, n):
     cls = involution_class(spec)
     assert cls.codes.dtype == codes.dtype and np.array_equal(cls.codes, codes)
     assert np.array_equal(cls.perms, perms)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_class_blocks_give_the_same_class(psu3_4_class, monkeypatch, block):
+    # the enumeration and the closure pass run CLASS_BLOCK rows at a time
+    monkeypatch.setattr(gr, "CLASS_BLOCK", block)
+    cls = involution_class(psu3_4_class.spec)
+    assert np.array_equal(cls.codes, psu3_4_class.codes)
+    assert np.array_equal(cls.perms, psu3_4_class.perms)
 
 
 def test_product_orders_and_masks_agree(psl2_8_class):
@@ -572,7 +600,7 @@ def test_carry_blocks_chunk_carry(psu3_4_class, monkeypatch):
 def test_schreier_tree_spans_the_class(psu3_4_class):
     cls = gr.closed_class(psu3_4_class.spec, psu3_4_class.codes)
     perms = cls.perms
-    parent, label, levels = cls.schreier_tree()
+    parent, label, levels = cls.tree
     assert sorted(np.concatenate(levels).tolist()) == list(range(cls.size))
     x = np.concatenate(levels[1:])
     assert np.array_equal(perms[label[x], parent[x]], x)
@@ -596,13 +624,15 @@ def test_fusion_graph_rejects_a_non_member(psl2_8_class):
 
 def test_fusion_graph_rejects_intransitive_generators(psl2_8_class, monkeypatch):
     # the unipotents (a Sylow 2-subgroup) map the class into itself, so the
-    # closure check passes, but they move the seed through only q = 8 vertices
+    # closure check passes, but they move the seed through only q = 8
+    # vertices: closed_class refuses the class before any graph is built
     spec = psl2_8_class.spec
     unipotents = generators(spec)[:-1]
     monkeypatch.setattr(gr, "generators", lambda s: unipotents)
-    cls = gr.closed_class(spec, psl2_8_class.codes)
     with pytest.raises(ClassSizeMismatch, match="8 of 63"):
-        build_fusion_graph(cls, PiSpec.odd_complement())
+        gr.closed_class(spec, psl2_8_class.codes)
+    with pytest.raises(ClassSizeMismatch, match="8 of 63"):
+        involution_class(spec)
 
 
 def test_cross_check_names_a_differing_pair(psl2_8_class):
