@@ -56,12 +56,17 @@ def _read_input(path: str, fmt: str | None) -> graphs.Graph | None:
 def _unwritable(args) -> str | None:
     """Why --out or --cache cannot be written, found before any work is
     done, or None: --out must name a file in an existing directory, and
-    --cache must not be anything but a directory."""
+    the nearest existing ancestor of --cache (or --cache itself) must be a
+    directory."""
     out, cache = getattr(args, "out", None), getattr(args, "cache", None)
     if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
         return f"--out {out}: not a file in an existing directory"
-    if cache and os.path.exists(cache) and not os.path.isdir(cache):
-        return f"--cache {cache}: not a directory"
+    if cache:
+        nearest = os.path.abspath(cache)
+        while not os.path.exists(nearest):
+            nearest = os.path.dirname(nearest)
+        if not os.path.isdir(nearest):
+            return f"--cache {cache}: {nearest} is not a directory"
     return None
 
 

@@ -5,14 +5,18 @@ Graphs are undirected, loop-free, and stored as packed bit rows (see
 antipodal classes, Deza and divisible-design checks, the common-neighbor
 spectrum) are exhaustive over all vertex pairs, all from one kernel: a
 block of at most bits.ROW_BLOCK_BITS entries of source rows, unpacked to
-0/1 float32, times the unpacked adjacency A.  Common-neighbor counts are
-A[block] @ A; the distance checks search the whole block breadth-first,
-one product per distance layer.  Each count is exact: every partial sum
-is an integer of at most v, and float32 holds every integer below 2^24
-(larger graphs are refused), so no BLAS thread count or summation order
-changes it.  So a returned certificate is a proof for the given graph,
-and failures carry a witness that names a violating pair.  The fusion
-graphs of the pipeline are certified from vertex 0 instead
+0/1 float32, times A.T (A is symmetric; with one block numpy forms A @ A.T
+by one syrk call).  Common-neighbor counts are A[lo:hi] @ A[lo:].T, the
+pairs x < y; the distance checks search the whole block breadth-first, one
+product per distance layer, in the narrowest integer type holding -1..v-1.
+Each count is exact: every partial sum is an integer of at most v, and
+float32 holds every integer below 2^24 (larger graphs are refused), so no
+BLAS thread count or summation order changes it.  So a returned
+certificate is a proof for the given graph, and failures carry a witness
+that names a violating pair.  Each pass runs once per graph and is kept on
+it (its rows are read-only): drg and antipodal share one distance pass,
+deza and spectrum one common-neighbor pass.  The fusion graphs of the
+pipeline are certified from vertex 0 instead
 (fusion.seed_set_cover3_certificate).
 """
 
@@ -59,15 +63,18 @@ class PartitionNotUniform(ValueError):
 
 
 class Graph:
-    """Immutable undirected graph on vertices 0..v-1 with bit-row adjacency."""
+    """Immutable undirected graph on vertices 0..v-1 with bit-row adjacency;
+    it takes ownership of rows and makes them read-only."""
 
-    __slots__ = ("v", "rows")
+    __slots__ = ("v", "rows", "_kept")
 
     def __init__(self, v: int, rows: np.ndarray):
         if rows.shape != (v, bits.word_count(v)):
             raise ValueError("adjacency rows have wrong shape")
+        rows.flags.writeable = False
         self.v = v
         self.rows = rows
+        self._kept = {}
 
     # -- constructors ----------------------------------------------------
 
@@ -179,29 +186,42 @@ def _adjacency(g: Graph) -> np.ndarray:
     return a
 
 
+def _count_dtype(v: int) -> np.dtype:
+    """The narrowest signed integer type holding -v, so -1..v-1: distances and counts."""
+    return np.min_scalar_type(-max(v, 1))
+
+
+def _once(g: Graph, compute):
+    """compute(g), run once per graph and kept on it: its rows cannot change."""
+    if compute not in g._kept:
+        g._kept[compute] = compute(g)
+    return g._kept[compute]
+
+
 def _common_neighbor_blocks(g: Graph):
-    """Yield (xs, cn, upper) per row block: cn[t, y] = |N(xs[t]) & N(y)|
-    from A[xs] @ A, and upper[t, y] = y > xs[t]."""
+    """Yield (lo, cn, upper) per row block [lo, hi): cn[t, j] =
+    |N(lo + t) & N(lo + j)| from A[lo:hi] @ A[lo:].T, and upper[t, j] = j > t."""
     a = _adjacency(g)
     for lo, hi in _row_blocks(g.v):
-        xs = np.arange(lo, hi)
-        yield xs, (a[lo:hi] @ a).astype(np.int32), np.arange(g.v) > xs[:, None]
+        yield (lo, (a[lo:hi] @ a[lo:].T).astype(np.int32),
+               np.arange(g.v - lo) > np.arange(hi - lo)[:, None])
 
 
 def _distance_blocks(g: Graph):
     """Yield (lo, dist, c, b) per block of sources lo, lo+1, ...: dist[t, y]
     is the distance from lo + t to y (-1 if unreachable) and, for y at
-    distance i, c[t, y] = |N(y) & D_{i-1}| and b[t, y] = |N(y) & D_{i+1}|.
+    distance i, c[t, y] = |N(y) & D_{i-1}| and b[t, y] = |N(y) & D_{i+1}|,
+    all of _count_dtype(v).
 
     N_i = D_i @ A counts N(y) & D_i for each y (N_0 and D_1 are A[block]):
     it gives c on D_{i+1} and a on D_i, and D_{i+1} is its support outside
-    the layers seen; b = deg - c - a, and 0 on the layer that sees the last
-    vertex.
+    the layers seen; b = (deg - a) - c, which stays in 0..deg since N(y)
+    holds D_i and D_{i-1} apart, and 0 on the layer that sees the last vertex.
     """
     a = _adjacency(g)
-    deg = g.degrees().astype(np.int32)
+    deg = g.degrees().astype(_count_dtype(g.v))
     for lo, hi in _row_blocks(g.v):
-        dist = np.full((hi - lo, g.v), -1, dtype=np.int32)
+        dist = np.full((hi - lo, g.v), -1, dtype=deg.dtype)
         np.fill_diagonal(dist[:, lo:], 0)
         c, same = np.zeros_like(dist), np.zeros_like(dist)
         layer, count, i = dist == 0, a[lo:hi], 0
@@ -212,13 +232,45 @@ def _distance_blocks(g: Graph):
             dist[nxt] = i + 1
             if not nxt.any() or (dist >= 0).all():
                 break
-            layer, count, i = nxt, (a[lo:hi] if i == 0 else nxt.astype(np.float32)) @ a, i + 1
-        b = deg - c - same
+            layer, count, i = nxt, (a[lo:hi] if i == 0 else nxt.astype(np.float32)) @ a.T, i + 1
+        b = np.subtract(deg, same, out=same)
+        b -= c
         b[nxt] = 0
         yield lo, dist, c, b
 
 
 # -- distance-regularity ----------------------------------------------------
+
+
+def _distance_census(g: Graph):
+    """One _distance_blocks pass: (unreachable, drg, d, far), the first vertex
+    unreachable from 0 (the pass stops there) or None, the intersection array or
+    the first violation in source order, the diameter d, and the distance-{0, d}
+    relation as read-only bit rows (a source of smaller eccentricity: itself)."""
+    ecc, far, drg = np.zeros(g.v, dtype=_count_dtype(g.v)), bits.zero_rows(g.v, g.v), None
+    for lo, dist, c, b in _distance_blocks(g):
+        if lo == 0:
+            if (dist[0] < 0).any():
+                return int(np.argmax(dist[0] < 0)), None, None, None
+            d = int(dist[0].max())
+            firsts = np.unique(dist[0], return_index=True)[1]
+            c0, b0 = c[0, firsts], b[0, firsts]
+        hi = lo + len(dist)
+        ecc[lo:hi] = dist.max(axis=1)
+        at = np.minimum(dist, d)
+        bad = (ecc[lo:hi] != d) | ((c != c0[at]) | (b != b0[at])).any(axis=1)
+        if drg is None and bad.any():
+            t = int(np.argmax(bad))
+            drg = _drg_violation(lo + t, dist[t], c[t], b[t], c0, b0, d)
+        sel = dist == ecc[lo:hi, None]
+        np.fill_diagonal(sel[:, lo:], True)
+        far[lo:hi] = bits.pack_bool(sel, g.v)
+    if drg is None:
+        drg = IntersectionArray(b=tuple(map(int, b0[:d])), c=tuple(map(int, c0[1:])))
+    short = ecc < ecc.max()
+    far[short] = bits.identity(g.v)[short]
+    far.flags.writeable = False
+    return None, drg, int(ecc.max()), far
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
@@ -230,19 +282,12 @@ def intersection_array(g: Graph) -> IntersectionArray:
     """
     if g.v == 0:
         raise Disconnected("empty graph")
-    for lo, dist, c, b in _distance_blocks(g):
-        if lo == 0:
-            if (dist[0] < 0).any():
-                raise Disconnected("graph is not connected")
-            d = int(dist[0].max())
-            firsts = np.unique(dist[0], return_index=True)[1]
-            c0, b0 = c[0, firsts], b[0, firsts]
-        at = np.minimum(dist, d)
-        bad = (dist.max(axis=1) != d) | ((c != c0[at]) | (b != b0[at])).any(axis=1)
-        if bad.any():
-            t = int(np.argmax(bad))
-            raise _drg_violation(lo + t, dist[t], c[t], b[t], c0, b0, d)
-    return IntersectionArray(b=tuple(map(int, b0[:d])), c=tuple(map(int, c0[1:])))
+    unreachable, drg, _, _ = _once(g, _distance_census)
+    if unreachable is not None:
+        raise Disconnected("graph is not connected")
+    if isinstance(drg, NotDistanceRegular):
+        raise NotDistanceRegular(str(drg), witness=drg.witness)
+    return drg
 
 
 def _drg_violation(src: int, dist, c, b, c0, b0, d: int) -> NotDistanceRegular:
@@ -273,18 +318,9 @@ def antipodal_classes(g: Graph) -> np.ndarray:
     """
     if g.v == 0:
         raise Disconnected("empty graph")
-    ecc, far = np.zeros(g.v, dtype=np.int64), bits.zero_rows(g.v, g.v)
-    for lo, dist, _, _ in _distance_blocks(g):
-        if lo == 0 and (dist[0] < 0).any():
-            raise Disconnected(f"vertex {int(np.argmax(dist[0] < 0))} unreachable from 0")
-        hi = lo + len(dist)
-        ecc[lo:hi] = dist.max(axis=1)
-        sel = dist == ecc[lo:hi, None]
-        np.fill_diagonal(sel[:, lo:], True)
-        far[lo:hi] = bits.pack_bool(sel, g.v)
-    d = int(ecc.max())
-    short = ecc < d
-    far[short] = bits.identity(g.v)[short]
+    unreachable, _, d, far = _once(g, _distance_census)
+    if unreachable is not None:
+        raise Disconnected(f"vertex {unreachable} unreachable from 0")
     labels, witness = bits.equivalence_classes(far, g.v)
     if witness:
         x, y, z = witness
@@ -302,12 +338,35 @@ def _census(counts: np.ndarray) -> dict[int, int]:
     return dict(zip(nz.tolist(), counts[nz].tolist()))
 
 
+def _cn_census(g: Graph):
+    """One pass of _common_neighbor_blocks: the read-only bincount of pairs
+    x < y by (count, adjacency), and the first third count in order of row,
+    then value, as a MoreThanTwoValues, or None."""
+    v, seen, third = g.v, np.zeros(0, dtype=np.int64), None
+    joint = np.zeros((v + 1, 2), dtype=np.int64)
+    for lo, cn, upper in _common_neighbor_blocks(g):
+        vals = cn[upper]
+        adj = bits.unpack_rows(g.rows[lo:lo + len(cn)], v)[:, lo:]
+        joint += np.bincount(2 * vals + adj[upper], minlength=2 * v + 2).reshape(-1, 2)
+        found = np.flatnonzero(joint.sum(axis=1))
+        if third is None and found.size > 2:
+            rows, cols = np.nonzero(upper)
+            new, at = np.unique(vals, return_index=True)
+            at = at[~np.isin(new, seen)]
+            at = at[np.lexsort((vals[at], rows[at]))]
+            values = seen.tolist() + vals[at].tolist()
+            x, y = lo + int(rows[at[2 - seen.size]]), lo + int(cols[at[2 - seen.size]])
+            third = MoreThanTwoValues(
+                f"third common-neighbor value {values[2]} at pair ({x},{y}); "
+                f"already saw {sorted(values[:2])}", witness=(x, y, sorted(values[:3])))
+        seen = found
+    joint.flags.writeable = False
+    return joint, third
+
+
 def common_neighbor_spectrum(g: Graph) -> dict[int, int]:
     """Census {count: number of unordered distinct pairs realizing it}."""
-    acc = np.zeros(g.v + 1, dtype=np.int64)
-    for _, cn, upper in _common_neighbor_blocks(g):
-        acc += np.bincount(cn[upper], minlength=g.v + 1)
-    return _census(acc)
+    return _census(_once(g, _cn_census)[0].sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -354,24 +413,10 @@ class DdgCert:
 def deza_check(g: Graph) -> DezaCert:
     """Exhaustive Deza certificate; raises NotRegular / MoreThanTwoValues."""
     k, v = g.valency(), g.v
-    joint = np.zeros((v + 1, 2), dtype=np.int64)  # pairs x < y by count and adjacency
-    seen = np.zeros(0, dtype=np.int64)
-    for xs, cn, upper in _common_neighbor_blocks(g):
-        vals = cn[upper]
-        joint += np.bincount(2 * vals + bits.unpack_rows(g.rows[xs], v)[upper],
-                             minlength=2 * v + 2).reshape(-1, 2)
-        found = np.flatnonzero(joint.sum(axis=1))
-        if found.size > 2:  # the third value met, in order of first row, then value
-            rows, cols = np.nonzero(upper)
-            new, at = np.unique(vals, return_index=True)
-            at = at[~np.isin(new, seen)]
-            at = at[np.lexsort((vals[at], rows[at]))]
-            values = seen.tolist() + vals[at].tolist()
-            x, y = int(xs[rows[at[2 - seen.size]]]), int(cols[at[2 - seen.size]])
-            raise MoreThanTwoValues(
-                f"third common-neighbor value {values[2]} at pair ({x},{y}); "
-                f"already saw {sorted(values[:2])}", witness=(x, y, sorted(values[:3])))
-        seen = found
+    joint, third = _once(g, _cn_census)
+    if third is not None:
+        raise MoreThanTwoValues(str(third), witness=third.witness)
+    seen = np.flatnonzero(joint.sum(axis=1))
     a, b = (int(seen.min()), int(seen.max())) if seen.size else (0, 0)
     diam2 = v > 1 and not joint[0, 0]
     edge_regular, nonedge_regular = (int(np.count_nonzero(joint[:, j])) <= 1 for j in (1, 0))
@@ -395,8 +440,8 @@ def ddg_check(g: Graph, labels) -> DdgCert:
         raise PartitionNotUniform(f"class sizes differ: {sorted(set(map(int, sizes)))}")
     g.valency()
     lam, sels, bad = {}, {}, {}
-    for xs, cn, upper in _common_neighbor_blocks(g):
-        same = labels[xs, None] == labels
+    for first, cn, upper in _common_neighbor_blocks(g):
+        same = labels[first:first + len(cn), None] == labels[first:]
         for name, sel in (("within", upper & same), ("cross", upper & ~same)):
             sels[name], has = sel, sel.any(axis=1)
             lo = np.where(sel, cn, np.iinfo(np.int32).max).min(axis=1)
@@ -408,7 +453,7 @@ def ddg_check(g: Graph, labels) -> DdgCert:
             name = "within" if bad["within"][t] else "cross"
             got = sorted(set(cn[t][sels[name][t]].tolist()) | {lam[name]})
             raise MoreThanTwoValues(f"{name}-class common-neighbor count not constant: {got}",
-                                    witness=(int(xs[t]), int(np.argmax(sels[name][t])), got))
+                                    witness=(first + t, first + int(np.argmax(sels[name][t])), got))
     if len(lam) < 2:
         raise PartitionNotUniform("partition admits no within- or no cross-class pair")
     return DdgCert(m=int(classes.size), r=int(sizes[0]),

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fgl
-from fgl import bits, groups, pipeline
+from fgl import bits, graphs, groups, pipeline
 from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
 from fgl.graphs import Graph
@@ -296,6 +296,21 @@ def test_analyze_output_does_not_depend_on_blas_threads(tmp_path, capsys, pi):
     assert _analyze_subprocess(path, 1) == _analyze_subprocess(path, 2)
 
 
+@pytest.mark.parametrize("pi", ["chi", "odd-complement"])
+def test_analyze_runs_each_pass_once(tmp_path, capsys, monkeypatch, pi):
+    # drg and antipodal share one distance pass, deza and spectrum one
+    # common-neighbour pass; ddg depends on its partition and makes its own
+    path = _construct_psl2_8(tmp_path, pi)
+    calls = dict.fromkeys(("_distance_blocks", "_common_neighbor_blocks"), 0)
+    for name in calls:
+        def counted(g, name=name, kernel=getattr(graphs, name)):
+            calls[name] += 1
+            return kernel(g)
+        monkeypatch.setattr(graphs, name, counted)
+    assert run_cli("analyze", "--in", path, "--check", "drg,antipodal,deza,ddg,spectrum") == 0
+    assert calls == {"_distance_blocks": 1, "_common_neighbor_blocks": 2}
+
+
 def _flip_first_edge(path):
     obj = json.loads(open(path).read())
     obj["edges"] = obj["edges"][1:]
@@ -416,6 +431,7 @@ def test_bad_class_cache_exits_3(tmp_path, capsys, cmd, bad):
     ["construct", "--out", "{missing}/g.json"],
     ["construct", "--out", "{dir}/g.json", "--cache", "{file}"],
     ["verify", "--out", "{dir}"],
+    ["verify", "--cache", "{file}/sub"],
 ])
 def test_unwritable_path_exits_2(tmp_path, capsys, monkeypatch, argv):
     # exit 1 means a failed verification; a path that cannot be written is a

@@ -137,9 +137,11 @@ def test_gamma2_mismatch_detectable(psl2_4, monkeypatch):
 
     def cleared(cls, pi):
         g = real(cls, pi)
-        if pi.mode == PiSpec.ODD_COMPLEMENT:
-            g.rows[0] = 0  # clear one row on purpose
-        return g
+        if pi.mode != PiSpec.ODD_COMPLEMENT:
+            return g
+        rows = g.rows.copy()
+        rows[0] = 0  # clear one row on purpose
+        return graphs.Graph(g.v, rows)
     monkeypatch.setitem(globals(), "build_fusion_graph", cleared)
     with pytest.raises(Gamma2Mismatch):
         pi_graph(psl2_4)

@@ -386,19 +386,39 @@ def oracle_cases(draw):
     return Graph.from_bool(mat | mat.T), labels
 
 
+def _multipartite(g):
+    return recognize_complete_multipartite(g), recognize_clique_union(g)
+
+
+def _multipartite_per_vertex(g):
+    # no graph on 0 vertices is a clique union; the oracle needs a vertex
+    return (clique_union_per_vertex(g.complement()), clique_union_per_vertex(g)) if g.v else (
+        None, None)
+
+
+# (check, per-vertex oracle, whether it takes the partition), as analyze runs them
+SIX_CHECKS = (
+    (intersection_array, intersection_array_per_source, False),
+    (antipodal_classes, antipodal_classes_two_pass, False),
+    (deza_check, deza_check_per_row, False),
+    (ddg_check, ddg_check_per_row, True),
+    (common_neighbor_spectrum, common_neighbor_spectrum_per_row, False),
+    (_multipartite, _multipartite_per_vertex, False),
+)
+
+
 @settings(max_examples=200, deadline=None)
-@given(oracle_cases())
-def test_product_kernel_checks_equal_per_vertex_oracles(case):
+@given(oracle_cases(), st.permutations(range(len(SIX_CHECKS))))
+def test_product_kernel_checks_equal_per_vertex_oracles(case, order):
+    # in any order on one graph, whose passes are kept, each check gives what it
+    # gives on a fresh graph of the same rows and what its oracle gives
     g, labels = case
-    for check, oracle, args in (
-            (intersection_array, intersection_array_per_source, (g,)),
-            (antipodal_classes, antipodal_classes_two_pass, (g,)),
-            (deza_check, deza_check_per_row, (g,)),
-            (ddg_check, ddg_check_per_row, (g, labels)),
-            (common_neighbor_spectrum, common_neighbor_spectrum_per_row, (g,))):
+    for check, oracle, partitioned in (SIX_CHECKS[i] for i in order):
+        args = (g, labels) if partitioned else (g,)
         got = _result(check, *args)
+        assert got == _result(check, Graph(g.v, g.rows.copy()), *args[1:]), check.__name__
         assert got == _result(oracle, *args), check.__name__
-        if not (isinstance(got, tuple) and got[2]):
+        if not (isinstance(got, tuple) and len(got) == 3 and got[2]):
             continue
         kind, witness = got[0], got[2]
         if kind == "NotDistanceRegular":
@@ -406,8 +426,36 @@ def test_product_kernel_checks_equal_per_vertex_oracles(case):
         elif kind == "NotAntipodal":
             _assert_antipodal_witness(g, witness)
         else:
-            _assert_cn_witness(g, witness, labels if check is ddg_check else None)
+            _assert_cn_witness(g, witness, labels if partitioned else None)
     assert common_neighbor_spectrum(g) == spectrum_oracle(g)
+
+
+def test_rows_are_read_only_and_results_are_copies():
+    g = cycle(6)
+    with pytest.raises(ValueError):
+        g.rows[0] = 0
+    labels = antipodal_classes(g)
+    labels[:] = 7
+    assert antipodal_classes(g).tolist() == [0, 1, 2, 0, 1, 2]
+    # a kept failure is raised as a new exception on each call
+    chorded = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    for check, g, error in ((intersection_array, chorded, NotDistanceRegular),
+                            (deza_check, prism(), MoreThanTwoValues)):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error) as e:
+                check(g)
+            raised.append(e.value)
+        assert raised[0] is not raised[1] and raised[0].witness == raised[1].witness
+
+
+def test_count_dtype_boundaries():
+    # distances and counts run over -1..v-1
+    sizes = (128, 129, 32767, 32768, 32769, graphs.EXACT_LIMIT - 1)
+    assert [graphs._count_dtype(v) for v in sizes] == [
+        np.int8, np.int16, np.int16, np.int16, np.int32, np.int32]
+    # K_128 counts b_0 = deg - c - a = 127, the int8 maximum
+    assert intersection_array(complete_graph(128)) == IntersectionArray(b=(127,), c=(1,))
 
 
 @pytest.mark.parametrize("family,n", [("psl2", 4), ("psu3", 2)])
