@@ -83,17 +83,19 @@ def or_pairs(out: np.ndarray, i, j) -> np.ndarray:
     return out
 
 
-def transpose(rows: np.ndarray, v: int) -> np.ndarray:
+def transpose(rows: np.ndarray, v: int, out: np.ndarray | None = None) -> np.ndarray:
     """Transpose of a (v, W) bit matrix, in column blocks of at most
-    ROW_BLOCK_BITS unpacked entries."""
-    out = zero_rows(v, v)
+    ROW_BLOCK_BITS unpacked entries, ORed into out if given.  out may be
+    rows itself: every bit a block adds is the mirror of one already set,
+    so rows becomes rows | rows.T in place."""
+    out = zero_rows(v, v) if out is None else out
     block = max(64, ROW_BLOCK_BITS // max(v, 1) & -64)
     for lo in range(0, v, block):
         hi = min(lo + block, v)
         wlo, whi = lo >> 6, (hi + 63) >> 6
         chunk = unpack_rows(rows[:, wlo:whi], min(whi * 64, v) - wlo * 64)
         cols = chunk[:, lo - wlo * 64 : hi - wlo * 64]
-        out[lo:hi] = pack_bool(np.ascontiguousarray(cols.T), v)
+        out[lo:hi] |= pack_bool(np.ascontiguousarray(cols.T), v)
     return out
 
 

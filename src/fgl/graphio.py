@@ -1,11 +1,17 @@
 """Graph import/export: graph6 and a canonical JSON edge-list form.
 
-No list, tuple or str is built per edge: graph6 goes through the (m, 2)
-int64 edge array of Graph.edges() / Graph.from_edges, and JSON through
-numpy passes over bytes, one block of at most JSON_CHUNK bytes at a time.
+No list, tuple or str is built per edge: graph6 is read and written
+straight from the bit rows, and JSON through numpy passes over bytes, one
+block of at most JSON_CHUNK bytes at a time.
 
 graph6 is the standard header-free bit-packed encoding (column-major
-upper triangle, 6 bits per printable character, offset 63).  The JSON
+upper triangle, 6 bits per printable character, offset 63).  By symmetry
+its bit stream is the first x bits of each row x in turn, so both ways
+unpack one range of rows at a time (_graph6_blocks, at most
+bits.ROW_BLOCK_BITS entries), and a range starts on a character.  The
+reader checks the header, every character and the body length before it
+allocates the rows, fills their lower triangle a range at a time, and
+mirrors it in place by bits.transpose.  The JSON
 form is {"v": N, "edges": [[i, j], ...]} with i < j and edges sorted
 lexicographically, written byte-identically to json.dumps of that
 object, so identical graphs serialize byte-identically.
@@ -46,13 +52,27 @@ class GraphParseError(ValueError):
     pass
 
 
-def _column_starts(n: int) -> np.ndarray:
-    """Index j(j-1)/2 of bit (0, j) in the graph6 triangle, for j = 0..n-1."""
-    j = np.arange(n, dtype=np.int64)
-    return j * (j - 1) // 2
+_SIX = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # bit weights of a graph6 character
 
 
-def to_graph6(g: Graph) -> str:
+def _graph6_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges [lo, hi) of at most bits.ROW_BLOCK_BITS entries (or 12
+    rows), each but the last a multiple of 12 rows long.  Rows lo..hi-1
+    hold stream bits lo(lo-1)/2 to hi(hi-1)/2, a multiple of 6 when 12
+    divides lo, so each range but the last is whole characters."""
+    step = max(12, bits.ROW_BLOCK_BITS // max(n, 1) // 12 * 12)
+    return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _strict_lower(lo: int, hi: int) -> np.ndarray:
+    """Mask of the entries (x, y), y < x, of the rows lo..hi-1 and columns
+    0..hi-1: their graph6 bits, in stream order when read row by row."""
+    return np.tri(hi - lo, hi, lo - 1, dtype=bool)
+
+
+def _graph6_chunks(g: Graph):
+    """Yield the graph6 text of g as bytes: the header, then the characters
+    of one _graph6_blocks range of rows at a time."""
     n = g.v
     if n > 68719476735:
         raise ValueError("graph too large for graph6")
@@ -62,49 +82,84 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
     else:
         head = "~~" + "".join(chr(((n >> s) & 63) + 63) for s in (30, 24, 18, 12, 6, 0))
-    e = g.edges()
-    tri = np.zeros((n * (n - 1) // 2 + 5) // 6 * 6, dtype=np.uint8)
-    tri[_column_starts(n)[e[:, 1]] + e[:, 0]] = 1
-    chars = tri.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
-    return head + chars.tobytes().decode("ascii")
+    yield head.encode("ascii")
+    for lo, hi in _graph6_blocks(n):
+        yield _graph6_block_chars(g.rows, lo, hi)
+
+
+def _graph6_block_chars(rows: np.ndarray, lo: int, hi: int) -> bytes:
+    """The graph6 characters of the first x bits of each row x in lo..hi-1,
+    the last one padded with zero bits."""
+    block = np.unpackbits(rows[lo:hi, :bits.word_count(hi)].view(np.uint8), axis=-1,
+                          count=hi, bitorder="little")
+    stream = block[_strict_lower(lo, hi)]
+    if len(stream) % 6:
+        stream = np.concatenate([stream, np.zeros(-len(stream) % 6, dtype=np.uint8)])
+    chars = stream.reshape(-1, 6) @ _SIX
+    chars += np.uint8(63)
+    return chars.tobytes()
+
+
+def to_graph6(g: Graph) -> str:
+    return b"".join(_graph6_chunks(g)).decode("ascii")
+
+
+def _write_graph6(f, g: Graph) -> None:
+    """Write to_graph6(g) and a newline to the binary file f, a row range at a time."""
+    f.writelines(_graph6_chunks(g))
+    f.write(b"\n")
 
 
 def from_graph6(text: str | bytes) -> Graph:
+    """Graph of a graph6 text, with or without the >>graph6<< header and
+    surrounding whitespace; bytes are read in place."""
     if isinstance(text, str):
         try:
             text = text.strip().encode("ascii")
         except UnicodeEncodeError as e:
             raise GraphParseError("invalid graph6 character") from e
-    s = text.strip().removeprefix(b">>graph6<<")
-    if not s:
+    s = np.frombuffer(memoryview(text)[len(text) - len(text.lstrip()):len(text.rstrip())],
+                      dtype=np.uint8)
+    if s[:10].tobytes() == b">>graph6<<":
+        s = s[10:]
+    if not s.size:
         raise GraphParseError("empty graph6 string")
-    data = np.frombuffer(s, dtype=np.uint8) - np.uint8(63)
-    if (data > 63).any():
+    if (s - np.uint8(63)).max() > 63:
         raise GraphParseError("invalid graph6 character")
-    head = [int(x) for x in data[:8]]
+    head = [int(x) - 63 for x in s[:8]]
     if head[0] < 63:
         n = head[0]
-        body = data[1:]
+        body = s[1:]
     elif len(head) >= 4 and head[1] < 63:
         n = (head[1] << 12) | (head[2] << 6) | head[3]
-        body = data[4:]
+        body = s[4:]
     elif len(head) == 8:
         n = 0
         for x in head[2:8]:
             n = (n << 6) | x
-        body = data[8:]
+        body = s[8:]
     else:
         raise GraphParseError("truncated graph6 header")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise GraphParseError(
             f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}")
-    # the 6 low bits of each character, high bit first, without the padding
-    tri = np.unpackbits(body[:, None], axis=1)[:, 2:].reshape(-1)[:nbits]
-    pos = np.flatnonzero(tri)
-    starts = _column_starts(n)
-    j = np.searchsorted(starts, pos, side="right") - 1
-    return Graph.from_edges(n, np.stack([pos - starts[j], j], axis=1))
+    rows = bits.zero_rows(n, n)
+    for lo, hi in _graph6_blocks(n):
+        rows[lo:hi, :bits.word_count(hi)] = _graph6_lower_rows(body, lo, hi)
+    return Graph(n, bits.transpose(rows, n, out=rows))
+
+
+def _graph6_lower_rows(body: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Bit rows lo..hi-1 over columns 0..hi-1 of the strict lower triangle
+    that the graph6 characters body encode: stream bits [start, end), read
+    from the characters that hold them."""
+    start, end = lo * (lo - 1) // 2, hi * (hi - 1) // 2
+    chars = body[start // 6:(end + 5) // 6] - np.uint8(63)
+    stream = np.unpackbits((chars << 2)[:, None], axis=1, count=6).reshape(-1)
+    block = np.zeros((hi - lo, hi), dtype=bool)
+    block[_strict_lower(lo, hi)] = stream[:end - start]
+    return bits.pack_bool(block, hi)
 
 
 JSON_CHUNK = 1 << 18  # bytes of JSON edge text built or parsed per block
@@ -299,7 +354,7 @@ def detect_format(path: str, fmt: str | None = None) -> str:
 def write_graph(path: str, g: Graph, fmt: str | None = None) -> str:
     fmt = detect_format(path, fmt)
     if fmt == "graph6":
-        atomic_write_text(path, to_graph6(g) + "\n")
+        atomic_write(path, lambda f: _write_graph6(f, g), "wb")
     else:
         atomic_write(path, lambda f: _write_json(f, g), "wb")
     return fmt
@@ -308,7 +363,6 @@ def write_graph(path: str, g: Graph, fmt: str | None = None) -> str:
 def read_graph(path: str, fmt: str | None = None) -> Graph:
     fmt = detect_format(path, fmt)
     with open(path, "rb") as f:
-        data = f.read()
-    g = from_graph6(data) if fmt == "graph6" else from_json(data)
+        g = (from_graph6 if fmt == "graph6" else from_json)(f.read())
     g.validate()
     return g

@@ -15,7 +15,8 @@ BLAS thread count or summation order changes it.  So a returned
 certificate is a proof for the given graph, and failures carry a witness
 that names a violating pair.  Each pass runs once per graph and is kept on
 it (its rows are read-only): drg and antipodal share one distance pass,
-deza and spectrum one common-neighbor pass.  The fusion graphs of the
+deza, ddg and spectrum one common-neighbor pass; ddg adds only the product
+of each class's rows with their own transpose.  The fusion graphs of the
 pipeline are certified from vertex 0 instead
 (fusion.seed_set_cover3_certificate).
 """
@@ -121,13 +122,9 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         return bits.indices(self.rows[i], self.v)
 
-    def edges(self) -> np.ndarray:
-        """(m, 2) int64 array of the pairs i < j, sorted lexicographically."""
-        return np.concatenate([np.zeros((0, 2), dtype=np.int64), *self.edge_blocks()],
-                              dtype=np.int64)
-
     def edge_blocks(self, max_edges: int = bits.ROW_BLOCK_BITS):
-        """Yield edges() in consecutive pieces, one per row range.
+        """Yield the pairs i < j in lexicographic order as (m, 2) int64
+        arrays, one per row range.
 
         A range unpacks at most bits.ROW_BLOCK_BITS entries, and its
         degrees sum to at most max_edges unless it is a single row.
@@ -429,8 +426,12 @@ def deza_check(g: Graph) -> DezaCert:
 def ddg_check(g: Graph, labels) -> DdgCert:
     """Verify common-neighbor counts depend only on same-class vs cross-class.
 
-    A failure names the first row x whose within-class (then cross-class)
-    counts are not all the first such row's value, at its first such pair.
+    The kept census counts the pairs x < y by common-neighbor count; the
+    pairs within a class are counted by each class's rows times their own
+    transpose, and the cross-class pairs are the rest.  The partition is
+    divisible if and only if each of the two has one value.  A failure names
+    the first row x whose within-class (then cross-class) counts are not all
+    the first such row's value, at its first such pair.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.v,) or not g.v:
@@ -439,6 +440,42 @@ def ddg_check(g: Graph, labels) -> DdgCert:
     if (sizes != sizes[0]).any():
         raise PartitionNotUniform(f"class sizes differ: {sorted(set(map(int, sizes)))}")
     g.valency()
+    total = _once(g, _cn_census)[0].sum(axis=1)
+    within = _within_class_census(g, labels, int(sizes[0]))
+    within_values, cross_values = np.flatnonzero(within), np.flatnonzero(total - within)
+    if len(within_values) > 1 or len(cross_values) > 1:
+        _raise_ddg_violation(g, labels)
+    if not (len(within_values) and len(cross_values)):
+        raise PartitionNotUniform("partition admits no within- or no cross-class pair")
+    return DdgCert(m=int(classes.size), r=int(sizes[0]),
+                   lambda_within=int(within_values[0]), lambda_cross=int(cross_values[0]))
+
+
+def _within_class_census(g: Graph, labels: np.ndarray, r: int) -> np.ndarray:
+    """Bincount of the pairs x < y within a class by common-neighbor count.
+
+    The classes, all of size r, are stacked (k, r, v) and multiplied by their
+    own transpose, k whole classes at a time or one class in row blocks, so
+    each left operand holds at most bits.ROW_BLOCK_BITS entries (or one row).
+    """
+    v = g.v
+    per = max(1, bits.ROW_BLOCK_BITS // v)
+    k, step = max(1, per // r), min(r, per)
+    order = np.argsort(labels, kind="stable")
+    counts = np.zeros(v + 1, dtype=np.int64)
+    for first in range(0, v, k * r):
+        a = bits.unpack_rows(g.rows[order[first:first + k * r]], v).astype(np.float32)
+        a = a.reshape(-1, r, v)
+        for lo in range(0, r, step):
+            cn = a[:, lo:lo + step] @ a[:, lo:].transpose(0, 2, 1)
+            upper = np.arange(r - lo) > np.arange(cn.shape[1])[:, None]
+            counts += np.bincount(cn[:, upper].astype(np.int64).ravel(), minlength=v + 1)
+    return counts
+
+
+def _raise_ddg_violation(g: Graph, labels: np.ndarray) -> None:
+    """Raise the first violation of a partition that is not divisible: the
+    first row whose within-class (then cross-class) counts differ."""
     lam, sels, bad = {}, {}, {}
     for first, cn, upper in _common_neighbor_blocks(g):
         same = labels[first:first + len(cn), None] == labels[first:]
@@ -454,10 +491,7 @@ def ddg_check(g: Graph, labels) -> DdgCert:
             got = sorted(set(cn[t][sels[name][t]].tolist()) | {lam[name]})
             raise MoreThanTwoValues(f"{name}-class common-neighbor count not constant: {got}",
                                     witness=(first + t, first + int(np.argmax(sels[name][t])), got))
-    if len(lam) < 2:
-        raise PartitionNotUniform("partition admits no within- or no cross-class pair")
-    return DdgCert(m=int(classes.size), r=int(sizes[0]),
-                   lambda_within=lam["within"], lambda_cross=lam["cross"])
+    raise AssertionError("the histograms show a second value that no pair has")
 
 
 # -- structure recognizers ---------------------------------------------------

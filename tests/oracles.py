@@ -89,6 +89,11 @@ def clique_rows(labels) -> np.ndarray:
     return bits.pack_bool(same)
 
 
+def edges(g: Graph) -> np.ndarray:
+    """(m, 2) int64 array of the pairs i < j, sorted lexicographically."""
+    return np.concatenate([np.zeros((0, 2), dtype=np.int64), *g.edge_blocks()], dtype=np.int64)
+
+
 def edge_list(g: Graph) -> list[tuple[int, int]]:
     """Sorted (i, j) pairs with i < j, one vertex at a time."""
     out = []

@@ -298,8 +298,8 @@ def test_analyze_output_does_not_depend_on_blas_threads(tmp_path, capsys, pi):
 
 @pytest.mark.parametrize("pi", ["chi", "odd-complement"])
 def test_analyze_runs_each_pass_once(tmp_path, capsys, monkeypatch, pi):
-    # drg and antipodal share one distance pass, deza and spectrum one
-    # common-neighbour pass; ddg depends on its partition and makes its own
+    # drg and antipodal share one distance pass; deza, ddg and spectrum one
+    # common-neighbour pass, ddg adding only its within-class products
     path = _construct_psl2_8(tmp_path, pi)
     calls = dict.fromkeys(("_distance_blocks", "_common_neighbor_blocks"), 0)
     for name in calls:
@@ -308,7 +308,7 @@ def test_analyze_runs_each_pass_once(tmp_path, capsys, monkeypatch, pi):
             return kernel(g)
         monkeypatch.setattr(graphs, name, counted)
     assert run_cli("analyze", "--in", path, "--check", "drg,antipodal,deza,ddg,spectrum") == 0
-    assert calls == {"_distance_blocks": 1, "_common_neighbor_blocks": 2}
+    assert calls == {"_distance_blocks": 1, "_common_neighbor_blocks": 1}
 
 
 def _flip_first_edge(path):

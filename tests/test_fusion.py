@@ -8,7 +8,7 @@ from fgl.fusion import (PiSpec, build_fusion_graph, odd_complement_seed,
 from fgl.graphs import (NotAntipodal, NotDistanceRegular, deza_check,
                         recognize_clique_union, recognize_complete_multipartite)
 from fgl.groups import involution_class, make_group, sylow_partition
-from oracles import (antipodal_cover3_certificate, clique_rows, diameter, distance_power,
+from oracles import (antipodal_cover3_certificate, clique_rows, diameter, distance_power, edges,
                      iter_common_neighbor_counts)
 
 
@@ -194,7 +194,7 @@ def test_seed_set_certificate_matches_networkx(family, n):
     chi_g = build_fusion_graph(cls, PiSpec.chi_only())
     g = nx.Graph()
     g.add_nodes_from(range(chi_g.v))
-    g.add_edges_from(chi_g.edges().tolist())
+    g.add_edges_from(edges(chi_g).tolist())
     assert nx.is_distance_regular(g)
     seed = seed_set_cover3_certificate(cls, cls.seed_sets().chi)
     b, c = nx.intersection_array(g)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl.graphio import (JSON_CHUNK, GraphParseError, from_graph6, from_json,
+from fgl import bits
+from fgl.graphio import (JSON_CHUNK, GraphParseError, _graph6_blocks, from_graph6, from_json,
                          read_graph, to_graph6, write_graph)
 from fgl.graphs import Graph
-from oracles import edge_list, json_dumps_graph, read_json_graph
+from oracles import edge_list, edges, json_dumps_graph, read_json_graph
 
 # graph JSON objects that the reader must reject, given as json.dumps text:
 # non-integer or boolean vertex counts and endpoints, non-lists, ragged or
@@ -101,9 +102,27 @@ def test_graph6_matches_networkx(seed):
     ours = to_graph6(g)
     ng = nx.from_graph6_bytes(ours.encode())
     assert set(ng.nodes) == set(range(g.v))
-    assert {tuple(sorted(e)) for e in ng.edges} == set(map(tuple, g.edges().tolist()))
+    assert {tuple(sorted(e)) for e in ng.edges} == set(map(tuple, edges(g).tolist()))
     theirs = nx.to_graph6_bytes(ng, header=False).decode().strip()
     assert theirs == ours
+
+
+@pytest.mark.parametrize("v", [0, 1, 2, 62, 63, 64, 65, 100, 300])
+def test_graph6_across_blocks_matches_networkx(tmp_path, monkeypatch, v):
+    # 12-row blocks: the text written and read one block at a time is networkx's
+    nx = pytest.importorskip("networkx")
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1 << 10)
+    assert v < 62 or len(_graph6_blocks(v)) > 1
+    g = random_graph(v, v=v, p=0.5)
+    ng = nx.Graph()
+    ng.add_nodes_from(range(v))
+    ng.add_edges_from(edge_list(g))
+    theirs = nx.to_graph6_bytes(ng, header=False).strip()
+    assert to_graph6(g).encode() == theirs
+    assert from_graph6(theirs) == g
+    path = tmp_path / "g.g6"
+    write_graph(str(path), g)
+    assert path.read_bytes() == theirs + b"\n"
 
 
 @given(st.integers(0, 10 ** 6))
@@ -149,7 +168,7 @@ def test_json_roundtrip_and_canonical_order(tmp_path):
 @settings(max_examples=60, deadline=None)
 def test_json_writer_matches_json_dumps(tmp_path_factory, seed, v, p):
     g = random_graph(seed, v=v, p=p)
-    e = g.edges()
+    e = edges(g)
     assert e.dtype == np.int64 and e.shape == (g.edge_count(), 2)
     assert e.tolist() == [list(pair) for pair in edge_list(g)]
     path = str(tmp_path_factory.mktemp("json") / "g.json")
@@ -243,11 +262,9 @@ def test_json_reader_matches_json_loads_on_one_byte_edits(seed, v, keys_reversed
     assert outcome(from_json, text) == outcome(read_json_graph, text)
 
 
-def test_json_io_memory_is_bounded(tmp_path):
-    # the JSON spans at least three chunks; the bound allows the file, a few
-    # copies of the bit rows, and no more than a constant number of chunks
-    g = random_graph(7, v=600, p=0.5)
-    path = str(tmp_path / "g.json")
+def io_peaks(path, g):
+    """Peak traced bytes of write_graph(path, g) and of reading it back,
+    and the graph read."""
     tracemalloc.start()
     try:
         write_graph(path, g)
@@ -258,12 +275,35 @@ def test_json_io_memory_is_bounded(tmp_path):
         read_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return write_peak, read_peak, h
+
+
+def test_json_io_memory_is_bounded(tmp_path):
+    # the JSON spans at least three chunks; the bound allows the file, a few
+    # copies of the bit rows, and no more than a constant number of chunks
+    g = random_graph(7, v=600, p=0.5)
+    path = str(tmp_path / "g.json")
+    write_peak, read_peak, h = io_peaks(path, g)
     size = os.path.getsize(path)
     assert size >= 3 * JSON_CHUNK
     assert h == g
     bound = size + 4 * g.rows.nbytes + 16 * JSON_CHUNK
     assert write_peak < bound
     assert read_peak < bound
+
+
+def test_graph6_io_memory_is_at_most_json(tmp_path):
+    # a sparse graph, whose graph6 file is larger than its JSON: writing and
+    # reading it as graph6 holds no more than as JSON
+    rng = np.random.default_rng(8)
+    e = rng.integers(0, 4096, (40000, 2))
+    g = Graph.from_edges(4096, e[e[:, 0] != e[:, 1]])
+    g6, js = str(tmp_path / "g.g6"), str(tmp_path / "g.json")
+    *g6_peaks, g6_read = io_peaks(g6, g)
+    *json_peaks, json_read = io_peaks(js, g)
+    assert g6_read == json_read == g
+    assert os.path.getsize(g6) > os.path.getsize(js)
+    assert g6_peaks[0] <= json_peaks[0] and g6_peaks[1] <= json_peaks[1]
 
 
 def test_file_roundtrip_both_formats(tmp_path):

@@ -15,7 +15,7 @@ from fgl.graphs import (Disconnected, Graph, MoreThanTwoValues, NotAntipodal,
 from oracles import (InvalidDistanceSet, NotEdgeRegular,
                      antipodal_classes_two_pass, antipodal_cover3_certificate, clique_union_per_vertex,
                      common_neighbor_spectrum_per_row, connected_components, ddg_check_per_row,
-                     deza_check_per_row, diameter, distance_power, distances_from,
+                     deza_check_per_row, diameter, distance_power, distances_from, edges,
                      edge_regular_lambda, intersection_array_per_source)
 
 
@@ -38,10 +38,9 @@ def petersen():
 def petersen_line_graph():
     """15-vertex graph on the edges of the Petersen graph, adjacency = shared endpoint."""
     p = petersen()
-    es = p.edges().tolist()
-    edges = [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
-             if set(es[i]) & set(es[j])]
-    return Graph.from_edges(len(es), edges)
+    es = edges(p).tolist()
+    return Graph.from_edges(len(es), [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
+                                      if set(es[i]) & set(es[j])])
 
 
 def octahedron():
@@ -475,6 +474,42 @@ def test_fusion_graph_checks_in_small_blocks(family, n, monkeypatch):
                 (ddg_check, ddg_check_per_row, (g, labels)),
                 (common_neighbor_spectrum, common_neighbor_spectrum_per_row, (g,))):
             assert _result(check, *args) == _result(oracle, *args), check.__name__
+
+
+def test_passing_ddg_reads_the_kept_census(monkeypatch):
+    # after deza keeps the census, ddg adds only its within-class products
+    cls = groups.involution_class(groups.make_group("psl2", 4))
+    labels = cls.sylow_labels()
+    g = fusion.build_fusion_graph(cls, fusion.PiSpec.odd_complement())
+    want = ddg_check_per_row(g, labels)
+    deza_check(g)
+
+    def second_pass(g):
+        raise AssertionError("a second common-neighbour pass")
+    monkeypatch.setattr(graphs, "_common_neighbor_blocks", second_pass)
+    assert ddg_check(g, labels) == want
+
+
+# (graph, partition, the failure's first word): the even cycle is bipartite,
+# so pairs across its two sides have no common neighbour and pairs within a
+# side one or none; antipodal pairs have none and the other pairs one or none.
+# All pairs of K5 have three, so only the missing within-class pairs fail.
+DDG_FAILURES = {
+    "within-varies": (cycle(256), np.arange(256) % 2, "within-class"),
+    "cross-varies": (cycle(256), np.arange(256) % 128, "cross-class"),
+    "no-within-pairs": (cycle(256), np.arange(256), "cross-class"),
+    "no-within-pairs-constant": (complete_graph(5), np.arange(5), "partition"),
+}
+
+
+@pytest.mark.parametrize("g,labels,first", DDG_FAILURES.values(), ids=DDG_FAILURES.keys())
+def test_ddg_failures_in_small_blocks(monkeypatch, g, labels, first):
+    # classes batched, one class split into row blocks, and no within-class
+    # pair fail as the per-row oracle fails, with its message and witness
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1 << 10)
+    got = _result(ddg_check, g, labels)
+    assert got == _result(ddg_check_per_row, g, labels)
+    assert got[1].startswith(first)
 
 
 def test_product_kernel_refuses_inexact_sizes(monkeypatch):
