@@ -66,10 +66,10 @@ def rows_from_pairs(v: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Symmetric bit-row matrix with bits (i, j) and (j, i) set.
 
     Pair arrays may contain duplicates; loops (i == j) are rejected.  The
-    bits (i, j) are set in one scatter and mirrored by a transpose.
+    bits (i, j) are set in one scatter and mirrored in place by a transpose.
     """
     out = or_pairs(zero_rows(v, v), i, j)
-    return out | transpose(out, v)
+    return transpose(out, v, out=out)
 
 
 def or_pairs(out: np.ndarray, i, j) -> np.ndarray:

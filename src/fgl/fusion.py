@@ -69,13 +69,17 @@ def odd_complement_seed(v: int, sets: SeedSets) -> np.ndarray:
 
 
 def _carried_graph(cls: InvolutionClass, seed: np.ndarray) -> graphs.Graph:
-    """The conjugation-invariant graph with N(0) = seed: row x is sigma_x(seed)."""
+    """The conjugation-invariant graph with N(0) = seed: row x is sigma_x(seed),
+    carried for blocks of bits.ROW_BLOCK_BITS // v rows at a time, so that a
+    block's images, or its rows unpacked, hold at most ROW_BLOCK_BITS entries."""
     v = cls.size
     rows = bits.zero_rows(v, v)
-    for xs, images in cls.carry_blocks(np.arange(v), seed):
-        block = np.zeros((len(xs), v), dtype=bool)
-        block[np.arange(len(xs))[:, None], images] = True
-        rows[xs] = bits.pack_bool(block, v)
+    step = max(1, bits.ROW_BLOCK_BITS // v)
+    for lo in range(0, v, step):
+        images = cls.carry(np.arange(lo, min(lo + step, v)), seed)
+        block = np.zeros((len(images), v), dtype=bool)
+        block[np.arange(len(images))[:, None], images] = True
+        rows[lo:lo + step] = bits.pack_bool(block, v)
     return graphs.Graph(v, rows)
 
 

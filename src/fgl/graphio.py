@@ -32,8 +32,8 @@ key name is a parse error.  An endpoint with more digits than v - 1 is
 rejected before it is converted.  The edge list is parsed in chunks that
 end at a "]", each the last one within JSON_CHUNK bytes (or the first
 beyond), so every parse temporary is O(JSON_CHUNK); besides them a read
-holds the file's bytes, a few copies of the bit rows and the column
-blocks of bits.transpose, at most bits.ROW_BLOCK_BITS entries each.
+holds the file's bytes, the bit rows, which bits.transpose mirrors in
+place, and its column blocks, at most bits.ROW_BLOCK_BITS entries each.
 """
 
 from __future__ import annotations
@@ -253,7 +253,7 @@ def from_json(text: str | bytes) -> Graph:
             bits.or_pairs(rows, i, j)
     except ValueError as err:
         raise GraphParseError(str(err)) from err
-    return Graph(v, rows | bits.transpose(rows, v))
+    return Graph(v, bits.transpose(rows, v, out=rows))
 
 
 def _json_pairs(data: bytes, lo: int, hi: int, v: int):

@@ -16,22 +16,24 @@ from it, does not depend on the generating set.
 A class is proven where it is made, and only closed_class makes one: it
 takes rows from the enumeration or from a cache and proves them the class,
 each row at its vertex id (the encodings strictly increase).  Conjugating
-the class once by each generator yields its permutations of the vertices
-and proves the set closed; a breadth-first Schreier tree over them reaches
-every vertex from vertex 0 (the transitivity proof), and the generators on
-the tree path to x compose to a conjugation sigma_x with sigma_x(0) = x
-(InvolutionClass.carry).  Conjugation preserves product orders, so every
-product-order fact is one about vertex 0 and constant on the orbits of
-vertex 0's stabiliser, whose Schreier generators sigma_g(u)^-1 g sigma_u
-the tree also yields (stabiliser_suborbits).  One product per class,
-2q - 3 on every instance the tests cover, gives the table every vertex-0
-fact reads (InvolutionClass.suborbits): the order census is v/2 times the
-seed's row (orbital_order_census), the partners of x are sigma_x of the
-seed's classes of order 2 and chi (seed_sets), and the commuting classes
-are the orbit of one block (sylow_partition).  Graph construction carries
-vertex 0's partner sets the same way (InvolutionClass.carry_blocks);
-full_order_scan, sampled_order_check and the direct products of
-cross_check_rows are oracles.
+the class once by each generator yields its permutations of the vertices,
+kept with an identity row in one int32 buffer (InvolutionClass.steps), and
+proves the set closed; a breadth-first int32 Schreier tree over them, its
+root labelled with the identity row, reaches every vertex from vertex 0
+(the transitivity proof), and the generators on the tree path to x compose
+to a conjugation sigma_x with sigma_x(0) = x, gathered from the buffer
+with no copy (InvolutionClass.carry).  Conjugation preserves product
+orders, so every product-order fact is one about vertex 0 and constant on
+the orbits of vertex 0's stabiliser, whose Schreier generators
+sigma_g(u)^-1 g sigma_u the tree also yields (stabiliser_suborbits).  One
+product per class, 2q - 3 on every instance the tests cover, gives the
+table every vertex-0 fact reads (InvolutionClass.suborbits): the order
+census is v/2 times the seed's row (orbital_order_census), the partners of
+x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
+the commuting classes are the orbit of one block (sylow_partition).  Graph
+construction carries vertex 0's partner sets the same way
+(fusion._carried_graph); full_order_scan, sampled_order_check and the
+direct products of cross_check_rows are oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
 multiplication as table gathers; the scalar routines on tuples are the
@@ -587,23 +589,25 @@ class InvolutionClass:
     Vertices are numbered by the lexicographic order of their canonical
     encodings.  With one-byte codes the seed's encoding is the least, so
     it is vertex 0; the certificates work from vertex 0 whichever
-    involution it is.  perms[t, x] is the vertex g_t^-1 x g_t for the
-    t-th generator g_t, and tree is their Schreier tree of vertex 0
-    (schreier_tree).  Only closed_class makes one, once it has proven
-    codes the class, in this numbering.
+    involution it is.  steps is one (t + 1, v) int32 buffer: steps[i, x]
+    is the vertex g_i^-1 x g_i for the i-th of the t generators g_i, and
+    its last row is the identity.  perms is the view steps[:-1], and tree
+    is their Schreier tree of vertex 0 (schreier_tree), whose root's label
+    t names that identity row.  Only closed_class makes one, once it has
+    proven codes the class, in this numbering.
     """
 
-    def __init__(self, spec: GroupSpec, codes: np.ndarray, perms: np.ndarray, tree):
+    def __init__(self, spec: GroupSpec, codes: np.ndarray, steps: np.ndarray, tree):
         self.spec = spec
         self.codes = codes
-        self.perms = perms
+        self.steps = steps
+        self.perms = steps[:-1]
         self.tree = tree
         self.kern = _Kernels(spec)
         self._sylow_labels = None
         self._seed_sets = None
         self._suborbits = None
         self._order_scan = None
-        self._tree_steps = None
 
     @property
     def size(self) -> int:
@@ -634,44 +638,24 @@ class InvolutionClass:
                                        chi=np.flatnonzero(row == self.spec.chi))
         return self._seed_sets
 
-    def tree_steps(self):
-        """(flat, offset, depth): the generator permutations end to end, then
-        the identity; the tree edge into x (the root's: the identity) moves y
-        to flat[offset[x] + y], and x is depth[x] edges below the root."""
-        if self._tree_steps is None:
-            perms, (_, label, levels) = self.perms, self.tree
-            flat = np.append(perms, np.arange(self.size, dtype=perms.dtype))
-            depth = np.empty(self.size, dtype=np.int64)
-            for d, level in enumerate(levels):
-                depth[level] = d
-            self._tree_steps = flat, np.where(label < 0, len(perms), label) * self.size, depth
-        return self._tree_steps
-
     def carry(self, xs, seed) -> np.ndarray:
         """(len(xs), len(seed)) array of sigma_x(seed) for x in xs: sigma_x,
         the generators on the tree path from 0 to x, carries 0 to x and 0's
-        partners in a conjugation-invariant relation to x's."""
-        parent, _, _ = self.tree
-        flat, offset, depth = self.tree_steps()
+        partners in a conjugation-invariant relation to x's.  The edge into
+        y moves z to steps[label[y], z], read from the flat view of steps
+        at the int64 offset label[y] * v (t * v can pass 2^31)."""
+        parent, label, depth = self.tree
+        flat = self.steps.reshape(-1)
         up = np.asarray(xs, dtype=np.int64)
-        steps = []  # the edges into the ancestors, one step up at a time
-        for _ in range(int(depth[up].max(initial=0))):
-            steps.append(offset[up][:, None])
-            up = parent[up]
+        path = np.empty((int(depth[up].max(initial=0)), len(up)), dtype=np.int64)
+        for row in path:  # xs, then their parents, one step up at a time
+            row[:] = up
+            up = parent[row]
+        offsets = label[path].astype(np.int64) * self.size
         images = np.tile(np.asarray(seed, dtype=flat.dtype), (len(up), 1))
-        for step in reversed(steps):  # the generator nearest the root acts first
-            images = flat[step + images]
+        for offset in offsets[::-1, :, None]:  # the generator nearest the root acts first
+            images = flat[offset + images]
         return images
-
-    def carry_blocks(self, xs, seed):
-        """carry(xs, seed) as (xs_chunk, images) over consecutive chunks of
-        xs, each of bits.ROW_BLOCK_BITS // v vertices: a chunk's images, or
-        its rows unpacked, hold at most bits.ROW_BLOCK_BITS entries."""
-        xs = np.asarray(xs, dtype=np.int64)
-        step = max(1, bits.ROW_BLOCK_BITS // self.size)
-        for lo in range(0, len(xs), step):
-            chunk = xs[lo:lo + step]
-            yield chunk, self.carry(chunk, seed)
 
     def order_scan(self) -> "OrderScan":
         if self._order_scan is None:
@@ -770,12 +754,13 @@ def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
     if len(codes) != spec.class_size():
         raise ClassSizeMismatch(f"class has {len(codes)} rows, expected {spec.class_size()}")
     codes = codes.astype(spec.ctx.code_dtype, copy=False)
-    perms = _closure_perms(spec, codes)
-    return InvolutionClass(spec, codes, perms, schreier_tree(perms))
+    steps = _closure_perms(spec, codes)
+    return InvolutionClass(spec, codes, steps, schreier_tree(steps[:-1]))
 
 
 def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
-    """closed_class's generator permutations of the rows, once their
+    """closed_class's generator permutations of the rows, then the identity
+    row, in one (t + 1, v) int32 buffer (InvolutionClass.steps), once their
     encodings strictly increase, they hold the seed and every generator
     conjugates them into themselves.  The search index dies on return,
     before the Schreier tree, which sets the peak memory, is built."""
@@ -788,31 +773,33 @@ def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
     if not index.find(kern.encode_keys(_seed_codes(spec, kern.dtype)))[1][0]:
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     conjugators = _conjugators(spec, kern)
-    perms = np.empty((len(conjugators), len(codes)), dtype=np.int32)
+    steps = np.empty((len(conjugators) + 1, len(codes)), dtype=np.int32)
     for t, (gi, g) in enumerate(conjugators):
         for lo in range(0, len(codes), CLASS_BLOCK):
             ids, known = index.find(_conjugate(kern, gi, g, codes[lo:lo + CLASS_BLOCK])[1])
             if not known.all():
                 raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
-            perms[t, lo:lo + CLASS_BLOCK] = ids
-    return perms
+            steps[t, lo:lo + CLASS_BLOCK] = ids
+    steps[-1] = np.arange(len(codes))
+    return steps
 
 
 def schreier_tree(perms: np.ndarray):
-    """Breadth-first Schreier tree of vertex 0 as (parent, label, levels).
+    """Breadth-first Schreier tree of vertex 0 as int32 (parent, label, depth).
 
-    Vertex x other than the root is perms[label[x], parent[x]]; the root
-    is its own parent.  levels lists the vertices by distance from the
-    root.  Raises ClassSizeMismatch unless the tree reaches every vertex,
-    that is, unless the class is one orbit.
+    Vertex x other than the root is perms[label[x], parent[x]], depth[x]
+    edges below the root; the root is its own parent, at depth 0, with
+    label len(perms), the identity row of InvolutionClass.steps.  Raises
+    ClassSizeMismatch unless the tree reaches every vertex, that is,
+    unless the class is one orbit.
     """
     v = perms.shape[1]
-    parent = np.full(v, -1, dtype=np.int64)
-    label = np.full(v, -1, dtype=np.int64)
+    parent = np.full(v, -1, dtype=np.int32)
+    label = np.full(v, len(perms), dtype=np.int32)
+    depth = np.zeros(v, dtype=np.int32)
     parent[0] = 0
-    levels = [np.zeros(1, dtype=np.int64)]
+    frontier, d = np.zeros(1, dtype=np.int32), 0
     while True:
-        frontier = levels[-1]
         images = perms[:, frontier]
         t, k = np.nonzero(parent[images] < 0)
         if not t.size:
@@ -821,11 +808,13 @@ def schreier_tree(perms: np.ndarray):
         new, first = np.unique(images[t, k], return_index=True)
         parent[new] = frontier[k[first]]
         label[new] = t[first]
-        levels.append(new)
+        d += 1
+        depth[new] = d
+        frontier = new
     if (parent < 0).any():
         raise ClassSizeMismatch(f"the generators carry vertex 0 to "
                                 f"{int((parent >= 0).sum())} of {v} vertices")
-    return parent, label, levels
+    return parent, label, depth
 
 
 def schreier_generators(cls: InvolutionClass):
@@ -845,7 +834,7 @@ def schreier_generators(cls: InvolutionClass):
     """
     perms = cls.perms
     parent, label, _ = cls.tree
-    every = np.arange(cls.size, dtype=perms.dtype)
+    every = cls.steps[-1]
     back = np.empty_like(every)
     stride = max(1, round(cls.size * (3 - 5 ** 0.5) / 2))
     while math.gcd(stride, cls.size) != 1:

@@ -143,7 +143,7 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
     data["class_size"] = cls.size
     t = clock("involution_class", t)
 
-    # the census builds the Schreier tree and the suborbit table, so their time is in "orders"
+    # the census builds the suborbit table, so its time is in "orders"
     orders = groups.orbital_order_census(cls)
     data["orders"] = {
         "method": "orbital",

@@ -13,7 +13,9 @@ library's O(n) sets.  distances_from and connected_components search
 breadth-first from one source at a time, where the library labels the
 classes of an equivalence given as bit rows; clique_rows builds the dense
 same-label relation.  carried_rows carries the seed's partner sets to
-every vertex in one dense call, where the library works a block at a time.
+every vertex in one dense call, where the library works a block at a time;
+sigma_along_tree composes one sigma_x a generator at a time along the
+tree path, where the library gathers whole levels from its flat buffer.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
 blocked adjacency products.  involution_class_by_dict is the only
@@ -394,6 +396,20 @@ def carried_rows(cls, seed) -> np.ndarray:
     mat = np.zeros((v, v), dtype=bool)
     mat[np.arange(v)[:, None], cls.carry(np.arange(v), seed)] = True
     return bits.pack_bool(mat, v)
+
+
+def sigma_along_tree(cls, x: int) -> np.ndarray:
+    """sigma_x over all vertices, composed one generator permutation at a
+    time along the Schreier tree path from vertex 0 down to x."""
+    parent, label, _ = cls.tree
+    path = []
+    while x != 0:
+        path.append(int(label[x]))
+        x = int(parent[x])
+    sigma = np.arange(cls.size)
+    for t in reversed(path):  # the edge nearest the root acts first
+        sigma = cls.perms[t][sigma]
+    return sigma
 
 
 def antipodal_classes_two_pass(g: Graph) -> np.ndarray:

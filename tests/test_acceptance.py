@@ -5,11 +5,16 @@ budget measured around the full pipeline run.  Reports are computed once
 per (family, n) and shared across criteria.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
+import fgl
 from fgl import formulas
 from fgl.formulas import IntersectionArray
 from fgl.pipeline import run_verify
@@ -238,8 +243,33 @@ def test_criterion_8_algebraic_grids():
 
 
 def _check_against_formulas(family, n, budget_s):
-    rep = report_for(family, n, budget_s)
-    d = rep.data
+    _check_certificate(family, n, report_for(family, n, budget_s).data)
+
+
+def _verify_in_subprocess(family, n, budget_s):
+    """run_verify's certificate and peak RSS in MB from a fresh process, so
+    that no other test's heap counts towards the peak.  The peak is VmHWM,
+    that of the process's own memory: Linux carries the spawning process's
+    peak into the child's ru_maxrss across the exec."""
+    code = ("import json, sys, time\n"
+            "from fgl.pipeline import run_verify\n"
+            "t0 = time.monotonic()\n"
+            f"rep = run_verify({family!r}, {n})\n"
+            "elapsed = time.monotonic() - t0\n"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "rss = int(hwm.split()[1]) / 1024\n"
+            "json.dump({'data': rep.data, 'elapsed': elapsed, 'rss_mb': rss}, sys.stdout)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fgl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=10 * budget_s)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    elapsed = out["elapsed"]
+    assert elapsed < budget_s, f"{family} n={n} took {elapsed:.1f}s, budget {budget_s}s"
+    return out["data"], out["rss_mb"]
+
+
+def _check_certificate(family, n, d):
     q = 1 << n
     assert d["status"] == "pass", d["failures"]
     assert d["class_size"] == formulas.class_size(family, q)
@@ -274,8 +304,10 @@ def test_ladder_psu3_n5():
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 11 s on two cores
-    _check_against_formulas("psl2", 10, 25.0)
+    # v = 1048575; about 8 s and a 204 MB peak RSS on two cores
+    d, rss_mb = _verify_in_subprocess("psl2", 10, 25.0)
+    _check_certificate("psl2", 10, d)
+    assert rss_mb < 235, f"psl2 n=10 peaked at {rss_mb:.1f} MB RSS, bound 235 MB"
 
 
 @pytest.mark.ladder

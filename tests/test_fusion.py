@@ -76,6 +76,17 @@ def psl2_8():
     return involution_class(make_group("psl2", 3))
 
 
+def test_carried_graph_row_blocks(psl2_8, monkeypatch):
+    # carried in several blocks of several rows, both fusion graphs equal the
+    # one-block build
+    pis = (PiSpec.chi_only(), PiSpec.odd_complement())
+    one_block = [build_fusion_graph(psl2_8, pi) for pi in pis]
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1000)
+    assert 1 < 1000 // psl2_8.size < psl2_8.size
+    for pi, want in zip(pis, one_block):
+        assert build_fusion_graph(psl2_8, pi) == want
+
+
 def test_pispec_validation():
     with pytest.raises(ValueError):
         PiSpec("nonsense")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
                         seed_involution, sylow_partition)
 from oracles import (carried_rows, element_order, full_generators,
                      involution_class_by_dict, product_order, psu3_unitriangular_scan,
-                     vertex_index)
+                     sigma_along_tree, vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -583,26 +585,34 @@ def test_carry_follows_the_schreier_tree(psu3_4_class):
     assert cls.carry([], sets.chi).shape == (0, len(sets.chi))
 
 
-def test_carry_blocks_chunk_carry(psu3_4_class, monkeypatch):
-    # the chunks are consecutive, cover xs, and unpack to at most
-    # ROW_BLOCK_BITS entries each
-    cls = psu3_4_class
-    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1000)
-    xs = np.arange(cls.size)[::-1]
-    chi = cls.seed_sets().chi
-    chunks = list(cls.carry_blocks(xs, chi))
-    assert len(chunks) > 1
-    assert all(len(c) * cls.size <= 1000 for c, _ in chunks)
-    assert np.array_equal(np.concatenate([c for c, _ in chunks]), xs)
-    assert np.array_equal(np.concatenate([im for _, im in chunks]), cls.carry(xs, chi))
+def test_carry_copies_no_permutation():
+    # perms is a view of steps, whose last row is the identity the tree's
+    # root names; carry gathers from steps in place, so carrying one vertex
+    # allocates less than the permutations hold
+    cls = involution_class(make_group("psl2", 8))
+    v, t = cls.size, len(cls.perms)
+    assert np.shares_memory(cls.perms, cls.steps) and cls.steps.shape == (t + 1, v)
+    assert np.array_equal(cls.steps[-1], np.arange(v))
+    assert all(a.dtype == np.int32 for a in cls.tree)
+    u = int(np.argmax(cls.tree[2]))
+    tracemalloc.start()
+    try:
+        sigma_u = cls.carry([u], np.arange(v))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cls.perms.nbytes
+    assert np.array_equal(sigma_u, sigma_along_tree(cls, u))
+    assert sigma_u[0] == u
 
 
 def test_schreier_tree_spans_the_class(psu3_4_class):
     cls = gr.closed_class(psu3_4_class.spec, psu3_4_class.codes)
     perms = cls.perms
-    parent, label, levels = cls.tree
-    assert sorted(np.concatenate(levels).tolist()) == list(range(cls.size))
-    x = np.concatenate(levels[1:])
+    parent, label, depth = cls.tree
+    assert (parent[0], label[0], depth[0]) == (0, len(perms), 0)
+    x = np.arange(1, cls.size)
+    assert np.array_equal(depth[x], depth[parent[x]] + 1)
     assert np.array_equal(perms[label[x], parent[x]], x)
     # each generator permutes the vertices exactly as conjugation does
     spec = cls.spec
