@@ -46,10 +46,9 @@ def pack_bool(mat: np.ndarray, v: int | None = None) -> np.ndarray:
 
 
 def unpack_rows(rows: np.ndarray, v: int) -> np.ndarray:
-    """Inverse of pack_bool: (..., W) uint64 -> (..., v) bool."""
-    bytes_ = rows.view(np.uint8)
-    bits = np.unpackbits(bytes_, axis=-1, bitorder="little")
-    return bits[..., :v].astype(bool)
+    """Inverse of pack_bool: (..., W) uint64 -> (..., v) bool, a new array
+    (unpackbits' 0/1 bytes, viewed as bool)."""
+    return np.unpackbits(rows.view(np.uint8), axis=-1, count=v, bitorder="little").view(bool)
 
 
 def indices(row: np.ndarray, v: int) -> np.ndarray:

@@ -8,10 +8,10 @@ graph6 is the standard header-free bit-packed encoding (column-major
 upper triangle, 6 bits per printable character, offset 63).  By symmetry
 its bit stream is the first x bits of each row x in turn, so both ways
 unpack one range of rows at a time (_graph6_blocks, at most
-bits.ROW_BLOCK_BITS entries), and a range starts on a character.  The
+bits.ROW_BLOCK_BITS // 4 entries), and a range starts on a character.  The
 reader checks the header, every character and the body length before it
-allocates the rows, fills their lower triangle a range at a time, and
-mirrors it in place by bits.transpose.  The JSON
+allocates the rows, then sets each range's bits and their mirror images,
+the range's transpose.  The JSON
 form is {"v": N, "edges": [[i, j], ...]} with i < j and edges sorted
 lexicographically, written byte-identically to json.dumps of that
 object, so identical graphs serialize byte-identically.
@@ -31,9 +31,13 @@ and written without escapes: an extra key, a repeated key or an escaped
 key name is a parse error.  An endpoint with more digits than v - 1 is
 rejected before it is converted.  The edge list is parsed in chunks that
 end at a "]", each the last one within JSON_CHUNK bytes (or the first
-beyond), so every parse temporary is O(JSON_CHUNK); besides them a read
-holds the file's bytes, the bit rows, which bits.transpose mirrors in
-place, and its column blocks, at most bits.ROW_BLOCK_BITS entries each.
+beyond), so every parse temporary is O(JSON_CHUNK): a chunk's bytes are
+classed by one bytes.translate, and its endpoints summed from one array
+of digit values.  Besides them a read holds the file's bytes, the bit
+rows, which bits.transpose mirrors in place, and its column blocks, at
+most bits.ROW_BLOCK_BITS entries each.  Neither reader can set a loop, a
+bit past column v - 1 or one bit of a pair without the other, so a graph
+read needs no further check.
 """
 
 from __future__ import annotations
@@ -56,11 +60,12 @@ _SIX = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)  # bit weights of a graph6
 
 
 def _graph6_blocks(n: int) -> list[tuple[int, int]]:
-    """Row ranges [lo, hi) of at most bits.ROW_BLOCK_BITS entries (or 12
-    rows), each but the last a multiple of 12 rows long.  Rows lo..hi-1
-    hold stream bits lo(lo-1)/2 to hi(hi-1)/2, a multiple of 6 when 12
-    divides lo, so each range but the last is whole characters."""
-    step = max(12, bits.ROW_BLOCK_BITS // max(n, 1) // 12 * 12)
+    """Row ranges [lo, hi) of at most bits.ROW_BLOCK_BITS // 4 entries (or
+    12 rows), each but the last a multiple of 12 rows long: a range's bits,
+    their mask and their stream are held at once.  Rows lo..hi-1 hold
+    stream bits lo(lo-1)/2 to hi(hi-1)/2, a multiple of 6 when 12 divides
+    lo, so each range but the last is whole characters."""
+    step = max(12, bits.ROW_BLOCK_BITS // 4 // max(n, 1) // 12 * 12)
     return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
@@ -146,20 +151,25 @@ def from_graph6(text: str | bytes) -> Graph:
             f"graph6 body has {len(body)} characters, expected {(nbits + 5) // 6}")
     rows = bits.zero_rows(n, n)
     for lo, hi in _graph6_blocks(n):
-        rows[lo:hi, :bits.word_count(hi)] = _graph6_lower_rows(body, lo, hi)
-    return Graph(n, bits.transpose(rows, n, out=rows))
+        _graph6_fill(rows, body, lo, hi)
+    return Graph(n, rows)
 
 
-def _graph6_lower_rows(body: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Bit rows lo..hi-1 over columns 0..hi-1 of the strict lower triangle
-    that the graph6 characters body encode: stream bits [start, end), read
-    from the characters that hold them."""
+def _graph6_fill(rows: np.ndarray, body: np.ndarray, lo: int, hi: int) -> None:
+    """Set in rows the bits (x, y) and (y, x), y < x, of the rows x in
+    lo..hi-1 that the graph6 characters body encode: stream bits
+    [start, end), read from the characters that hold them.  The mirror
+    images are the block's transpose, packed from bit lo % 64 of word lo // 64."""
     start, end = lo * (lo - 1) // 2, hi * (hi - 1) // 2
     chars = body[start // 6:(end + 5) // 6] - np.uint8(63)
     stream = np.unpackbits((chars << 2)[:, None], axis=1, count=6).reshape(-1)
     block = np.zeros((hi - lo, hi), dtype=bool)
     block[_strict_lower(lo, hi)] = stream[:end - start]
-    return bits.pack_bool(block, hi)
+    del chars, stream
+    rows[lo:hi, :bits.word_count(hi)] |= bits.pack_bool(block, hi)
+    mirror = np.zeros((hi, lo % 64 + hi - lo), dtype=bool)
+    mirror[:, lo % 64:] = block.T
+    rows[:hi, lo // 64:bits.word_count(hi)] |= bits.pack_bool(mirror)
 
 
 JSON_CHUNK = 1 << 18  # bytes of JSON edge text built or parsed per block
@@ -177,14 +187,15 @@ _TAIL_AFTER_EDGES = {
                          + _JSON_SPACE),
 }
 
-# byte classes of the edge list: numbers are the bytes up to _MINUS,
-# punctuation the bytes from _COMMA on
+# byte classes of the edge list, a bytes.translate table: numbers are the
+# bytes up to _MINUS, punctuation the bytes from _COMMA on
 _OTHER, _DIGIT, _MINUS, _SPACE, _COMMA, _OPEN, _CLOSE = range(7)
 _CLASS = np.zeros(256, dtype=np.uint8)
 _CLASS[list(b"0123456789")] = _DIGIT
 _CLASS[list(b" \t\r\n")] = _SPACE
 _CLASS[list(b"-,[]")] = [_MINUS, _COMMA, _OPEN, _CLOSE]
-_PAIR = np.frombuffer(b",[,]", dtype=np.uint8)  # the punctuation of ', [i, j]'
+_CLASS = _CLASS.tobytes()
+_PAIR = int.from_bytes(b",[,]", "little")  # the punctuation of ', [i, j]' as one word
 
 
 def _digit_table(v: int) -> np.ndarray:
@@ -261,7 +272,6 @@ def _json_pairs(data: bytes, lo: int, hi: int, v: int):
     text between its brackets), one chunk at a time.  A chunk ends after
     the last ']' within JSON_CHUNK bytes, or the first one beyond, so no
     pair is split."""
-    buf = np.frombuffer(data, dtype=np.uint8)
     digits = len(str(v - 1)) if v else 0
     lead = True
     while lo < hi:
@@ -269,21 +279,23 @@ def _json_pairs(data: bytes, lo: int, hi: int, v: int):
         if hi - lo > JSON_CHUNK:
             end = (data.rfind(b"]", lo, lo + JSON_CHUNK) + 1
                    or data.find(b"]", lo + JSON_CHUNK, hi) + 1 or hi)
-        val = _chunk_endpoints(buf[lo:end], lead, v, digits)
+        val = _chunk_endpoints(data[lo:end], lead, v, digits)
         lead = lead and not val.size
         lo = end
         yield val[0::2], val[1::2]
 
 
-def _chunk_endpoints(chunk: np.ndarray, lead: bool, v: int, digits: int) -> np.ndarray:
+def _chunk_endpoints(text: bytes, lead: bool, v: int, digits: int) -> np.ndarray:
     """The endpoints i0, j0, i1, j1, ... of the pairs in one chunk.
 
     The chunk's punctuation must be ',[,]' per pair, with the ',' before
     the list's first pair implied (lead), and its numbers, the maximal
     runs of digits and '-', must lie one in each slot of a pair; every
-    other byte is whitespace.
+    other byte is whitespace.  Values are summed a decimal place at a time
+    from the last digit, in int32 while v - 1 has fewer than 10 digits.
     """
-    cls = np.take(_CLASS, chunk)
+    chunk = np.frombuffer(text, dtype=np.uint8)
+    cls = np.frombuffer(text.translate(_CLASS), dtype=np.uint8)
     if not cls.all():
         raise GraphParseError("unexpected character in the edge list")
     num = cls <= _MINUS
@@ -293,19 +305,20 @@ def _chunk_endpoints(chunk: np.ndarray, lead: bool, v: int, digits: int) -> np.n
     punct = np.flatnonzero(cls >= _COMMA)
     minus = np.count_nonzero(cls == _MINUS)
     del cls, num
-    marks = chunk[punct]
-    if lead and punct.size:
-        punct = np.concatenate([[-1], punct])
-        marks = np.concatenate([_PAIR[:1], marks])
-    k = len(punct) // 4
-    if len(punct) != 4 * k or len(ends) != 4 * k or not (marks.reshape(k, 4) == _PAIR).all():
+    lead = int(lead and punct.size > 0)
+    k = (len(punct) + lead) // 4
+    if len(punct) + lead != 4 * k or len(ends) != 4 * k:
         raise GraphParseError("edges must be a list of [i, j] pairs")
-    p = punct.reshape(k, 4)
+    marks = np.empty(4 * k, dtype=np.uint8)
+    marks[:lead] = ord(",")
+    np.take(chunk, punct, out=marks[lead:])
+    if not (marks.view("<u4") == _PAIR).all():
+        raise GraphParseError("edges must be a list of [i, j] pairs")
+    p1, p2, p3 = (punct[c - lead::4] for c in (1, 2, 3))
     s, e = ends[0::2] + 1, ends[1::2]
-    if not ((p[:, 1] < s[0::2]) & (e[0::2] < p[:, 2])
-            & (p[:, 2] < s[1::2]) & (e[1::2] < p[:, 3])).all():
+    if not ((p1 < s[0::2]) & (e[0::2] < p2) & (p2 < s[1::2]) & (e[1::2] < p3)).all():
         raise GraphParseError("edges must be a list of [i, j] pairs")
-    del punct, p
+    del punct, marks, p1, p2, p3
     neg = chunk[s] == ord("-")
     width = e - s + 1 - neg
     if minus != np.count_nonzero(neg) or (width < 1).any():
@@ -314,9 +327,14 @@ def _chunk_endpoints(chunk: np.ndarray, lead: bool, v: int, digits: int) -> np.n
         raise GraphParseError(f"edge endpoint has more digits than v - 1 = {v - 1}")
     if ((chunk[s + neg] == ord("0")) & (width > 1)).any():
         raise GraphParseError("leading zero in an edge endpoint")
-    val = np.zeros(len(e), dtype=np.int64)
-    for c in range(int(width.max(initial=0))):
-        val += (chunk[e - c] - np.uint8(48)) * (width > c) * np.int64(10 ** c)
+    dig = chunk - np.uint8(48)
+    val = dig[e].astype(np.int64 if digits >= 10 else np.int32)
+    at = e - 1
+    for c in range(1, int(width.max(initial=0))):
+        place = dig[at]
+        place *= width > c
+        val += place * val.dtype.type(10 ** c)
+        at -= 1
     if (val >= v).any() or (neg & (val != 0)).any():
         raise GraphParseError("vertex id out of range")
     return val
@@ -363,6 +381,4 @@ def write_graph(path: str, g: Graph, fmt: str | None = None) -> str:
 def read_graph(path: str, fmt: str | None = None) -> Graph:
     fmt = detect_format(path, fmt)
     with open(path, "rb") as f:
-        g = (from_graph6 if fmt == "graph6" else from_json)(f.read())
-    g.validate()
-    return g
+        return (from_graph6 if fmt == "graph6" else from_json)(f.read())

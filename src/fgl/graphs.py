@@ -6,12 +6,15 @@ antipodal classes, Deza and divisible-design checks, the common-neighbor
 spectrum) are exhaustive over all vertex pairs, all from one kernel: a
 block of at most bits.ROW_BLOCK_BITS entries of source rows, unpacked to
 0/1 float32, times A.T (A is symmetric; with one block numpy forms A @ A.T
-by one syrk call).  Common-neighbor counts are A[lo:hi] @ A[lo:].T, the
-pairs x < y; the distance checks search the whole block breadth-first, one
-product per distance layer, in the narrowest integer type holding -1..v-1.
-Each count is exact: every partial sum is an integer of at most v, and
-float32 holds every integer below 2^24 (larger graphs are refused), so no
-BLAS thread count or summation order changes it.  So a returned
+by one syrk call).  Common-neighbor counts are A[lo:hi] @ A[lo:].T, folded
+in place with the adjacency into one code per pair x < y and binned once.
+The distance pass searches the whole block breadth-first, one product per
+distance layer, and checks each layer's counts against source 0's as it
+arrives, keeping only the unseen vertices, the eccentricities and the last
+layer; the first source to fail has its counts formed again alone, for its
+witness.  Each count is exact: every partial sum is an integer of at most
+v, and float32 holds every integer below 2^24 (larger graphs are refused),
+so no BLAS thread count or summation order changes it.  So a returned
 certificate is a proof for the given graph, and failures carry a witness
 that names a violating pair.  Each pass runs once per graph and is kept on
 it (its rows are read-only): drg and antipodal share one distance pass,
@@ -155,14 +158,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(v={self.v}, edges={self.edge_count()})"
 
-    def validate(self) -> None:
-        """Check symmetry and zero diagonal (used on import)."""
-        loops = (self.rows & bits.identity(self.v)).any(axis=1)
-        if loops.any():
-            raise ValueError(f"loop at vertex {int(np.argmax(loops))}")
-        if not np.array_equal(bits.transpose(self.rows, self.v), self.rows):
-            raise ValueError("adjacency is not symmetric")
-
 
 # -- blocked adjacency products ---------------------------------------------
 
@@ -184,7 +179,7 @@ def _adjacency(g: Graph) -> np.ndarray:
 
 
 def _count_dtype(v: int) -> np.dtype:
-    """The narrowest signed integer type holding -v, so -1..v-1: distances and counts."""
+    """The narrowest signed integer type holding -v, so -1..v-1: eccentricities."""
     return np.min_scalar_type(-max(v, 1))
 
 
@@ -196,44 +191,48 @@ def _once(g: Graph, compute):
 
 
 def _common_neighbor_blocks(g: Graph):
-    """Yield (lo, cn, upper) per row block [lo, hi): cn[t, j] =
-    |N(lo + t) & N(lo + j)| from A[lo:hi] @ A[lo:].T, and upper[t, j] = j > t."""
+    """Yield (lo, cn, adj) per row block [lo, hi): cn[t, j] =
+    |N(lo + t) & N(lo + j)| in float32 from A[lo:hi] @ A[lo:].T, a new array
+    the caller may change, and the adjacency adj = A[lo:hi, lo:]."""
     a = _adjacency(g)
     for lo, hi in _row_blocks(g.v):
-        yield (lo, (a[lo:hi] @ a[lo:].T).astype(np.int32),
-               np.arange(g.v - lo) > np.arange(hi - lo)[:, None])
+        yield lo, a[lo:hi] @ a[lo:].T, a[lo:hi, lo:]
+
+
+def _upper(cn: np.ndarray) -> np.ndarray:
+    """Mask of the entries cn[t, j], j > t, of a block: its pairs x < y."""
+    return np.arange(cn.shape[1]) > np.arange(len(cn))[:, None]
 
 
 def _distance_blocks(g: Graph):
-    """Yield (lo, dist, c, b) per block of sources lo, lo+1, ...: dist[t, y]
-    is the distance from lo + t to y (-1 if unreachable) and, for y at
-    distance i, c[t, y] = |N(y) & D_{i-1}| and b[t, y] = |N(y) & D_{i+1}|,
-    all of _count_dtype(v).
-
-    N_i = D_i @ A counts N(y) & D_i for each y (N_0 and D_1 are A[block]):
-    it gives c on D_{i+1} and a on D_i, and D_{i+1} is its support outside
-    the layers seen; b = (deg - a) - c, which stays in 0..deg since N(y)
-    holds D_i and D_{i-1} apart, and 0 on the layer that sees the last vertex.
-    """
+    """Yield (lo, hi, layers) per block of sources lo..hi-1; layers yields
+    (i, count, layer, nxt) for i = 0, 1, ... until the block has seen every
+    vertex or stops growing.  layer[t] and nxt[t] are the vertices at
+    distance i and i + 1 from lo + t, and count = D_i @ A counts
+    N(y) & layer[t] at each y; count is A[block] at i = 0, so with one block
+    the product at i = 1 is A @ A.T, one syrk call.  count and the float32
+    copy of the layer are one buffer each, rewritten per layer."""
     a = _adjacency(g)
-    deg = g.degrees().astype(_count_dtype(g.v))
     for lo, hi in _row_blocks(g.v):
-        dist = np.full((hi - lo, g.v), -1, dtype=deg.dtype)
-        np.fill_diagonal(dist[:, lo:], 0)
-        c, same = np.zeros_like(dist), np.zeros_like(dist)
-        layer, count, i = dist == 0, a[lo:hi], 0
-        while True:
-            nxt = (count > 0) & (dist < 0)
-            np.copyto(c, count, casting="unsafe", where=nxt)
-            np.copyto(same, count, casting="unsafe", where=layer)
-            dist[nxt] = i + 1
-            if not nxt.any() or (dist >= 0).all():
-                break
-            layer, count, i = nxt, (a[lo:hi] if i == 0 else nxt.astype(np.float32)) @ a.T, i + 1
-        b = np.subtract(deg, same, out=same)
-        b -= c
-        b[nxt] = 0
-        yield lo, dist, c, b
+        yield lo, hi, _distance_layers(a, lo, hi)
+
+
+def _distance_layers(a: np.ndarray, lo: int, hi: int):
+    """The layers of the sources lo..hi-1, as _distance_blocks yields them."""
+    layer = np.zeros((hi - lo, len(a)), dtype=bool)
+    np.fill_diagonal(layer[:, lo:], True)
+    unseen, count, i = ~layer, a[lo:hi], 0
+    counts, left = np.empty_like(count), np.empty_like(count)
+    while True:
+        nxt = count > 0
+        nxt &= unseen
+        unseen ^= nxt
+        yield i, count, layer, nxt
+        if not unseen.any() or not nxt.any():
+            return
+        if i:
+            np.copyto(left, nxt)
+        layer, count, i = nxt, np.matmul(left if i else a[lo:hi], a.T, out=counts), i + 1
 
 
 # -- distance-regularity ----------------------------------------------------
@@ -243,31 +242,68 @@ def _distance_census(g: Graph):
     """One _distance_blocks pass: (unreachable, drg, d, far), the first vertex
     unreachable from 0 (the pass stops there) or None, the intersection array or
     the first violation in source order, the diameter d, and the distance-{0, d}
-    relation as read-only bit rows (a source of smaller eccentricity: itself)."""
-    ecc, far, drg = np.zeros(g.v, dtype=_count_dtype(g.v)), bits.zero_rows(g.v, g.v), None
-    for lo, dist, c, b in _distance_blocks(g):
-        if lo == 0:
-            if (dist[0] < 0).any():
-                return int(np.argmax(dist[0] < 0)), None, None, None
-            d = int(dist[0].max())
-            firsts = np.unique(dist[0], return_index=True)[1]
-            c0, b0 = c[0, firsts], b[0, firsts]
-        hi = lo + len(dist)
-        ecc[lo:hi] = dist.max(axis=1)
-        at = np.minimum(dist, d)
-        bad = (ecc[lo:hi] != d) | ((c != c0[at]) | (b != b0[at])).any(axis=1)
-        if drg is None and bad.any():
-            t = int(np.argmax(bad))
-            drg = _drg_violation(lo + t, dist[t], c[t], b[t], c0, b0, d)
-        sel = dist == ecc[lo:hi, None]
-        np.fill_diagonal(sel[:, lo:], True)
-        far[lo:hi] = bits.pack_bool(sel, g.v)
-    if drg is None:
-        drg = IntersectionArray(b=tuple(map(int, b0[:d])), c=tuple(map(int, c0[1:])))
+    relation as read-only bit rows (a source of smaller eccentricity: itself).
+
+    Each layer is checked as it arrives against source 0's values at the
+    first vertex of each distance: count is c_{i+1} on D_{i+1}, and on D_i,
+    i < d, count is a_i = deg(y) - b_i - c_i, which with c_i checked is the
+    test of b_i (on D_d, b is 0 for every source of eccentricity d).  A
+    source fails if a count or its eccentricity differs, and the first to
+    fail has its counts formed alone for _drg_violation.
+    """
+    v, deg = g.v, g.degrees().astype(np.float32)
+    ecc, bad = np.zeros(v, dtype=_count_dtype(v)), np.zeros(v, dtype=bool)
+    dist0, far = np.full(v, -1), bits.zero_rows(v, v)
+    dist0[0], c0, bc0 = 0, [0], []  # source 0's c_i and b_i + c_i
+    for lo, hi, layers in _distance_blocks(g):
+        rows = slice(lo, hi)
+        for i, count, layer, nxt in layers:
+            grown = nxt.any(axis=1)
+            ecc[rows][grown] = i + 1
+            if lo == 0 and grown[0]:
+                dist0[nxt[0]] = i + 1
+                y, z = np.argmax(layer[0]), np.argmax(nxt[0])
+                bc0.append(int(deg[y] - count[0, y]))
+                c0.append(int(count[0, z]))
+            if i + 1 < len(c0):
+                miss = count != c0[i + 1]
+                miss &= nxt
+                miss |= (count != deg - bc0[i]) & layer
+                bad[rows] |= miss.any(axis=1)
+        if lo == 0 and (dist0 < 0).any():
+            return int(np.argmax(dist0 < 0)), None, None, None
+        np.fill_diagonal(nxt[:, lo:], True)  # the block's last layer, and each source
+        far[rows] = bits.pack_bool(nxt, v)
+    d = len(bc0)
+    bad |= ecc != d
+    b0 = [bc - c for bc, c in zip(bc0, c0)] + [0]
+    if bad.any():
+        src = int(np.argmax(bad))
+        drg = _drg_violation(src, *_source_counts(g, src), c0, b0, d)
+    else:
+        drg = IntersectionArray(b=tuple(b0[:d]), c=tuple(c0[1:]))
     short = ecc < ecc.max()
-    far[short] = bits.identity(g.v)[short]
+    far[short] = bits.identity(v)[short]
     far.flags.writeable = False
     return None, drg, int(ecc.max()), far
+
+
+def _source_counts(g: Graph, src: int):
+    """dist, c and b of one source of a connected graph: the distances from
+    src and, for y at distance i, |N(y) & D_{i-1}| and |N(y) & D_{i+1}|."""
+    dist = np.full(g.v, -1)
+    dist[src] = 0
+    layers = [bits.pack_bool(np.arange(g.v) == src, g.v)]
+    while True:
+        new = bits.unpack_rows(np.bitwise_or.reduce(g.rows[dist == len(layers) - 1]), g.v)
+        new &= dist < 0
+        if not new.any():
+            break
+        dist[new] = len(layers)
+        layers.append(bits.pack_bool(new, g.v))
+    layers = np.stack(layers + [bits.zero_rows(1, g.v)[0]])  # D_{-1} and D_{e+1} are empty
+    return (dist, bits.popcount(g.rows & layers[dist - 1]),
+            bits.popcount(g.rows & layers[dist + 1]))
 
 
 def intersection_array(g: Graph) -> IntersectionArray:
@@ -338,16 +374,21 @@ def _census(counts: np.ndarray) -> dict[int, int]:
 def _cn_census(g: Graph):
     """One pass of _common_neighbor_blocks: the read-only bincount of pairs
     x < y by (count, adjacency), and the first third count in order of row,
-    then value, as a MoreThanTwoValues, or None."""
+    then value, as a MoreThanTwoValues, or None.
+
+    Each block is folded in place into the codes 2 * count + adjacency, and
+    the codes of its pairs x < y, row by row, are cast once and binned."""
     v, seen, third = g.v, np.zeros(0, dtype=np.int64), None
-    joint = np.zeros((v + 1, 2), dtype=np.int64)
-    for lo, cn, upper in _common_neighbor_blocks(g):
-        vals = cn[upper]
-        adj = bits.unpack_rows(g.rows[lo:lo + len(cn)], v)[:, lo:]
-        joint += np.bincount(2 * vals + adj[upper], minlength=2 * v + 2).reshape(-1, 2)
-        found = np.flatnonzero(joint.sum(axis=1))
+    joint = np.zeros(2 * v + 2, dtype=np.int64)
+    for lo, cn, adj in _common_neighbor_blocks(g):
+        cn *= 2
+        cn += adj
+        codes = np.concatenate([row[t + 1:] for t, row in enumerate(cn)], dtype=np.intp,
+                               casting="unsafe")
+        joint += np.bincount(codes, minlength=2 * v + 2)
+        found = np.flatnonzero(joint[0::2] + joint[1::2])
         if third is None and found.size > 2:
-            rows, cols = np.nonzero(upper)
+            vals, (rows, cols) = codes >> 1, np.nonzero(_upper(cn))
             new, at = np.unique(vals, return_index=True)
             at = at[~np.isin(new, seen)]
             at = at[np.lexsort((vals[at], rows[at]))]
@@ -357,6 +398,7 @@ def _cn_census(g: Graph):
                 f"third common-neighbor value {values[2]} at pair ({x},{y}); "
                 f"already saw {sorted(values[:2])}", witness=(x, y, sorted(values[:3])))
         seen = found
+    joint = joint.reshape(-1, 2)
     joint.flags.writeable = False
     return joint, third
 
@@ -477,7 +519,8 @@ def _raise_ddg_violation(g: Graph, labels: np.ndarray) -> None:
     """Raise the first violation of a partition that is not divisible: the
     first row whose within-class (then cross-class) counts differ."""
     lam, sels, bad = {}, {}, {}
-    for first, cn, upper in _common_neighbor_blocks(g):
+    for first, cn, _ in _common_neighbor_blocks(g):
+        cn, upper = cn.astype(np.int32), _upper(cn)
         same = labels[first:first + len(cn), None] == labels[first:]
         for name, sel in (("within", upper & same), ("cross", upper & ~same)):
             sels[name], has = sel, sel.any(axis=1)

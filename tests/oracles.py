@@ -6,7 +6,9 @@ vertex 0's neighbor set), and the tests compare the two.  The scalar
 product order is the reference for the batched order kernels.  The edge list and JSON
 writer oracles walk the vertices one at a time, as the library did before
 it moved to a single edge array; the JSON reader oracle is json.loads with
-a type check per endpoint, where the library parses the bytes in chunks.  The full generating sets (every
+a type check per endpoint, where the library parses the bytes in chunks,
+and validate checks that bit rows are a graph, which the library's readers
+hold by construction.  The full generating sets (every
 nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
 scan of all lower unitriangular matrices) must give the same class as the
 library's O(n) sets.  distances_from and connected_components search
@@ -156,8 +158,20 @@ def read_json_graph(text: str) -> Graph:
     """The reference graph JSON reader: json.loads, then a type check per
     endpoint and per pair, as read_graph did before it parsed bytes."""
     g = from_json_obj(load_json(text))
-    g.validate()
+    validate(g)
     return g
+
+
+def validate(g: Graph) -> None:
+    """Raise ValueError unless g's bit rows are a graph: no loop, symmetric,
+    and no bit set past column v - 1."""
+    loops = (g.rows & bits.identity(g.v)).any(axis=1)
+    if loops.any():
+        raise ValueError(f"loop at vertex {int(np.argmax(loops))}")
+    if (g.rows & ~bits.pad_mask(g.v)).any():
+        raise ValueError("bit set past the last vertex")
+    if not np.array_equal(bits.transpose(g.rows, g.v), g.rows):
+        raise ValueError("adjacency is not symmetric")
 
 
 def iter_common_neighbor_counts(g: Graph, chunk: int = 8192):

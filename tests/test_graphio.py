@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fgl import bits
+from fgl import bits, graphio
 from fgl.graphio import (JSON_CHUNK, GraphParseError, _graph6_blocks, from_graph6, from_json,
                          read_graph, to_graph6, write_graph)
 from fgl.graphs import Graph
-from oracles import edge_list, edges, json_dumps_graph, read_json_graph
+from oracles import edge_list, edges, json_dumps_graph, read_json_graph, validate
 
 # graph JSON objects that the reader must reject, given as json.dumps text:
 # non-integer or boolean vertex counts and endpoints, non-lists, ragged or
@@ -33,6 +33,26 @@ BAD_GRAPH_JSON = {
     "above-int64": {"v": 3, "edges": [[0, 2 ** 63]]},
     "above-uint64": {"v": 3, "edges": [[0, 2 ** 64]]},
     "below-int64": {"v": 3, "edges": [[-2 ** 63 - 1, 1]]},
+}
+
+# the reader's message for each of them, whatever its chunk size
+BAD_GRAPH_JSON_MESSAGES = {
+    "null-endpoint": "unexpected character in the edge list",
+    "edges-not-list": 'expected an integer "v" and then "edges": [...]',
+    "float-endpoint": "unexpected character in the edge list",
+    "bool-endpoint": "unexpected character in the edge list",
+    "bool-pair": "unexpected character in the edge list",
+    "string-endpoints": "unexpected character in the edge list",
+    "float-v": 'expected an integer "v" and then "edges": [...]',
+    "bool-v": 'expected an integer "v" and then "edges": [...]',
+    "string-v": 'expected an integer "v" and then "edges": [...]',
+    "ragged": "edges must be a list of [i, j] pairs",
+    "triple": "edges must be a list of [i, j] pairs",
+    "nested": "edges must be a list of [i, j] pairs",
+    "empty-pair": "edges must be a list of [i, j] pairs",
+    "above-int64": "edge endpoint has more digits than v - 1 = 2",
+    "above-uint64": "edge endpoint has more digits than v - 1 = 2",
+    "below-int64": "edge endpoint has more digits than v - 1 = 2",
 }
 
 # JSON texts that json.loads rejects or reads to an invalid graph, and that
@@ -194,6 +214,47 @@ def test_json_rejects_non_integer_input(obj):
         from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("chunk", [JSON_CHUNK, 64])
+@pytest.mark.parametrize("name", BAD_GRAPH_JSON)
+def test_json_errors_keep_their_messages(monkeypatch, name, chunk):
+    monkeypatch.setattr(graphio, "JSON_CHUNK", chunk)
+    with pytest.raises(GraphParseError) as e:
+        from_json(json.dumps(BAD_GRAPH_JSON[name]))
+    assert str(e.value) == BAD_GRAPH_JSON_MESSAGES[name]
+
+
+def _spaced_json(rng, g):
+    """g's graph JSON with a run of whitespace at random between any two
+    tokens, each pair in either order and in random order, some 0
+    endpoints written -0, and the keys in either order."""
+    def ws():
+        return "".join(rng.choice(list(" \t\r\n"), int(rng.integers(0, 4))))
+
+    def num(x):
+        return "-0" if x == 0 and rng.random() < 0.5 else str(x)
+    pairs = [p if rng.random() < 0.5 else p[::-1] for p in edges(g).tolist()]
+    rng.shuffle(pairs)
+    body = ",".join(f"{ws()}[{ws()}{num(i)}{ws()},{ws()}{num(j)}{ws()}]{ws()}" for i, j in pairs)
+    keys = [f'"v"{ws()}:{ws()}{g.v}', f'"edges"{ws()}:{ws()}[{ws()}{body}]']
+    if rng.random() < 0.5:
+        keys.reverse()
+    return f"{ws()}{{{ws()}{keys[0]}{ws()},{ws()}{keys[1]}{ws()}}}{ws()}"
+
+
+@given(st.integers(0, 10 ** 6), st.integers(0, 40), st.sampled_from([0.1, 0.3, 0.8]))
+@settings(max_examples=60, deadline=None)
+def test_json_chunk_boundaries_match_json_loads(seed, v, p):
+    # 64-byte chunks: most pairs straddle a chunk's start, and every chunk
+    # but the first begins with the comma that the first one implies
+    g = random_graph(seed, v=v, p=p)
+    text = _spaced_json(np.random.default_rng(seed), g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphio, "JSON_CHUNK", 64)
+        got = from_json(text)
+    assert got == read_json_graph(text) == g
+    validate(got)
+
+
 def test_json_rejects_bad_input():
     for obj in ({"edges": []}, {"v": 2, "edges": [[0, 0]]}, {"v": 2, "edges": [[0, 5]]}):
         with pytest.raises(GraphParseError):
@@ -240,7 +301,9 @@ def test_json_reader_matches_json_loads_on_any_formatting(seed, v, p, indent, se
     if keys_reversed:
         obj = dict(reversed(obj.items()))
     text = json.dumps(obj, indent=indent, separators=separators)
-    assert from_json(text) == read_json_graph(text) == g
+    got = from_json(text)
+    assert got == read_json_graph(text) == g
+    validate(got)
 
 
 # bytes of JSON syntax, of numbers and of the key names, plus whitespace
@@ -259,7 +322,10 @@ def test_json_reader_matches_json_loads_on_one_byte_edits(seed, v, keys_reversed
     at = where % (len(text) + (edit == "insert"))
     rest = text[at + (edit != "insert"):]
     text = text[:at] + ("" if edit == "delete" else ch) + rest
-    assert outcome(from_json, text) == outcome(read_json_graph, text)
+    got = outcome(from_json, text)
+    assert got == outcome(read_json_graph, text)
+    if got is not None:
+        validate(got)
 
 
 def io_peaks(path, g):
@@ -344,9 +410,10 @@ def test_read_graph_fuzz_json(tmp_path_factory, obj):
     path = tmp_path_factory.mktemp("fuzz") / "g.json"
     path.write_text(json.dumps(obj))
     try:
-        read_graph(str(path))
+        g = read_graph(str(path))
     except (GraphParseError, ValueError):
-        pass
+        return
+    validate(g)
 
 
 @given(st.text(max_size=30) | st.text(alphabet=st.characters(min_codepoint=63, max_codepoint=126),
@@ -356,6 +423,7 @@ def test_read_graph_fuzz_graph6(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("fuzz") / "g.g6"
     path.write_text(text)
     try:
-        read_graph(str(path))
+        g = read_graph(str(path))
     except (GraphParseError, ValueError):
-        pass
+        return
+    validate(g)

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,9 +315,9 @@ def _cn(g, x, y):
 
 
 def _layer_count(g, src, y, name):
-    """c: neighbors of y one step nearer to src; b: one step farther."""
+    """c: neighbors of y one step nearer to src; a: as near; b: one step farther."""
     dist = distances_from(g, src)
-    step = -1 if name == "c" else 1
+    step = {"c": -1, "a": 0, "b": 1}[name]
     return int(np.count_nonzero(dist[g.neighbors(y)] == dist[y] + step))
 
 
@@ -411,7 +412,20 @@ SIX_CHECKS = (
 def test_product_kernel_checks_equal_per_vertex_oracles(case, order):
     # in any order on one graph, whose passes are kept, each check gives what it
     # gives on a fresh graph of the same rows and what its oracle gives
-    g, labels = case
+    _assert_checks_equal_oracles(*case, order)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases(), st.permutations(range(len(SIX_CHECKS))))
+def test_product_kernel_checks_in_row_blocks_equal_per_vertex_oracles(case, order):
+    # the same with a few rows per block: a graph of v > 8 vertices takes
+    # several blocks, so source 0's values reach the later blocks' checks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bits, "ROW_BLOCK_BITS", 64)
+        _assert_checks_equal_oracles(*case, order)
+
+
+def _assert_checks_equal_oracles(g, labels, order):
     for check, oracle, partitioned in (SIX_CHECKS[i] for i in order):
         args = (g, labels) if partitioned else (g,)
         got = _result(check, *args)
@@ -427,6 +441,52 @@ def test_product_kernel_checks_equal_per_vertex_oracles(case, order):
         else:
             _assert_cn_witness(g, witness, labels if partitioned else None)
     assert common_neighbor_spectrum(g) == spectrum_oracle(g)
+
+
+def _relabelled(g, order):
+    """g with vertex order[k] named k."""
+    return Graph.from_edges(g.v, np.argsort(order)[edges(g)])
+
+
+def _petersen_less_an_edge():
+    # sources 1, 2, 4 and 5 agree with one another; the ends of the edge and
+    # their neighbours do not.  Named so that those four come first, the first
+    # source to fail is 4.
+    g = petersen()
+    e = edges(g).tolist()
+    return _relabelled(Graph.from_edges(10, e[1:]), [1, 2, 4, 5, 0, 3, 6, 7, 8, 9])
+
+
+# (graph, the first failing source): from a later block; source 0 itself,
+# whose b_1 is not constant; a tree whose source 1 sees at distance 1 the
+# a and c of source 0 but a vertex of another degree, so only b_1 differs;
+# eccentricities below and above source 0's
+DRG_FAILURES = {
+    "later-block": (_petersen_less_an_edge(), 4),
+    "source-0": (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]), 0),
+    "b-only": (Graph.from_edges(5, [(0, 4), (1, 3), (2, 3), (3, 4)]), 1),
+    "smaller-eccentricity": (Graph.from_edges(3, [(0, 1), (1, 2)]), 1),
+    "larger-eccentricity": (Graph.from_edges(3, [(0, 1), (0, 2)]), 1),
+}
+
+
+@pytest.mark.parametrize("block_bits", [bits.ROW_BLOCK_BITS, 1], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("name", DRG_FAILURES)
+def test_drg_failures_equal_per_source_oracle(monkeypatch, name, block_bits):
+    # the first failing source's counts, formed alone, give the oracle's
+    # message and witness, in one block or one row per block
+    g, src = DRG_FAILURES[name]
+    monkeypatch.setattr(bits, "ROW_BLOCK_BITS", block_bits)
+    want = _result(intersection_array_per_source, g)
+    assert want[0] == "NotDistanceRegular" and want[2][0] == src
+    assert _result(intersection_array, g) == want
+    assert _result(intersection_array, Graph(g.v, g.rows.copy())) == want
+    if name == "b-only":
+        assert want[2][2] == "b1"
+        for count in "ac":  # a and c at the witness are source 0's at distance 1
+            assert _layer_count(g, src, want[2][1], count) == _layer_count(g, 0, 4, count)
+    if name.endswith("eccentricity"):
+        assert len(want[2]) == 2
 
 
 def test_rows_are_read_only_and_results_are_copies():
@@ -510,6 +570,28 @@ def test_ddg_failures_in_small_blocks(monkeypatch, g, labels, first):
     got = _result(ddg_check, g, labels)
     assert got == _result(ddg_check_per_row, g, labels)
     assert got[1].startswith(first)
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pass_memory_on_psl2_q32_graphs():
+    # the distance pass holds A, its count and layer buffers and a few bool
+    # layers; the common-neighbour pass A, one product and its pairs' codes.
+    # In units of one v x v float32 array (4.19 MB here): 4.3 and 3.1 now,
+    # 6.1 and 4.5 before the passes checked and folded in place.
+    cls = groups.involution_class(groups.make_group("psl2", 5))
+    chi = fusion.build_fusion_graph(cls, fusion.PiSpec.chi_only())
+    odd = fusion.build_fusion_graph(cls, fusion.PiSpec.odd_complement())
+    unit = 4 * cls.size ** 2
+    assert _traced_peak(graphs._distance_census, chi) < 5 * unit
+    assert _traced_peak(graphs._cn_census, odd) < 4 * unit
 
 
 def test_product_kernel_refuses_inexact_sizes(monkeypatch):
