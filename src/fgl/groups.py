@@ -24,9 +24,12 @@ root labelled with the identity row, reaches every vertex from vertex 0
 to a conjugation sigma_x with sigma_x(0) = x, gathered from the buffer
 with no copy (InvolutionClass.carry).  Conjugation preserves product
 orders, so every product-order fact is one about vertex 0 and constant on
-the orbits of vertex 0's stabiliser, whose Schreier generators
-sigma_g(u)^-1 g sigma_u the tree also yields (stabiliser_suborbits).  One
-product per class, 2q - 3 on every instance the tests cover, gives the
+the orbits of vertex 0's stabiliser.  The unipotent generators lie in one
+Sylow 2-subgroup U* and fix the q - 1 involutions of its centre; with
+sigma = sigma_x* for the least such x*, sigma^-1 p sigma fixes vertex 0
+for each of their permutations p, and these generate sigma^-1 U* sigma,
+whose 2q - 2 orbits are the classes (stabiliser_suborbits).  One
+product per class but {0}, 2q - 3, gives the
 table every vertex-0 fact reads (InvolutionClass.suborbits): the order
 census is v/2 times the seed's row (orbital_order_census), the partners of
 x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
@@ -43,7 +46,6 @@ reference path.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -361,9 +363,12 @@ def generators(spec: GroupSpec) -> list[Matrix]:
     PSL2: the n unipotents over the GF(2)-basis 2^i of GF(q), and the
     reversal (n + 1).  Sz: the unipotents S(2^i, 0) and S(0, 2^i), a torus
     element and the reversal (2n + 2).  PSU3: the 2n + n unipotents of
-    _psu3_unipotents and the reversal (3n + 1).  Sufficiency is certified
-    where a class is made: closed_class's Schreier tree must reach every
-    one of the closed-form count of vertices.
+    _psu3_unipotents and the reversal (3n + 1).  The unipotents come first,
+    sylow_generator_count(spec) of them, and lie in one Sylow 2-subgroup
+    U* (upper unitriangular for PSL2, lower for Sz and PSU3), whose centre
+    they fix (stabiliser_suborbits).  Sufficiency is certified where a
+    class is made: closed_class's Schreier tree must reach every one of the
+    closed-form count of vertices.
     """
     n = spec.n
     if spec.family == PSL2:
@@ -381,6 +386,13 @@ def generators(spec: GroupSpec) -> list[Matrix]:
         except NotInGroupForm as e:
             raise GeneratorValidationFailed(f"generator fails form check: {e}") from e
     return gens
+
+
+def sylow_generator_count(spec: GroupSpec) -> int:
+    """How many of generators(spec), from the first, are the unipotents of
+    U*: n for PSL2, 2n for Sz (not the torus), 3n for PSU3 (the traces of a
+    GF(2)-basis of GF(q^2) span GF(q), so n central ones)."""
+    return {PSL2: 1, SZ: 2, PSU3: 3}[spec.family] * spec.n
 
 
 # -- canonical projective form -------------------------------------------------
@@ -620,7 +632,9 @@ class InvolutionClass:
         return encode(self.spec, self.member(i))
 
     def suborbits(self) -> "Suborbits":
-        """stabiliser_suborbits with the order of one product per class."""
+        """stabiliser_suborbits, the 2q - 2 orbits of sigma^-1 U* sigma on
+        the vertices, with the order of vertex 0's product with the least
+        vertex of each class but {0}: 2q - 3 products."""
         if self._suborbits is None:
             root = stabiliser_suborbits(self)
             reps, sizes = np.unique(root[1:], return_counts=True)
@@ -817,42 +831,6 @@ def schreier_tree(perms: np.ndarray):
     return parent, label, depth
 
 
-def schreier_generators(cls: InvolutionClass):
-    """Permutations s = sigma_g(u)^-1 o g o sigma_u of vertex 0's stabiliser,
-    one for each vertex u and generator g, less the identities.  The u run
-    k * stride mod v for k = 0 .. v - 1, stride the integer nearest v / phi^2
-    that is prime to v, so that every vertex comes once and consecutive
-    ones lie far apart.
-
-    sigma_x is the generators' composite along the Schreier tree, carried
-    over all vertices (InvolutionClass.carry), so s(0) = 0, and s is
-    conjugation by an element commuting with vertex 0's involution.  By
-    Schreier's lemma all of them generate the stabiliser.  When g is the
-    tree edge into g(u), sigma_g(u) = g o sigma_u and s is the identity, so
-    no sigma is carried for it.  Each s is made when asked for, so memory
-    stays O(v).
-    """
-    perms = cls.perms
-    parent, label, _ = cls.tree
-    every = cls.steps[-1]
-    back = np.empty_like(every)
-    stride = max(1, round(cls.size * (3 - 5 ** 0.5) / 2))
-    while math.gcd(stride, cls.size) != 1:
-        stride += 1
-    for k in range(cls.size):
-        u, sigma_u = k * stride % cls.size, None
-        for t, g in enumerate(perms):
-            w = g[u]
-            if parent[w] == u and label[w] == t:
-                continue
-            if sigma_u is None:
-                sigma_u = cls.carry([u], every)[0]
-            back[cls.carry([w], every)[0]] = every
-            s = back[g[sigma_u]]
-            if not np.array_equal(s, every):
-                yield s
-
-
 def merge_suborbits(root: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, bool]:
     """Join the classes of root (root[y] is the least vertex of y's class)
     that s links, y with s(y); returns the new root and whether any joined.
@@ -881,21 +859,32 @@ def merge_suborbits(root: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def stabiliser_suborbits(cls: InvolutionClass) -> np.ndarray:
     """root[y]: the least vertex of y's class, the classes being the orbits
-    of the group generated by the Schreier generators merged so far.
+    of sigma^-1 U* sigma, a subgroup of vertex 0's stabiliser.
 
-    Each class lies in one suborbit (orbit of vertex 0's stabiliser), and
-    {0} is a class of its own.  Merging stops once |generators| Schreier
-    generators in a row have joined nothing; run to the end it would give
-    the suborbits themselves, and stopping early can only leave a suborbit
-    split into more classes.
+    U* is generated by the Sylow generators (sylow_generator_count), which
+    fix x*, the least vertex they all fix; ClassSizeMismatch if there is
+    none.  sigma = sigma_x* carries 0 to x*, so s = sigma^-1 p sigma fixes
+    0 for each Sylow generator's permutation p, and is conjugation by an
+    element commuting with vertex 0's involution; merge_suborbits checks
+    that s(0) = 0.  U* fixes the q - 1 involutions of its centre and acts
+    regularly on the other q^l Sylow 2-centres, so on the rest of the class
+    it has q - 1 orbits of q^l involutions: 2q - 2 classes, {0} one of
+    them.  Each class lies in one suborbit (orbit of the stabiliser)
+    whatever the generators are: a wrong set can only split a suborbit.
     """
-    root = np.arange(cls.size, dtype=np.int32)
-    idle, patience = 0, len(cls.perms)
-    for s in schreier_generators(cls):
-        root, joined = merge_suborbits(root, s)
-        idle = 0 if joined else idle + 1
-        if idle == patience:
-            break
+    every = cls.steps[-1]
+    sylow = cls.perms[:sylow_generator_count(cls.spec)]
+    fixed = np.ones(cls.size, dtype=bool)
+    for p in sylow:
+        fixed &= p == every
+    if not fixed.any():
+        raise ClassSizeMismatch(f"no vertex is fixed by all {len(sylow)} Sylow generators")
+    sigma = cls.carry([np.argmax(fixed)], every)[0]
+    back = np.empty_like(sigma)
+    back[sigma] = every
+    root = every.copy()
+    for p in sylow:
+        root, _ = merge_suborbits(root, back[p[sigma]])
     return root
 
 
@@ -981,8 +970,9 @@ class SeedSets:
 class Suborbits(NamedTuple):
     """The classes of stabiliser_suborbits but {0}: root[y] is the least
     vertex of y's class; class t has least vertex reps[t], sizes[t] members
-    and orders[t], the order of x0 y for every y in it, since each Schreier
-    generator s conjugates by an h fixing x0: order(x0 y) = order(x0 s(y))."""
+    and orders[t], the order of x0 y for every y in it, since each
+    conjugated Sylow generator s = sigma^-1 p sigma conjugates by an h
+    fixing x0: order(x0 y) = order(x0 s(y))."""
 
     root: np.ndarray
     reps: np.ndarray

@@ -18,6 +18,9 @@ same-label relation.  carried_rows carries the seed's partner sets to
 every vertex in one dense call, where the library works a block at a time;
 sigma_along_tree composes one sigma_x a generator at a time along the
 tree path, where the library gathers whole levels from its flat buffer.
+schreier_suborbits merges Schreier generators of vertex 0's stabiliser,
+one (vertex, generator) pair at a time, where the library merges the
+Sylow generators conjugated once.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
 blocked adjacency products.  involution_class_by_dict is the only
@@ -29,6 +32,7 @@ time, where the library enumerates the Sylow 2-centres in closed form.
 import gc
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +45,8 @@ from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValue
                         PartitionNotUniform)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
                         canonicalize, check_group_form, encode, generators, identity,
-                        mat_inv_det1, mat_mul, mat_scale, reversal, scalar_code,
-                        seed_involution)
+                        mat_inv_det1, mat_mul, mat_scale, merge_suborbits, reversal,
+                        scalar_code, seed_involution)
 
 
 @dataclass(frozen=True)
@@ -424,6 +428,53 @@ def sigma_along_tree(cls, x: int) -> np.ndarray:
     for t in reversed(path):  # the edge nearest the root acts first
         sigma = cls.perms[t][sigma]
     return sigma
+
+
+def schreier_generators(cls):
+    """Permutations s = sigma_g(u)^-1 o g o sigma_u of vertex 0's stabiliser,
+    one for each vertex u and generator g, less the identities.  The u run
+    k * stride mod v for k = 0 .. v - 1, stride the integer nearest v / phi^2
+    that is prime to v, so that every vertex comes once and consecutive
+    ones lie far apart.
+
+    sigma_x is carried over all vertices (InvolutionClass.carry), so
+    s(0) = 0; by Schreier's lemma all of them generate the stabiliser.
+    When g is the tree edge into g(u), sigma_g(u) = g o sigma_u and s is
+    the identity, so no sigma is carried for it.
+    """
+    perms = cls.perms
+    parent, label, _ = cls.tree
+    every = cls.steps[-1]
+    back = np.empty_like(every)
+    stride = max(1, round(cls.size * (3 - 5 ** 0.5) / 2))
+    while math.gcd(stride, cls.size) != 1:
+        stride += 1
+    for k in range(cls.size):
+        u, sigma_u = k * stride % cls.size, None
+        for t, g in enumerate(perms):
+            w = g[u]
+            if parent[w] == u and label[w] == t:
+                continue
+            if sigma_u is None:
+                sigma_u = cls.carry([u], every)[0]
+            back[cls.carry([w], every)[0]] = every
+            s = back[g[sigma_u]]
+            if not np.array_equal(s, every):
+                yield s
+
+
+def schreier_suborbits(cls) -> np.ndarray:
+    """root[y], the least vertex of y's class, from the Schreier generators
+    merged until |generators| of them in a row join nothing; run to the
+    end they would give the suborbits themselves."""
+    root = np.arange(cls.size, dtype=np.int32)
+    idle, patience = 0, len(cls.perms)
+    for s in schreier_generators(cls):
+        root, joined = merge_suborbits(root, s)
+        idle = 0 if joined else idle + 1
+        if idle == patience:
+            break
+    return root
 
 
 def antipodal_classes_two_pass(g: Graph) -> np.ndarray:

@@ -247,26 +247,36 @@ def _check_against_formulas(family, n, budget_s):
 
 
 def _verify_in_subprocess(family, n, budget_s):
-    """run_verify's certificate and peak RSS in MB from a fresh process, so
+    """run_verify's certificate, peak RSS in MB and whether its suborbit
+    roots equal the Schreier-generator oracle's, from a fresh process, so
     that no other test's heap counts towards the peak.  The peak is VmHWM,
     that of the process's own memory: Linux carries the spawning process's
-    peak into the child's ru_maxrss across the exec."""
+    peak into the child's ru_maxrss across the exec.  The oracle runs after
+    the peak and the time are read, on the class run_verify built."""
     code = ("import json, sys, time\n"
+            "import numpy as np\n"
+            "from fgl import groups\n"
             "from fgl.pipeline import run_verify\n"
+            "from oracles import schreier_suborbits\n"
+            "kept, real = [], groups.stabiliser_suborbits\n"
+            "groups.stabiliser_suborbits = lambda cls: kept.append((cls, real(cls))) or kept[-1][1]\n"
             "t0 = time.monotonic()\n"
             f"rep = run_verify({family!r}, {n})\n"
             "elapsed = time.monotonic() - t0\n"
             "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
             "rss = int(hwm.split()[1]) / 1024\n"
-            "json.dump({'data': rep.data, 'elapsed': elapsed, 'rss_mb': rss}, sys.stdout)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fgl.__file__)))
+            "roots_match = [bool(np.array_equal(root, schreier_suborbits(cls))) for cls, root in kept]\n"
+            "json.dump({'data': rep.data, 'elapsed': elapsed, 'rss_mb': rss,\n"
+            "           'roots_match': roots_match}, sys.stdout)\n")
+    path = [os.path.dirname(os.path.dirname(fgl.__file__)), os.path.dirname(__file__)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=10 * budget_s)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     elapsed = out["elapsed"]
     assert elapsed < budget_s, f"{family} n={n} took {elapsed:.1f}s, budget {budget_s}s"
-    return out["data"], out["rss_mb"]
+    return out["data"], out["rss_mb"], out["roots_match"]
 
 
 def _check_certificate(family, n, d):
@@ -304,9 +314,11 @@ def test_ladder_psu3_n5():
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 8 s and a 204 MB peak RSS on two cores
-    d, rss_mb = _verify_in_subprocess("psl2", 10, 25.0)
+    # v = 1048575; about 8 s and a 204 MB peak RSS on two cores, then about
+    # 3 s for the Schreier-generator oracle
+    d, rss_mb, roots_match = _verify_in_subprocess("psl2", 10, 25.0)
     _check_certificate("psl2", 10, d)
+    assert roots_match == [True]
     assert rss_mb < 235, f"psl2 n=10 peaked at {rss_mb:.1f} MB RSS, bound 235 MB"
 
 

@@ -15,7 +15,8 @@ from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
                         seed_involution, sylow_partition)
 from oracles import (carried_rows, element_order, full_generators,
                      involution_class_by_dict, product_order, psu3_unitriangular_scan,
-                     sigma_along_tree, vertex_index)
+                     schreier_generators, schreier_suborbits, sigma_along_tree,
+                     vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -437,7 +438,7 @@ def test_stabiliser_permutations_fix_vertex_0_and_keep_orders(family, n):
     row = _row0_orders(cls)
     root = np.arange(v, dtype=np.int32)
     made = []
-    for s in gr.schreier_generators(cls):
+    for s in schreier_generators(cls):
         assert s[0] == 0
         assert np.array_equal(np.sort(s), np.arange(v))
         assert np.array_equal(row[s], row)
@@ -453,8 +454,12 @@ def test_stabiliser_permutations_fix_vertex_0_and_keep_orders(family, n):
             if not np.array_equal(s, every):
                 want.append(s.tobytes())
     assert sorted(made) == sorted(want)
-    # all of them generate the stabiliser; the stop rule lost no suborbit
-    assert np.array_equal(root, gr.stabiliser_suborbits(cls))
+    # all of them generate the stabiliser; the stop rule lost no suborbit,
+    # and the conjugated Sylow generators find the same suborbits
+    assert np.array_equal(root, schreier_suborbits(cls))
+    sylow = gr.stabiliser_suborbits(cls)
+    assert np.array_equal(root, sylow)
+    assert np.array_equal(row[sylow], row)
 
 
 def test_census_witness_is_the_least_vertex_of_row_0(monkeypatch):
@@ -469,14 +474,38 @@ def test_census_witness_is_the_least_vertex_of_row_0(monkeypatch):
     assert orbital.even_gt2_pairs == cls.size * int((row == top).sum()) // 2
 
 
-def test_a_permutation_moving_vertex_0_is_refused(psl2_8_class, monkeypatch):
+def test_a_permutation_moving_vertex_0_is_refused(psl2_8_class):
     v = psl2_8_class.size
     forged = np.roll(np.arange(v, dtype=np.int32), 1)
     with pytest.raises(gr.NotInStabiliser, match="moves vertex 0"):
         gr.merge_suborbits(np.arange(v, dtype=np.int32), forged)
-    monkeypatch.setattr(gr, "schreier_generators", lambda cls: iter([forged]))
-    with pytest.raises(gr.NotInStabiliser):
-        gr.orbital_order_census(gr.closed_class(psl2_8_class.spec, psl2_8_class.codes))
+    # a wrong sigma: carry returns the identity, so sigma does not take 0 to
+    # the vertex the Sylow generators fix, and their conjugates move 0
+    cls = gr.closed_class(psl2_8_class.spec, psl2_8_class.codes)
+    cls.carry = lambda xs, seed: np.tile(np.asarray(seed), (len(xs), 1))
+    with pytest.raises(gr.NotInStabiliser, match="moves vertex 0"):
+        gr.orbital_order_census(cls)
+
+
+def test_a_sylow_prefix_fixing_no_vertex_is_refused(psl2_8_class, monkeypatch):
+    # the prefix takes in the reversal, which fixes no involution of Z(U*)
+    monkeypatch.setattr(gr, "sylow_generator_count", lambda spec: spec.n + 1)
+    cls = gr.closed_class(psl2_8_class.spec, psl2_8_class.codes)
+    with pytest.raises(ClassSizeMismatch, match="no vertex is fixed by all 4 Sylow generators"):
+        gr.orbital_order_census(cls)
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("psl2", 6), ("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_sylow_generators_fix_one_commuting_class(family, n):
+    spec = make_group(family, n)
+    k = gr.sylow_generator_count(spec)
+    assert len(generators(spec)) == k + (2 if family == "sz" else 1)
+    cls = involution_class(spec)
+    fixed = np.flatnonzero((cls.perms[:k] == np.arange(cls.size)).all(axis=0))
+    assert len(fixed) == spec.q - 1
+    labels = cls.sylow_labels()
+    assert np.array_equal(np.flatnonzero(labels == labels[fixed[0]]), fixed)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -513,7 +542,9 @@ def test_merged_classes_are_the_orbits(seed):
 def test_census_takes_one_product_per_suborbit(family, n, monkeypatch):
     cls = involution_class(make_group(family, n))
     q = cls.spec.q
-    assert len(np.unique(gr.stabiliser_suborbits(cls))) == 2 * q - 2
+    root = gr.stabiliser_suborbits(cls)
+    assert len(np.unique(root)) == 2 * q - 2
+    assert np.array_equal(root, schreier_suborbits(cls))
     seen = []
     real = gr._batch_orders
     monkeypatch.setattr(gr, "_batch_orders",
