@@ -1,8 +1,7 @@
 """Exact fusion-graph construction and verification for PSL2(q), Sz(q), PSU3(q)."""
 
-from .formulas import (IntersectionArray, InvalidQ, cn_graph_structure,
-                       deza_pair, is_strict, krmu, p22_numbers,
-                       predicted_chi_array, predicted_deza_params)
+from .formulas import (IntersectionArray, InvalidQ, deza_pair, is_strict, krmu,
+                       p22_numbers, predicted_chi_array, predicted_deza_params)
 from .fusion import PiSpec, build_fusion_graph
 from .gf2 import FieldCtx, field_ctx
 from .graphs import (DdgCert, DezaCert, Graph, antipodal_classes,

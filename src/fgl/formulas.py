@@ -177,18 +177,3 @@ def predicted_ddg(family: str, q: int) -> dict:
         "lambda_cross": (r - 1) ** 2 * mu,
     }
 
-
-def cn_graph_structure(k: int, r: int, mu: int, c: int):
-    """Predicted structure of the c-common-neighbor graph of the distance-2 graph.
-
-    Returns ("multipartite", k+1, r) for c = (r-1)^2 mu, ("cliques", k+1, r)
-    for c = k(r-2), and None for any other c.  Requires r not in {2, mu+2}.
-    """
-    _check_cover(k, r, mu)
-    if r == mu + 2:
-        raise HypothesisViolated(f"need r != mu + 2, got r = {r}, mu = {mu}")
-    if c == (r - 1) ** 2 * mu:
-        return ("multipartite", k + 1, r)
-    if c == k * (r - 2):
-        return ("cliques", k + 1, r)
-    return None

@@ -151,9 +151,6 @@ class FieldCtx:
 
     # -- scalar operations ---------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul_poly(self, a: int, b: int) -> int:
         """Reference multiplication: carry-less product + reduction."""
         return clmod(clmul(a, b), self.modulus)

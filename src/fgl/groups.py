@@ -530,15 +530,16 @@ def _word_keys(keys):
     return padded.view(">u8").astype(np.uint64)
 
 
-_FOLD_COLLISION = "two distinct encodings share a search key (their fold)"
+_FOLD_COLLISION = "two distinct encodings share a sort key (their fold)"
 _FOLD_MIX = (np.uint64(0xFF51AFD7ED558CCD), np.uint64(0xC4CEB9FE1A85EC53))
 
 
 def _fold(words):
-    """One uint64 search key per row of words: the word itself when there
+    """One uint64 sort key per row of words: the word itself when there
     is one, else each word XORed into a mix (the 64-bit finaliser of
     MurmurHash3) of the fold of those before it.  Not injective: a fold
-    only finds a row, and _KeyIndex confirms every match on all words."""
+    only orders rows, and _closure_perms compares every image it matches
+    on all words."""
     out = words[:, 0].copy()
     for j in range(1, words.shape[1]):
         for mul in _FOLD_MIX:
@@ -547,40 +548,6 @@ def _fold(words):
         out ^= out >> np.uint64(33)
         out ^= words[:, j]
     return out
-
-
-class _KeyIndex:
-    """Vertex ids by canonical encoding: words[i] is vertex i's _word_keys
-    row, all of them distinct.
-
-    The search runs over one sorted uint64 array, the vertices' _fold
-    values, with the vertex ids in the same order.  A fold match is a hit
-    only if all its words agree; a match whose words differ, or two
-    vertices with one fold, raises ClassSizeMismatch, so no two involutions
-    are ever taken for one.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-        folds = _fold(words)
-        self.ids = np.argsort(folds)
-        self.folds = folds[self.ids]
-        if (self.folds[1:] == self.folds[:-1]).any():
-            raise ClassSizeMismatch(_FOLD_COLLISION)
-
-    def find(self, words: np.ndarray):
-        """(ids, known): the vertex of each row of words, where it is one."""
-        folds = _fold(words)
-        order = np.argsort(folds)  # sorted queries search faster
-        folds = folds[order]
-        pos = np.minimum(np.searchsorted(self.folds, folds), len(self.folds) - 1)
-        known = self.folds[pos] == folds
-        ids = self.ids[pos]
-        if not (self.words[ids[known]] == words[order[known]]).all():
-            raise ClassSizeMismatch(_FOLD_COLLISION)
-        out, found = np.empty_like(ids), np.empty_like(known)
-        out[order], found[order] = ids, known
-        return out, found
 
 
 def _lex_less(a, b):
@@ -776,24 +743,35 @@ def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
     """closed_class's generator permutations of the rows, then the identity
     row, in one (t + 1, v) int32 buffer (InvolutionClass.steps), once their
     encodings strictly increase, they hold the seed and every generator
-    conjugates them into themselves.  The search index dies on return,
-    before the Schreier tree, which sets the peak memory, is built."""
+    conjugates them into themselves.  steps[t] matches generator t's images
+    to the rows in order of fold, so it is a permutation, and the images
+    all equal their rows exactly when the generator permutes the rows.
+    Folds and comparisons run CLASS_BLOCK rows at a time, so the only
+    temporary of v rows is each generator's fold order."""
     kern = _Kernels(spec)
     words = kern.encode_keys(codes)
     if not _lex_less(words[:-1], words[1:]).all():
         raise ClassSizeMismatch("class has a duplicate or a reordered row: "
                                 "encodings do not strictly increase")
-    index = _KeyIndex(words)
-    if not index.find(kern.encode_keys(_seed_codes(spec, kern.dtype)))[1][0]:
+    if not (words == kern.encode_keys(_seed_codes(spec, kern.dtype))).all(axis=1).any():
         raise ClassSizeMismatch("class lacks the canonical seed involution")
+    folds = _fold(words)
+    rows_by_fold = np.argsort(folds).astype(np.int32)
+    if (np.diff(folds[rows_by_fold]) == 0).any():
+        raise ClassSizeMismatch(_FOLD_COLLISION)
     conjugators = _conjugators(spec, kern)
     steps = np.empty((len(conjugators) + 1, len(codes)), dtype=np.int32)
+    images, image_folds = np.empty_like(words), np.empty_like(folds)
     for t, (gi, g) in enumerate(conjugators):
         for lo in range(0, len(codes), CLASS_BLOCK):
-            ids, known = index.find(_conjugate(kern, gi, g, codes[lo:lo + CLASS_BLOCK])[1])
-            if not known.all():
+            block = slice(lo, lo + CLASS_BLOCK)
+            images[block] = _conjugate(kern, gi, g, codes[block])[1]
+            image_folds[block] = _fold(images[block])
+        steps[t, np.argsort(image_folds)] = rows_by_fold
+        for lo in range(0, len(codes), CLASS_BLOCK):
+            block = slice(lo, lo + CLASS_BLOCK)
+            if not (words[steps[t, block]] == images[block]).all():
                 raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
-            steps[t, lo:lo + CLASS_BLOCK] = ids
     steps[-1] = np.arange(len(codes))
     return steps
 

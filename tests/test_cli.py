@@ -261,11 +261,11 @@ def test_unknown_check_exits_2(tmp_path, capsys):
 
 
 def test_console_entry_point(tmp_path):
-    # exercise the installed module entry once via a subprocess
+    # exercise the module entry once via a subprocess
     proc = subprocess.run(
         [sys.executable, "-m", "fgl.cli", "report", "--psl2-max-n", "2",
          "--sz-max-n", "3", "--psu3-max-n", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0
     assert "psl2" in proc.stdout
 
@@ -276,10 +276,14 @@ def _construct_psl2_8(tmp_path, pi):
     return path
 
 
+def _src_env(**extra):
+    """The environment with PYTHONPATH at the fgl this test imported, so a
+    python -m fgl.cli child finds it however pytest was started."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fgl.__file__)), **extra)
+
+
 def _analyze_subprocess(path, threads):
-    src = os.path.dirname(os.path.dirname(fgl.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads),
-               PYTHONPATH=src)
+    env = _src_env(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
     proc = subprocess.run(
         [sys.executable, "-m", "fgl.cli", "analyze", "--in", path,
          "--check", "drg,antipodal,deza,spectrum"],

@@ -2,9 +2,8 @@ import pytest
 
 from fgl import formulas
 from fgl.formulas import (HypothesisViolated, IntersectionArray, InvalidQ,
-                          cn_graph_structure, deza_pair, is_strict, krmu,
-                          p22_numbers, predicted_chi_array,
-                          predicted_deza_params)
+                          deza_pair, is_strict, krmu, p22_numbers,
+                          predicted_chi_array, predicted_deza_params)
 
 
 def test_p22_reference_values():
@@ -74,14 +73,6 @@ def test_deza_pair_sorted():
     assert (a, b) == (320, 324)
     a, b = deza_pair(8, 7, 1)  # psl2(8): k(r-2) dominates
     assert (a, b) == (36, 40)
-
-
-def test_cn_graph_structure():
-    assert cn_graph_structure(64, 7, 9, 324) == ("multipartite", 65, 7)
-    assert cn_graph_structure(64, 7, 9, 320) == ("cliques", 65, 7)
-    assert cn_graph_structure(64, 7, 9, 100) is None
-    with pytest.raises(HypothesisViolated):
-        cn_graph_structure(4, 3, 1, 4)  # degenerate r = mu + 2
 
 
 def test_published_family_forms_coincide_with_cover_derivation():

@@ -94,7 +94,7 @@ def test_psu3_unipotent_scan_matches_derived_condition():
     derived = set()
     for x in ctx.elements():
         for y in ctx.elements():
-            if ctx.add(y, ctx.frobenius(y, spec.n)) == ctx.pow(x, spec.q + 1):
+            if y ^ ctx.frobenius(y, spec.n) == ctx.pow(x, spec.q + 1):
                 derived.add(((1, 0, 0), (x, 1, 0), (y, ctx.frobenius(x, spec.n), 1)))
     assert scanned == derived
 
@@ -269,9 +269,9 @@ def test_word_key_order_is_the_byte_order(data):
 
 def test_a_fold_collision_raises_instead_of_merging(sz8_class, monkeypatch):
     monkeypatch.setattr(gr, "_fold", lambda words: np.zeros(len(words), dtype=np.uint64))
-    with pytest.raises(ClassSizeMismatch, match="search key"):
+    with pytest.raises(ClassSizeMismatch, match="sort key"):
         involution_class(sz8_class.spec)
-    with pytest.raises(ClassSizeMismatch, match="search key"):
+    with pytest.raises(ClassSizeMismatch, match="sort key"):
         gr.closed_class(sz8_class.spec, sz8_class.codes)
 
 
@@ -286,12 +286,15 @@ def test_class_matches_the_dict_oracle(family, n):
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
-def test_class_blocks_give_the_same_class(psu3_4_class, monkeypatch, block):
-    # the enumeration and the closure pass run CLASS_BLOCK rows at a time
+def test_class_blocks_give_the_same_class(psl2_8_class, sz8_class, psu3_4_class,
+                                          monkeypatch, block):
+    # the enumeration and the closure pass run CLASS_BLOCK rows at a time;
+    # psl2 n=3 keys are 1 word, sz n=3 and psu3 n=2 keys 2 words
     monkeypatch.setattr(gr, "CLASS_BLOCK", block)
-    cls = involution_class(psu3_4_class.spec)
-    assert np.array_equal(cls.codes, psu3_4_class.codes)
-    assert np.array_equal(cls.perms, psu3_4_class.perms)
+    for whole in (psl2_8_class, sz8_class, psu3_4_class):
+        cls = involution_class(whole.spec)
+        assert np.array_equal(cls.codes, whole.codes)
+        assert np.array_equal(cls.perms, whole.perms)
 
 
 def test_product_orders_and_masks_agree(psl2_8_class):
@@ -568,11 +571,15 @@ def test_closed_class_check_rejects_reordered_rows(psl2_8_class, swap):
         gr.closed_class(psl2_8_class.spec, codes)
 
 
-def test_closed_class_check_rejects_missing_seed(psl2_8_class):
-    codes = psl2_8_class.codes.copy()
-    codes[0] = 0  # the seed is row 0; the zero matrix keeps the rows sorted
-    with pytest.raises(ClassSizeMismatch, match="seed"):
-        gr.closed_class(psl2_8_class.spec, codes)
+def test_closed_class_check_rejects_missing_seed(psl2_8_class, sz8_class, psu3_4_class):
+    # with one-byte codes the seed is row 0; the zero matrix keeps the rows sorted
+    for cls in (psl2_8_class, sz8_class, psu3_4_class):
+        seed = canonicalize(cls.spec, seed_involution(cls.spec))
+        assert cls.codes[0].tolist() == [list(row) for row in seed]
+        codes = cls.codes.copy()
+        codes[0] = 0
+        with pytest.raises(ClassSizeMismatch, match="lacks the canonical seed"):
+            gr.closed_class(cls.spec, codes)
 
 
 def test_sylow_partition_names_a_witness(psl2_8_class):
