@@ -3,7 +3,7 @@
 from .formulas import (IntersectionArray, InvalidQ, deza_pair, is_strict, krmu,
                        p22_numbers, predicted_chi_array, predicted_deza_params)
 from .fusion import PiSpec, build_fusion_graph
-from .gf2 import FieldCtx, field_ctx
+from .gf2 import FieldCtx
 from .graphs import (DdgCert, DezaCert, Graph, antipodal_classes,
                      common_neighbor_spectrum, deza_check, ddg_check,
                      intersection_array, recognize_clique_union,

@@ -89,7 +89,7 @@ def cmd_construct(args) -> int:
         "vertices": cls.size,
         "edges": g.edge_count(),
         "sylow_labels": [int(x) for x in cls.sylow_labels()],
-        "involutions": [cls.encoding(i).hex() for i in range(cls.size)],
+        "involutions": [row.tobytes().hex() for row in groups.encodings(cls.codes)],
     }
     atomic_write_text(args.out + ".meta.json", json.dumps(meta) + "\n")
     print(f"wrote {args.out} ({cls.size} vertices, {meta['edges']} edges, {fmt})")
@@ -251,8 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pi", choices=["chi", "odd-complement"], default="chi")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["json", "graph6"])
-    p.add_argument("--cache", help="class cache directory: <family>-n<N>-v3.npy is read "
-                                    "once proven to be the class, else built and written")
+    cache_file = f"<family>-n<N>-v{pipeline.CODE_VERSION}.npy"
+    p.add_argument("--cache", help=f"class cache directory: {cache_file} is read once "
+                                    "proven to be the class, else built and written")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="run the full verification pipeline")

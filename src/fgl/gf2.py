@@ -187,9 +187,6 @@ class FieldCtx:
             a = self.mul(a, a)
         return a
 
-    def elements(self) -> range:
-        return range(self.order)
-
     # -- numpy kernels ---------------------------------------------------
 
     @property
@@ -225,8 +222,3 @@ class FieldCtx:
             a = np.arange(self.order)
             self._np_full = exp3[log[a][:, None] + log[a][None, :]]
         return self._np_full
-
-
-def field_ctx(n: int, modulus: int | None = None) -> FieldCtx:
-    """Build a GF(2^n) context; the default modulus is the least irreducible."""
-    return FieldCtx(n, modulus)

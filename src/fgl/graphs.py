@@ -421,9 +421,6 @@ class DezaCert:
     is_strongly_regular: bool
     spectrum: dict
 
-    def params(self) -> tuple[int, int, int, int]:
-        return (self.v, self.k, self.b, self.a)
-
     def to_dict(self) -> dict:
         return {
             "v": self.v, "k": self.k, "b": self.b, "a": self.a,

@@ -3,7 +3,10 @@
 Group elements are d x d matrices over GF(q) (GF(q^2) in the unitary case)
 stored as tuples of int element codes, kept in canonical projective form:
 among all center scalings of a matrix, the representative whose row-major
-little-endian byte encoding is least.  The generating sets have O(n)
+little-endian byte encoding is least.  The scalings share their zero
+entries, so their encodings first differ at the leading (first nonzero)
+entry e, and the least is the scaling z*m whose z*e encodes least
+(_Kernels.canonical_batch).  The generating sets have O(n)
 elements: unipotents over a GF(2)-basis, the reversal and, for Sz, a torus
 element (generators).  The conjugacy class of involutions is the disjoint
 union of the q^l + 1 Sylow 2-centres less the identity: Z(U)^# for the
@@ -39,8 +42,10 @@ construction carries vertex 0's partner sets the same way
 direct products of cross_check_rows are oracles.
 
 Bulk pairwise work runs on numpy arrays of element codes with
-multiplication as table gathers; the scalar routines on tuples are the
-reference path.
+multiplication as table gathers.  The scalar routines on tuples build and
+form-check the generators and the seed; the scalar canonical form and
+encoding, which compare every centre scaling, are the tests' references
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -150,10 +155,6 @@ def mat_inv_det1(ctx: FieldCtx, a: Matrix) -> Matrix:
         raise NotInGroupForm("matrix does not have determinant 1")
     d = len(a)
     return tuple(tuple(_minor_det(ctx, a, j, i) for j in range(d)) for i in range(d))
-
-
-def mat_scale(ctx: FieldCtx, s: int, a: Matrix) -> Matrix:
-    return tuple(tuple(ctx.mul(s, e) for e in row) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -398,29 +399,13 @@ def sylow_generator_count(spec: GroupSpec) -> int:
 # -- canonical projective form -------------------------------------------------
 
 
-def _byte_width(spec: GroupSpec) -> int:
-    return (spec.ctx.n + 7) // 8
-
-
-def encode(spec: GroupSpec, m: Matrix) -> bytes:
-    """Row-major, fixed-width little-endian bytes per entry."""
-    w = _byte_width(spec)
-    return b"".join(e.to_bytes(w, "little") for row in m for e in row)
-
-
-def canonicalize(spec: GroupSpec, m: Matrix) -> Matrix:
-    """Encoding-least representative of {z*m : z in center}; idempotent."""
-    check_group_form(spec, m)
-    if len(spec.center) == 1:
-        return m
-    best = m
-    best_key = encode(spec, m)
-    for z in spec.center[1:]:
-        cand = mat_scale(spec.ctx, z, m)
-        key = encode(spec, cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+def encodings(codes: np.ndarray) -> np.ndarray:
+    """(m, d, d) codes -> (m, B) uint8 rows, each matrix's encoding: its
+    entries row-major, each little-endian in the width of the codes' dtype,
+    1 byte up to GF(2^8) and 2 above (np_tables stops at GF(2^16))."""
+    m, d = codes.shape[0], codes.shape[-1]
+    le = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<"))
+    return le.view(np.uint8).reshape(m, d * d * le.itemsize)
 
 
 # -- vectorized kernels ----------------------------------------------------------
@@ -435,6 +420,11 @@ class _Kernels:
         self.full = spec.ctx.np_mul_table()
         if self.full is None:
             self.log, self.exp3 = spec.ctx.np_tables()
+        self.least_scale = None  # least_scale[e]: the z in the centre whose z*e encodes least
+        if len(spec.center) > 1:
+            z = np.array(spec.center, dtype=self.dtype)
+            scaled = self._mul(z[:, None], np.arange(spec.ctx.order, dtype=self.dtype))
+            self.least_scale = z[scaled.byteswap().argmin(axis=0)]
 
     def _mul(self, a, b):
         if self.full is not None:
@@ -493,31 +483,22 @@ class _Kernels:
         return ok
 
     def encode_keys(self, x):
-        """(m, d, d) codes -> the _word_keys of their byte encodings, which
-        match encode().
-
-        Kernels exist only up to GF(2^16) (np_tables), so a code is 1 or 2 bytes."""
-        m, d = x.shape[0], x.shape[-1]
-        flat = x.reshape(m, d * d)
-        if _byte_width(self.spec) == 1:
-            return _word_keys(flat.astype(np.uint8))
-        return _word_keys(flat.astype("<u2").view(np.uint8).reshape(m, d * d * 2))
+        """(m, d, d) codes -> the _word_keys of their encodings."""
+        return _word_keys(encodings(x))
 
     def canonical_batch(self, x):
-        """Canonicalize a batch; returns (codes, keys)."""
-        keys = self.encode_keys(x)
-        if len(self.spec.center) == 1:
-            return x, keys
-        best_x = x.copy()
-        best_k = keys.copy()
-        for z in self.spec.center[1:]:
-            cand = self.scale(z, x)
-            ck = self.encode_keys(cand)
-            less = _lex_less(ck, best_k)
-            if less.any():
-                best_x[less] = cand[less]
-                best_k[less] = ck[less]
-        return best_x, best_k
+        """Canonicalize a batch; returns (codes, keys).
+
+        The centre scalings z*m of a matrix m have the same zero entries,
+        so their encodings first differ at m's leading entry e: z*e differs
+        for each z, and an entry's little-endian bytes compare like its
+        code byteswapped (1-byte codes: the code itself).  So the least is
+        the one scaling by least_scale[e]."""
+        if self.least_scale is not None:
+            flat = x.reshape(len(x), x.shape[-1] ** 2)
+            lead = flat[np.arange(len(x)), (flat != 0).argmax(axis=1)]
+            x = self._mul(self.least_scale[lead][:, None, None], x)
+        return x, self.encode_keys(x)
 
 
 def _word_keys(keys):
@@ -592,12 +573,6 @@ class InvolutionClass:
     def size(self) -> int:
         return len(self.codes)
 
-    def member(self, i: int) -> Matrix:
-        return tuple(tuple(int(e) for e in row) for row in self.codes[i])
-
-    def encoding(self, i: int) -> bytes:
-        return encode(self.spec, self.member(i))
-
     def suborbits(self) -> "Suborbits":
         """stabiliser_suborbits, the 2q - 2 orbits of sigma^-1 U* sigma on
         the vertices, with the order of vertex 0's product with the least
@@ -660,11 +635,14 @@ def _conjugate(kern: _Kernels, gi, g, x):
     return kern.canonical_batch(kern.mul_right(kern.mul_left(gi, x), g))
 
 
-def _seed_codes(spec: GroupSpec, dtype) -> np.ndarray:
+def _seed_keys(spec: GroupSpec, kern: _Kernels) -> np.ndarray:
+    """The keys of the canonical seed, once it is form-checked and proven
+    an involution."""
     seed = seed_involution(spec)
     if mat_mul(spec.ctx, seed, seed) != identity(spec.dim) or scalar_code(seed) is not None:
         raise SeedNotInvolution("seed does not square to the identity")
-    return np.array(canonicalize(spec, seed), dtype=dtype)[None]
+    check_group_form(spec, seed)
+    return kern.canonical_batch(np.array(seed, dtype=kern.dtype)[None])[1]
 
 
 def _unipotent_inverse(kern: _Kernels, u: np.ndarray) -> np.ndarray:
@@ -753,7 +731,7 @@ def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
     if not _lex_less(words[:-1], words[1:]).all():
         raise ClassSizeMismatch("class has a duplicate or a reordered row: "
                                 "encodings do not strictly increase")
-    if not (words == kern.encode_keys(_seed_codes(spec, kern.dtype))).all(axis=1).any():
+    if not (words == _seed_keys(spec, kern)).all(axis=1).any():
         raise ClassSizeMismatch("class lacks the canonical seed involution")
     folds = _fold(words)
     rows_by_fold = np.argsort(folds).astype(np.int32)

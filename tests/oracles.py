@@ -27,6 +27,9 @@ blocked adjacency products.  involution_class_by_dict is the only
 breadth-first builder of the class: the orbit of the seed under the
 generators, with a Python dict keyed by encode() bytes, one matrix at a
 time, where the library enumerates the Sylow 2-centres in closed form.
+least_scaling encodes every centre scaling of one tuple matrix and keeps
+the least (canonicalize form-checks it first), where the library scales
+each matrix once, by its leading entry (_Kernels.canonical_batch).
 """
 
 import gc
@@ -44,9 +47,8 @@ from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValue
                         NotAntipodal, NotDistanceRegular, NotRegular,
                         PartitionNotUniform)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
-                        canonicalize, check_group_form, encode, generators, identity,
-                        mat_inv_det1, mat_mul, mat_scale, merge_suborbits, reversal,
-                        scalar_code, seed_involution)
+                        check_group_form, generators, identity, mat_inv_det1, mat_mul,
+                        merge_suborbits, reversal, scalar_code, seed_involution)
 
 
 @dataclass(frozen=True)
@@ -325,6 +327,33 @@ def diameter(g: Graph) -> int:
     return ecc
 
 
+def mat_scale(ctx, s: int, a):
+    return tuple(tuple(ctx.mul(s, e) for e in row) for row in a)
+
+
+def encode(spec, m) -> bytes:
+    """Row-major bytes, each entry little-endian in the field's width."""
+    w = (spec.ctx.n + 7) // 8
+    return b"".join(e.to_bytes(w, "little") for row in m for e in row)
+
+
+def least_scaling(spec, m):
+    """The encode()-least of the centre scalings z*m, found by encoding
+    every one of them."""
+    return min((mat_scale(spec.ctx, z, m) for z in spec.center), key=lambda a: encode(spec, a))
+
+
+def canonicalize(spec, m):
+    """The canonical form of a group element: form-checked, then least_scaling."""
+    check_group_form(spec, m)
+    return least_scaling(spec, m)
+
+
+def member(cls, i: int):
+    """Vertex i of cls as a tuple matrix."""
+    return tuple(tuple(int(e) for e in row) for row in cls.codes[i])
+
+
 def element_order(spec, m) -> int:
     """Least k >= 1 with m^k a center scalar (projective order)."""
     cur = m
@@ -338,12 +367,12 @@ def element_order(spec, m) -> int:
 
 
 def product_order(spec, x: int, y: int, cls) -> int:
-    return element_order(spec, mat_mul(spec.ctx, cls.member(x), cls.member(y)))
+    return element_order(spec, mat_mul(spec.ctx, member(cls, x), member(cls, y)))
 
 
 def vertex_index(cls) -> dict[bytes, int]:
     """encode() bytes of each member of cls -> its vertex."""
-    return {cls.encoding(i): i for i in range(cls.size)}
+    return {encode(cls.spec, member(cls, i)): i for i in range(cls.size)}
 
 
 def involution_class_by_dict(spec):
@@ -353,16 +382,12 @@ def involution_class_by_dict(spec):
     then numbered by encoding, as the library numbers them."""
     ctx = spec.ctx
     gens = [(mat_inv_det1(ctx, g), g) for g in generators(spec)]
-
-    def canonical(m):
-        return min((mat_scale(ctx, z, m) for z in spec.center), key=lambda a: encode(spec, a))
-
     seed = canonicalize(spec, seed_involution(spec))
     members, number = [seed], {encode(spec, seed): 0}
     images = [[] for _ in gens]
     for m in members:  # grows as the search goes
         for row, (gi, g) in zip(images, gens):
-            c = canonical(mat_mul(ctx, gi, mat_mul(ctx, m, g)))
+            c = least_scaling(spec, mat_mul(ctx, gi, mat_mul(ctx, m, g)))
             key = encode(spec, c)
             if key not in number:
                 number[key] = len(members)
@@ -381,9 +406,9 @@ def psu3_unitriangular_scan(spec) -> list:
     passes the form check, found by trying all q^4 pairs (x, y)."""
     ctx = spec.ctx
     out = []
-    for x in ctx.elements():
+    for x in range(ctx.order):
         xq = ctx.frobenius(x, spec.n)
-        for y in ctx.elements():
+        for y in range(ctx.order):
             m = ((1, 0, 0), (x, 1, 0), (y, xq, 1))
             try:
                 check_group_form(spec, m)
@@ -400,7 +425,7 @@ def full_generators(spec) -> list:
     ctx = spec.ctx
     if spec.family == SZ:
         gens = [_sz_unipotent(spec, a, b)
-                for a in ctx.elements() for b in ctx.elements() if (a, b) != (0, 0)]
+                for a in range(ctx.order) for b in range(ctx.order) if (a, b) != (0, 0)]
         return gens + [_sz_torus(spec), reversal(4)]
     if spec.family == PSU3:
         return [m for m in psu3_unitriangular_scan(spec) if m != identity(3)] + [reversal(3)]

@@ -220,10 +220,10 @@ def test_criterion_8_algebraic_grids():
             for r in range(3, 101):
                 k = r * mu + 1
                 assert formulas.is_strict(k, r, mu) == (r != mu + 2)
-        from fgl.gf2 import field_ctx
+        from fgl.gf2 import FieldCtx
         for n in (2, 3, 4):
-            ctx = field_ctx(n)
-            els = list(ctx.elements())
+            ctx = FieldCtx(n)
+            els = list(range(ctx.order))
             for a in els:
                 if a:
                     assert ctx.mul(a, ctx.inv(a)) == 1
@@ -232,9 +232,9 @@ def test_criterion_8_algebraic_grids():
                         assert ctx.mul(a, b ^ c) == ctx.mul(a, b) ^ ctx.mul(a, c)
                         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
         for n in range(2, 7):
-            ctx = field_ctx(n)
-            for a in ctx.elements():
-                for b in ctx.elements():
+            ctx = FieldCtx(n)
+            for a in range(ctx.order):
+                for b in range(ctx.order):
                     assert ctx.frobenius(a ^ b, 1) == \
                         ctx.frobenius(a, 1) ^ ctx.frobenius(b, 1)
                     assert ctx.frobenius(ctx.mul(a, b), 1) == \
@@ -307,13 +307,18 @@ def test_criterion_11_psl2_512():
 
 @pytest.mark.ladder
 def test_ladder_psu3_n5():
-    # v = 1015839; about 22 s on two cores; deselected by default, run with: pytest -m ladder
-    _check_against_formulas("psu3", 5, 120.0)
+    # v = 1015839; about 12 s and a 290 MB peak RSS on two cores, then about
+    # 2 s for the Schreier-generator oracle; deselected by default, run with:
+    # pytest -m ladder
+    d, rss_mb, roots_match = _verify_in_subprocess("psu3", 5, 120.0)
+    _check_certificate("psu3", 5, d)
+    assert roots_match == [True]
+    assert rss_mb < 320, f"psu3 n=5 peaked at {rss_mb:.1f} MB RSS, bound 320 MB"
 
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 8 s and a 204 MB peak RSS on two cores, then about
+    # v = 1048575; about 5 s and a 204 MB peak RSS on two cores, then about
     # 3 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("psl2", 10, 25.0)
     _check_certificate("psl2", 10, d)
@@ -323,5 +328,9 @@ def test_ladder_psl2_n10():
 
 @pytest.mark.ladder
 def test_ladder_sz_n7():
-    # v = 2080895; about 48 s on two cores
-    _check_against_formulas("sz", 7, 105.0)
+    # v = 2080895; about 30 s and a 512 MB peak RSS on two cores, then about
+    # 7 s for the Schreier-generator oracle
+    d, rss_mb, roots_match = _verify_in_subprocess("sz", 7, 105.0)
+    _check_certificate("sz", 7, d)
+    assert roots_match == [True]
+    assert rss_mb < 565, f"sz n=7 peaked at {rss_mb:.1f} MB RSS, bound 565 MB"

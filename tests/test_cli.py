@@ -14,6 +14,7 @@ from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
 from fgl.graphs import Graph
 from fgl.pipeline import CODE_VERSION, run_verify
+from oracles import encode, member
 from test_graphio import BAD_GRAPH_JSON, json_values
 
 
@@ -30,7 +31,8 @@ def test_construct_and_analyze_roundtrip(tmp_path, capsys):
     assert g.v == 15 and g.valency() == 4
     meta = json.loads(open(out + ".meta.json").read())
     assert meta["q"] == 4 and meta["vertices"] == 15
-    assert len(meta["involutions"]) == 15
+    cls = groups.involution_class(groups.make_group("psl2", 2))
+    assert meta["involutions"] == [encode(cls.spec, member(cls, i)).hex() for i in range(15)]
     assert len(set(meta["involutions"])) == 15
     assert run_cli("analyze", "--in", out, "--check", "drg,deza,spectrum") == 0
     cert = json.loads(capsys.readouterr().out)
@@ -384,6 +386,12 @@ def test_partition_fuzz(tmp_path, capsys, obj):
         assert isinstance(labels, list) and all(type(x) is int for x in labels)
         assert run_cli(*argv) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_construct_cache_help_names_the_cache_file(capsys):
+    assert run_cli("construct", "--help") == 0
+    name = os.path.basename(pipeline._cache_path("", "<family>", "<N>"))
+    assert name in capsys.readouterr().out
 
 
 def test_verify_garbage_cache_exits_3(tmp_path, capsys):

@@ -135,11 +135,11 @@ def test_omega_graphs_psl2_8(psl2_8):
 def test_deza_certs_match_predictions(psl2_8):
     pg = pi_graph(psl2_8)
     cert = deza_check(pg)
-    assert cert.params() == (63, 48, 40, 36)
+    assert (cert.v, cert.k, cert.b, cert.a) == (63, 48, 40, 36)
     assert cert.is_strict
     assert cert.is_edge_regular and not cert.is_strongly_regular
     chi_cert = deza_check(chi_graph(psl2_8))
-    assert chi_cert.params() == (63, 8, 1, 0)
+    assert (chi_cert.v, chi_cert.k, chi_cert.b, chi_cert.a) == (63, 8, 1, 0)
 
 
 def test_gamma2_mismatch_detectable(psl2_4, monkeypatch):

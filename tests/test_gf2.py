@@ -3,7 +3,7 @@ import pytest
 
 from fgl.gf2 import (DegreeMismatch, DivisionByZero, FieldCtx,
                      NonIrreducibleModulus, UnsupportedDegree, clmod, clmul,
-                     default_modulus, field_ctx, is_irreducible)
+                     default_modulus, is_irreducible)
 from fgl.groups import _Kernels, make_group
 
 
@@ -15,31 +15,31 @@ def test_default_modulus_small():
 
 
 def test_ctx_accepts_explicit_irreducible():
-    ctx = field_ctx(3, 0b1011)
+    ctx = FieldCtx(3, 0b1011)
     assert ctx.modulus == 0b1011
 
 
 def test_reducible_modulus_rejected():
     with pytest.raises(NonIrreducibleModulus):
-        field_ctx(4, 0b10100)  # x^4 + x^2 = (x^2 + x)^2
+        FieldCtx(4, 0b10100)  # x^4 + x^2 = (x^2 + x)^2
 
 
 def test_degree_mismatch_rejected():
     with pytest.raises(DegreeMismatch):
-        field_ctx(4, 0b1011)
+        FieldCtx(4, 0b1011)
 
 
 def test_unsupported_degree():
     with pytest.raises(UnsupportedDegree):
-        field_ctx(1)
+        FieldCtx(1)
     with pytest.raises(UnsupportedDegree):
-        field_ctx(17)  # above GF(2^16), the largest field make_group takes
+        FieldCtx(17)  # above GF(2^16), the largest field make_group takes
     with pytest.raises(UnsupportedDegree):
-        field_ctx(25)
+        FieldCtx(25)
 
 
 def test_gf4_values():
-    ctx = field_ctx(2)
+    ctx = FieldCtx(2)
     # x * x = x + 1 modulo x^2 + x + 1, and x^-1 = x + 1
     assert ctx.mul(0b10, 0b10) == 0b11
     assert ctx.inv(0b10) == 0b11
@@ -47,13 +47,13 @@ def test_gf4_values():
 
 def test_inv_of_zero_raises():
     with pytest.raises(DivisionByZero):
-        field_ctx(3).inv(0)
+        FieldCtx(3).inv(0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_field_axioms_exhaustive(n):
-    ctx = field_ctx(n)
-    els = list(ctx.elements())
+    ctx = FieldCtx(n)
+    els = list(range(ctx.order))
     for a in els:
         assert ctx.mul(a, 1) == a
         assert ctx.mul(a, 0) == 0
@@ -68,11 +68,11 @@ def test_field_axioms_exhaustive(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_frobenius_is_field_automorphism(n):
-    ctx = field_ctx(n)
-    for a in ctx.elements():
+    ctx = FieldCtx(n)
+    for a in range(ctx.order):
         assert ctx.frobenius(a, 1) == ctx.mul(a, a)
         assert ctx.frobenius(a, ctx.n) == a
-        for b in ctx.elements():
+        for b in range(ctx.order):
             s = ctx.frobenius(a ^ b, 1)
             assert s == ctx.frobenius(a, 1) ^ ctx.frobenius(b, 1)
             p = ctx.frobenius(ctx.mul(a, b), 1)
@@ -81,16 +81,16 @@ def test_frobenius_is_field_automorphism(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_multiplicative_order_divides_group(n):
-    ctx = field_ctx(n)
+    ctx = FieldCtx(n)
     for a in range(1, ctx.order):
         assert ctx.pow(a, ctx.order - 1) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_table_mul_matches_polynomial_mul(n):
-    ctx = field_ctx(n)
-    for a in ctx.elements():
-        for b in ctx.elements():
+    ctx = FieldCtx(n)
+    for a in range(ctx.order):
+        for b in range(ctx.order):
             assert ctx.mul(a, b) == ctx.mul_poly(a, b)
 
 
@@ -131,7 +131,7 @@ def test_clmul_clmod_basics():
 
 
 def test_pow_large_exponent_reduces():
-    ctx = field_ctx(5)
+    ctx = FieldCtx(5)
     for a in range(1, ctx.order):
         assert ctx.pow(a, ctx.order - 1 + 7) == ctx.pow(a, 7)
     assert ctx.pow(0, 0) == 1
@@ -150,7 +150,7 @@ def _sympy_code(poly) -> int:
 @pytest.mark.parametrize("n", range(2, 9))
 def test_arithmetic_matches_sympy(n):
     # an independent GF(2)[t] implementation, reduced modulo the same polynomial
-    ctx = field_ctx(n)
+    ctx = FieldCtx(n)
     m = _sympy_poly(default_modulus(n))
     rng = np.random.default_rng(n)
     a = np.concatenate([[0, 1, ctx.order - 1], rng.integers(0, ctx.order, 40)])

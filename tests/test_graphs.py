@@ -175,7 +175,7 @@ def test_spectrum_random_graphs_match_oracle():
 
 def test_deza_check_octahedron():
     cert = deza_check(octahedron())
-    assert cert.params() == (6, 4, 4, 2)
+    assert (cert.v, cert.k, cert.b, cert.a) == (6, 4, 4, 2)
     assert cert.is_edge_regular
     # common-neighbor count does split by adjacency here
     assert cert.is_strongly_regular

@@ -9,14 +9,13 @@ import fgl.groups as gr
 from fgl import bits
 from fgl.formulas import InvalidQ
 from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
-                        canonicalize, check_group_form, encode, generators,
-                        identity, involution_class, make_group, mat_det,
-                        mat_inv_det1, mat_mul, mat_scale, reversal,
+                        check_group_form, generators, identity, involution_class,
+                        make_group, mat_det, mat_inv_det1, mat_mul, reversal,
                         seed_involution, sylow_partition)
-from oracles import (carried_rows, element_order, full_generators,
-                     involution_class_by_dict, product_order, psu3_unitriangular_scan,
-                     schreier_generators, schreier_suborbits, sigma_along_tree,
-                     vertex_index)
+from oracles import (canonicalize, carried_rows, element_order, encode, full_generators,
+                     involution_class_by_dict, least_scaling, mat_scale, member,
+                     product_order, psu3_unitriangular_scan, schreier_generators,
+                     schreier_suborbits, sigma_along_tree, vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +71,7 @@ def test_generators_pass_forms(psl2_4):
 def test_sz_unipotent_family_closed():
     spec = make_group("sz", 3)
     fam = {gr._sz_unipotent(spec, a, b)
-           for a in spec.ctx.elements() for b in spec.ctx.elements()}
+           for a in range(spec.ctx.order) for b in range(spec.ctx.order)}
     assert len(fam) == spec.q ** 2
     for m in fam:
         check_group_form(spec, m)
@@ -92,8 +91,8 @@ def test_psu3_unipotent_scan_matches_derived_condition():
     assert len(scanned) == spec.q ** 3
     # independent closed form: z = x^q and y + y^q = x^(q+1)
     derived = set()
-    for x in ctx.elements():
-        for y in ctx.elements():
+    for x in range(ctx.order):
+        for y in range(ctx.order):
             if y ^ ctx.frobenius(y, spec.n) == ctx.pow(x, spec.q + 1):
                 derived.add(((1, 0, 0), (x, 1, 0), (y, ctx.frobenius(x, spec.n), 1)))
     assert scanned == derived
@@ -149,9 +148,9 @@ def test_vertices_numbered_by_encoding(psl2_8_class, sz8_class, psu3_4_class):
     # strictly increasing encodings; the seed is the least one, so vertex 0;
     # the closure's permutations are those closed_class finds
     for cls in (psl2_8_class, sz8_class, psu3_4_class):
-        keys = [cls.encoding(i) for i in range(cls.size)]
+        keys = [encode(cls.spec, member(cls, i)) for i in range(cls.size)]
         assert keys == sorted(set(keys))
-        assert cls.member(0) == canonicalize(cls.spec, seed_involution(cls.spec))
+        assert member(cls, 0) == canonicalize(cls.spec, seed_involution(cls.spec))
         again = gr.closed_class(cls.spec, cls.codes)
         assert np.array_equal(again.perms, cls.perms)
 
@@ -208,6 +207,38 @@ def test_canonicalize_psu3_center_orbit():
     assert canonicalize(spec, identity(3)) == identity(3)
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_canonical_batch_is_the_least_centre_scaling(n):
+    # the centre has order 3; codes are 1 byte at n = 3, 2 bytes at n = 5, 7
+    spec = make_group("psu3", n)
+    assert len(spec.center) == 3
+    kern = gr._Kernels(spec)
+    rng = np.random.default_rng(n)
+    ms = rng.integers(0, spec.ctx.order, size=(240, 3, 3)).astype(kern.dtype)
+    ms[rng.random(ms.shape) < 0.5] = 0  # leading entries at every position
+    ms[::4, 0] = 0
+    ms[1::4, :2] = 0  # leading zero rows
+    ms[~ms.any(axis=(1, 2)), 2, 2] = 1
+    codes, keys = kern.canonical_batch(ms)
+    for z in spec.center[1:]:
+        again = kern.canonical_batch(kern.scale(z, ms))
+        assert np.array_equal(again[0], codes) and np.array_equal(again[1], keys)
+    for m, row, key in zip(ms, codes, keys):
+        least = least_scaling(spec, tuple(map(tuple, m.tolist())))
+        assert tuple(map(tuple, row.tolist())) == least
+        want = gr._word_keys(np.frombuffer(encode(spec, least), dtype=np.uint8)[None])
+        assert np.array_equal(key, want[0])
+
+
+def test_encodings_match_the_oracle_on_two_byte_codes():
+    # psl2 n=9 has 2-byte codes; construct's sidecar hexes these rows
+    cls = involution_class(make_group("psl2", 9))
+    rows = gr.encodings(cls.codes)
+    assert rows.shape == (cls.size, 8)
+    want = b"".join(encode(cls.spec, member(cls, i)) for i in range(cls.size))
+    assert rows.tobytes() == want
+
+
 def test_class_sizes_and_indexing(psl2_8_class, sz8_class, psu3_4_class):
     assert involution_class(make_group("psl2", 2)).size == 15
     assert psl2_8_class.size == 63
@@ -217,13 +248,13 @@ def test_class_sizes_and_indexing(psl2_8_class, sz8_class, psu3_4_class):
     cls = psl2_8_class
     vertex = vertex_index(cls)
     for i in (0, 1, 17, 62):
-        assert vertex[encode(cls.spec, canonicalize(cls.spec, cls.member(i)))] == i
+        assert vertex[encode(cls.spec, canonicalize(cls.spec, member(cls, i)))] == i
 
 
 def test_every_member_is_an_involution(sz8_class):
     spec = sz8_class.spec
     for i in range(0, sz8_class.size, 37):
-        m = sz8_class.member(i)
+        m = member(sz8_class, i)
         assert element_order(spec, m) == 2
         check_group_form(spec, m)
 
@@ -235,7 +266,7 @@ def test_conjugation_closure(psl2_8_class):
     for g in generators(spec):
         gi = mat_inv_det1(spec.ctx, g)
         for i in range(cls.size):
-            c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, cls.member(i), g))
+            c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, member(cls, i), g))
             assert vertex[encode(spec, canonicalize(spec, c))] >= 0
 
 
@@ -659,7 +690,7 @@ def test_schreier_tree_spans_the_class(psu3_4_class):
         g = generators(spec)[t]
         gi = mat_inv_det1(spec.ctx, g)
         for i in (0, 7, cls.size - 1):
-            c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, cls.member(i), g))
+            c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, member(cls, i), g))
             assert vertex[encode(spec, canonicalize(spec, c))] == perms[t, i]
 
 
