@@ -105,12 +105,9 @@ def _graph6_block_chars(rows: np.ndarray, lo: int, hi: int) -> bytes:
     return chars.tobytes()
 
 
-def to_graph6(g: Graph) -> str:
-    return b"".join(_graph6_chunks(g)).decode("ascii")
-
-
 def _write_graph6(f, g: Graph) -> None:
-    """Write to_graph6(g) and a newline to the binary file f, a row range at a time."""
+    """Write the graph6 text of g and a newline to the binary file f, a row
+    range at a time."""
     f.writelines(_graph6_chunks(g))
     f.write(b"\n")
 

@@ -87,14 +87,6 @@ class Graph:
         return cls(v, bits.zero_rows(v, v))
 
     @classmethod
-    def from_edges(cls, v: int, edges) -> "Graph":
-        """Graph on vertices 0..v-1 from an (m, 2) array or sequence of pairs."""
-        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if e.size and (e.min() < 0 or e.max() >= v):
-            raise ValueError("vertex id out of range")
-        return cls(v, bits.rows_from_pairs(v, e[:, 0], e[:, 1]))
-
-    @classmethod
     def from_bool(cls, mat: np.ndarray) -> "Graph":
         mat = np.asarray(mat, dtype=bool)
         v = mat.shape[0]

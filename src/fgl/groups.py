@@ -41,11 +41,14 @@ construction carries vertex 0's partner sets the same way
 (fusion._carried_graph); full_order_scan, sampled_order_check and the
 direct products of cross_check_rows are oracles.
 
-Bulk pairwise work runs on numpy arrays of element codes with
-multiplication as table gathers.  The scalar routines on tuples build and
-form-check the generators and the seed; the scalar canonical form and
-encoding, which compare every centre scaling, are the tests' references
-(tests/oracles.py).
+All matrix arithmetic runs on numpy arrays of element codes with
+multiplication as table gathers (_Kernels); tuples only spell out the
+generators, the seed and U.  Each family preserves the form of the
+reversal W, xbar^T W x = W (bar is e -> e^q for PSU3 and the identity
+otherwise), so x^-1 = W xbar^T W is an index flip and, for PSU3, one gather
+(_Kernels.inverse), and check_group_form is one batch check of det 1 and
+x^-1 x = I.  The scalar products, adjugate inverse, canonical form and
+encoding are the tests' references (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -105,78 +108,7 @@ class NotInStabiliser(RuntimeError):
     """A permutation offered as one of vertex 0's stabiliser moves vertex 0."""
 
 
-# -- dense matrices over a field context -------------------------------------
-
-
-def identity(d: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-
-
-def mat_mul(ctx: FieldCtx, a: Matrix, b: Matrix) -> Matrix:
-    d = len(a)
-    mul = ctx.mul
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            s = 0
-            for k in range(d):
-                s ^= mul(a[i][k], b[k][j])
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def mat_det(ctx: FieldCtx, a: Matrix) -> int:
-    # Leibniz sum; in characteristic 2 the permutation signs vanish
-    d = len(a)
-    s = 0
-    for perm in itertools.permutations(range(d)):
-        t = 1
-        for i in range(d):
-            t = ctx.mul(t, a[i][perm[i]])
-            if t == 0:
-                break
-        s ^= t
-    return s
-
-
-def _minor_det(ctx: FieldCtx, a: Matrix, r: int, c: int) -> int:
-    d = len(a)
-    rows = [i for i in range(d) if i != r]
-    cols = [j for j in range(d) if j != c]
-    sub = tuple(tuple(a[i][j] for j in cols) for i in rows)
-    return mat_det(ctx, sub)
-
-
-def mat_inv_det1(ctx: FieldCtx, a: Matrix) -> Matrix:
-    """Inverse via the adjugate; requires det(a) = 1."""
-    if mat_det(ctx, a) != 1:
-        raise NotInGroupForm("matrix does not have determinant 1")
-    d = len(a)
-    return tuple(tuple(_minor_det(ctx, a, j, i) for j in range(d)) for i in range(d))
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    d = len(a)
-    return tuple(tuple(a[j][i] for j in range(d)) for i in range(d))
-
-
-def conj_transpose(ctx: FieldCtx, a: Matrix, half: int) -> Matrix:
-    """Transpose with entrywise x -> x^(2^half) (the order-2 field automorphism)."""
-    d = len(a)
-    return tuple(tuple(ctx.frobenius(a[j][i], half) for j in range(d)) for i in range(d))
-
-
-def scalar_code(a: Matrix) -> int | None:
-    """The scalar s if a = s*I, else None."""
-    d = len(a)
-    s = a[0][0]
-    for i in range(d):
-        for j in range(d):
-            if a[i][j] != (s if i == j else 0):
-                return None
-    return s
+# -- the reversal, whose form each family preserves ---------------------------
 
 
 def reversal(d: int) -> Matrix:
@@ -253,24 +185,22 @@ def make_group(family: str, n: int) -> GroupSpec:
 # -- family forms and generators ----------------------------------------------
 
 
-def check_group_form(spec: GroupSpec, m: Matrix) -> None:
-    """Necessary membership conditions: det 1 plus the invariant form."""
+def check_group_form(spec: GroupSpec, ms) -> None:
+    """Necessary membership conditions on a batch of matrices (a sequence
+    of d x d matrices or an (m, d, d) array): entries in the field, det 1
+    and the invariant form, that is, _Kernels.inverse(x) x = I."""
     d = spec.dim
-    if len(m) != d or any(len(r) != d for r in m):
-        raise NotInGroupForm(f"expected a {d}x{d} matrix")
-    if any(not (0 <= e < spec.ctx.order) for row in m for e in row):
+    x = np.array(ms, dtype=np.int64)
+    if x.ndim != 3 or x.shape[1:] != (d, d):
+        raise NotInGroupForm(f"expected {d}x{d} matrices")
+    if ((x < 0) | (x >= spec.ctx.order)).any():
         raise NotInGroupForm("entry out of field range")
-    if mat_det(spec.ctx, m) != 1:
+    kern = _Kernels(spec)
+    x = x.astype(kern.dtype)
+    if (kern.det(x) != 1).any():
         raise NotInGroupForm("determinant is not 1")
-    if spec.family == SZ:
-        b = reversal(4)
-        if mat_mul(spec.ctx, mat_transpose(m), mat_mul(spec.ctx, b, m)) != b:
-            raise NotInGroupForm("alternating form not preserved")
-    elif spec.family == PSU3:
-        j = reversal(3)
-        if mat_mul(spec.ctx, conj_transpose(spec.ctx, m, spec.n),
-                   mat_mul(spec.ctx, j, m)) != j:
-            raise NotInGroupForm("unitary form not preserved")
+    if (kern.mul_batch(kern.inverse(x), x) != np.eye(d, dtype=kern.dtype)).any():
+        raise NotInGroupForm("invariant form not preserved")
 
 
 def seed_involution(spec: GroupSpec) -> Matrix:
@@ -381,11 +311,10 @@ def generators(spec: GroupSpec) -> list[Matrix]:
     else:
         gens = _psu3_unipotents(spec)
     gens.append(reversal(spec.dim))
-    for g in gens:
-        try:
-            check_group_form(spec, g)
-        except NotInGroupForm as e:
-            raise GeneratorValidationFailed(f"generator fails form check: {e}") from e
+    try:
+        check_group_form(spec, gens)
+    except NotInGroupForm as e:
+        raise GeneratorValidationFailed(f"generator fails form check: {e}") from e
     return gens
 
 
@@ -425,6 +354,11 @@ class _Kernels:
             z = np.array(spec.center, dtype=self.dtype)
             scaled = self._mul(z[:, None], np.arange(spec.ctx.order, dtype=self.dtype))
             self.least_scale = z[scaled.byteswap().argmin(axis=0)]
+        self.bar = None  # bar[e] = e^q, the field automorphism of the PSU3 form
+        if spec.family == PSU3:
+            self.bar = np.arange(spec.ctx.order, dtype=self.dtype)
+            for _ in range(spec.n):
+                self.bar = self._mul(self.bar, self.bar)
 
     def _mul(self, a, b):
         if self.full is not None:
@@ -465,6 +399,26 @@ class _Kernels:
         """z * x for a field element z; x itself, not a copy, for z = 1,
         which most generator and unipotent entries are."""
         return x if z == 1 else self._mul(np.asarray(z, dtype=self.dtype), x)
+
+    def inverse(self, x):
+        """Per-matrix inverse of group elements: each preserves the form of
+        the reversal W, xbar^T W x = W (bar the identity, or e -> e^q for
+        PSU3), so x^-1 = W xbar^T W, x reflected in its antidiagonal and
+        barred.  For other matrices it is the form's adjoint of x."""
+        flipped = x[..., ::-1, ::-1].swapaxes(-1, -2)
+        return flipped if self.bar is None else self.bar[flipped]
+
+    def det(self, x):
+        """Per-matrix determinant: the Leibniz sum, whose signs vanish in
+        characteristic 2."""
+        d = x.shape[-1]
+        out = np.zeros(x.shape[:-2], dtype=self.dtype)
+        for perm in itertools.permutations(range(d)):
+            term = x[..., 0, perm[0]]
+            for i in range(1, d):
+                term = self._mul(term, x[..., i, perm[i]])
+            out ^= term
+        return out
 
     def central_scalar_mask(self, x):
         """Per-matrix: is x a scalar matrix with scalar in the center."""
@@ -626,8 +580,8 @@ class InvolutionClass:
 
 def _conjugators(spec: GroupSpec, kern: _Kernels):
     """(g^-1, g) code arrays for every generator g."""
-    return [(np.array(mat_inv_det1(spec.ctx, g), dtype=kern.dtype),
-             np.array(g, dtype=kern.dtype)) for g in generators(spec)]
+    gens = np.array(generators(spec), dtype=kern.dtype)
+    return list(zip(kern.inverse(gens), gens))
 
 
 def _conjugate(kern: _Kernels, gi, g, x):
@@ -637,23 +591,14 @@ def _conjugate(kern: _Kernels, gi, g, x):
 
 def _seed_keys(spec: GroupSpec, kern: _Kernels) -> np.ndarray:
     """The keys of the canonical seed, once it is form-checked and proven
-    an involution."""
-    seed = seed_involution(spec)
-    if mat_mul(spec.ctx, seed, seed) != identity(spec.dim) or scalar_code(seed) is not None:
-        raise SeedNotInvolution("seed does not square to the identity")
+    an involution: not central, with a central square."""
+    seed = [seed_involution(spec)]
     check_group_form(spec, seed)
-    return kern.canonical_batch(np.array(seed, dtype=kern.dtype)[None])[1]
-
-
-def _unipotent_inverse(kern: _Kernels, u: np.ndarray) -> np.ndarray:
-    """Inverses of a batch of unipotent u = I + N: I + N + ... + N^(d-1),
-    since N^d = 0 and signs vanish in characteristic 2."""
-    n = u ^ np.eye(u.shape[-1], dtype=u.dtype)
-    inv, power = u.copy(), n
-    for _ in range(u.shape[-1] - 2):
-        power = kern.mul_batch(power, n)
-        inv ^= power
-    return inv
+    seed = np.array(seed, dtype=kern.dtype)
+    if (kern.central_scalar_mask(seed)[0]
+            or not kern.central_scalar_mask(kern.mul_batch(seed, seed))[0]):
+        raise SeedNotInvolution("seed is not an involution: it is central or its square is not")
+    return kern.canonical_batch(seed)[1]
 
 
 def _sylow_centre_rows(spec: GroupSpec) -> np.ndarray:
@@ -666,7 +611,7 @@ def _sylow_centre_rows(spec: GroupSpec) -> np.ndarray:
     z = np.array(centre, dtype=kern.dtype)
     w = reversal(spec.dim)
     wzw = kern.mul_right(kern.mul_left(w, z), w)
-    ui, rows = _unipotent_inverse(kern, u), [kern.canonical_batch(z)]
+    ui, rows = kern.inverse(u), [kern.canonical_batch(z)]
     for lo in range(0, len(u) * len(z), CLASS_BLOCK):
         pick_u, pick_z = np.divmod(np.arange(lo, min(lo + CLASS_BLOCK, len(u) * len(z))), len(z))
         rows.append(kern.canonical_batch(

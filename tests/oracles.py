@@ -30,25 +30,32 @@ time, where the library enumerates the Sylow 2-centres in closed form.
 least_scaling encodes every centre scaling of one tuple matrix and keeps
 the least (canonicalize form-checks it first), where the library scales
 each matrix once, by its leading entry (_Kernels.canonical_batch).
+mat_mul, mat_det (the Leibniz sum) and mat_inv_det1 (the adjugate) work on
+tuple matrices one entry at a time, where the library gathers whole
+batches and inverts through the invariant form (_Kernels.inverse).
+from_edges builds a graph from a pair list and to_graph6 returns the
+graph6 text, which the library only writes to files.
 """
 
+import functools
 import gc
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from fgl import bits
 from fgl.formulas import PSU3, SZ, IntersectionArray
-from fgl.graphio import GraphParseError
+from fgl.graphio import GraphParseError, _graph6_chunks
 from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValues,
                         NotAntipodal, NotDistanceRegular, NotRegular,
                         PartitionNotUniform)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
-                        check_group_form, generators, identity, mat_inv_det1, mat_mul,
-                        merge_suborbits, reversal, scalar_code, seed_involution)
+                        check_group_form, generators, merge_suborbits, reversal,
+                        seed_involution)
 
 
 @dataclass(frozen=True)
@@ -97,6 +104,19 @@ def clique_rows(labels) -> np.ndarray:
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     return bits.pack_bool(same)
+
+
+def from_edges(v: int, pairs) -> Graph:
+    """Graph on vertices 0..v-1 from an (m, 2) array or sequence of pairs."""
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if e.size and (e.min() < 0 or e.max() >= v):
+        raise ValueError("vertex id out of range")
+    return Graph(v, bits.rows_from_pairs(v, e[:, 0], e[:, 1]))
+
+
+def to_graph6(g: Graph) -> str:
+    """The graph6 text of g, as write_graph writes it less the newline."""
+    return b"".join(_graph6_chunks(g)).decode("ascii")
 
 
 def edges(g: Graph) -> np.ndarray:
@@ -155,7 +175,7 @@ def from_json_obj(obj) -> Graph:
     except OverflowError as err:
         raise GraphParseError("edge endpoints must be integers within int64") from err
     try:
-        return Graph.from_edges(v, e)
+        return from_edges(v, e)
     except ValueError as err:
         raise GraphParseError(str(err)) from err
 
@@ -327,6 +347,47 @@ def diameter(g: Graph) -> int:
     return ecc
 
 
+def identity(d: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+
+
+def mat_mul(ctx, a, b):
+    """The product of two tuple matrices, one entry at a time."""
+    d = len(a)
+    return tuple(tuple(functools.reduce(operator.xor, (ctx.mul(a[i][k], b[k][j]) for k in range(d)))
+                       for j in range(d)) for i in range(d))
+
+
+def mat_det(ctx, a) -> int:
+    """The Leibniz sum; in characteristic 2 the permutation signs vanish."""
+    d = len(a)
+    s = 0
+    for perm in itertools.permutations(range(d)):
+        s ^= functools.reduce(ctx.mul, (a[i][perm[i]] for i in range(d)))
+    return s
+
+
+def mat_inv_det1(ctx, a):
+    """The inverse of a determinant-1 matrix as its adjugate, the (i, j)
+    entry being the determinant of a without row j and column i."""
+    if mat_det(ctx, a) != 1:
+        raise NotInGroupForm("matrix does not have determinant 1")
+    d = len(a)
+
+    def minor(r, c):
+        return mat_det(ctx, tuple(tuple(a[i][j] for j in range(d) if j != c)
+                                  for i in range(d) if i != r))
+
+    return tuple(tuple(minor(j, i) for j in range(d)) for i in range(d))
+
+
+def scalar_code(a) -> int | None:
+    """The scalar s if a = s*I, else None."""
+    s = a[0][0]
+    return s if a == tuple(tuple(s if i == j else 0 for j in range(len(a)))
+                           for i in range(len(a))) else None
+
+
 def mat_scale(ctx, s: int, a):
     return tuple(tuple(ctx.mul(s, e) for e in row) for row in a)
 
@@ -345,7 +406,7 @@ def least_scaling(spec, m):
 
 def canonicalize(spec, m):
     """The canonical form of a group element: form-checked, then least_scaling."""
-    check_group_form(spec, m)
+    check_group_form(spec, [m])
     return least_scaling(spec, m)
 
 
@@ -411,7 +472,7 @@ def psu3_unitriangular_scan(spec) -> list:
         for y in range(ctx.order):
             m = ((1, 0, 0), (x, 1, 0), (y, xq, 1))
             try:
-                check_group_form(spec, m)
+                check_group_form(spec, [m])
             except NotInGroupForm:
                 continue
             out.append(m)

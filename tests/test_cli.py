@@ -12,9 +12,8 @@ import fgl
 from fgl import bits, graphs, groups, pipeline
 from fgl.cli import ANALYSES, _partition_for, build_parser, main
 from fgl.graphio import read_graph, write_graph
-from fgl.graphs import Graph
 from fgl.pipeline import CODE_VERSION, run_verify
-from oracles import encode, member
+from oracles import encode, from_edges, member
 from test_graphio import BAD_GRAPH_JSON, json_values
 
 
@@ -209,10 +208,9 @@ def test_analyze_ddg_with_sidecar(tmp_path, capsys):
 
 def test_analyze_multipartite_octahedron(tmp_path, capsys):
     from fgl.graphio import write_graph
-    from fgl.graphs import Graph
     path = str(tmp_path / "oct.json")
-    write_graph(path, Graph.from_edges(6, [(i, j) for i in range(6)
-                                           for j in range(i + 1, 6) if j - i != 3]))
+    write_graph(path, from_edges(6, [(i, j) for i in range(6)
+                                     for j in range(i + 1, 6) if j - i != 3]))
     assert run_cli("analyze", "--in", path, "--check", "multipartite,antipodal") == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["multipartite"]["complete_multipartite"] == [3, 2]
@@ -222,13 +220,12 @@ def test_analyze_multipartite_octahedron(tmp_path, capsys):
 def test_analyze_petersen_drg(tmp_path, capsys):
     import itertools
     from fgl.graphio import write_graph
-    from fgl.graphs import Graph
     verts = list(itertools.combinations(range(5), 2))
     idx = {s: i for i, s in enumerate(verts)}
     edges = [(idx[a], idx[b]) for a, b in itertools.combinations(verts, 2)
              if not (set(a) & set(b))]
     path = str(tmp_path / "petersen.g6")
-    write_graph(path, Graph.from_edges(10, edges))
+    write_graph(path, from_edges(10, edges))
     assert run_cli("analyze", "--in", path, "--check", "drg,antipodal") == 0
     cert = json.loads(capsys.readouterr().out)
     assert cert["drg"] == {"distance_regular": True,
@@ -257,8 +254,7 @@ def test_analyze_malformed_graph_json_exits_2(tmp_path, capsys, text):
 def test_unknown_check_exits_2(tmp_path, capsys):
     path = str(tmp_path / "g.json")
     from fgl.graphio import write_graph
-    from fgl.graphs import Graph
-    write_graph(path, Graph.from_edges(3, [(0, 1)]))
+    write_graph(path, from_edges(3, [(0, 1)]))
     assert run_cli("analyze", "--in", path, "--check", "spectral") == 2
 
 
@@ -360,9 +356,8 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("content", ["[0, 1, oops", '["a", "b"]', "[0.5, 1]", '{"a": 1}'])
 def test_analyze_ddg_bad_partition_exits_2(tmp_path, capsys, content):
     from fgl.graphio import write_graph
-    from fgl.graphs import Graph
     path = str(tmp_path / "g.json")
-    write_graph(path, Graph.from_edges(4, [(0, 1), (2, 3)]))
+    write_graph(path, from_edges(4, [(0, 1), (2, 3)]))
     part = tmp_path / "part.json"
     part.write_text(content)
     assert run_cli("analyze", "--in", path, "--check", "ddg", "--partition", str(part)) == 2
@@ -375,7 +370,7 @@ def test_analyze_ddg_bad_partition_exits_2(tmp_path, capsys, content):
 def test_partition_fuzz(tmp_path, capsys, obj):
     # a partition file gives a list of int labels, or analyze exits 2
     path, part = str(tmp_path / "g.json"), tmp_path / "part.json"
-    write_graph(path, Graph.from_edges(4, [(0, 1), (2, 3)]))
+    write_graph(path, from_edges(4, [(0, 1), (2, 3)]))
     part.write_text(json.dumps(obj))
     argv = ["analyze", "--in", path, "--check", "ddg", "--partition", str(part)]
     try:

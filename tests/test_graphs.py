@@ -17,15 +17,16 @@ from oracles import (InvalidDistanceSet, NotEdgeRegular,
                      antipodal_classes_two_pass, antipodal_cover3_certificate, clique_union_per_vertex,
                      common_neighbor_spectrum_per_row, connected_components, ddg_check_per_row,
                      deza_check_per_row, diameter, distance_power, distances_from, edges,
+                     from_edges,
                      edge_regular_lambda, intersection_array_per_source)
 
 
 def complete_graph(v):
-    return Graph.from_edges(v, [(i, j) for i in range(v) for j in range(i + 1, v)])
+    return from_edges(v, [(i, j) for i in range(v) for j in range(i + 1, v)])
 
 
 def cycle(v):
-    return Graph.from_edges(v, [(i, (i + 1) % v) for i in range(v)])
+    return from_edges(v, [(i, (i + 1) % v) for i in range(v)])
 
 
 def petersen():
@@ -33,26 +34,26 @@ def petersen():
     idx = {s: i for i, s in enumerate(verts)}
     edges = [(idx[a], idx[b]) for a, b in itertools.combinations(verts, 2)
              if not (set(a) & set(b))]
-    return Graph.from_edges(10, edges)
+    return from_edges(10, edges)
 
 
 def petersen_line_graph():
     """15-vertex graph on the edges of the Petersen graph, adjacency = shared endpoint."""
     p = petersen()
     es = edges(p).tolist()
-    return Graph.from_edges(len(es), [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
-                                      if set(es[i]) & set(es[j])])
+    return from_edges(len(es), [(i, j) for i, j in itertools.combinations(range(len(es)), 2)
+                                if set(es[i]) & set(es[j])])
 
 
 def octahedron():
     # complete multipartite with parts {0,3}, {1,4}, {2,5}
-    return Graph.from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
-                                if j - i != 3])
+    return from_edges(6, [(i, j) for i in range(6) for j in range(i + 1, 6)
+                          if j - i != 3])
 
 
 def prism():
     edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
-    return Graph.from_edges(6, edges)
+    return from_edges(6, edges)
 
 
 def spectrum_oracle(g):
@@ -73,7 +74,7 @@ def test_distances_complete_graph():
 
 
 def test_disconnected_raises():
-    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    g = from_edges(4, [(0, 1), (2, 3)])
     with pytest.raises(Disconnected):
         diameter(g)
     with pytest.raises(Disconnected):
@@ -105,8 +106,8 @@ def _outcome(f, g):
 def test_antipodal_classes_match_two_pass_oracle():
     rng = np.random.default_rng(7)
     cases = [cycle(6), cycle(7), petersen(), petersen_line_graph(), prism(), octahedron(),
-             complete_graph(4), Graph.from_edges(4, [(0, 1), (2, 3)]),
-             Graph.from_edges(4, [(1, 2), (2, 3)])]
+             complete_graph(4), from_edges(4, [(0, 1), (2, 3)]),
+             from_edges(4, [(1, 2), (2, 3)])]
     for v in range(1, 13):
         mat = np.triu(rng.random((v, v)) < 0.4, 1)
         cases.append(Graph.from_bool(mat | mat.T))
@@ -183,7 +184,7 @@ def test_deza_check_octahedron():
 
 def test_deza_check_errors():
     with pytest.raises(NotRegular):
-        deza_check(Graph.from_edges(3, [(0, 1)]))
+        deza_check(from_edges(3, [(0, 1)]))
     # the triangular prism realizes counts 0, 1, 2 -> more than two values
     with pytest.raises(MoreThanTwoValues):
         deza_check(prism())
@@ -211,12 +212,12 @@ def test_ddg_check_basic():
 def test_recognizers():
     assert recognize_complete_multipartite(octahedron()) == (3, 2)
     assert recognize_clique_union(octahedron()) is None
-    five_triangles = Graph.from_edges(
+    five_triangles = from_edges(
         15, [(3 * i + a, 3 * i + b) for i in range(5) for a, b in [(0, 1), (0, 2), (1, 2)]])
     assert recognize_clique_union(five_triangles) == (5, 3)
     assert recognize_complete_multipartite(petersen()) is None
     assert recognize_clique_union(petersen()) is None
-    unequal = Graph.from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
+    unequal = from_edges(5, [(0, 1), (2, 3), (3, 4), (2, 4)])
     assert recognize_clique_union(unequal) is None
 
 
@@ -244,7 +245,7 @@ def test_clique_union_matches_per_vertex_oracle():
 
 
 def test_components():
-    g = Graph.from_edges(5, [(0, 1), (2, 3)])
+    g = from_edges(5, [(0, 1), (2, 3)])
     labels = connected_components(g)
     assert len(set(map(int, labels))) == 3
 
@@ -277,7 +278,7 @@ def test_distance_trichotomy_on_random_diameter3_graphs():
 
 def test_intersection_array_witness():
     # C5 plus a chord is not distance-regular
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    g = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     with pytest.raises(NotDistanceRegular) as ei:
         intersection_array(g)
     assert ei.value.witness is not None
@@ -445,7 +446,7 @@ def _assert_checks_equal_oracles(g, labels, order):
 
 def _relabelled(g, order):
     """g with vertex order[k] named k."""
-    return Graph.from_edges(g.v, np.argsort(order)[edges(g)])
+    return from_edges(g.v, np.argsort(order)[edges(g)])
 
 
 def _petersen_less_an_edge():
@@ -454,7 +455,7 @@ def _petersen_less_an_edge():
     # source to fail is 4.
     g = petersen()
     e = edges(g).tolist()
-    return _relabelled(Graph.from_edges(10, e[1:]), [1, 2, 4, 5, 0, 3, 6, 7, 8, 9])
+    return _relabelled(from_edges(10, e[1:]), [1, 2, 4, 5, 0, 3, 6, 7, 8, 9])
 
 
 # (graph, the first failing source): from a later block; source 0 itself,
@@ -463,10 +464,10 @@ def _petersen_less_an_edge():
 # eccentricities below and above source 0's
 DRG_FAILURES = {
     "later-block": (_petersen_less_an_edge(), 4),
-    "source-0": (Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]), 0),
-    "b-only": (Graph.from_edges(5, [(0, 4), (1, 3), (2, 3), (3, 4)]), 1),
-    "smaller-eccentricity": (Graph.from_edges(3, [(0, 1), (1, 2)]), 1),
-    "larger-eccentricity": (Graph.from_edges(3, [(0, 1), (0, 2)]), 1),
+    "source-0": (from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]), 0),
+    "b-only": (from_edges(5, [(0, 4), (1, 3), (2, 3), (3, 4)]), 1),
+    "smaller-eccentricity": (from_edges(3, [(0, 1), (1, 2)]), 1),
+    "larger-eccentricity": (from_edges(3, [(0, 1), (0, 2)]), 1),
 }
 
 
@@ -497,7 +498,7 @@ def test_rows_are_read_only_and_results_are_copies():
     labels[:] = 7
     assert antipodal_classes(g).tolist() == [0, 1, 2, 0, 1, 2]
     # a kept failure is raised as a new exception on each call
-    chorded = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    chorded = from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     for check, g, error in ((intersection_array, chorded, NotDistanceRegular),
                             (deza_check, prism(), MoreThanTwoValues)):
         raised = []

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import fgl.groups as gr
 from fgl import bits
 from fgl.formulas import InvalidQ
-from fgl.groups import (ClassSizeMismatch, GroupSpec, SzEvenExponent,
-                        check_group_form, generators, identity, involution_class,
-                        make_group, mat_det, mat_inv_det1, mat_mul, reversal,
-                        seed_involution, sylow_partition)
+from fgl.groups import (ClassSizeMismatch, SzEvenExponent,
+                        check_group_form, generators, involution_class,
+                        make_group, reversal, seed_involution, sylow_partition)
 from oracles import (canonicalize, carried_rows, element_order, encode, full_generators,
-                     involution_class_by_dict, least_scaling, mat_scale, member,
-                     product_order, psu3_unitriangular_scan, schreier_generators,
-                     schreier_suborbits, sigma_along_tree, vertex_index)
+                     identity, involution_class_by_dict, least_scaling, mat_det,
+                     mat_inv_det1, mat_mul, mat_scale, member, product_order,
+                     psu3_unitriangular_scan, schreier_generators, schreier_suborbits,
+                     sigma_along_tree, vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,7 @@ def test_generators_pass_forms(psl2_4):
     gens = generators(psl2_4)
     assert ((1, 1), (0, 1)) in gens
     assert ((0, 1), (1, 0)) in gens
-    for g in gens:
-        check_group_form(psl2_4, g)
+    check_group_form(psl2_4, gens)
 
 
 def test_sz_unipotent_family_closed():
@@ -73,8 +72,7 @@ def test_sz_unipotent_family_closed():
     fam = {gr._sz_unipotent(spec, a, b)
            for a in range(spec.ctx.order) for b in range(spec.ctx.order)}
     assert len(fam) == spec.q ** 2
-    for m in fam:
-        check_group_form(spec, m)
+    check_group_form(spec, list(fam))
     # closed under multiplication, and S(0, b) are involutions
     for s1 in fam:
         for s2 in list(fam)[:8]:
@@ -104,8 +102,7 @@ def test_sylow_unipotents_are_a_sylow_subgroup_and_its_centre(family, n):
     unip, centre = gr.sylow_unipotents(spec)
     assert len(unip) == len(set(unip)) == spec.q ** spec.l
     assert unip[0] == identity(spec.dim)
-    for m in unip:
-        check_group_form(spec, m)
+    check_group_form(spec, unip)
     # closed under products, so a group of the Sylow 2-subgroup's order
     assert {mat_mul(spec.ctx, a, b) for a in unip for b in unip} == set(unip)
     assert len(centre) == len(set(centre)) == spec.q - 1
@@ -156,25 +153,68 @@ def test_vertices_numbered_by_encoding(psl2_8_class, sz8_class, psu3_4_class):
 
 
 def test_form_rejections(psl2_4):
-    with pytest.raises(gr.NotInGroupForm):
-        check_group_form(psl2_4, ((1, 0), (1, 1), (0, 0)))
-    with pytest.raises(gr.NotInGroupForm):
-        check_group_form(psl2_4, ((1, 1), (1, 1)))  # det 0
+    with pytest.raises(gr.NotInGroupForm, match="expected 2x2 matrices"):
+        check_group_form(psl2_4, [((1, 0), (1, 1), (0, 0))])
+    with pytest.raises(gr.NotInGroupForm, match="entry out of field range"):
+        check_group_form(psl2_4, [((1, 4), (0, 1))])
+    with pytest.raises(gr.NotInGroupForm, match="determinant is not 1"):
+        check_group_form(psl2_4, [((1, 0), (0, 1)), ((1, 1), (1, 1))])  # det 0
     spec = make_group("sz", 3)
     eye = tuple(tuple(1 if i == j else 0 for j in range(4)) for i in range(4))
     bad = (eye[0], eye[1], eye[2], (0, 1, 0, 1))  # det 1 but not symplectic
-    with pytest.raises(gr.NotInGroupForm):
-        check_group_form(spec, bad)
+    with pytest.raises(gr.NotInGroupForm, match="invariant form not preserved"):
+        check_group_form(spec, [bad])
 
 
-def test_matrix_helpers(psl2_4):
-    ctx = psl2_4.ctx
-    m = ((2, 1), (1, 1))
-    assert mat_det(ctx, m) == 3  # 2*1 + 1*1 = 2 ^ 1 in GF(4)
-    inv = mat_inv_det1(ctx, ((1, 1), (0, 1)))
-    assert mat_mul(ctx, inv, ((1, 1), (0, 1))) == identity(2)
-    with pytest.raises(gr.NotInGroupForm):
-        mat_inv_det1(ctx, ((1, 1), (1, 1)))
+def test_form_check_refuses_a_unitary_scalar_of_determinant_not_1():
+    # at q = 4 a fifth root of unity w has w^(q+1) = 1, so w*I preserves
+    # the Hermitian form; only its determinant w^3 keeps it out of SU3
+    spec = make_group("psu3", 2)
+    ctx, kern = spec.ctx, gr._Kernels(spec)
+    w = next(e for e in range(2, ctx.order) if ctx.pow(e, 5) == 1)
+    x = np.array([[[w if i == j else 0 for j in range(3)] for i in range(3)]], dtype=kern.dtype)
+    assert np.array_equal(kern.mul_batch(kern.inverse(x), x)[0], np.eye(3, dtype=kern.dtype))
+    assert kern.det(x)[0] == ctx.pow(w, 3) != 1
+    with pytest.raises(gr.NotInGroupForm, match="determinant is not 1"):
+        check_group_form(spec, x)
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 3), ("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_inverse_and_det_kernels_match_the_adjugate_and_the_leibniz_sum(family, n):
+    spec = make_group(family, n)
+    kern = gr._Kernels(spec)
+    ms = generators(spec) + gr.sylow_unipotents(spec)[0]
+    x = np.array(ms, dtype=kern.dtype)
+    assert kern.det(x).tolist() == [mat_det(spec.ctx, m) for m in ms] == [1] * len(ms)
+    assert [tuple(map(tuple, g)) for g in kern.inverse(x).tolist()] == \
+        [mat_inv_det1(spec.ctx, m) for m in ms]
+    # the determinant of matrices outside the group, which the form check reads
+    rng = np.random.default_rng(n)
+    y = rng.integers(0, spec.ctx.order, size=(60, spec.dim, spec.dim)).astype(kern.dtype)
+    assert kern.det(y).tolist() == [mat_det(spec.ctx, m) for m in y.tolist()]
+
+
+@pytest.mark.parametrize("seed", [((1, 0), (0, 1)), ((0, 1), (1, 1))])
+def test_a_seed_that_is_not_an_involution_is_refused(seed, monkeypatch):
+    # the identity is central; ((0, 1), (1, 1)) has order 3.  Both pass the form check
+    monkeypatch.setattr(gr, "seed_involution", lambda spec: seed)
+    with pytest.raises(gr.SeedNotInvolution):
+        involution_class(make_group("psl2", 2))
+
+
+def test_a_generator_off_the_form_is_refused(monkeypatch, capsys):
+    from fgl.cli import main
+    spec = make_group("sz", 3)
+    # diag(2, 2^-1, 1, 1) has det 1 but moves the form: a diagonal matrix
+    # preserves it only when its entries 1 and 4, and 2 and 3, multiply to 1
+    torus = tuple(tuple(e if i == j else 0 for j in range(4))
+                  for i, e in enumerate((2, spec.ctx.inv(2), 1, 1)))
+    monkeypatch.setattr(gr, "_sz_torus", lambda s: torus)
+    with pytest.raises(gr.GeneratorValidationFailed,
+                       match="^generator fails form check: invariant form not preserved$"):
+        generators(spec)
+    assert main(["verify", "--family", "sz", "--n", "3"]) == 3
+    assert capsys.readouterr().err.startswith("construction error: generator fails form check:")
 
 
 def test_element_orders(psl2_4):
@@ -256,7 +296,7 @@ def test_every_member_is_an_involution(sz8_class):
     for i in range(0, sz8_class.size, 37):
         m = member(sz8_class, i)
         assert element_order(spec, m) == 2
-        check_group_form(spec, m)
+        check_group_form(spec, [m])
 
 
 def test_conjugation_closure(psl2_8_class):
