@@ -6,12 +6,8 @@ modulo a fixed irreducible polynomial.  Fields have at most 2^16 elements,
 the most the vectorized group arithmetic supports.  A :class:`FieldCtx` owns
 the modulus and log/antilog tables that serve as the multiplication path;
 the polynomial product is the reference the tables are built from and
-checked against.
-
-The modulus and the scalar tables are fixed at construction; the numpy
-tables are filled lazily on first use (np_tables, np_mul_table).  The fill is
-idempotent and publishes each table whole, its guard attribute last, so
-contexts are safe to share between threads.
+checked against.  Every table of a context, the scalar lists and the
+read-only numpy gather tables alike, is built once, by its constructor.
 """
 
 from __future__ import annotations
@@ -89,13 +85,19 @@ def default_modulus(n: int) -> int:
 
 
 class FieldCtx:
-    """Arithmetic context for GF(2^n)."""
+    """Arithmetic context for GF(2^n): the modulus and its tables, all
+    built once, here, from one walk over the powers of the least
+    generator g (the least code of multiplicative order q - 1).
 
-    __slots__ = (
-        "n", "modulus", "order",
-        "_exp", "_log",
-        "_np_log", "_np_exp3", "_np_full",
-    )
+    _exp[i] = g^i and _log[g^i] = i are the scalar lists mul, inv, pow and
+    frobenius read.  The numpy tables are read-only: log, int32, with log[0]
+    the sentinel L = 2(q - 1), and exp3, twice the period then zeros up to
+    index 2L, so exp3[log[a] + log[b]] = a * b for all codes, zero operands
+    included (a sum reaches L exactly when an operand is 0); and full, the
+    dense q x q product table, for q <= FULL_TABLE_MAX_ORDER, else None.
+    """
+
+    __slots__ = ("n", "modulus", "order", "_exp", "_log", "log", "exp3", "full")
 
     def __init__(self, n: int, modulus: int | None = None):
         if not (MIN_DEGREE <= n <= MAX_DEGREE):
@@ -108,11 +110,34 @@ class FieldCtx:
             raise NonIrreducibleModulus(f"modulus {modulus:#b} is reducible over GF(2)")
         self.n = n
         self.modulus = modulus
-        self.order = 1 << n
-        self._np_log = None
-        self._np_exp3 = None
-        self._np_full = None
-        self._build_tables()
+        self.order = q = 1 << n
+        # the powers of each candidate g until one returns to 1: q - 1 distinct
+        # powers make g a generator, the order of g dividing q - 1
+        for g in range(2, q):
+            exp = [1]
+            while len(exp) < q - 1:
+                val = self.mul_poly(exp[-1], g)
+                if val == 1:
+                    break
+                exp.append(val)
+            else:
+                break
+        else:
+            raise AssertionError("no multiplicative generator found")
+        self._exp = exp
+        self._log = [0] * q
+        for i, val in enumerate(exp):
+            self._log[val] = i
+        sentinel = 2 * (q - 1)
+        self.log = np.array([sentinel] + self._log[1:], dtype=np.int32)
+        self.exp3 = np.zeros(2 * sentinel + 1, dtype=self.code_dtype)
+        self.exp3[:sentinel] = exp * 2
+        self.full = None
+        if q <= FULL_TABLE_MAX_ORDER:
+            self.full = self.exp3[self.log[:, None] + self.log[None, :]]
+            self.full.flags.writeable = False
+        self.log.flags.writeable = False
+        self.exp3.flags.writeable = False
 
     def __repr__(self) -> str:
         return f"FieldCtx(n={self.n}, modulus={self.modulus:#b})"
@@ -123,31 +148,9 @@ class FieldCtx:
     def __hash__(self) -> int:
         return hash((self.n, self.modulus))
 
-    # -- construction helpers ------------------------------------------
-
-    def _build_tables(self) -> None:
-        q = self.order
-        # find a multiplicative generator by direct order computation
-        for g in range(2, q):
-            val, steps = g, 1
-            while val != 1:
-                val = self.mul_poly(val, g)
-                steps += 1
-                if steps > q:
-                    raise AssertionError("order walk failed to terminate")
-            if steps == q - 1:
-                break
-        else:
-            raise AssertionError("no multiplicative generator found")
-        exp = [0] * (q - 1)
-        log = [0] * q
-        val = 1
-        for i in range(q - 1):
-            exp[i] = val
-            log[val] = i
-            val = self.mul_poly(val, g)
-        self._exp = exp
-        self._log = log
+    @property
+    def code_dtype(self):
+        return np.uint8 if self.order <= 1 << 8 else np.uint16
 
     # -- scalar operations ---------------------------------------------
 
@@ -163,62 +166,18 @@ class FieldCtx:
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        return self._exp[-self._log[a] % (self.order - 1)]
 
     def pow(self, a: int, e: int) -> int:
+        """a^e, with 0^0 = 1."""
         if e < 0:
             raise ValueError("exponent must be non-negative")
         if a == 0:
             return 0 if e else 1
-        e %= self.order - 1
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def frobenius(self, a: int, k: int) -> int:
         """k-fold squaring: a^(2^k)."""
         if k < 0:
             raise ValueError("frobenius power must be non-negative")
-        for _ in range(k % self.n):
-            a = self.mul(a, a)
-        return a
-
-    # -- numpy kernels ---------------------------------------------------
-
-    @property
-    def code_dtype(self):
-        return np.uint8 if self.order <= 1 << 8 else np.uint16
-
-    def np_tables(self):
-        """(log, exp3) arrays for gather-based multiplication.
-
-        log[0] is a sentinel L = 2(q-1) and exp3 is zero from index L on,
-        so exp3[log[a] + log[b]] is correct including zero operands.
-        """
-        if self._np_log is None:
-            q = self.order
-            sentinel = 2 * (q - 1)
-            log = np.empty(q, dtype=np.int32)
-            log[0] = sentinel
-            log[1:] = [self._log[v] for v in range(1, q)]
-            exp3 = np.zeros(2 * sentinel + 1, dtype=self.code_dtype)
-            period = np.array(self._exp, dtype=self.code_dtype)
-            exp3[: q - 1] = period
-            exp3[q - 1 : sentinel] = period
-            self._np_exp3 = exp3
-            self._np_log = log  # the guard, written last
-        return self._np_log, self._np_exp3
-
-    def np_mul_table(self):
-        """Dense q x q multiplication table, or None for large fields."""
-        if self.order > FULL_TABLE_MAX_ORDER:
-            return None
-        if self._np_full is None:
-            log, exp3 = self.np_tables()
-            a = np.arange(self.order)
-            self._np_full = exp3[log[a][:, None] + log[a][None, :]]
-        return self._np_full
+        return self.pow(a, 1 << (k % self.n))

@@ -139,17 +139,6 @@ class GroupSpec:
         return formulas.class_size(self.family, self.q)
 
 
-def _cube_roots_of_unity(ctx: FieldCtx) -> tuple[int, int]:
-    e = (ctx.order - 1) // 3
-    for x in range(2, ctx.order):
-        z = ctx.pow(x, e)
-        if z != 1:
-            if ctx.pow(z, 3) != 1:
-                raise AssertionError("cube root search failed")
-            return z, ctx.mul(z, z)
-    raise AssertionError("no cube root of unity found")
-
-
 def make_group(family: str, n: int) -> GroupSpec:
     family = formulas.normalize_family(family)
     if n < 2:
@@ -170,9 +159,8 @@ def make_group(family: str, n: int) -> GroupSpec:
     dim = formulas.MATRIX_DIM[family]
     if family == PSU3:
         ctx = FieldCtx(2 * n)
-        if (q + 1) % 3 == 0:
-            z, z2 = _cube_roots_of_unity(ctx)
-            center = (1, z, z2)
+        if (q + 1) % 3 == 0:  # the cube roots of unity g^(k(q^2 - 1)/3)
+            center = tuple(int(ctx.exp3[k * (ctx.order - 1) // 3]) for k in range(3))
         else:
             center = (1,)
     else:
@@ -331,7 +319,7 @@ def sylow_generator_count(spec: GroupSpec) -> int:
 def encodings(codes: np.ndarray) -> np.ndarray:
     """(m, d, d) codes -> (m, B) uint8 rows, each matrix's encoding: its
     entries row-major, each little-endian in the width of the codes' dtype,
-    1 byte up to GF(2^8) and 2 above (np_tables stops at GF(2^16))."""
+    1 byte up to GF(2^8) and 2 above (fields stop at GF(2^16))."""
     m, d = codes.shape[0], codes.shape[-1]
     le = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<"))
     return le.view(np.uint8).reshape(m, d * d * le.itemsize)
@@ -346,9 +334,7 @@ class _Kernels:
     def __init__(self, spec: GroupSpec):
         self.spec = spec
         self.dtype = spec.ctx.code_dtype
-        self.full = spec.ctx.np_mul_table()
-        if self.full is None:
-            self.log, self.exp3 = spec.ctx.np_tables()
+        self.full, self.log, self.exp3 = spec.ctx.full, spec.ctx.log, spec.ctx.exp3
         self.least_scale = None  # least_scale[e]: the z in the centre whose z*e encodes least
         if len(spec.center) > 1:
             z = np.array(spec.center, dtype=self.dtype)

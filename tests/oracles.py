@@ -31,8 +31,10 @@ least_scaling encodes every centre scaling of one tuple matrix and keeps
 the least (canonicalize form-checks it first), where the library scales
 each matrix once, by its leading entry (_Kernels.canonical_batch).
 mat_mul, mat_det (the Leibniz sum) and mat_inv_det1 (the adjugate) work on
-tuple matrices one entry at a time, where the library gathers whole
-batches and inverts through the invariant form (_Kernels.inverse).
+tuple matrices one entry at a time, multiplying entries with the
+carry-less reference FieldCtx.mul_poly, where the library gathers whole
+batches from the field's log and product tables and inverts through the
+invariant form (_Kernels.inverse).
 from_edges builds a graph from a pair list and to_graph6 returns the
 graph6 text, which the library only writes to files.
 """
@@ -354,7 +356,7 @@ def identity(d: int):
 def mat_mul(ctx, a, b):
     """The product of two tuple matrices, one entry at a time."""
     d = len(a)
-    return tuple(tuple(functools.reduce(operator.xor, (ctx.mul(a[i][k], b[k][j]) for k in range(d)))
+    return tuple(tuple(functools.reduce(operator.xor, (ctx.mul_poly(a[i][k], b[k][j]) for k in range(d)))
                        for j in range(d)) for i in range(d))
 
 
@@ -363,7 +365,7 @@ def mat_det(ctx, a) -> int:
     d = len(a)
     s = 0
     for perm in itertools.permutations(range(d)):
-        s ^= functools.reduce(ctx.mul, (a[i][perm[i]] for i in range(d)))
+        s ^= functools.reduce(ctx.mul_poly, (a[i][perm[i]] for i in range(d)))
     return s
 
 
@@ -389,13 +391,13 @@ def scalar_code(a) -> int | None:
 
 
 def mat_scale(ctx, s: int, a):
-    return tuple(tuple(ctx.mul(s, e) for e in row) for row in a)
+    return tuple(tuple(ctx.mul_poly(s, e) for e in row) for row in a)
 
 
 def encode(spec, m) -> bytes:
     """Row-major bytes, each entry little-endian in the field's width."""
     w = (spec.ctx.n + 7) // 8
-    return b"".join(e.to_bytes(w, "little") for row in m for e in row)
+    return b"".join(int(e).to_bytes(w, "little") for row in m for e in row)
 
 
 def least_scaling(spec, m):

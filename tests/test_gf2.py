@@ -86,12 +86,15 @@ def test_multiplicative_order_divides_group(n):
         assert ctx.pow(a, ctx.order - 1) == 1
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
 def test_table_mul_matches_polynomial_mul(n):
+    # the scalar lists and the dense numpy table, on all pairs
     ctx = FieldCtx(n)
-    for a in range(ctx.order):
-        for b in range(ctx.order):
-            assert ctx.mul(a, b) == ctx.mul_poly(a, b)
+    want = [[ctx.mul_poly(a, b) for b in range(ctx.order)] for a in range(ctx.order)]
+    assert [[ctx.mul(a, b) for b in range(ctx.order)] for a in range(ctx.order)] == want
+    assert ctx.full.tolist() == want
+    with pytest.raises(ValueError, match="read-only"):
+        ctx.full[1, 1] = 0
 
 
 def _kernels(n):
@@ -113,13 +116,56 @@ def test_np_mul_matches_scalar():
 def test_np_mul_log_path_matches_scalar():
     kern = _kernels(11)  # above the dense-table cutoff
     ctx = kern.spec.ctx
-    assert kern.full is None and ctx.np_mul_table() is None
+    assert kern.full is None and ctx.full is None
     rng = np.random.default_rng(7)
     a = rng.integers(0, ctx.order, 300).astype(np.uint16)
     b = rng.integers(0, ctx.order, 300).astype(np.uint16)
     got = kern._mul(a, b)
     want = np.array([ctx.mul(int(x), int(y)) for x, y in zip(a, b)], dtype=np.uint16)
     assert np.array_equal(got, want)
+
+
+def _pow_poly(ctx, a, e):
+    """a^e by square-and-multiply on the carry-less reference product."""
+    r = 1
+    while e:
+        if e & 1:
+            r = ctx.mul_poly(r, a)
+        a = ctx.mul_poly(a, a)
+        e >>= 1
+    return r
+
+
+@pytest.mark.parametrize("n", [11, 12, 14, 16])
+def test_log_path_matches_polynomial_mul(n):
+    # above the dense-table cutoff the gather exp3[log a + log b] is the only
+    # table product: checked against the carry-less reference, not against
+    # the scalar lists the tables are built from
+    ctx = FieldCtx(n)
+    q = ctx.order
+    assert ctx.full is None
+    rng = np.random.default_rng(n)
+    edge = [0, 1, q - 1]
+    a = np.array([x for x in edge for _ in edge] + rng.integers(0, q, 400).tolist())
+    b = np.array(edge * len(edge) + rng.integers(0, q, 400).tolist())
+    got = ctx.exp3[ctx.log[a] + ctx.log[b]]
+    assert got.tolist() == [ctx.mul_poly(int(x), int(y)) for x, y in zip(a, b)]
+    for x in [0, 1] + rng.integers(2, q, 3).tolist():
+        for e in (0, 1, 2, q - 2, q - 1, q, 3 * q):
+            assert ctx.pow(x, e) == _pow_poly(ctx, x, e)
+        if x:
+            assert ctx.mul_poly(ctx.inv(x), x) == 1
+        for k in (0, 1, n - 1, n, n + 1, 3 * n):
+            assert ctx.frobenius(x, k) == _pow_poly(ctx, x, 1 << k)
+    with pytest.raises(DivisionByZero):
+        ctx.inv(0)
+    with pytest.raises(ValueError):
+        ctx.pow(2, -1)
+    with pytest.raises(ValueError):
+        ctx.frobenius(2, -1)
+    for table in (ctx.log, ctx.exp3):
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = 0
 
 
 def test_clmul_clmod_basics():

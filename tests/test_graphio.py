@@ -2,6 +2,7 @@ import json
 import os
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,7 +119,6 @@ def test_known_graph6_values():
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=40, deadline=None)
 def test_graph6_matches_networkx(seed):
-    nx = pytest.importorskip("networkx")
     g = random_graph(seed)
     ours = to_graph6(g)
     ng = nx.from_graph6_bytes(ours.encode())
@@ -131,7 +131,6 @@ def test_graph6_matches_networkx(seed):
 @pytest.mark.parametrize("v", [0, 1, 2, 62, 63, 64, 65, 100, 300])
 def test_graph6_across_blocks_matches_networkx(tmp_path, monkeypatch, v):
     # 12-row blocks: the text written and read one block at a time is networkx's
-    nx = pytest.importorskip("networkx")
     monkeypatch.setattr(bits, "ROW_BLOCK_BITS", 1 << 10)
     assert v < 62 or len(_graph6_blocks(v)) > 1
     g = random_graph(v, v=v, p=0.5)

@@ -194,6 +194,31 @@ def test_inverse_and_det_kernels_match_the_adjugate_and_the_leibniz_sum(family, 
     assert kern.det(y).tolist() == [mat_det(spec.ctx, m) for m in y.tolist()]
 
 
+@pytest.mark.parametrize("family,n", [("psl2", 11), ("psl2", 15), ("psu3", 6), ("psu3", 7)])
+def test_kernels_above_the_dense_table_match_the_oracles(family, n):
+    # fields above GF(1024) multiply by the log gather alone; no class is built
+    spec = make_group(family, n)
+    kern = gr._Kernels(spec)
+    assert kern.full is None
+    gens = generators(spec)  # form-checked: det, inverse and mul_batch
+    rng = np.random.default_rng(n)
+
+    def word():
+        m = identity(spec.dim)
+        for i in rng.integers(0, len(gens), 8):
+            m = mat_mul(spec.ctx, m, gens[i])
+        return m
+
+    def as_tuples(arr):
+        return [tuple(map(tuple, m)) for m in arr.tolist()]
+
+    xs, ys = [word() for _ in range(50)], [word() for _ in range(50)]
+    x, y = np.array(xs, dtype=kern.dtype), np.array(ys, dtype=kern.dtype)
+    assert as_tuples(kern.mul_batch(x, y)) == [mat_mul(spec.ctx, a, b) for a, b in zip(xs, ys)]
+    assert as_tuples(kern.inverse(x)) == [mat_inv_det1(spec.ctx, a) for a in xs]
+    assert as_tuples(kern.canonical_batch(x)[0]) == [least_scaling(spec, a) for a in xs]
+
+
 @pytest.mark.parametrize("seed", [((1, 0), (0, 1)), ((0, 1), (1, 1))])
 def test_a_seed_that_is_not_an_involution_is_refused(seed, monkeypatch):
     # the identity is central; ((0, 1), (1, 1)) has order 3.  Both pass the form check
