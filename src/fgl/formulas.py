@@ -5,8 +5,9 @@ Everything here is exact integer arithmetic on the parameter triple
 intersection array {k, (r-1)mu, 1; 1, mu, k}, k = r*mu + 1, and on the
 three group families PSL2(q) / Sz(q) / PSU3(q) with q = 2^n >= 4, where
 that triple specializes to k = q^l, r = q - 1, mu = (q^l - 1)/(q - 1).
-The empirical pipeline checks every computed certificate against these
-predictions.
+The pipeline checks the chi graph's computed certificate against
+predicted_chi_array; the odd-complement graph's certificates it fills from
+these closed forms, which that certificate implies (pipeline.run_verify).
 """
 
 from __future__ import annotations

@@ -68,6 +68,37 @@ def test_strictness_identity_grid():
             assert is_strict(k, r, mu) == direct == (r != mu + 2)
 
 
+def test_odd_complement_identities_over_families():
+    # the closed forms run_verify fills the odd-complement certificates from:
+    # v - |T(x) | T(y)| with |T(x)| = k + r, |T(x) & T(y)| = r within an
+    # antipodal class and mu + 2 across, for every family and n <= 16
+    checked = 0
+    for family in formulas.FAMILIES:
+        for n in range(2, 17):
+            q = 1 << n
+            try:
+                k, r, mu = krmu(family, q)
+            except InvalidQ:
+                continue
+            v = formulas.class_size(family, q)
+            ddg = formulas.predicted_ddg(family, q)
+            within, cross = ddg["lambda_within"], ddg["lambda_cross"]
+            assert within == v - 2 * (k + r) + r == k * (r - 2)
+            assert cross == v - 2 * (k + r) + mu + 2 == (r - 1) ** 2 * mu
+            # k + 1 classes of r; each vertex has v - r cross-class partners
+            assert (ddg["num_classes"], ddg["class_size"]) == (k + 1, r)
+            assert v == (k + 1) * r
+            assert (k + 1) * r * (r - 1) // 2 + v * (v - r) // 2 == v * (v - 1) // 2
+            p0, p1, p2, p3 = p22_numbers(k, r, mu)
+            assert p0 == (r - 1) * k and (p1, p2, p3) == (cross, cross, within)
+            assert {p1, p3} == set(deza_pair(k, r, mu))
+            assert predicted_deza_params(family, q) == (v, p0, max(within, cross),
+                                                        min(within, cross))
+            assert is_strict(k, r, mu) == (within != cross)
+            checked += 1
+    assert checked == 15 + 7 + 15
+
+
 def test_deza_pair_sorted():
     a, b = deza_pair(64, 7, 9)
     assert (a, b) == (320, 324)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import inspect
 import io
 import json
 import os
@@ -10,75 +12,77 @@ import pytest
 from fgl import bits, formulas, fusion, graphs, groups, pipeline
 from fgl.cli import main as cli_main
 from fgl.gf2 import FieldCtx
-from fgl.pipeline import _derived_pi_analysis, run_verify
+from fgl.pipeline import run_verify
 from oracles import iter_common_neighbor_counts
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def analyze_pi_direct(pi: graphs.Graph, labels: np.ndarray, k: int, r: int, mu: int):
+def analyze_pi_direct(pi: graphs.Graph, labels: np.ndarray):
     """Oracle: one exhaustive common-neighbor pass over the odd-complement
-    graph, with the same result keys as the derived analysis."""
+    graph.  The census, the counts seen on edges, on pairs within a class of
+    labels and on pairs across classes, whether every pair has a common
+    neighbor, and for each count c the graph of the pairs with c."""
     v = pi.v
-    c_mult = (r - 1) ** 2 * mu  # cross-class common-neighbor count
-    c_cliq = k * (r - 2)        # within-class common-neighbor count
     census: dict[int, int] = {}
-    lam_edge = None
-    lam_edge_ok = within_ok = cross_ok = diam2 = True
-    up_mult = bits.zero_rows(v, v)
-    up_cliq = bits.zero_rows(v, v)
+    edge, within, cross = set(), set(), set()
+    diam2 = True
+    upper: dict[int, np.ndarray] = {}
     for x, cn in iter_common_neighbor_counts(pi):
         for val, cnt in zip(*np.unique(cn, return_counts=True)):
             census[int(val)] = census.get(int(val), 0) + int(cnt)
         adj = bits.unpack_rows(pi.rows[x], v)[x + 1:]
-        if adj.any():
-            vals = cn[adj]
-            if lam_edge is None:
-                lam_edge = int(vals[0])
-            if (vals != lam_edge).any():
-                lam_edge_ok = False
-        if (cn[~adj] == 0).any():
-            diam2 = False
         same = labels[x + 1:] == labels[x]
-        if (cn[same] != c_cliq).any():
-            within_ok = False
-        if (cn[~same] != c_mult).any():
-            cross_ok = False
+        edge.update(map(int, cn[adj]))
+        within.update(map(int, cn[same]))
+        cross.update(map(int, cn[~same]))
+        diam2 &= bool((cn > 0).all())
         pad = np.zeros(x + 1, dtype=bool)
-        up_mult[x] = bits.pack_bool(np.concatenate([pad, cn == c_mult]), v)
-        up_cliq[x] = bits.pack_bool(np.concatenate([pad, cn == c_cliq]), v)
-    return {
-        "census": census,
-        "lam_edge": lam_edge,
-        "lam_edge_ok": lam_edge_ok,
-        "within_ok": within_ok,
-        "cross_ok": cross_ok,
-        "diam2": diam2,
-        "omega_mult": graphs.Graph(v, up_mult | bits.transpose(up_mult, v)),
-        "omega_cliq": graphs.Graph(v, up_cliq | bits.transpose(up_cliq, v)),
-    }
+        for val in np.unique(cn):
+            rows = upper.setdefault(int(val), bits.zero_rows(v, v))
+            rows[x] = bits.pack_bool(np.concatenate([pad, cn == val]), v)
+    omega = {c: graphs.Graph(v, up | bits.transpose(up, v)) for c, up in upper.items()}
+    return {"census": census, "edge": edge, "within": within, "cross": cross,
+            "diam2": diam2, "omega": omega}
 
 
 @pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4),
                                       ("sz", 3), ("psu3", 2)])
-def test_derived_pi_analysis_equals_direct(family, n):
-    # the certificate-based derivation must reproduce the measured pass exactly
+def test_pi_certificate_equals_direct(family, n):
+    # the odd-complement certificates run_verify fills from the closed forms
+    # are those of an exhaustive pass over the graph built pair by pair
+    d = run_verify(family, n).data
+    pi, omega = d["pi_graph"], d["cn_structure"]
+    assert d["status"] == "pass" and pi["analysis"] == "derived-from-cover-certificate"
     cls = groups.involution_class(groups.make_group(family, n))
-    k, r, mu = formulas.krmu(family, 1 << n)
     labels = groups.sylow_partition(cls)
-    cert = fusion.seed_set_cover3_certificate(cls, cls.seed_sets().chi)
     pi_g = fusion.build_fusion_graph(cls, fusion.PiSpec.odd_complement())
-    direct = analyze_pi_direct(pi_g, labels, k, r, mu)
-    derived = _derived_pi_analysis(cls.size, k, r, mu)
-    for key in ("census", "lam_edge", "lam_edge_ok", "within_ok", "cross_ok", "diam2"):
-        assert direct[key] == derived[key], key
-    # the omega graphs are the antipodal classes and their complement; with
-    # a = b both counts coincide and the omega graphs are not used
-    if formulas.is_strict(k, r, mu):
-        classes = (int(cert.labels.max()) + 1, cert.r)
-        assert graphs.recognize_complete_multipartite(direct["omega_mult"]) == classes
-        assert graphs.recognize_clique_union(direct["omega_cliq"]) == classes
-        assert direct["omega_mult"] == direct["omega_cliq"].complement()
+    direct = analyze_pi_direct(pi_g, labels)
+    census = direct["census"]
+    a, b = min(census), max(census)
+    (degree,) = set(map(int, pi_g.degrees()))
+    ((lam_edge,), (within,), (cross,)) = direct["edge"], direct["within"], direct["cross"]
+    assert pi["cn_spectrum"] == {str(c): census[c] for c in sorted(census)}
+    assert pi["deza"] == {"v": pi_g.v, "k": degree, "b": b, "a": a,
+                          "strict": direct["diam2"] and a != b, "edge_regular": True,
+                          "edge_lambda": lam_edge, "strongly_regular": a == b,
+                          "diameter2": direct["diam2"]}
+    sizes = np.bincount(labels)
+    assert pi["ddg"] == {"num_classes": len(sizes), "class_size": int(sizes[0]),
+                         "lambda_within": within, "lambda_cross": cross, "match": True}
+    assert set(sizes) == {sizes[0]}
+    if a == b:
+        assert omega == {"applicable": False, "reason": "degenerate case a = b (r = mu + 2)"}
+        return
+    # the pairs with the within-class count are the classes, a union of
+    # cliques, and those with the cross-class count complete multipartite
+    mult, cliq = direct["omega"][cross], direct["omega"][within]
+    assert omega == {
+        "applicable": True, "complement_pair": mult == cliq.complement(),
+        "multipartite": {"c": cross, "result": list(graphs.recognize_complete_multipartite(mult)),
+                         "match": True},
+        "clique_union": {"c": within, "result": list(graphs.recognize_clique_union(cliq)),
+                         "match": True}}
 
 
 def test_report_contents_psl2_8():
@@ -280,6 +284,101 @@ def test_flipped_pi_edge_fails_with_named_failure(monkeypatch):
     assert d["pi_graph"]["gamma2_match"] is False
     assert d["pi_graph"]["gamma2_witness"] == [0, 62]
     assert d["pi_graph"]["analysis"].startswith("skipped")
+
+
+def _fails_alone(capsys, message):
+    """run_verify psl2 n=3 lists message as its only failure, and fgl verify
+    prints the same certificate, names the failure on stderr and exits 1."""
+    d = run_verify("psl2", 3).data
+    assert d["status"] == "fail"
+    assert d["failures"] == [message]
+    assert d["pi_graph"]["analysis"].startswith("skipped")
+    assert cli_main(["verify", "--family", "psl2", "--n", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out)["failures"] == [message]
+    assert err == f"VERIFY FAILED: {message}\n"
+    return d
+
+
+def test_even_product_order_fails_the_census(monkeypatch, capsys):
+    # a kernel that doubles every order above the associated prime: the
+    # commuting and distinguished partners stay, the dichotomy does not
+    real = groups._batch_orders
+
+    def doubled(*a):
+        orders = real(*a)
+        return np.where(orders > 3, 2 * orders, orders)
+    monkeypatch.setattr(groups, "_batch_orders", doubled)
+    d = _fails_alone(capsys, "orders: a non-commuting product has even order")
+    assert d["orders"]["noncommuting_all_odd"] is False
+    i, j, order = d["orders"]["even_witness"]
+    assert i == 0 and order > 3 and order % 2 == 0
+
+
+def test_merged_commuting_classes_fail_the_sylow_count(monkeypatch, capsys):
+    # block orbits that merge the last class into the first: 8 classes, one
+    # of them twice the size, where PSL2(8) has 9 Sylow classes of 7
+    real = groups.block_partition
+
+    def merged(perms, base):
+        labels = real(perms, base)
+        return np.where(labels == labels.max(), 0, labels)
+    monkeypatch.setattr(groups, "block_partition", merged)
+    d = _fails_alone(capsys, "sylow: 8 commuting classes of sizes [7, 14], "
+                             "expected 9 classes of size 7")
+    assert d["sylow"]["equivalence"] is False
+    assert "antipodal_equals_sylow" not in d["chi_graph"]
+
+
+def test_wrong_chi_array_fails_against_the_prediction(monkeypatch, capsys):
+    real = fusion.seed_set_cover3_certificate
+    wrong = formulas.IntersectionArray(b=(8, 6, 1), c=(1, 2, 8))
+    monkeypatch.setattr(fusion, "seed_set_cover3_certificate",
+                        lambda *a, **kw: dataclasses.replace(real(*a, **kw), array=wrong))
+    d = _fails_alone(capsys, "chi_graph: array {8,6,1;1,2,8} != predicted {8,6,1;1,1,8}")
+    assert d["chi_graph"]["array_match"] is False
+
+
+def test_swapped_sylow_label_fails_antipodal_equals_sylow(monkeypatch, capsys):
+    # vertex 0 swaps labels with the last vertex, of another class: the
+    # certificate builds its own antipodal classes, which differ
+    real = groups.InvolutionClass.sylow_labels
+
+    def swapped(cls):
+        labels = real(cls).copy()
+        assert labels[0] != labels[-1]
+        labels[[0, -1]] = labels[[-1, 0]]
+        return labels
+    monkeypatch.setattr(groups.InvolutionClass, "sylow_labels", swapped)
+    d = _fails_alone(capsys, "chi_graph: antipodal classes differ from Sylow classes")
+    assert d["chi_graph"]["antipodal_equals_sylow"] is False
+    assert d["pi_graph"]["phi_13_match"] is False
+
+
+def _failure_prefixes():
+    """The literal text each failures.append in pipeline.py starts with."""
+    tree = ast.parse(inspect.getsource(pipeline))
+    prefixes = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "failures"):
+            (arg,) = node.args
+            head = arg.values[0] if isinstance(arg, ast.JoinedStr) else arg
+            assert isinstance(head, ast.Constant) and isinstance(head.value, str), \
+                ast.unparse(arg)
+            prefixes.append(head.value)
+    return prefixes
+
+
+def test_every_failure_message_is_tested():
+    # a failure no test names is one no test reaches, or one that cannot fire
+    here = os.path.dirname(__file__)
+    text = "".join(open(os.path.join(here, name)).read()
+                   for name in sorted(os.listdir(here)) if name.endswith(".py"))
+    prefixes = _failure_prefixes()
+    assert prefixes
+    assert [p for p in prefixes if p not in text] == []
 
 
 def _cache_name(family, n):
