@@ -99,6 +99,13 @@ def class_size(family: str, q: int) -> int:
     return r * (k + 1)
 
 
+def stabiliser_classes(family: str, q: int) -> int:
+    """Orbits of a Sylow 2-subgroup U of an involution's centraliser on the
+    class: the q - 1 involutions of Z(U), and q - 1 orbits of q^l."""
+    check_q(family, q)
+    return 2 * q - 2
+
+
 def cover_array(k: int, r: int, mu: int) -> IntersectionArray:
     """{k, (r-1)mu, 1; 1, mu, k} after validating the hypothesis."""
     _check_cover(k, r, mu)

@@ -6,12 +6,12 @@ among all center scalings of a matrix, the representative whose row-major
 little-endian byte encoding is least.  The scalings share their zero
 entries, so their encodings first differ at the leading (first nonzero)
 entry e, and the least is the scaling z*m whose z*e encodes least
-(_Kernels.canonical_batch).  The generating sets have O(n)
-elements: unipotents over a GF(2)-basis, the reversal and, for Sz, a torus
-element (generators).  The conjugacy class of involutions is the disjoint
-union of the q^l + 1 Sylow 2-centres less the identity: Z(U)^# for the
-lower unitriangular Sylow subgroup U (sylow_unipotents) and its
-conjugates u^-1 (w Z(U)^# w) u by the reversal w and each u in U
+(_Kernels.canonical_batch).  Three matrices act on the class
+(generators): a unipotent u of a Sylow 2-subgroup U*, the reversal w and
+a torus element h normalising U*.  The conjugacy class of involutions is
+the disjoint union of the q^l + 1 Sylow 2-centres less the identity:
+Z(U)^# for the lower unitriangular Sylow subgroup U (sylow_unipotents)
+and its conjugates u^-1 (w Z(U)^# w) u by the reversal w and each u in U
 (involution_class).  Vertices are numbered by the lexicographic order of
 their canonical encodings, so the numbering, and every vertex id derived
 from it, does not depend on the generating set.
@@ -19,20 +19,21 @@ from it, does not depend on the generating set.
 A class is proven where it is made, and only closed_class makes one: it
 takes rows from the enumeration or from a cache and proves them the class,
 each row at its vertex id (the encodings strictly increase).  Conjugating
-the class once by each generator yields its permutations of the vertices,
-kept with an identity row in one int32 buffer (InvolutionClass.steps), and
-proves the set closed; a breadth-first int32 Schreier tree over them, its
-root labelled with the identity row, reaches every vertex from vertex 0
-(the transitivity proof), and the generators on the tree path to x compose
-to a conjugation sigma_x with sigma_x(0) = x, gathered from the buffer
-with no copy (InvolutionClass.carry).  Conjugation preserves product
-orders, so every product-order fact is one about vertex 0 and constant on
-the orbits of vertex 0's stabiliser.  The unipotent generators lie in one
-Sylow 2-subgroup U* and fix the q - 1 involutions of its centre; with
-sigma = sigma_x* for the least such x*, sigma^-1 p sigma fixes vertex 0
-for each of their permutations p, and these generate sigma^-1 U* sigma,
-whose 2q - 2 orbits are the classes (stabiliser_suborbits).  One
-product per class but {0}, 2q - 3, gives the
+the class once by each of u, w and h yields their permutations of the
+vertices and proves the set closed.  Conjugation is a homomorphism, so the
+permutations of u_k = h^-k u h^k, which generate U*, follow by gathers.  All
+are kept with an identity row in one int32 buffer (InvolutionClass.steps);
+a breadth-first int32 Schreier tree over them, its root labelled with the
+identity row, reaches every vertex from vertex 0 (the transitivity proof),
+and the permutations on the tree path to x compose to a conjugation
+sigma_x with sigma_x(0) = x, gathered from the buffer with no copy
+(InvolutionClass.carry).  Conjugation preserves product orders, so every
+product-order fact is one about vertex 0 and constant on the orbits of
+vertex 0's stabiliser.  The u_k fix the q - 1 involutions of U*'s
+centre; with sigma = sigma_x* for the least such x*, sigma^-1 p sigma
+fixes vertex 0 for each of their permutations p, and these generate
+sigma^-1 U* sigma, whose 2q - 2 orbits are the classes
+(stabiliser_suborbits).  One product per class but {0}, 2q - 3, gives the
 table every vertex-0 fact reads (InvolutionClass.suborbits): the order
 census is v/2 times the seed's row (orbital_order_census), the partners of
 x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
@@ -220,37 +221,12 @@ def _psu3_unipotent(spec: GroupSpec, x: int, y: int) -> Matrix:
     return ((1, 0, 0), (x, 1, 0), (y, spec.ctx.frobenius(x, spec.n), 1))
 
 
-def _gf2_basis(values) -> list[int]:
-    """The values, in order, that raise the GF(2)-rank of those before them."""
-    basis, reduced = [], []  # reduced: distinct leading bits, descending
-    for value in values:
-        r = value
-        for b in reduced:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(value)
-            reduced = sorted(reduced + [r], reverse=True)
-    return basis
-
-
 def _psu3_trace_one(spec: GroupSpec) -> int:
     """w = 2 / (2 + 2^q), of trace w + w^q = 1, so that y = x^(q+1) w
     solves y + y^q = x^(q+1).  The code 2, the polynomial t, generates
     GF(q^2), so it lies outside GF(q) and 2 + 2^q is not 0."""
     ctx = spec.ctx
     return ctx.mul(2, ctx.inv(2 ^ ctx.frobenius(2, spec.n)))
-
-
-def _psu3_unipotents(spec: GroupSpec) -> list[Matrix]:
-    """One unipotent over each GF(2)-basis element x of GF(q^2), and the
-    central ones (x = 0) over a GF(2)-basis y of GF(q), the traces of the
-    basis of GF(q^2), which span GF(q)."""
-    ctx, n, q = spec.ctx, spec.n, spec.q
-    w = _psu3_trace_one(spec)
-    basis = [1 << i for i in range(2 * n)]
-    moving = [_psu3_unipotent(spec, x, ctx.mul(ctx.pow(x, q + 1), w)) for x in basis]
-    centre = _gf2_basis(e ^ ctx.frobenius(e, n) for e in basis)
-    return moving + [_psu3_unipotent(spec, 0, y) for y in centre]
 
 
 def sylow_unipotents(spec: GroupSpec) -> tuple[list[Matrix], list[Matrix]]:
@@ -277,28 +253,32 @@ def sylow_unipotents(spec: GroupSpec) -> tuple[list[Matrix], list[Matrix]]:
 
 
 def generators(spec: GroupSpec) -> list[Matrix]:
-    """A generating set of O(n) matrices, each form-checked here.
+    """The three conjugators [u, w, h], each form-checked here: a unipotent
+    u of one Sylow 2-subgroup U* (upper unitriangular for PSL2, lower for
+    Sz and PSU3), the reversal w and a torus element h normalising U*.
 
-    PSL2: the n unipotents over the GF(2)-basis 2^i of GF(q), and the
-    reversal (n + 1).  Sz: the unipotents S(2^i, 0) and S(0, 2^i), a torus
-    element and the reversal (2n + 2).  PSU3: the 2n + n unipotents of
-    _psu3_unipotents and the reversal (3n + 1).  The unipotents come first,
-    sylow_generator_count(spec) of them, and lie in one Sylow 2-subgroup
-    U* (upper unitriangular for PSL2, lower for Sz and PSU3), whose centre
-    they fix (stabiliser_suborbits).  Sufficiency is certified where a
-    class is made: closed_class's Schreier tree must reach every one of the
-    closed-form count of vertices.
+    With lam = ctx._exp[1], a generator of the multiplicative group: PSL2
+    u = ((1, 1), (0, 1)), h = diag(lam, lam^-1); Sz u = S(1, 0), h =
+    _sz_torus; PSU3 u = (1, w) of _psu3_unipotent, w of trace 1, h =
+    diag(lam, lam^(q-1), lam^-q).  h^-1 u(a) h = u(mu a) for mu = lam^-2,
+    2 (the polynomial t) and lam^(2-q), in no proper subfield, so the
+    parameters mu^k of u_k = h^-k u h^k, k < sylow_generator_count(spec),
+    are a GF(2)-basis of the field of a: the u_k span U* modulo its
+    Frattini subgroup (trivial for PSL2, the centre for Sz and PSU3), so
+    they generate U*.  closed_class derives their permutations from u's
+    and h's and proves the set sufficient with its Schreier tree;
+    run_verify's class count refuses u_k that generate less than U*.
     """
-    n = spec.n
+    ctx, q = spec.ctx, spec.q
+    lam = ctx._exp[1]
     if spec.family == PSL2:
-        gens = [((1, 1 << i), (0, 1)) for i in range(n)]
+        u, h = ((1, 1), (0, 1)), ((lam, 0), (0, ctx.inv(lam)))
     elif spec.family == SZ:
-        gens = [_sz_unipotent(spec, 1 << i, 0) for i in range(n)]
-        gens += [_sz_unipotent(spec, 0, 1 << i) for i in range(n)]
-        gens.append(_sz_torus(spec))
+        u, h = _sz_unipotent(spec, 1, 0), _sz_torus(spec)
     else:
-        gens = _psu3_unipotents(spec)
-    gens.append(reversal(spec.dim))
+        u = _psu3_unipotent(spec, 1, _psu3_trace_one(spec))
+        h = ((lam, 0, 0), (0, ctx.pow(lam, q - 1), 0), (0, 0, ctx.inv(ctx.pow(lam, q))))
+    gens = [u, reversal(spec.dim), h]
     try:
         check_group_form(spec, gens)
     except NotInGroupForm as e:
@@ -307,10 +287,10 @@ def generators(spec: GroupSpec) -> list[Matrix]:
 
 
 def sylow_generator_count(spec: GroupSpec) -> int:
-    """How many of generators(spec), from the first, are the unipotents of
-    U*: n for PSL2, 2n for Sz (not the torus), 3n for PSU3 (the traces of a
-    GF(2)-basis of GF(q^2) span GF(q), so n central ones)."""
-    return {PSL2: 1, SZ: 2, PSU3: 3}[spec.family] * spec.n
+    """How many rows of InvolutionClass.steps, from the first, are the
+    u_k = h^-k u h^k of generators(spec), which generate U*: the degree of
+    the field of their parameter, n for PSL2 and Sz, 2n for PSU3."""
+    return spec.ctx.n
 
 
 # -- canonical projective form -------------------------------------------------
@@ -490,11 +470,12 @@ class InvolutionClass:
     encodings.  With one-byte codes the seed's encoding is the least, so
     it is vertex 0; the certificates work from vertex 0 whichever
     involution it is.  steps is one (t + 1, v) int32 buffer: steps[i, x]
-    is the vertex g_i^-1 x g_i for the i-th of the t generators g_i, and
-    its last row is the identity.  perms is the view steps[:-1], and tree
-    is their Schreier tree of vertex 0 (schreier_tree), whose root's label
-    t names that identity row.  Only closed_class makes one, once it has
-    proven codes the class, in this numbering.
+    is the vertex g_i^-1 x g_i for the i-th of t matrices g_i, the u_k =
+    h^-k u h^k, k < sylow_generator_count, then w and h (_closure_perms),
+    and its last row is the identity.  perms is the view steps[:-1], and
+    tree is their Schreier tree of vertex 0 (schreier_tree), whose root's
+    label t names that identity row.  Only closed_class makes one, once it
+    has proven codes the class, in this numbering.
     """
 
     def __init__(self, spec: GroupSpec, codes: np.ndarray, steps: np.ndarray, tree):
@@ -564,12 +545,6 @@ class InvolutionClass:
         return self._sylow_labels
 
 
-def _conjugators(spec: GroupSpec, kern: _Kernels):
-    """(g^-1, g) code arrays for every generator g."""
-    gens = np.array(generators(spec), dtype=kern.dtype)
-    return list(zip(kern.inverse(gens), gens))
-
-
 def _conjugate(kern: _Kernels, gi, g, x):
     """Canonical g^-1 x g for a batch x; returns (codes, keys)."""
     return kern.canonical_batch(kern.mul_right(kern.mul_left(gi, x), g))
@@ -629,13 +604,14 @@ def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
     The rows must be d x d matrices of field codes, as many as the
     closed-form class size, with strictly increasing encodings (so
     distinct, and each at its vertex id); they must include the canonical
-    seed and be closed under conjugation by every generator, and the
-    generators must act on them transitively: their Schreier tree from
-    vertex 0 reaches every vertex.  Closure and transitivity make the set
-    the seed's orbit under the generators, so a subset of its class; the
-    closed-form size makes it the whole class, which is what the orbital
-    order census relies on.  The closure pass yields the generator
-    permutations.
+    seed and be closed under conjugation by each of generators(spec), u,
+    w and h, and the permutations must act on them transitively: their
+    Schreier tree from vertex 0 reaches every vertex.  The u_k's, derived
+    from u's and h's, are conjugations by elements of <u, h>, so closure
+    and transitivity make the set the seed's orbit under <u, w, h>, a
+    subset of its class; the closed-form size makes it the whole class,
+    which is what the orbital order census relies on.  The closure pass
+    yields the permutations (_closure_perms).
     """
     d = spec.dim
     if (codes.dtype.kind not in "iu" or codes.ndim != 3 or codes.shape[1:] != (d, d)
@@ -649,14 +625,17 @@ def closed_class(spec: GroupSpec, codes: np.ndarray) -> InvolutionClass:
 
 
 def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
-    """closed_class's generator permutations of the rows, then the identity
-    row, in one (t + 1, v) int32 buffer (InvolutionClass.steps), once their
-    encodings strictly increase, they hold the seed and every generator
-    conjugates them into themselves.  steps[t] matches generator t's images
-    to the rows in order of fold, so it is a permutation, and the images
-    all equal their rows exactly when the generator permutes the rows.
-    Folds and comparisons run CLASS_BLOCK rows at a time, so the only
-    temporary of v rows is each generator's fold order."""
+    """closed_class's permutations of the rows in one (m + 3, v) int32
+    buffer (InvolutionClass.steps), once their encodings strictly increase,
+    they hold the seed and each of generators(spec) = [u, w, h] conjugates
+    them into themselves.  Each pass fills its generator's row, 0, m or
+    m + 1 (m = sylow_generator_count(spec)), matching its images to the
+    rows in order of fold: a permutation, whose images all equal their rows
+    exactly when the generator permutes the rows.  Folds and comparisons
+    run CLASS_BLOCK rows at a time, so the only temporary of v rows is each
+    generator's fold order.  Conjugation is a homomorphism, so rows 1 to
+    m - 1, u_k = h^-1 u_(k-1) h, are two gathers each: h's row at
+    u_(k-1)'s row at the inverse of h's row."""
     kern = _Kernels(spec)
     words = kern.encode_keys(codes)
     if not _lex_less(words[:-1], words[1:]).all():
@@ -668,20 +647,25 @@ def _closure_perms(spec: GroupSpec, codes: np.ndarray) -> np.ndarray:
     rows_by_fold = np.argsort(folds).astype(np.int32)
     if (np.diff(folds[rows_by_fold]) == 0).any():
         raise ClassSizeMismatch(_FOLD_COLLISION)
-    conjugators = _conjugators(spec, kern)
-    steps = np.empty((len(conjugators) + 1, len(codes)), dtype=np.int32)
+    m = sylow_generator_count(spec)
+    steps = np.empty((m + 3, len(codes)), dtype=np.int32)
     images, image_folds = np.empty_like(words), np.empty_like(folds)
-    for t, (gi, g) in enumerate(conjugators):
+    gens = np.array(generators(spec), dtype=kern.dtype)
+    for t, (row, gi, g) in enumerate(zip((0, m, m + 1), kern.inverse(gens), gens)):
         for lo in range(0, len(codes), CLASS_BLOCK):
             block = slice(lo, lo + CLASS_BLOCK)
             images[block] = _conjugate(kern, gi, g, codes[block])[1]
             image_folds[block] = _fold(images[block])
-        steps[t, np.argsort(image_folds)] = rows_by_fold
+        steps[row, np.argsort(image_folds)] = rows_by_fold
         for lo in range(0, len(codes), CLASS_BLOCK):
             block = slice(lo, lo + CLASS_BLOCK)
-            if not (words[steps[t, block]] == images[block]).all():
+            if not (words[steps[row, block]] == images[block]).all():
                 raise ClassSizeMismatch(f"class is not closed under conjugation by generator {t}")
     steps[-1] = np.arange(len(codes))
+    h, h_inverse = steps[m + 1], np.empty_like(steps[-1])
+    h_inverse[h] = steps[-1]
+    for k in range(1, m):
+        steps[k] = h[steps[k - 1][h_inverse]]
     return steps
 
 
@@ -700,18 +684,19 @@ def schreier_tree(perms: np.ndarray):
     depth = np.zeros(v, dtype=np.int32)
     parent[0] = 0
     frontier, d = np.zeros(1, dtype=np.int32), 0
-    while True:
-        images = perms[:, frontier]
-        t, k = np.nonzero(parent[images] < 0)
-        if not t.size:
-            break
-        # the first generator (then the first parent) to reach a vertex names its edge
-        new, first = np.unique(images[t, k], return_index=True)
-        parent[new] = frontier[k[first]]
-        label[new] = t[first]
+    while len(frontier):
         d += 1
-        depth[new] = d
-        frontier = new
+        # the first generator to reach a vertex names its edge; a permutation
+        # reaches each vertex from one parent, and one at a time bounds the
+        # temporaries by the frontier
+        found = []
+        for t, p in enumerate(perms):
+            images = p[frontier]
+            fresh = parent[images] < 0
+            new = images[fresh]
+            parent[new], label[new], depth[new] = frontier[fresh], t, d
+            found.append(new)
+        frontier = np.concatenate(found)
     if (parent < 0).any():
         raise ClassSizeMismatch(f"the generators carry vertex 0 to "
                                 f"{int((parent >= 0).sum())} of {v} vertices")

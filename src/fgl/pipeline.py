@@ -150,9 +150,15 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
         "max_order": orders.max_order,
         "noncommuting_all_odd": orders.noncommuting_all_odd,
         "even_witness": orders.even_witness,
+        "suborbits": len(cls.suborbits().reps) + 1,
     }
     if not orders.noncommuting_all_odd:
         failures.append("orders: a non-commuting product has even order")
+    # more classes than U* has orbits: the Sylow generators generate less than U*
+    classes, want = data["orders"]["suborbits"], formulas.stabiliser_classes(spec.family, q)
+    if classes != want:
+        failures.append(f"orders: the Sylow generators split vertex 0's stabiliser into "
+                        f"{classes} classes, expected {want}")
     t = clock("orders", t)
 
     # commuting and distinguished partners of vertex 0, carried to two more rows

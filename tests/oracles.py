@@ -10,8 +10,8 @@ a type check per endpoint, where the library parses the bytes in chunks,
 and validate checks that bit rows are a graph, which the library's readers
 hold by construction.  The full generating sets (every
 nontrivial unipotent of the Sz and PSU3 models, the PSU3 ones found by a
-scan of all lower unitriangular matrices) must give the same class as the
-library's O(n) sets.  distances_from and connected_components search
+scan of all lower unitriangular matrices) must close the library's
+class.  distances_from and connected_components search
 breadth-first from one source at a time, where the library labels the
 classes of an equivalence given as bit rows; clique_rows builds the dense
 same-label relation.  carried_rows carries the seed's partner sets to
@@ -25,8 +25,10 @@ The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
 blocked adjacency products.  involution_class_by_dict is the only
 breadth-first builder of the class: the orbit of the seed under the
-generators, with a Python dict keyed by encode() bytes, one matrix at a
-time, where the library enumerates the Sylow 2-centres in closed form.
+matrices of step_matrices, with a Python dict keyed by encode() bytes, one
+matrix at a time, where the library enumerates the Sylow 2-centres in
+closed form, conjugates them by three matrices and derives the other
+rows by gathers.
 least_scaling encodes every centre scaling of one tuple matrix and keeps
 the least (canonicalize form-checks it first), where the library scales
 each matrix once, by its leading entry (_Kernels.canonical_batch).
@@ -57,7 +59,7 @@ from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValue
                         PartitionNotUniform)
 from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
                         check_group_form, generators, merge_suborbits, reversal,
-                        seed_involution)
+                        seed_involution, sylow_generator_count)
 
 
 @dataclass(frozen=True)
@@ -438,13 +440,27 @@ def vertex_index(cls) -> dict[bytes, int]:
     return {encode(cls.spec, member(cls, i)): i for i in range(cls.size)}
 
 
-def involution_class_by_dict(spec):
-    """(codes, perms) of the class: breadth-first from the seed
-    under conjugation by the library's generators, on scalar matrices, with
-    a dict from canonical encodings to breadth-first numbers; vertices are
-    then numbered by encoding, as the library numbers them."""
+def step_matrices(spec) -> list:
+    """The matrix of each row of InvolutionClass.steps but the identity:
+    u_k = h^-k u h^k for k < sylow_generator_count(spec), then w and h, from
+    the library's [u, w, h] by scalar products."""
     ctx = spec.ctx
-    gens = [(mat_inv_det1(ctx, g), g) for g in generators(spec)]
+    u, w, h = generators(spec)
+    hi = mat_inv_det1(ctx, h)
+    rows = [u]
+    for _ in range(1, sylow_generator_count(spec)):
+        rows.append(mat_mul(ctx, hi, mat_mul(ctx, rows[-1], h)))
+    return rows + [w, h]
+
+
+def involution_class_by_dict(spec, gens):
+    """(codes, perms) of the class: breadth-first from the seed under
+    conjugation by the matrices gens, on scalar matrices, with a dict from
+    canonical encodings to breadth-first numbers; vertices are then
+    numbered by encoding, as the library numbers them, and perms[t] is
+    conjugation by gens[t]."""
+    ctx = spec.ctx
+    gens = [(mat_inv_det1(ctx, g), g) for g in gens]
     seed = canonicalize(spec, seed_involution(spec))
     members, number = [seed], {encode(spec, seed): 0}
     images = [[] for _ in gens]

@@ -307,30 +307,40 @@ def test_criterion_11_psl2_512():
 
 @pytest.mark.ladder
 def test_ladder_psu3_n5():
-    # v = 1015839; about 12 s and a 290 MB peak RSS on two cores, then about
-    # 2 s for the Schreier-generator oracle; deselected by default, run with:
+    # v = 1015839; about 5 s and a 200 MB peak RSS on two cores, then about
+    # 3 s for the Schreier-generator oracle; deselected by default, run with:
     # pytest -m ladder
     d, rss_mb, roots_match = _verify_in_subprocess("psu3", 5, 120.0)
     _check_certificate("psu3", 5, d)
     assert roots_match == [True]
-    assert rss_mb < 320, f"psu3 n=5 peaked at {rss_mb:.1f} MB RSS, bound 320 MB"
+    assert rss_mb < 220, f"psu3 n=5 peaked at {rss_mb:.1f} MB RSS, bound 220 MB"
 
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 5 s and a 204 MB peak RSS on two cores, then about
+    # v = 1048575; about 3.3 s and a 194 MB peak RSS on two cores, then about
     # 3 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("psl2", 10, 25.0)
     _check_certificate("psl2", 10, d)
     assert roots_match == [True]
-    assert rss_mb < 235, f"psl2 n=10 peaked at {rss_mb:.1f} MB RSS, bound 235 MB"
+    assert rss_mb < 215, f"psl2 n=10 peaked at {rss_mb:.1f} MB RSS, bound 215 MB"
 
 
 @pytest.mark.ladder
 def test_ladder_sz_n7():
-    # v = 2080895; about 30 s and a 512 MB peak RSS on two cores, then about
-    # 7 s for the Schreier-generator oracle
+    # v = 2080895; about 18 s and a 355 MB peak RSS on two cores, then about
+    # 4 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("sz", 7, 105.0)
     _check_certificate("sz", 7, d)
     assert roots_match == [True]
-    assert rss_mb < 565, f"sz n=7 peaked at {rss_mb:.1f} MB RSS, bound 565 MB"
+    assert rss_mb < 390, f"sz n=7 peaked at {rss_mb:.1f} MB RSS, bound 390 MB"
+
+
+@pytest.mark.ladder
+def test_ladder_psl2_n11():
+    # v = 4194303; about 19 s and a 635 MB peak RSS on two cores, then about
+    # 22 s for the Schreier-generator oracle
+    d, rss_mb, roots_match = _verify_in_subprocess("psl2", 11, 40.0)
+    _check_certificate("psl2", 11, d)
+    assert roots_match == [True]
+    assert rss_mb < 700, f"psl2 n=11 peaked at {rss_mb:.1f} MB RSS, bound 700 MB"

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import fgl.groups as gr
 from fgl import bits
 from fgl.formulas import InvalidQ
+from fgl.gf2 import FieldCtx
 from fgl.groups import (ClassSizeMismatch, SzEvenExponent,
                         check_group_form, generators, involution_class,
                         make_group, reversal, seed_involution, sylow_partition)
@@ -15,7 +17,7 @@ from oracles import (canonicalize, carried_rows, element_order, encode, full_gen
                      identity, involution_class_by_dict, least_scaling, mat_det,
                      mat_inv_det1, mat_mul, mat_scale, member, product_order,
                      psu3_unitriangular_scan, schreier_generators, schreier_suborbits,
-                     sigma_along_tree, vertex_index)
+                     sigma_along_tree, step_matrices, vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -116,29 +118,77 @@ def test_sylow_unipotents_are_a_sylow_subgroup_and_its_centre(family, n):
 
 
 @pytest.mark.parametrize("family,n,count", [
-    ("psl2", 2, 3), ("psl2", 6, 7), ("sz", 3, 8), ("sz", 5, 12), ("sz", 7, 16),
-    ("psu3", 2, 7), ("psu3", 3, 10), ("psu3", 4, 13), ("psu3", 5, 16)])
+    ("psl2", 2, 4), ("psl2", 6, 8), ("sz", 3, 5), ("sz", 5, 7), ("sz", 7, 9),
+    ("psu3", 2, 6), ("psu3", 3, 8), ("psu3", 4, 10), ("psu3", 5, 12)])
 def test_generating_sets_are_small_and_distinct(family, n, count):
-    # n + 1 for PSL2, 2n + 2 for Sz, 3n + 1 for PSU3
-    gens = generators(make_group(family, n))
-    assert len(gens) == len(set(gens)) == count
+    # three conjugators; n + 2 permutation rows for PSL2 and Sz, 2n + 2 for PSU3
+    spec = make_group(family, n)
+    gens = generators(spec)
+    assert len(gens) == len(set(gens)) == 3
+    assert gr.sylow_generator_count(spec) + 2 == len(set(step_matrices(spec))) == count
+
+
+def _gf2_rank(values) -> int:
+    reduced = []  # distinct leading bits, descending
+    for value in values:
+        for b in reduced:
+            value = min(value, value ^ b)
+        if value:
+            reduced = sorted(reduced + [value], reverse=True)
+    return len(reduced)
+
+
+def _multiplier(family, ctx, q):
+    """mu with h^-1 u(a) h = u(mu a) for generators' u and h."""
+    lam = ctx._exp[1]
+    return {"psl2": ctx.pow(ctx.inv(lam), 2), "sz": 2,
+            "psu3": ctx.pow(lam, (2 - q) % (ctx.order - 1))}[family]
+
+
+@pytest.mark.parametrize("family,n", [("psl2", n) for n in range(2, 17)]
+                         + [("sz", n) for n in range(3, 16, 2)]
+                         + [("psu3", n) for n in range(2, 9)])
+def test_derived_unipotent_parameters_span_the_field(family, n):
+    # every field the tables support, beyond the int32 vertex-id limit: the
+    # parameters mu^k of u_k, k < sylow_generator_count, are a GF(2)-basis
+    degree = 2 * n if family == "psu3" else n
+    ctx = FieldCtx(degree)
+    mu = _multiplier(family, ctx, 1 << n)
+    assert _gf2_rank(ctx.pow(mu, k) for k in range(degree)) == degree
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 5), ("sz", 3), ("sz", 5),
+                                      ("psu3", 2), ("psu3", 3), ("psu3", 5)])
+def test_step_matrices_are_the_unipotents_of_parameter_mu_power(family, n):
+    spec = make_group(family, n)
+    ctx, q = spec.ctx, spec.q
+    mu, t = _multiplier(family, ctx, q), gr._psu3_trace_one(spec) if family == "psu3" else 0
+
+    def unipotent(a):
+        if family == "psl2":
+            return ((1, a), (0, 1))
+        if family == "sz":
+            return gr._sz_unipotent(spec, a, 0)
+        return gr._psu3_unipotent(spec, a, ctx.mul(ctx.pow(a, q + 1), t))
+    m = gr.sylow_generator_count(spec)
+    assert step_matrices(spec)[:m] == [unipotent(ctx.pow(mu, k)) for k in range(m)]
 
 
 @pytest.mark.parametrize("family,n", [("sz", 3), ("psu3", 2), ("psu3", 3)])
-def test_full_generating_sets_give_the_same_class(family, n, monkeypatch, tmp_path):
-    # the vertex numbering, and so the class cache, is the same whichever
-    # generating set closes the orbit
-    from fgl import pipeline
+def test_full_generating_sets_give_the_same_class(family, n):
+    # every element of the full sets conjugates the library's class into
+    # itself; the class holds the seed and is one orbit of a subgroup of
+    # theirs, so it is their orbit of the seed too, in the same numbering
     spec = make_group(family, n)
-    small = pipeline.load_or_build_class(spec, str(tmp_path / "small"))
+    cls = involution_class(spec)
     full = full_generators(spec)
     assert len(full) == {"sz": spec.q ** 2 + 1, "psu3": spec.q ** 3}[family]
-    monkeypatch.setattr(gr, "generators", lambda s: full)
-    big = pipeline.load_or_build_class(spec, str(tmp_path / "full"))
-    assert big.codes.dtype == small.codes.dtype
-    assert big.codes.tobytes() == small.codes.tobytes()
-    name = f"{family}-n{n}-v{pipeline.CODE_VERSION}.npy"
-    assert (tmp_path / "small" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    kern = gr._Kernels(spec)
+    words = kern.encode_keys(cls.codes)
+    gens = np.array(full, dtype=kern.dtype)
+    for gi, g in zip(kern.inverse(gens), gens):
+        images = gr._conjugate(kern, gi, g, cls.codes)[1]
+        assert len(np.unique(np.concatenate([words, images]), axis=0)) == cls.size
 
 
 def test_vertices_numbered_by_encoding(psl2_8_class, sz8_class, psu3_4_class):
@@ -337,9 +387,10 @@ def test_conjugation_closure(psl2_8_class):
 
 def test_class_size_contract_catches_bad_generators(monkeypatch):
     spec = make_group("psl2", 2)
-    small = [((0, 1), (1, 0)), ((1, 1), (0, 1))]  # generates only a subgroup over GF(2)
-    monkeypatch.setattr(gr, "generators", lambda s: small)
-    with pytest.raises(ClassSizeMismatch):
+    # h = 1 leaves u and w, which generate only SL2(2), the subgroup over GF(2)
+    u, w, _ = generators(spec)
+    monkeypatch.setattr(gr, "generators", lambda s: [u, w, identity(2)])
+    with pytest.raises(ClassSizeMismatch, match="3 of 15"):
         involution_class(spec)
 
 
@@ -371,12 +422,19 @@ def test_a_fold_collision_raises_instead_of_merging(sz8_class, monkeypatch):
         gr.closed_class(sz8_class.spec, sz8_class.codes)
 
 
+@functools.cache
+def _dict_class(family, n):
+    """The class and the permutations of the steps rows' matrices
+    (h^-k u h^k, w, h), conjugated one scalar matrix at a time."""
+    spec = make_group(family, n)
+    return involution_class_by_dict(spec, step_matrices(spec))
+
+
 @pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
                                       ("sz", 3), ("psu3", 2), ("psu3", 3)])
 def test_class_matches_the_dict_oracle(family, n):
-    spec = make_group(family, n)
-    codes, perms = involution_class_by_dict(spec)
-    cls = involution_class(spec)
+    codes, perms = _dict_class(family, n)
+    cls = involution_class(make_group(family, n))
     assert cls.codes.dtype == codes.dtype and np.array_equal(cls.codes, codes)
     assert np.array_equal(cls.perms, perms)
 
@@ -388,9 +446,10 @@ def test_class_blocks_give_the_same_class(psl2_8_class, sz8_class, psu3_4_class,
     # psl2 n=3 keys are 1 word, sz n=3 and psu3 n=2 keys 2 words
     monkeypatch.setattr(gr, "CLASS_BLOCK", block)
     for whole in (psl2_8_class, sz8_class, psu3_4_class):
+        codes, perms = _dict_class(whole.spec.family, whole.spec.n)
         cls = involution_class(whole.spec)
-        assert np.array_equal(cls.codes, whole.codes)
-        assert np.array_equal(cls.perms, whole.perms)
+        assert np.array_equal(cls.codes, codes)
+        assert np.array_equal(cls.perms, perms)
 
 
 def test_product_orders_and_masks_agree(psl2_8_class):
@@ -588,8 +647,8 @@ def test_a_permutation_moving_vertex_0_is_refused(psl2_8_class):
 
 def test_a_sylow_prefix_fixing_no_vertex_is_refused(psl2_8_class, monkeypatch):
     # the prefix takes in the reversal, which fixes no involution of Z(U*)
-    monkeypatch.setattr(gr, "sylow_generator_count", lambda spec: spec.n + 1)
     cls = gr.closed_class(psl2_8_class.spec, psl2_8_class.codes)
+    monkeypatch.setattr(gr, "sylow_generator_count", lambda spec: spec.n + 1)
     with pytest.raises(ClassSizeMismatch, match="no vertex is fixed by all 4 Sylow generators"):
         gr.orbital_order_census(cls)
 
@@ -599,8 +658,8 @@ def test_a_sylow_prefix_fixing_no_vertex_is_refused(psl2_8_class, monkeypatch):
 def test_sylow_generators_fix_one_commuting_class(family, n):
     spec = make_group(family, n)
     k = gr.sylow_generator_count(spec)
-    assert len(generators(spec)) == k + (2 if family == "sz" else 1)
     cls = involution_class(spec)
+    assert len(generators(spec)) == 3 and len(cls.perms) == k + 2
     fixed = np.flatnonzero((cls.perms[:k] == np.arange(cls.size)).all(axis=0))
     assert len(fixed) == spec.q - 1
     labels = cls.sylow_labels()
@@ -748,11 +807,10 @@ def test_schreier_tree_spans_the_class(psu3_4_class):
     x = np.arange(1, cls.size)
     assert np.array_equal(depth[x], depth[parent[x]] + 1)
     assert np.array_equal(perms[label[x], parent[x]], x)
-    # each generator permutes the vertices exactly as conjugation does
+    # each row permutes the vertices exactly as conjugation by its matrix does
     spec = cls.spec
     vertex = vertex_index(cls)
-    for t in (0, len(perms) - 1):
-        g = generators(spec)[t]
+    for t, g in enumerate(step_matrices(spec)):
         gi = mat_inv_det1(spec.ctx, g)
         for i in (0, 7, cls.size - 1):
             c = mat_mul(spec.ctx, gi, mat_mul(spec.ctx, member(cls, i), g))
@@ -767,15 +825,16 @@ def test_fusion_graph_rejects_a_non_member(psl2_8_class):
 
 
 def test_fusion_graph_rejects_intransitive_generators(psl2_8_class, monkeypatch):
-    # the unipotents (a Sylow 2-subgroup) map the class into itself, so the
-    # closure check passes, but they move the seed through only q = 8
-    # vertices: closed_class refuses the class before any graph is built
+    # with w = 1, u and h generate the Borel subgroup U* <h>, which maps the
+    # class into itself, so the closure check passes, but moves the seed
+    # through only q(q - 1) = 56 vertices: closed_class refuses the class
+    # before any graph is built
     spec = psl2_8_class.spec
-    unipotents = generators(spec)[:-1]
-    monkeypatch.setattr(gr, "generators", lambda s: unipotents)
-    with pytest.raises(ClassSizeMismatch, match="8 of 63"):
+    u, _, h = generators(spec)
+    monkeypatch.setattr(gr, "generators", lambda s: [u, identity(2), h])
+    with pytest.raises(ClassSizeMismatch, match="56 of 63"):
         gr.closed_class(spec, psl2_8_class.codes)
-    with pytest.raises(ClassSizeMismatch, match="8 of 63"):
+    with pytest.raises(ClassSizeMismatch, match="56 of 63"):
         involution_class(spec)
 
 

@@ -97,7 +97,7 @@ def test_report_contents_psl2_8():
     assert d["cn_structure"]["applicable"]
     assert d["cn_structure"]["complement_pair"]
     assert d["formulas"]["p22"] == [48, 36, 36, 40]
-    assert d["pairs"] == {"method": "orbital", "generators": 4, "orbit_size": 63,
+    assert d["pairs"] == {"method": "orbital", "generators": 5, "orbit_size": 63,
                           "transitive": True, "checked_rows": [31, 62],
                           "rows_match": True, "mismatch": None}
     # timing keys exist for each stage
@@ -173,11 +173,12 @@ def _toggled(vertices, x):
 
 def test_flipped_chi_edge_fails_with_named_failure(monkeypatch):
     # one vertex added to N(0) must give a fail certificate, not a traceback;
-    # the last vertex w whose neighbor set, sigma_w of the enlarged N(0), lacks 0
+    # the last commuting partner w of 0, a stabiliser class of its own, so
+    # that N(0) stays a union of classes, whose neighbor set, sigma_w of the
+    # enlarged N(0), lacks 0
     cls = groups.involution_class(groups.make_group("psl2", 3))
-    chi = cls.seed_sets().chi
-    w = max(w for w in range(1, cls.size)
-            if w not in chi and 0 not in cls.carry([w], np.union1d(chi, [w]))[0])
+    sets = cls.seed_sets()
+    w = max(w for w in sets.comm if 0 not in cls.carry([w], np.union1d(sets.chi, [w]))[0])
     real = groups.InvolutionClass.seed_sets
 
     def flipped(cls):
@@ -313,6 +314,16 @@ def test_even_product_order_fails_the_census(monkeypatch, capsys):
     assert d["orders"]["noncommuting_all_odd"] is False
     i, j, order = d["orders"]["even_witness"]
     assert i == 0 and order > 3 and order % 2 == 0
+
+
+def test_too_few_sylow_generators_fail_the_class_count(monkeypatch, capsys):
+    # u_0, u_1 generate a subgroup of index 2 in U*, elementary abelian of
+    # order 8: the census stays exact, but the classes split
+    monkeypatch.setattr(groups, "sylow_generator_count", lambda spec: spec.n - 1)
+    split = "orders: the Sylow generators split vertex 0's stabiliser into "
+    d = _fails_alone(capsys, split + "21 classes, expected 14")
+    assert d["orders"]["suborbits"] == 21
+    assert d["orders"]["noncommuting_all_odd"] is True
 
 
 def test_merged_commuting_classes_fail_the_sylow_count(monkeypatch, capsys):
