@@ -132,9 +132,9 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
     of classes, cn(0, .) is constant on each (one carried N(y) per class),
     and 0 in N(z) for one z per class in N(0) proves symmetry.  a1 must be
     constant on N(0), c2 = mu on the other vertices with common neighbors,
-    and the orbit of {0} + D3(0), the rest, a partition
-    (groups.block_partition): the antipodal classes.  One neighbor of 0 in
-    every class but its own is b2 = 1; c3 = k follows.
+    and the orbit of {0} + D3(0), the rest, a partition (groups.block_partition,
+    so r = |D3(0)| + 1 divides v): the antipodal classes.  One neighbor of 0
+    in every class but its own is b2 = 1, which refuses D3(0) empty; c3 = k.
 
     known, if given, must be block_partition(cls.perms, B) for
     the block B of 0 in it (the Sylow labels are).  When B = {0} + D3(0)
@@ -169,8 +169,6 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
     mu = _constant_at_seed(cn, d2, "c2", "c_2")
     d3 = np.flatnonzero(non & (cn == 0))
     r = len(d3) + 1
-    if r < 2 or v % r:
-        raise graphs.NotAntipodal(f"antipodal class size {r} does not divide v = {v}")
     base = np.concatenate([[0], d3])
     try:
         if known is not None and np.array_equal(np.flatnonzero(known == known[0]), base):

@@ -37,7 +37,8 @@ sigma^-1 U* sigma, whose 2q - 2 orbits are the classes
 table every vertex-0 fact reads (InvolutionClass.suborbits): the order
 census is v/2 times the seed's row (orbital_order_census), the partners of
 x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
-the commuting classes are the orbit of one block (sylow_partition).  Graph
+the commuting classes are the orbit of one block, closed under the
+generators by the suborbits' union-find (_join, sylow_partition).  Graph
 construction carries vertex 0's partner sets the same way
 (fusion._carried_graph); full_order_scan, sampled_order_check and the
 direct products of cross_check_rows are oracles.
@@ -703,16 +704,10 @@ def schreier_tree(perms: np.ndarray):
     return parent, label, depth
 
 
-def merge_suborbits(root: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Join the classes of root (root[y] is the least vertex of y's class)
-    that s links, y with s(y); returns the new root and whether any joined.
-
-    Raises NotInStabiliser unless s fixes vertex 0: only a conjugation
-    fixing vertex 0 keeps the order of 0's products.
-    """
-    if s[0] != 0:
-        raise NotInStabiliser(f"the permutation moves vertex 0 to {int(s[0])}")
-    a, b = root, root[s]
+def _join(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Join the class of a[i] with that of b[i] for each i, where a and b
+    hold least vertices and root[y] is the least vertex of y's class;
+    returns a new root and whether any classes joined."""
     joined = False
     while True:
         differ = a != b
@@ -727,6 +722,18 @@ def merge_suborbits(root: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, bool]:
                 break
             root = up
         a, b, joined = root[lo], root[hi], True
+
+
+def merge_suborbits(root: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Join the classes of root (root[y] is the least vertex of y's class)
+    that s links, y with s(y); returns the new root and whether any joined.
+
+    Raises NotInStabiliser unless s fixes vertex 0: only a conjugation
+    fixing vertex 0 keeps the order of 0's products.
+    """
+    if s[0] != 0:
+        raise NotInStabiliser(f"the permutation moves vertex 0 to {int(s[0])}")
+    return _join(root, root, root[s])
 
 
 def stabiliser_suborbits(cls: InvolutionClass) -> np.ndarray:
@@ -762,61 +769,38 @@ def stabiliser_suborbits(cls: InvolutionClass) -> np.ndarray:
 
 def block_partition(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
     """Labels, numbered by least member, of the orbit of the vertex set base
-    under the permutations, proven a partition breadth-first over blocks:
-    every image of a block must be a known block or meet none, and new
-    images must be pairwise equal or disjoint.  Otherwise NotAnEquivalence,
-    with the witness (t, x, y) when generator t carries a block onto a set
-    holding x and y from different blocks (y = -1: none yet), or (x,) when
-    two new images overlap at x.
+    under the permutations, which must act transitively, as a class's do
+    (schreier_tree), proven a partition as in Atkinson's block algorithm: the
+    least equivalence holding base x base that every permutation preserves,
+    joined pass by pass (_join) until a pass joins nothing, has only classes
+    of len(base) exactly when they are that orbit.  Otherwise
+    NotAnEquivalence, witness (x,) for the least x whose class has another size.
     """
     v, s = perms.shape[1], len(base)
-    label = np.full(v, -1, dtype=np.int64)
-    label[base] = 0
-    count, frontier = 1, base[None]
-    step = max(1, bits.ROW_BLOCK_BITS // (len(perms) * s))
-    while len(frontier):
-        found = []
-        for lo in range(0, len(frontier), step):
-            chunk = frontier[lo:lo + step]
-            images = perms[:, chunk].reshape(-1, s)
-            lab = label[images]
-            split = np.flatnonzero((lab != lab[:, :1]).any(axis=1))
-            if split.size:
-                i = int(split[0])
-                t, x = i // len(chunk), int(images[i, 0])
-                y = int(images[i, np.argmax(lab[i] != lab[i, 0])])
-                raise NotAnEquivalence(f"generator {t} carries a block onto a set meeting "
-                                       f"two blocks, at {x} and {y}", witness=(t, x, y))
-            new = np.unique(np.sort(images[lab[:, 0] < 0], axis=1), axis=0)
-            members, counts = np.unique(new, return_counts=True)
-            if (counts > 1).any():
-                x = int(members[np.argmax(counts > 1)])
-                raise NotAnEquivalence(f"two images of a block overlap at {x} without "
-                                       f"being equal", witness=(x,))
-            label[new] = np.arange(count, count + len(new))[:, None]
-            count += len(new)
-            found.append(new)
-        frontier = np.concatenate(found)
-    if (label < 0).any():
-        raise NotAnEquivalence(f"the blocks cover {int((label >= 0).sum())} of {v} vertices")
-    _, least, inverse = np.unique(label, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(least))[inverse]
+    root = np.arange(v, dtype=perms.dtype)
+    root[base] = base.min()
+    joined = True
+    while joined:
+        joined = False
+        for p in perms:
+            # y ~ root[y], so p(y) ~ p(root[y]); a[y] is the least vertex of p(y)'s class
+            a = root[p]
+            root, moved = _join(root, a, a[root])
+            joined |= moved
+    sizes = np.bincount(root, minlength=v)[root]
+    if (sizes != s).any():
+        x = int(np.argmax(sizes != s))
+        raise NotAnEquivalence(f"the block of {x} has {sizes[x]} members, expected {s}",
+                               witness=(x,))
+    return (np.cumsum(root == np.arange(v)) - 1)[root]
 
 
 def sylow_partition(cls: InvolutionClass) -> np.ndarray:
-    """Classes of the commuting relation, proven an equivalence at vertex 0:
-    with B0 = {0} + comm(0), comm(y) + {y} must be B0 for y in comm(0) and
-    the orbit of B0 a partition, whose block of x is {x} + comm(x)."""
+    """Classes of the commuting relation: the orbit of B0 = {0} + comm(0), a
+    partition (block_partition) of q^l + 1 classes of q - 1, whose block of x
+    is {x} + comm(x) = sigma_x(B0), the image holding x."""
     spec = cls.spec
-    comm = cls.seed_sets().comm
-    base = np.concatenate([[0], comm])
-    classes = np.sort(np.concatenate([comm[:, None], cls.carry(comm, comm)], axis=1), axis=1)
-    bad = np.nonzero((classes != base).any(axis=1))[0]
-    if bad.size:
-        y = int(comm[bad[0]])
-        z = int(np.setxor1d(classes[bad[0]], base)[0])
-        raise NotAnEquivalence(f"commuting is not transitive at (0,{y},{z})", witness=(0, y, z))
-    labels = block_partition(cls.perms, base)
+    labels = block_partition(cls.perms, np.concatenate([[0], cls.seed_sets().comm]))
     sizes = np.bincount(labels)
     nclass = len(sizes)
     want_m = spec.q ** spec.l + 1

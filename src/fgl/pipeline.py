@@ -192,8 +192,6 @@ def run_verify(family: str, n: int, cache_dir: str | None = None) -> Verificatio
 
     # chi graph and its cover certificate
     chi_info: dict = {"method": "seed-set", "valency": len(sets.chi)}
-    if len(sets.chi) != k:
-        failures.append(f"chi_graph: valency {len(sets.chi)} != {k}")
     predicted = formulas.predicted_chi_array(spec.family, q)
     chi_info["predicted_array"] = predicted.to_dict()
     cert = None

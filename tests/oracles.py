@@ -20,7 +20,9 @@ sigma_along_tree composes one sigma_x a generator at a time along the
 tree path, where the library gathers whole levels from its flat buffer.
 schreier_suborbits merges Schreier generators of vertex 0's stabiliser,
 one (vertex, generator) pair at a time, where the library merges the
-Sylow generators conjugated once.
+Sylow generators conjugated once.  block_partition_breadth_first visits
+the orbit of a block one block at a time, where the library closes an
+equivalence under the generators with the suborbits' union-find.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
 blocked adjacency products.  involution_class_by_dict is the only
@@ -57,9 +59,9 @@ from fgl.graphio import GraphParseError, _graph6_chunks
 from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValues,
                         NotAntipodal, NotDistanceRegular, NotRegular,
                         PartitionNotUniform)
-from fgl.groups import (NotInGroupForm, OrderCapExceeded, _sz_torus, _sz_unipotent,
-                        check_group_form, generators, merge_suborbits, reversal,
-                        seed_involution, sylow_generator_count)
+from fgl.groups import (NotAnEquivalence, NotInGroupForm, OrderCapExceeded, _sz_torus,
+                        _sz_unipotent, check_group_form, generators, merge_suborbits,
+                        reversal, seed_involution, sylow_generator_count)
 
 
 @dataclass(frozen=True)
@@ -579,6 +581,48 @@ def schreier_suborbits(cls) -> np.ndarray:
         if idle == patience:
             break
     return root
+
+
+def block_partition_breadth_first(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """groups.block_partition's labels, found breadth-first over blocks:
+    every image of a block must be a known block or meet none, and new
+    images must be pairwise equal or disjoint.  Otherwise NotAnEquivalence,
+    with the witness (t, x, y) when generator t carries a block onto a set
+    holding x and y from different blocks (y = -1: none yet), or (x,) when
+    two new images overlap at x, or none when the blocks leave a vertex out.
+    """
+    v, s = perms.shape[1], len(base)
+    label = np.full(v, -1, dtype=np.int64)
+    label[base] = 0
+    count, frontier = 1, base[None]
+    step = max(1, bits.ROW_BLOCK_BITS // (len(perms) * s))
+    while len(frontier):
+        found = []
+        for lo in range(0, len(frontier), step):
+            chunk = frontier[lo:lo + step]
+            images = perms[:, chunk].reshape(-1, s)
+            lab = label[images]
+            split = np.flatnonzero((lab != lab[:, :1]).any(axis=1))
+            if split.size:
+                i = int(split[0])
+                t, x = i // len(chunk), int(images[i, 0])
+                y = int(images[i, np.argmax(lab[i] != lab[i, 0])])
+                raise NotAnEquivalence(f"generator {t} carries a block onto a set meeting "
+                                       f"two blocks, at {x} and {y}", witness=(t, x, y))
+            new = np.unique(np.sort(images[lab[:, 0] < 0], axis=1), axis=0)
+            members, counts = np.unique(new, return_counts=True)
+            if (counts > 1).any():
+                x = int(members[np.argmax(counts > 1)])
+                raise NotAnEquivalence(f"two images of a block overlap at {x} without "
+                                       f"being equal", witness=(x,))
+            label[new] = np.arange(count, count + len(new))[:, None]
+            count += len(new)
+            found.append(new)
+        frontier = np.concatenate(found)
+    if (label < 0).any():
+        raise NotAnEquivalence(f"the blocks cover {int((label >= 0).sum())} of {v} vertices")
+    _, least, inverse = np.unique(label, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(least))[inverse]
 
 
 def antipodal_classes_two_pass(g: Graph) -> np.ndarray:

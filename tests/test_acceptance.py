@@ -318,12 +318,12 @@ def test_ladder_psu3_n5():
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 3.3 s and a 194 MB peak RSS on two cores, then about
-    # 3 s for the Schreier-generator oracle
+    # v = 1048575; about 2.3 s and a 160 MB peak RSS on two cores, then about
+    # 2 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("psl2", 10, 25.0)
     _check_certificate("psl2", 10, d)
     assert roots_match == [True]
-    assert rss_mb < 215, f"psl2 n=10 peaked at {rss_mb:.1f} MB RSS, bound 215 MB"
+    assert rss_mb < 175, f"psl2 n=10 peaked at {rss_mb:.1f} MB RSS, bound 175 MB"
 
 
 @pytest.mark.ladder
@@ -338,9 +338,9 @@ def test_ladder_sz_n7():
 
 @pytest.mark.ladder
 def test_ladder_psl2_n11():
-    # v = 4194303; about 19 s and a 635 MB peak RSS on two cores, then about
-    # 22 s for the Schreier-generator oracle
+    # v = 4194303; about 13 s and a 619 MB peak RSS on two cores, then about
+    # 20 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("psl2", 11, 40.0)
     _check_certificate("psl2", 11, d)
     assert roots_match == [True]
-    assert rss_mb < 700, f"psl2 n=11 peaked at {rss_mb:.1f} MB RSS, bound 700 MB"
+    assert rss_mb < 680, f"psl2 n=11 peaked at {rss_mb:.1f} MB RSS, bound 680 MB"

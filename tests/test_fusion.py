@@ -215,12 +215,15 @@ def test_seed_set_certificate_matches_networkx(family, n):
 
 @pytest.mark.parametrize("relation,error", [("commuting", NotDistanceRegular),
                                             ("odd-complement", NotDistanceRegular),
-                                            ("non-commuting", NotAntipodal)])
+                                            ("non-commuting", NotDistanceRegular)])
 def test_seed_vertex_certificate_rejects_invariant_non_covers(psl2_8, relation, error):
     # all three relations are conjugation-invariant: the commuting graph
     # (nine disjoint K7) has no distance-2 pair; the non-adjacent pairs of
     # the odd-complement graph share 36 (chi pairs) or 40 (Sylow pairs)
-    # neighbors; the non-commuting graph has no distance-3 pair
+    # neighbors; the non-commuting graph has no distance-3 pair, so every
+    # vertex is an antipodal class of its own, and vertex 0 has no neighbor
+    # in those of its commuting partners (b2), where the exhaustive oracle
+    # finds no antipodal class size
     v = psl2_8.size
     sets = psl2_8.seed_sets()
     comm = psl2_8.order_scan().comm
@@ -237,7 +240,10 @@ def test_seed_vertex_certificate_rejects_invariant_non_covers(psl2_8, relation, 
         x, y, name, want, got = ei.value.witness
         assert (x, name, want, got) == (0, "c2", 36, 40)
         assert y not in g.neighbors(0)
-    with pytest.raises(error):
+    if relation == "non-commuting":
+        x, y, name, want, got = ei.value.witness
+        assert (x, y, name, want, got) == (sets.comm[0], 0, "b2", 1, 0)
+    with pytest.raises(NotAntipodal if relation == "non-commuting" else error):
         antipodal_cover3_certificate(g)
 
 
@@ -251,7 +257,7 @@ def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8, monkeypatch)
     monkeypatch.setattr(groups, "block_partition", lambda perms, base: real(perms, not_a_block))
     with pytest.raises(NotAntipodal) as ei:
         seed_set_cover3_certificate(psl2_8, chi)
-    assert len(ei.value.witness) in (1, 3)
+    assert ei.value.witness == (0,)
     monkeypatch.setattr(groups, "block_partition", lambda perms, base: shuffled)
     with pytest.raises(NotDistanceRegular) as ei:
         seed_set_cover3_certificate(psl2_8, chi)

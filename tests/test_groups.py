@@ -9,15 +9,17 @@ from hypothesis import strategies as st
 import fgl.groups as gr
 from fgl import bits
 from fgl.formulas import InvalidQ
+from fgl.fusion import seed_set_cover3_certificate
 from fgl.gf2 import FieldCtx
 from fgl.groups import (ClassSizeMismatch, SzEvenExponent,
                         check_group_form, generators, involution_class,
                         make_group, reversal, seed_involution, sylow_partition)
-from oracles import (canonicalize, carried_rows, element_order, encode, full_generators,
-                     identity, involution_class_by_dict, least_scaling, mat_det,
-                     mat_inv_det1, mat_mul, mat_scale, member, product_order,
-                     psu3_unitriangular_scan, schreier_generators, schreier_suborbits,
-                     sigma_along_tree, step_matrices, vertex_index)
+from oracles import (block_partition_breadth_first, canonicalize, carried_rows,
+                     element_order, encode, full_generators, identity,
+                     involution_class_by_dict, least_scaling, mat_det, mat_inv_det1, mat_mul,
+                     mat_scale, member, product_order, psu3_unitriangular_scan,
+                     schreier_generators, schreier_suborbits, sigma_along_tree,
+                     step_matrices, vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -738,31 +740,111 @@ def test_closed_class_check_rejects_missing_seed(psl2_8_class, sz8_class, psu3_4
 
 
 def test_sylow_partition_names_a_witness(psl2_8_class):
-    # vertex 0 loses one commuting partner, though its other partners keep it
+    # vertex 0 loses one commuting partner, though its other partners keep
+    # it: the images of the smaller block inside B0 join it back, so the
+    # class of 0 is all of B0, 7 members where the base has 6
     comm = psl2_8_class.seed_sets().comm
     cls = gr.closed_class(psl2_8_class.spec, psl2_8_class.codes)
     cls._seed_sets = gr.SeedSets(comm=comm[1:], chi=psl2_8_class.seed_sets().chi)
-    with pytest.raises(gr.NotAnEquivalence) as ei:
+    with pytest.raises(gr.NotAnEquivalence, match="the block of 0 has 7 members, expected 6") as ei:
         sylow_partition(cls)
-    x, y, z = ei.value.witness
-    base = {0, *comm[1:].tolist()}
-    carried = {y, *cls.carry([y], comm[1:])[0].tolist()}
-    assert x == 0 and y in base and (z in base) != (z in carried)
+    assert ei.value.witness == (0,)
 
 
 def test_block_partition_rejects_a_non_block(psl2_8_class):
-    # {0} + N(0) in the chi graph is no block: some generator carries it onto
-    # a set that meets a known block without being it
+    # {0} + N(0) in the chi graph is no block: its closure under the
+    # generators is one class of all 63 vertices
     perms = psl2_8_class.perms
     chi = psl2_8_class.seed_sets().chi
-    with pytest.raises(gr.NotAnEquivalence) as ei:
+    with pytest.raises(gr.NotAnEquivalence, match="has 63 members, expected 9") as ei:
         gr.block_partition(perms, np.concatenate([[0], chi]))
-    assert len(ei.value.witness) in (1, 3)
+    assert ei.value.witness == (0,)
     # a Sylow class is a block; the labels are numbered by least member
     labels = gr.block_partition(perms, np.concatenate([[0], psl2_8_class.seed_sets().comm]))
     assert np.array_equal(labels, sylow_partition(psl2_8_class))
     least = np.unique(labels, return_index=True)[1]
     assert (np.diff(least) > 0).all()
+
+
+CLASSES_FOR_BLOCKS = [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5), ("psl2", 6),
+                      ("sz", 3), ("psu3", 2), ("psu3", 3)]
+
+
+@functools.cache
+def _class_with_cover(family, n):
+    cls = involution_class(make_group(family, n))
+    return cls, seed_set_cover3_certificate(cls, cls.seed_sets().chi)
+
+
+@pytest.mark.parametrize("family,n", CLASSES_FOR_BLOCKS)
+def test_blocks_equal_the_breadth_first_oracle(family, n):
+    # the Sylow block, the distance-3 block of the chi graph and the two
+    # trivial blocks give the oracle's labels
+    cls, cert = _class_with_cover(family, n)
+    v = cls.size
+    for base in (np.concatenate([[0], cls.seed_sets().comm]), np.concatenate([[0], cert.d3]),
+                 np.zeros(1, dtype=np.int64), np.arange(v)):
+        labels = gr.block_partition(cls.perms, base)
+        assert np.array_equal(labels, block_partition_breadth_first(cls.perms, base))
+        assert np.array_equal(np.flatnonzero(labels == 0), np.sort(base))
+
+
+@pytest.mark.parametrize("family,n", CLASSES_FOR_BLOCKS)
+def test_non_blocks_are_refused_by_both(family, n):
+    # {0} + chi(0), and the Sylow block less its last vertex
+    cls, _ = _class_with_cover(family, n)
+    sets = cls.seed_sets()
+    for base in (np.concatenate([[0], sets.chi]), np.concatenate([[0], sets.comm[:-1]])):
+        for partition in (gr.block_partition, block_partition_breadth_first):
+            with pytest.raises(gr.NotAnEquivalence):
+                partition(cls.perms, base)
+
+
+def test_a_block_of_a_subgroup_is_refused():
+    # {0, 1} is a block of <c, s>, which is transitive, and p fixes it, but
+    # p carries the block {2, 3} onto {2, 4}: every row must preserve the
+    # classes, also one that joins nothing when first used
+    e = np.arange(6, dtype=np.int32)
+    p = e.copy()
+    p[[0, 1, 3, 4]] = [1, 0, 4, 3]
+    c = np.array([2, 3, 4, 5, 0, 1], dtype=np.int32)
+    s = np.array([1, 0, 3, 2, 5, 4], dtype=np.int32)
+    base = np.array([0, 1])
+    assert np.array_equal(gr.block_partition(np.stack([e, c, s]), base), [0, 0, 1, 1, 2, 2])
+    for partition in (gr.block_partition, block_partition_breadth_first):
+        with pytest.raises(gr.NotAnEquivalence):
+            partition(np.stack([e, p, c, s]), base)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_blocks_of_random_imprimitive_groups_match_the_oracle(data):
+    # v = m r points, placed at random into m blocks of r; each generator
+    # permutes the blocks and the points of every block, and the last walks
+    # all v points in one cycle, so that the group is transitive
+    m, r = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    v = m * r
+    place = np.array(data.draw(st.permutations(range(v))))
+    perms = np.empty((data.draw(st.integers(1, 3)) + 1, v), dtype=np.int32)
+    for p in perms[:-1]:
+        blocks = data.draw(st.permutations(range(m)))
+        for i in range(m):
+            inside = data.draw(st.permutations(range(r)))
+            p[place[i * r:(i + 1) * r]] = place[[blocks[i] * r + j for j in inside]]
+    column = place.reshape(m, r).T.reshape(-1)  # slot j of every block, then slot j + 1
+    perms[-1][column] = np.roll(column, -1)
+    home = int(np.flatnonzero(place == 0)[0]) // r  # the block of point 0
+    block = np.sort(place[home * r:(home + 1) * r])
+    labels = gr.block_partition(perms, block)
+    assert np.array_equal(labels, block_partition_breadth_first(perms, block))
+    base = np.array(sorted({0} | data.draw(st.sets(st.integers(0, v - 1)))))
+    try:
+        want = block_partition_breadth_first(perms, base)
+    except gr.NotAnEquivalence:
+        with pytest.raises(gr.NotAnEquivalence):
+            gr.block_partition(perms, base)
+    else:
+        assert np.array_equal(gr.block_partition(perms, base), want)
 
 
 def test_carry_follows_the_schreier_tree(psu3_4_class):
