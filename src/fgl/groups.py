@@ -44,13 +44,19 @@ construction carries vertex 0's partner sets the same way
 direct products of cross_check_rows are oracles.
 
 All matrix arithmetic runs on numpy arrays of element codes with
-multiplication as table gathers (_Kernels); tuples only spell out the
-generators, the seed and U.  Each family preserves the form of the
-reversal W, xbar^T W x = W (bar is e -> e^q for PSU3 and the identity
-otherwise), so x^-1 = W xbar^T W is an index flip and, for PSU3, one gather
-(_Kernels.inverse), and check_group_form is one batch check of det 1 and
-x^-1 x = I.  The scalar products, adjugate inverse, canonical form and
-encoding are the tests' references (tests/oracles.py).
+multiplication as table gathers (_Kernels): one take from the flat dense
+product table at the intp index (a << n) | b up to GF(1024), and the
+antilog of summed logs above it.  Tuples only spell out the generators, the
+seed and U.  Each family preserves the form of the reversal W, xbar^T W x
+= W (bar is e -> e^q for PSU3 and the identity otherwise), so x^-1 = W
+xbar^T W is an index flip and, for PSU3, one gather (_Kernels.inverse), and
+check_group_form is one batch check of det 1 and x^-1 x = I.  Power tests
+compare with that inverse instead of forming the power: P^(2j) is central
+iff P^j is P^-j up to the centre (_Kernels.projective_equal), and
+P^(2j + 1) iff P^(j + 1) is, so _batch_orders makes one product per two
+orders and _power_rows one or two per row block.  The scalar products,
+adjugate inverse, canonical form and encoding are the tests' references
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ Matrix = tuple[tuple[int, ...], ...]
 
 ORDER_CAP_FACTOR = 4
 PAIR_BLOCK = 1 << 21
-CLASS_BLOCK = 1 << 18  # class rows conjugated at once, which bounds their temporaries
+CLASS_BLOCK = 1 << 17  # class rows conjugated or multiplied at once: bounds their intp indices
 
 
 class SzEvenExponent(InvalidQ):
@@ -316,11 +322,22 @@ class _Kernels:
         self.spec = spec
         self.dtype = spec.ctx.code_dtype
         self.full, self.log, self.exp3 = spec.ctx.full, spec.ctx.log, spec.ctx.exp3
+        self.shift = spec.ctx.n
+        # flat[(a << n) | b] = a * b, the dense table's rows end to end
+        self.flat = None if self.full is None else self.full.reshape(-1)
+        # the centre's scalar matrices z*I, which central_scalar_mask compares with
+        z = np.array(spec.center, dtype=self.dtype)
+        self.scalars = z[:, None, None] * np.eye(spec.dim, dtype=self.dtype)
         self.least_scale = None  # least_scale[e]: the z in the centre whose z*e encodes least
-        if len(spec.center) > 1:
-            z = np.array(spec.center, dtype=self.dtype)
+        # reciprocal[e] = 1/e (0 for 0) and central[e]: e in the centre, for projective_equal
+        self.reciprocal = self.central = None
+        if len(z) > 1:
             scaled = self._mul(z[:, None], np.arange(spec.ctx.order, dtype=self.dtype))
             self.least_scale = z[scaled.byteswap().argmin(axis=0)]
+            self.reciprocal = np.zeros(spec.ctx.order, dtype=self.dtype)
+            self.reciprocal[1:] = self.exp3[spec.ctx.order - 1 - self.log[1:]]
+            self.central = np.zeros(spec.ctx.order, dtype=bool)
+            self.central[z] = True
         self.bar = None  # bar[e] = e^q, the field automorphism of the PSU3 form
         if spec.family == PSU3:
             self.bar = np.arange(spec.ctx.order, dtype=self.dtype)
@@ -328,9 +345,12 @@ class _Kernels:
                 self.bar = self._mul(self.bar, self.bar)
 
     def _mul(self, a, b):
-        if self.full is not None:
-            return self.full[a, b]
-        return self.exp3[self.log[a] + self.log[b]]
+        """Entrywise a * b of broadcast code arrays: one gather from the flat
+        dense table at the intp index (a << n) | b, or, above
+        FULL_TABLE_MAX_ORDER, the antilog of the summed logs."""
+        if self.flat is not None:
+            return self.flat.take((a.astype(np.intp) << self.shift) | b)
+        return self.exp3.take(self.log.take(a) + self.log.take(b))
 
     def mul_batch(self, a, b):
         """(m, d, d) @ (m, d, d)."""
@@ -341,15 +361,18 @@ class _Kernels:
         return out
 
     def mul_left(self, g, x):
-        """Fixed (d, d) times batch (m, d, d)."""
+        """Fixed (d, d) times batch (m, d, d).  Row k of every matrix,
+        x[:, k, :], is a slice numpy cannot flatten (stride d^2, length d),
+        so the rows are copied out once, each one contiguous (m, d) block."""
         d = len(g)
-        out = np.zeros_like(x)
+        rows = np.ascontiguousarray(x.transpose(1, 0, 2))
+        out = np.zeros_like(rows)
         for i in range(d):
             for k in range(d):
                 e = int(g[i][k])
                 if e:
-                    out[:, i, :] ^= self.scale(e, x[:, k, :])
-        return out
+                    out[i] ^= self.scale(e, rows[k])
+        return np.ascontiguousarray(out.transpose(1, 0, 2))
 
     def mul_right(self, x, g):
         """Batch (m, d, d) times fixed (d, d)."""
@@ -365,7 +388,11 @@ class _Kernels:
     def scale(self, z: int, x):
         """z * x for a field element z; x itself, not a copy, for z = 1,
         which most generator and unipotent entries are."""
-        return x if z == 1 else self._mul(np.asarray(z, dtype=self.dtype), x)
+        if z == 1:
+            return x
+        if self.full is not None:
+            return self.full[z].take(x)
+        return self.exp3.take(self.log.take(x) + self.log[z])
 
     def inverse(self, x):
         """Per-matrix inverse of group elements: each preserves the form of
@@ -388,20 +415,22 @@ class _Kernels:
         return out
 
     def central_scalar_mask(self, x):
-        """Per-matrix: is x a scalar matrix with scalar in the center."""
-        d = x.shape[-1]
-        diag0 = x[:, 0, 0]
-        ok = np.zeros(len(x), dtype=bool)
-        for z in self.spec.center:
-            ok |= diag0 == z
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    if i:
-                        ok &= x[:, i, i] == diag0
-                else:
-                    ok &= x[:, i, j] == 0
-        return ok
+        """Per-matrix: is x one of the centre's scalar matrices z*I."""
+        return (x[:, None] == self.scalars).all(axis=(2, 3)).any(axis=1)
+
+    def projective_equal(self, a, b):
+        """Per-matrix: is a = z*b for a z in the centre, so that a and b are
+        one element of the projective group.  With a trivial centre that is
+        a = b.  Otherwise z can only be the ratio of a's and b's entries at
+        b's leading (first nonzero) entry: one ratio per matrix, checked to
+        lie in the centre, and one gather that scales b by it."""
+        if self.central is None:
+            return (a == b).all(axis=(-2, -1))
+        m, d = len(b), b.shape[-1]
+        fa, fb, rows = a.reshape(m, d * d), b.reshape(m, d * d), np.arange(m)
+        lead = (fb != 0).argmax(axis=1)
+        z = self._mul(fa[rows, lead], self.reciprocal[fb[rows, lead]])
+        return self.central[z] & (a == self._mul(z[:, None, None], b)).all(axis=(-2, -1))
 
     def encode_keys(self, x):
         """(m, d, d) codes -> the _word_keys of their encodings."""
@@ -553,12 +582,11 @@ def _conjugate(kern: _Kernels, gi, g, x):
 
 def _seed_keys(spec: GroupSpec, kern: _Kernels) -> np.ndarray:
     """The keys of the canonical seed, once it is form-checked and proven
-    an involution: not central, with a central square."""
+    an involution: not central, and its own inverse up to the centre."""
     seed = [seed_involution(spec)]
     check_group_form(spec, seed)
     seed = np.array(seed, dtype=kern.dtype)
-    if (kern.central_scalar_mask(seed)[0]
-            or not kern.central_scalar_mask(kern.mul_batch(seed, seed))[0]):
+    if kern.central_scalar_mask(seed)[0] or not kern.projective_equal(seed, kern.inverse(seed))[0]:
         raise SeedNotInvolution("seed is not an involution: it is central or its square is not")
     return kern.canonical_batch(seed)[1]
 
@@ -899,18 +927,27 @@ def _pair_blocks(v: int, target: int = PAIR_BLOCK):
 
 def _power_rows(cls: InvolutionClass, x: int) -> np.ndarray:
     """(2, v) bool: the commuting and distinguished rows of vertex x from
-    fixed powers of its products with every vertex.
+    fixed powers of its products P with every vertex, CLASS_BLOCK rows at a
+    time, which bounds the gathers' intp indices.
 
     A product P of two distinct involutions commutes iff P^2 is central,
-    and has order chi iff P^chi is central (chi is prime, so no smaller
-    order can collapse there).
+    that is, iff P is its own form inverse P^-1 up to the centre
+    (_Kernels.projective_equal).  It has order chi iff P^chi is central (chi
+    is prime, so no smaller order can collapse there): iff P^2 is P^-1 up
+    to the centre for chi = 3, and P^3 is (P^2)^-1 for chi = 5.  That is
+    one batch product per row block for PSL2 and PSU3, and two for Sz.
     """
-    kern = cls.kern
-    p = kern.mul_left(cls.codes[x], cls.codes)
-    p2 = kern.mul_batch(p, p)
-    p3 = kern.mul_batch(p2, p)
-    pchi = p3 if cls.spec.chi == 3 else kern.mul_batch(p3, p2)
-    rows = np.stack([kern.central_scalar_mask(p2), kern.central_scalar_mask(pchi)])
+    kern, v = cls.kern, cls.size
+    rows = np.empty((2, v), dtype=bool)
+    for lo in range(0, v, CLASS_BLOCK):
+        block = slice(lo, lo + CLASS_BLOCK)
+        p = kern.mul_left(cls.codes[x], cls.codes[block])
+        p2, p_inverse = kern.mul_batch(p, p), kern.inverse(p)
+        rows[0, block] = kern.projective_equal(p, p_inverse)
+        if cls.spec.chi == 3:
+            rows[1, block] = kern.projective_equal(p2, p_inverse)
+        else:
+            rows[1, block] = kern.projective_equal(kern.mul_batch(p2, p), kern.inverse(p2))
     rows[:, x] = False
     return rows
 
@@ -929,27 +966,32 @@ def cross_check_rows(cls: InvolutionClass, sets: SeedSets, xs) -> tuple | None:
 
 
 def _batch_orders(kern: _Kernels, p: np.ndarray, cap: int) -> np.ndarray:
-    """Projective orders of a batch of matrices by masked iteration."""
-    m = len(p)
-    orders = np.zeros(m, dtype=np.int32)
-    alive = np.arange(m)
-    cur = p
-    base = p
-    k = 1
+    """Projective orders of a batch of group elements by masked iteration;
+    OrderCapExceeded if one exceeds cap.
+
+    Order 1 is P central.  Then for j = 1, 2, ..., with P^j at hand, P^(2j)
+    is central iff P^j is P^-j up to the centre, and P^(2j + 1) iff
+    P^(j + 1) is.  P^-j is the form inverse of P^j (_Kernels.inverse), so
+    each step makes one product, P^(j + 1), and tests two orders."""
+    orders = np.zeros(len(p), dtype=np.int32)
+    central = kern.central_scalar_mask(p)
+    orders[central] = 1
+    alive = np.flatnonzero(~central)
+    base = cur = p[alive]
+    j = 1
     while alive.size:
-        done = kern.central_scalar_mask(cur)
-        if done.any():
-            orders[alive[done]] = k
-            keep = ~done
-            alive = alive[keep]
-            cur = cur[keep]
-            base = base[keep]
-            if not alive.size:
-                break
-        k += 1
-        if k > cap:
+        if 2 * j > cap:
             raise OrderCapExceeded(f"order exceeds cap {cap}")
+        back = kern.inverse(cur)
+        even = kern.projective_equal(cur, back)
         cur = kern.mul_batch(cur, base)
+        odd = kern.projective_equal(cur, back) & ~even
+        if 2 * j + 1 > cap and odd.any():
+            raise OrderCapExceeded(f"order exceeds cap {cap}")
+        orders[alive[even]], orders[alive[odd]] = 2 * j, 2 * j + 1
+        keep = ~(even | odd)
+        alive, base, cur = alive[keep], base[keep], cur[keep]
+        j += 1
     return orders
 
 

@@ -42,6 +42,17 @@ def psu3_4_class():
     return involution_class(make_group("psu3", 2))
 
 
+@pytest.fixture(scope="module")
+def psu3_8_class():
+    # q + 1 = 9: the centre has 3 elements
+    return involution_class(make_group("psu3", 3))
+
+
+@pytest.fixture(scope="module")
+def psl2_256_class():
+    return involution_class(make_group("psl2", 8))
+
+
 def test_make_group_values():
     s = make_group("psl2", 2)
     assert (s.q, s.l, s.chi, s.dim, s.center) == (4, 1, 3, 2, (1,))
@@ -246,6 +257,10 @@ def test_inverse_and_det_kernels_match_the_adjugate_and_the_leibniz_sum(family, 
     assert kern.det(y).tolist() == [mat_det(spec.ctx, m) for m in y.tolist()]
 
 
+def _as_tuples(arr):
+    return [tuple(map(tuple, m)) for m in arr.tolist()]
+
+
 @pytest.mark.parametrize("family,n", [("psl2", 11), ("psl2", 15), ("psu3", 6), ("psu3", 7)])
 def test_kernels_above_the_dense_table_match_the_oracles(family, n):
     # fields above GF(1024) multiply by the log gather alone; no class is built
@@ -261,14 +276,77 @@ def test_kernels_above_the_dense_table_match_the_oracles(family, n):
             m = mat_mul(spec.ctx, m, gens[i])
         return m
 
-    def as_tuples(arr):
-        return [tuple(map(tuple, m)) for m in arr.tolist()]
-
     xs, ys = [word() for _ in range(50)], [word() for _ in range(50)]
     x, y = np.array(xs, dtype=kern.dtype), np.array(ys, dtype=kern.dtype)
-    assert as_tuples(kern.mul_batch(x, y)) == [mat_mul(spec.ctx, a, b) for a, b in zip(xs, ys)]
-    assert as_tuples(kern.inverse(x)) == [mat_inv_det1(spec.ctx, a) for a in xs]
-    assert as_tuples(kern.canonical_batch(x)[0]) == [least_scaling(spec, a) for a in xs]
+    assert _as_tuples(kern.mul_batch(x, y)) == [mat_mul(spec.ctx, a, b) for a, b in zip(xs, ys)]
+    assert _as_tuples(kern.inverse(x)) == [mat_inv_det1(spec.ctx, a) for a in xs]
+    assert _as_tuples(kern.canonical_batch(x)[0]) == [least_scaling(spec, a) for a in xs]
+
+
+@pytest.mark.parametrize("family,n", [("sz", 3), ("psu3", 3), ("psl2", 9), ("psu3", 5)])
+def test_dense_table_kernels_match_the_oracles(family, n):
+    # GF(8), GF(64), GF(512) and GF(1024): one- and two-byte codes, flat
+    # table indices (a << n) | b up to 2^20 - 1, on random matrices outside
+    # the group with zero entries
+    spec = make_group(family, n)
+    ctx, kern = spec.ctx, gr._Kernels(spec)
+    assert kern.full is not None
+    rng = np.random.default_rng(n)
+    x, y = rng.integers(0, ctx.order, size=(2, 40, spec.dim, spec.dim)).astype(kern.dtype)
+    x[rng.random(x.shape) < 0.3] = 0
+    y[rng.random(y.shape) < 0.3] = 0
+    x[0] = y[0] = ctx.order - 1  # the last table entry
+    xs, ys = _as_tuples(x), _as_tuples(y)
+    g = xs[1]
+    assert _as_tuples(kern.mul_batch(x, y)) == [mat_mul(ctx, a, b) for a, b in zip(xs, ys)]
+    assert _as_tuples(kern.mul_left(g, y)) == [mat_mul(ctx, g, b) for b in ys]
+    assert _as_tuples(kern.mul_right(x, g)) == [mat_mul(ctx, a, g) for a in xs]
+    for z in (0, 1, 2, ctx.order - 1):
+        assert _as_tuples(kern.scale(z, x)) == [mat_scale(ctx, z, a) for a in xs]
+
+
+@pytest.mark.parametrize("family,n", [("psu3", 2), ("psu3", 3), ("psu3", 5)])
+def test_projective_equality_is_equality_up_to_the_centre(family, n):
+    # on matrices outside the group: z*b matches b exactly for z in the
+    # centre (3 elements for n = 3, 5), and no other scalar does
+    spec = make_group(family, n)
+    ctx, kern = spec.ctx, gr._Kernels(spec)
+    rng = np.random.default_rng(n)
+    b = rng.integers(0, ctx.order, size=(ctx.order - 1, 3, 3)).astype(kern.dtype)
+    b[rng.random(b.shape) < 0.4] = 0
+    b[b[:, 1, 1] == 0, 1, 1] = 1  # a leading entry before (2, 2), the one tampered below
+    zs = np.arange(1, ctx.order)
+    a = np.array([mat_scale(ctx, int(z), m) for z, m in zip(zs, _as_tuples(b))], dtype=kern.dtype)
+    assert np.array_equal(kern.projective_equal(a, b), np.isin(zs, spec.center))
+    a[:, 2, 2] ^= 1  # off in one entry
+    assert not kern.projective_equal(a, b).any()
+    scalars = zs[:, None, None] * np.eye(3, dtype=kern.dtype)
+    assert np.array_equal(kern.central_scalar_mask(scalars), np.isin(zs, spec.center))
+    assert not kern.central_scalar_mask(b[~np.isin(zs, spec.center)]).any()
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 3), ("sz", 3), ("psu3", 2), ("psu3", 3)])
+def test_batch_orders_match_the_scalar_oracle(family, n):
+    # products of two and of three random members, x x (central) and
+    # commuting pairs among them; psu3 n=3 compares up to a 3-element centre
+    cls = involution_class(make_group(family, n))
+    spec, kern = cls.spec, cls.kern
+    rng = np.random.default_rng(n)
+    pick = rng.integers(0, cls.size, size=(3, 160))
+    pick[1, :8] = pick[0, :8]
+    pick[0, 8:16], pick[1, 8:16] = 0, rng.choice(cls.seed_sets().comm, 8)
+    p = kern.mul_batch(cls.codes[pick[0]], cls.codes[pick[1]])
+    p[80:] = kern.mul_batch(p[80:], cls.codes[pick[2, 80:]])
+    want = np.array([element_order(spec, m) for m in _as_tuples(p)])
+    assert np.array_equal(gr._batch_orders(kern, p, spec.order_cap), want)
+    assert (want == 1).any() and (want == 2).any() and (want > 2).any()
+    # a cap just below the largest order, even or odd, is exceeded
+    for parity in (0, 1):
+        top = int(want[want % 2 == parity].max())
+        below = want <= top
+        assert np.array_equal(gr._batch_orders(kern, p[below], top), want[below])
+        with pytest.raises(gr.OrderCapExceeded, match=f"cap {top - 1}"):
+            gr._batch_orders(kern, p[below], top - 1)
 
 
 @pytest.mark.parametrize("seed", [((1, 0), (0, 1)), ((0, 1), (1, 1))])
@@ -501,14 +579,22 @@ def test_pair_predicates_partition_all_pairs(psl2_8_class, sz8_class):
         assert counts // 2 + other == cls.size * (cls.size - 1) // 2
 
 
-def test_power_rows_equal_the_order_scan(psl2_8_class, sz8_class, psu3_4_class):
-    # the direct rows of cross_check_rows, P^5 = P^3 P^2 central for Sz
-    for cls in (psl2_8_class, sz8_class, psu3_4_class):
-        scan = cls.order_scan()
-        for x in (0, 1, cls.size // 2, cls.size - 1):
-            comm, chi = gr._power_rows(cls, x)
-            assert np.array_equal(np.flatnonzero(comm), bits.indices(scan.comm[x], cls.size))
-            assert np.array_equal(np.flatnonzero(chi), bits.indices(scan.chi[x], cls.size))
+def test_power_rows_equal_the_order_scan(psl2_8_class, sz8_class, psu3_4_class, psu3_8_class,
+                                        monkeypatch):
+    # the direct rows of cross_check_rows, P = P^-1 and P^2 = P^-1 (chi = 3)
+    # or P^3 = (P^2)^-1 (Sz) up to the centre, against the orders of the
+    # row's products; psu3 n=3 has a 3-element centre, and blocks of 97
+    # rows put block boundaries inside every class
+    for block in (gr.CLASS_BLOCK, 97):
+        monkeypatch.setattr(gr, "CLASS_BLOCK", block)
+        for cls in (psl2_8_class, sz8_class, psu3_4_class, psu3_8_class):
+            for x in (0, 1, cls.size // 2, cls.size - 1):
+                p = cls.kern.mul_batch(cls.codes[np.full(cls.size, x)], cls.codes)
+                orders = gr._batch_orders(cls.kern, p, cls.spec.order_cap)
+                comm, chi = gr._power_rows(cls, x)
+                assert orders[x] == 1 and not comm[x] and not chi[x]
+                assert np.array_equal(comm, orders == 2)
+                assert np.array_equal(chi, orders == cls.spec.chi)
 
 
 def test_suborbit_table_holds_row_0_orders(psl2_8_class, sz8_class, psu3_4_class):
@@ -860,11 +946,11 @@ def test_carry_follows_the_schreier_tree(psu3_4_class):
     assert cls.carry([], sets.chi).shape == (0, len(sets.chi))
 
 
-def test_carry_copies_no_permutation():
+def test_carry_copies_no_permutation(psl2_256_class):
     # perms is a view of steps, whose last row is the identity the tree's
     # root names; carry gathers from steps in place, so carrying one vertex
     # allocates less than the permutations hold
-    cls = involution_class(make_group("psl2", 8))
+    cls = psl2_256_class
     v, t = cls.size, len(cls.perms)
     assert np.shares_memory(cls.perms, cls.steps) and cls.steps.shape == (t + 1, v)
     assert np.array_equal(cls.steps[-1], np.arange(v))
@@ -918,6 +1004,24 @@ def test_fusion_graph_rejects_intransitive_generators(psl2_8_class, monkeypatch)
         gr.closed_class(spec, psl2_8_class.codes)
     with pytest.raises(ClassSizeMismatch, match="56 of 63"):
         involution_class(spec)
+
+
+def test_cross_check_memory_is_bounded_by_the_block(psl2_256_class, monkeypatch):
+    # the gathers index the product table with intp, 8 bytes per entry, so
+    # the power rows run CLASS_BLOCK rows at a time: the peak is a few bool
+    # rows of v and two intp indices of one block, where whole-class
+    # indices at v = 65535 take 2 MB each
+    cls = psl2_256_class
+    sets, block = cls.seed_sets(), 1 << 12
+    monkeypatch.setattr(gr, "CLASS_BLOCK", block)
+    tracemalloc.start()
+    try:
+        assert gr.cross_check_rows(cls, sets, (cls.size // 2, cls.size - 1)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * cls.size + 2 * 8 * cls.spec.dim ** 2 * block
+    assert peak < bound, f"cross_check_rows peaked at {peak} B, bound {bound} B"
 
 
 def test_cross_check_names_a_differing_pair(psl2_8_class):
