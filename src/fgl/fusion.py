@@ -136,9 +136,11 @@ def seed_set_cover3_certificate(cls: InvolutionClass, nbrs: np.ndarray,
     so r = |D3(0)| + 1 divides v): the antipodal classes.  One neighbor of 0
     in every class but its own is b2 = 1, which refuses D3(0) empty; c3 = k.
 
-    known, if given, must be block_partition(cls.perms, B) for
-    the block B of 0 in it (the Sylow labels are).  When B = {0} + D3(0)
-    it is the same call, so its labels are used as they are.
+    known, if given, must be labels that block_partition proved for the
+    block B of 0 in them, from whatever hint (the Sylow labels are, from
+    the rows' Sylow keys).  Proven labels are the orbit of B whatever the
+    closure started from, so when B = {0} + D3(0) they are the labels this
+    call's closure from singletons would prove, and are used as they are.
     """
     v, k = cls.size, len(nbrs)
     if k == 0 or k >= v - 1:

@@ -12,9 +12,10 @@ a torus element h normalising U*.  The conjugacy class of involutions is
 the disjoint union of the q^l + 1 Sylow 2-centres less the identity:
 Z(U)^# for the lower unitriangular Sylow subgroup U (sylow_unipotents)
 and its conjugates u^-1 (w Z(U)^# w) u by the reversal w and each u in U
-(involution_class).  Vertices are numbered by the lexicographic order of
-their canonical encodings, so the numbering, and every vertex id derived
-from it, does not depend on the generating set.
+(involution_class), each the identity plus scaled outer products of u^-1's
+columns and u's rows (_sylow_centre_rows).  Vertices are numbered by the
+lexicographic order of their canonical encodings, so the numbering, and
+every vertex id derived from it, does not depend on the generating set.
 
 A class is proven where it is made, and only closed_class makes one: it
 takes rows from the enumeration or from a cache and proves them the class,
@@ -38,10 +39,13 @@ table every vertex-0 fact reads (InvolutionClass.suborbits): the order
 census is v/2 times the seed's row (orbital_order_census), the partners of
 x are sigma_x of the seed's classes of order 2 and chi (seed_sets), and
 the commuting classes are the orbit of one block, closed under the
-generators by the suborbits' union-find (_join, sylow_partition).  Graph
-construction carries vertex 0's partner sets the same way
-(fusion._carried_graph); full_order_scan, sampled_order_check and the
-direct products of cross_check_rows are oracles.
+generators by the suborbits' union-find (_join, block_partition).  The
+closure starts from the Sylow 2-centres read from the rows, x's being the
+column space of x + I (sylow_keys), so that one pass over u_(m-1), w and
+h proves them (sylow_partition).  Graph construction carries vertex 0's
+partner sets the same way (fusion._carried_graph); full_order_scan,
+sampled_order_check and the direct products of cross_check_rows are
+oracles.
 
 All matrix arithmetic runs on numpy arrays of element codes with
 multiplication as table gathers (_Kernels): one take from the flat dense
@@ -328,14 +332,14 @@ class _Kernels:
         # the centre's scalar matrices z*I, which central_scalar_mask compares with
         z = np.array(spec.center, dtype=self.dtype)
         self.scalars = z[:, None, None] * np.eye(spec.dim, dtype=self.dtype)
+        # reciprocal[e] = 1/e (0 for 0), for projective_equal and the Sylow keys
+        self.reciprocal = np.zeros(spec.ctx.order, dtype=self.dtype)
+        self.reciprocal[1:] = self.exp3[spec.ctx.order - 1 - self.log[1:]]
         self.least_scale = None  # least_scale[e]: the z in the centre whose z*e encodes least
-        # reciprocal[e] = 1/e (0 for 0) and central[e]: e in the centre, for projective_equal
-        self.reciprocal = self.central = None
+        self.central = None  # central[e]: e in the centre, for projective_equal
         if len(z) > 1:
             scaled = self._mul(z[:, None], np.arange(spec.ctx.order, dtype=self.dtype))
             self.least_scale = z[scaled.byteswap().argmin(axis=0)]
-            self.reciprocal = np.zeros(spec.ctx.order, dtype=self.dtype)
-            self.reciprocal[1:] = self.exp3[spec.ctx.order - 1 - self.log[1:]]
             self.central = np.zeros(spec.ctx.order, dtype=bool)
             self.central[z] = True
         self.bar = None  # bar[e] = e^q, the field automorphism of the PSU3 form
@@ -594,19 +598,43 @@ def _seed_keys(spec: GroupSpec, kern: _Kernels) -> np.ndarray:
 def _sylow_centre_rows(spec: GroupSpec) -> np.ndarray:
     """The canonical rows of Z(U)^# and of u^-1 (w z w) u for u in U and z
     in Z(U)^#, sorted by encoding (w the reversal).  A function of its
-    own, so that its temporaries are freed before closed_class runs."""
+    own, so that its temporaries are freed before closed_class runs.
+
+    Conjugation is linear: with M(z) = w z w + I, u^-1 (w z w) u is I plus
+    the sum of M(z)_ij (u^-1 e_i)(e_j^T u) over the support of M, the
+    entries nonzero for some z (one for PSL2 and PSU3, three for Sz).  The
+    outer products are formed once per u, so each row costs one product
+    gather per support entry and matrix entry, the entry of M(z) times the
+    outer product's.  The rows are summed in place into one array, the
+    (z, u) grid z-major in blocks of at most CLASS_BLOCK rows, and then
+    canonicalised and keyed CLASS_BLOCK rows at a time, which bounds the
+    gathers' intp indices and leaves no list of blocks to join."""
     kern = _Kernels(spec)
     unip, centre = sylow_unipotents(spec)
     u = np.array(unip, dtype=kern.dtype)
     z = np.array(centre, dtype=kern.dtype)
-    w = reversal(spec.dim)
-    wzw = kern.mul_right(kern.mul_left(w, z), w)
-    ui, rows = kern.inverse(u), [kern.canonical_batch(z)]
-    for lo in range(0, len(u) * len(z), CLASS_BLOCK):
-        pick_u, pick_z = np.divmod(np.arange(lo, min(lo + CLASS_BLOCK, len(u) * len(z))), len(z))
-        rows.append(kern.canonical_batch(
-            kern.mul_batch(kern.mul_batch(ui[pick_u], wzw[pick_z]), u[pick_u])))
-    codes, keys = (np.concatenate(part) for part in zip(*rows))
+    d, nu, eye = spec.dim, len(u), np.eye(spec.dim, dtype=kern.dtype)
+    w = reversal(d)
+    m = kern.mul_right(kern.mul_left(w, z), w) ^ eye
+    support = np.argwhere(m.any(axis=0))
+    ui = kern.inverse(u)
+    outer = [kern._mul(ui[:, :, i, None], u[:, None, j, :]) for i, j in support]
+    codes = np.empty((len(z) * (nu + 1), d, d), dtype=kern.dtype)
+    codes[:len(z)] = z
+    grid = codes[len(z):].reshape(len(z), nu, d, d)
+    step_u = min(nu, CLASS_BLOCK)
+    step_z = max(1, CLASS_BLOCK // nu)
+    for zlo in range(0, len(z), step_z):
+        scalars = m[zlo:zlo + step_z, None, None, None]
+        for ulo in range(0, nu, step_u):
+            x = grid[zlo:zlo + step_z, ulo:ulo + step_u]
+            x[:] = eye
+            for (i, j), o in zip(support, outer):
+                x ^= kern._mul(scalars[..., i, j], o[None, ulo:ulo + step_u])
+    keys = np.empty((len(codes), -(-codes[0].nbytes // 8)), dtype=np.uint64)  # _word_keys
+    for lo in range(0, len(codes), CLASS_BLOCK):
+        block = slice(lo, lo + CLASS_BLOCK)
+        codes[block], keys[block] = kern.canonical_batch(codes[block])
     return codes[np.lexsort(keys.T[::-1])]
 
 
@@ -616,9 +644,10 @@ def involution_class(spec: GroupSpec) -> InvolutionClass:
     The Sylow 2-subgroups are U (sylow_unipotents) and u^-1 U^w u for u in
     U, w the reversal; each centre holds q - 1 involutions, and the class
     is their disjoint union: Z(U)^# and u^-1 (w z w) u for u in U and z in
-    Z(U)^#, (q - 1)(q^l + 1) rows.  Canonical and sorted by encoding, they
-    are only candidates (_sylow_centre_rows): closed_class proves them the
-    class and finds the generator permutations.
+    Z(U)^#, (q - 1)(q^l + 1) rows, each summed from scaled outer products
+    (_sylow_centre_rows).  Canonical and sorted by encoding, they are only
+    candidates: closed_class proves them the class and finds the generator
+    permutations.
     """
     return closed_class(spec, _sylow_centre_rows(spec))
 
@@ -795,18 +824,40 @@ def stabiliser_suborbits(cls: InvolutionClass) -> np.ndarray:
     return root
 
 
-def block_partition(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
+def _least_members(keys: np.ndarray) -> np.ndarray:
+    """root[y]: the least y' with keys[y'] = keys[y], as int32.  One sort
+    groups equal keys, and each run's least vertex is its minimum."""
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], sorted_keys[1:] != sorted_keys[:-1]]))
+    root = np.empty(len(keys), dtype=np.int32)
+    root[order] = np.repeat(np.minimum.reduceat(order, starts).astype(np.int32),
+                            np.diff(starts, append=len(keys)))
+    return root
+
+
+def block_partition(perms: np.ndarray, base: np.ndarray,
+                    hint: np.ndarray | None = None) -> np.ndarray:
     """Labels, numbered by least member, of the orbit of the vertex set base
     under the permutations, which must act transitively, as a class's do
-    (schreier_tree), proven a partition as in Atkinson's block algorithm: the
-    least equivalence holding base x base that every permutation preserves,
-    joined pass by pass (_join) until a pass joins nothing, has only classes
-    of len(base) exactly when they are that orbit.  Otherwise
-    NotAnEquivalence, witness (x,) for the least x whose class has another size.
+    (schreier_tree), proven a partition as in Atkinson's block algorithm.
+
+    The closure starts from the classes of hint (vertices with one hint
+    value), or from singletons, joins base into one class and then passes
+    over every permutation p, joining the class of p(y) with that of
+    p(root[y]) (_join), until a whole pass joins nothing.  The result is
+    then an equivalence that every permutation preserves and whose class of
+    0 holds base; it has only classes of len(base) exactly when the class of
+    0 is base and the classes are its orbit, whatever the hint was.  A hint
+    that splits the blocks is joined back; one that merges two blocks leaves
+    a class too large.  So a hint of the blocks themselves is proven in one
+    pass, and from singletons the closure is the least such equivalence.
+    Otherwise NotAnEquivalence, witness (x,) for the least x whose class
+    has another size.
     """
     v, s = perms.shape[1], len(base)
-    root = np.arange(v, dtype=perms.dtype)
-    root[base] = base.min()
+    root = np.arange(v, dtype=perms.dtype) if hint is None else _least_members(hint)
+    root, _ = _join(root, root[base[:-1]], root[base[1:]])
     joined = True
     while joined:
         joined = False
@@ -823,12 +874,80 @@ def block_partition(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
     return (np.cumsum(root == np.arange(v)) - 1)[root]
 
 
+def _first_nonzero(rows: np.ndarray) -> np.ndarray:
+    """Per column of rows, the index of its first nonzero entry (0 if none);
+    a few times faster than argmax down the columns of rows != 0."""
+    out = np.zeros(rows.shape[1], dtype=np.intp)
+    for i in range(len(rows) - 1, -1, -1):
+        out[rows[i] != 0] = i
+    return out
+
+
+def sylow_keys(kern: _Kernels, codes: np.ndarray) -> np.ndarray:
+    """One uint64 key per class row x: the reduced echelon form of the
+    column space of x + I, the Sylow 2-centre holding x, read CLASS_BLOCK
+    rows at a time.
+
+    The involutions of one centre are I + N for matrices N of one column
+    space, of rank 1 for PSL2 and PSU3 and 2 for Sz; an involution's x + I
+    squares to 0, so its rank is at most d / 2, and d // 2 elimination
+    steps give the form.  A row scaled by a central omega has trace omega
+    (the trace of I + N is 1 for d = 3), so with a non-trivial centre
+    x + tr(x) I, whose column space is that of x / tr(x) + I, takes its
+    place.  Each step takes c, the least coordinate where a column is
+    nonzero, and the first such column, scaled to 1 at c, as the next form
+    row; it clears c from the earlier form rows, and from the columns when
+    another step follows.  The entries are held entry-major, y[i, j] the
+    (m,) entries (i, j) of the block, so every operation runs on whole
+    rows.  A form row, its pivot 1 with zeros before it, packs n bits an
+    entry into n (d - 1) + 1 bits, n the field degree; make_group's int32
+    vertex ids stop at psl2 n = 15, sz n = 9 and psu3 n = 7 (degree 14),
+    so a key takes at most 16, 56 and 29 bits.
+    """
+    d, n = codes.shape[-1], kern.spec.ctx.n
+    steps, width = d // 2, n * (d - 1) + 1
+    keys = np.empty(len(codes), dtype=np.uint64)
+    for lo in range(0, len(codes), CLASS_BLOCK):
+        block = codes[lo:lo + CLASS_BLOCK]
+        m = len(block)
+        y = np.ascontiguousarray(block.reshape(m, d * d).T)
+        diagonal = y[::d + 1]
+        diagonal ^= 1 if kern.central is None else np.bitwise_xor.reduce(diagonal, axis=0)
+        flat, offsets, coords = y.reshape(-1), np.arange(m), np.arange(d)[:, None]
+        y = y.reshape(d, d, m)
+        form = []
+        for k in range(steps):
+            c = _first_nonzero(np.bitwise_or.reduce(y, axis=1))
+            at_c = flat.take(c * (d * m) + offsets + m * coords)  # y[c, j]
+            j = _first_nonzero(at_c)
+            pivot = flat.take(j * m + offsets + (d * m) * coords)  # y[i, j]
+            pivot = kern._mul(kern.reciprocal[at_c.reshape(-1).take(j * m + offsets)], pivot)
+            if k + 1 < steps:
+                y ^= kern._mul(pivot[:, None, :], at_c[None, :, :])
+            for row in form:
+                row ^= kern._mul(row.reshape(-1).take(c * m + offsets), pivot)
+            form.append(pivot)
+        key = np.zeros(m, dtype=np.uint64)
+        for r, row in enumerate(form):
+            for i in range(d):
+                key |= row[i].astype(np.uint64) << np.uint64(r * width + n * (d - 1 - i))
+        keys[lo:lo + CLASS_BLOCK] = key
+    return keys
+
+
 def sylow_partition(cls: InvolutionClass) -> np.ndarray:
     """Classes of the commuting relation: the orbit of B0 = {0} + comm(0), a
     partition (block_partition) of q^l + 1 classes of q - 1, whose block of x
-    is {x} + comm(x) = sigma_x(B0), the image holding x."""
+    is {x} + comm(x) = sigma_x(B0), the image holding x.  The closure starts
+    from the Sylow 2-centres read from the rows (sylow_keys), so that the
+    blocks it proves are found in one pass over the generators.  It passes
+    over the last three permutations alone, u_(m-1), w and h: the other u_k
+    are conjugates of u_(m-1) by powers of h, so a partition those three
+    preserve is preserved by every permutation of the class."""
     spec = cls.spec
-    labels = block_partition(cls.perms, np.concatenate([[0], cls.seed_sets().comm]))
+    labels = block_partition(cls.perms[sylow_generator_count(spec) - 1:],
+                             np.concatenate([[0], cls.seed_sets().comm]),
+                             hint=sylow_keys(cls.kern, cls.codes))
     sizes = np.bincount(labels)
     nclass = len(sizes)
     want_m = spec.q ** spec.l + 1

@@ -22,7 +22,8 @@ schreier_suborbits merges Schreier generators of vertex 0's stabiliser,
 one (vertex, generator) pair at a time, where the library merges the
 Sylow generators conjugated once.  block_partition_breadth_first visits
 the orbit of a block one block at a time, where the library closes an
-equivalence under the generators with the suborbits' union-find.
+equivalence under the generators with the suborbits' union-find, from
+singletons or from the Sylow 2-centres read from the rows.
 The per-source and per-row certificates (one BFS per source, one
 row-AND + popcount pass per vertex) are the references for the library's
 blocked adjacency products.  involution_class_by_dict is the only
@@ -30,7 +31,8 @@ breadth-first builder of the class: the orbit of the seed under the
 matrices of step_matrices, with a Python dict keyed by encode() bytes, one
 matrix at a time, where the library enumerates the Sylow 2-centres in
 closed form, conjugates them by three matrices and derives the other
-rows by gathers.
+rows by gathers.  sylow_centre_rows_by_products enumerates the centres with
+two batch products per row, where the library sums scaled outer products.
 least_scaling encodes every centre scaling of one tuple matrix and keeps
 the least (canonicalize form-checks it first), where the library scales
 each matrix once, by its leading entry (_Kernels.canonical_batch).
@@ -59,9 +61,10 @@ from fgl.graphio import GraphParseError, _graph6_chunks
 from fgl.graphs import (DdgCert, DezaCert, Disconnected, Graph, MoreThanTwoValues,
                         NotAntipodal, NotDistanceRegular, NotRegular,
                         PartitionNotUniform)
-from fgl.groups import (NotAnEquivalence, NotInGroupForm, OrderCapExceeded, _sz_torus,
-                        _sz_unipotent, check_group_form, generators, merge_suborbits,
-                        reversal, seed_involution, sylow_generator_count)
+from fgl.groups import (CLASS_BLOCK, NotAnEquivalence, NotInGroupForm, OrderCapExceeded,
+                        _Kernels, _sz_torus, _sz_unipotent, check_group_form, generators,
+                        merge_suborbits, reversal, seed_involution, sylow_generator_count,
+                        sylow_unipotents)
 
 
 @dataclass(frozen=True)
@@ -480,6 +483,26 @@ def involution_class_by_dict(spec, gens):
     rank[order] = np.arange(len(members))
     codes = np.array([members[i] for i in order], dtype=spec.ctx.code_dtype)
     return codes, rank[np.array(images)[:, order]]
+
+
+def sylow_centre_rows_by_products(spec) -> np.ndarray:
+    """The class rows as groups._sylow_centre_rows makes them, from two
+    batch products per row, u^-1 (w z w) then that times u, for u in U
+    and z in Z(U)^#, CLASS_BLOCK rows at a time; canonical and sorted by
+    encoding."""
+    kern = _Kernels(spec)
+    unip, centre = sylow_unipotents(spec)
+    u = np.array(unip, dtype=kern.dtype)
+    z = np.array(centre, dtype=kern.dtype)
+    w = reversal(spec.dim)
+    wzw = kern.mul_right(kern.mul_left(w, z), w)
+    ui, rows = kern.inverse(u), [kern.canonical_batch(z)]
+    for lo in range(0, len(u) * len(z), CLASS_BLOCK):
+        pick_u, pick_z = np.divmod(np.arange(lo, min(lo + CLASS_BLOCK, len(u) * len(z))), len(z))
+        rows.append(kern.canonical_batch(
+            kern.mul_batch(kern.mul_batch(ui[pick_u], wzw[pick_z]), u[pick_u])))
+    codes, keys = (np.concatenate(part) for part in zip(*rows))
+    return codes[np.lexsort(keys.T[::-1])]
 
 
 def psu3_unitriangular_scan(spec) -> list:

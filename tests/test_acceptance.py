@@ -307,7 +307,7 @@ def test_criterion_11_psl2_512():
 
 @pytest.mark.ladder
 def test_ladder_psu3_n5():
-    # v = 1015839; about 4.2 s and a 189 MB peak RSS on two cores, then about
+    # v = 1015839; about 3.5 s and a 185 MB peak RSS on two cores, then about
     # 3 s for the Schreier-generator oracle; deselected by default, run with:
     # pytest -m ladder
     d, rss_mb, roots_match = _verify_in_subprocess("psu3", 5, 120.0)
@@ -318,7 +318,7 @@ def test_ladder_psu3_n5():
 
 @pytest.mark.ladder
 def test_ladder_psl2_n10():
-    # v = 1048575; about 2.4 s and a 160 MB peak RSS on two cores, then about
+    # v = 1048575; about 2.2 s and a 160 MB peak RSS on two cores, then about
     # 2 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("psl2", 10, 25.0)
     _check_certificate("psl2", 10, d)
@@ -328,7 +328,7 @@ def test_ladder_psl2_n10():
 
 @pytest.mark.ladder
 def test_ladder_sz_n7():
-    # v = 2080895; about 13 s and a 275 MB peak RSS on two cores, then about
+    # v = 2080895; about 9.4 s and a 275 MB peak RSS on two cores, then about
     # 4 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("sz", 7, 105.0)
     _check_certificate("sz", 7, d)
@@ -338,7 +338,7 @@ def test_ladder_sz_n7():
 
 @pytest.mark.ladder
 def test_ladder_psl2_n11():
-    # v = 4194303; about 15 s and a 569 MB peak RSS on two cores, then about
+    # v = 4194303; about 13 s and a 553 MB peak RSS on two cores, then about
     # 20 s for the Schreier-generator oracle
     d, rss_mb, roots_match = _verify_in_subprocess("psl2", 11, 40.0)
     _check_certificate("psl2", 11, d)

@@ -254,11 +254,12 @@ def test_seed_vertex_certificate_checks_the_derived_classes(psl2_8, monkeypatch)
     not_a_block = np.concatenate([[0], chi])
     shuffled = np.random.default_rng(0).permutation(sylow_partition(psl2_8))
     real = groups.block_partition
-    monkeypatch.setattr(groups, "block_partition", lambda perms, base: real(perms, not_a_block))
+    monkeypatch.setattr(groups, "block_partition",
+                        lambda perms, base, hint=None: real(perms, not_a_block, hint))
     with pytest.raises(NotAntipodal) as ei:
         seed_set_cover3_certificate(psl2_8, chi)
     assert ei.value.witness == (0,)
-    monkeypatch.setattr(groups, "block_partition", lambda perms, base: shuffled)
+    monkeypatch.setattr(groups, "block_partition", lambda perms, base, hint=None: shuffled)
     with pytest.raises(NotDistanceRegular) as ei:
         seed_set_cover3_certificate(psl2_8, chi)
     x, y, name, want, got = ei.value.witness

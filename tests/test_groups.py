@@ -19,7 +19,7 @@ from oracles import (block_partition_breadth_first, canonicalize, carried_rows,
                      involution_class_by_dict, least_scaling, mat_det, mat_inv_det1, mat_mul,
                      mat_scale, member, product_order, psu3_unitriangular_scan,
                      schreier_generators, schreier_suborbits, sigma_along_tree,
-                     step_matrices, vertex_index)
+                     step_matrices, sylow_centre_rows_by_products, vertex_index)
 
 
 @pytest.fixture(scope="module")
@@ -532,6 +532,36 @@ def test_class_blocks_give_the_same_class(psl2_8_class, sz8_class, psu3_4_class,
         assert np.array_equal(cls.perms, perms)
 
 
+@pytest.mark.parametrize("family,n", [("psl2", 2), ("psl2", 3), ("psl2", 4), ("psl2", 5),
+                                      ("psl2", 6), ("sz", 3), ("sz", 5), ("psu3", 2),
+                                      ("psu3", 3), ("psu3", 4)])
+def test_centre_rows_equal_the_two_product_oracle(family, n):
+    # the sum of scaled outer products is u^-1 (w z w) u; psu3 n=3 has a
+    # 3-element centre, so its rows are canonical scalings
+    spec = make_group(family, n)
+    codes = gr._sylow_centre_rows(spec)
+    want = sylow_centre_rows_by_products(spec)
+    assert codes.dtype == want.dtype and np.array_equal(codes, want)
+
+
+def test_enumeration_memory_is_bounded_by_the_block(monkeypatch):
+    # the scale gathers take intp indices, 8 bytes per entry, so the (z, u)
+    # grid runs CLASS_BLOCK rows at a time; what remains of v rows is the
+    # codes, their key words and the sort's index and copy, 24 bytes a row
+    # at psl2 n=8, where the whole grid at once peaks at 40 and the two
+    # product oracle at 78
+    spec, block = make_group("psl2", 8), 1 << 12
+    monkeypatch.setattr(gr, "CLASS_BLOCK", block)
+    tracemalloc.start()
+    try:
+        codes = gr._sylow_centre_rows(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 26 * len(codes) + 2 * 8 * spec.dim ** 2 * block
+    assert peak < bound, f"the enumeration peaked at {peak} B, bound {bound} B"
+
+
 def test_product_orders_and_masks_agree(psl2_8_class):
     cls = psl2_8_class
     spec = cls.spec
@@ -826,9 +856,9 @@ def test_closed_class_check_rejects_missing_seed(psl2_8_class, sz8_class, psu3_4
 
 
 def test_sylow_partition_names_a_witness(psl2_8_class):
-    # vertex 0 loses one commuting partner, though its other partners keep
-    # it: the images of the smaller block inside B0 join it back, so the
-    # class of 0 is all of B0, 7 members where the base has 6
+    # vertex 0 loses one commuting partner, though the read keeps it with
+    # its whole Sylow centre, so the class of 0 is all of B0, 7 members
+    # where the base has 6
     comm = psl2_8_class.seed_sets().comm
     cls = gr.closed_class(psl2_8_class.spec, psl2_8_class.codes)
     cls._seed_sets = gr.SeedSets(comm=comm[1:], chi=psl2_8_class.seed_sets().chi)
@@ -875,6 +905,43 @@ def test_blocks_equal_the_breadth_first_oracle(family, n):
         assert np.array_equal(np.flatnonzero(labels == 0), np.sort(base))
 
 
+def _labels_of(keys):
+    """Labels numbered by least member of the classes of equal keys."""
+    _, least, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(least))[inverse]
+
+
+@pytest.mark.parametrize("family,n", CLASSES_FOR_BLOCKS)
+def test_sylow_keys_read_the_blocks(family, n):
+    # the column space of x + I, rank 2 for Sz, names x's Sylow block; psu3
+    # n=3 reads it from x + tr(x) I, its rows being scaled by the centre
+    cls, _ = _class_with_cover(family, n)
+    keys = gr.sylow_keys(cls.kern, cls.codes)
+    assert keys.dtype == np.uint64
+    base = np.concatenate([[0], cls.seed_sets().comm])
+    want = gr.block_partition(cls.perms, base)
+    assert np.array_equal(_labels_of(keys), want)
+    assert np.array_equal(want, block_partition_breadth_first(cls.perms, base))
+    assert np.array_equal(sylow_partition(cls), want)
+
+
+@pytest.mark.parametrize("family,n", [("psl2", 6), ("sz", 3), ("psu3", 3)])
+def test_a_correct_read_closes_in_one_pass(family, n, monkeypatch):
+    # the closure calls _join once to join B0 and then once per permutation
+    # row it visits: from the read, sylow_partition's one pass over u_(m-1),
+    # w and h joins nothing and ends it, where from singletons the first pass
+    # over those rows joins, so that a second follows
+    cls, _ = _class_with_cover(family, n)
+    base = np.concatenate([[0], cls.seed_sets().comm])
+    visits, real = [], gr._join
+    monkeypatch.setattr(gr, "_join", lambda root, a, b: visits.append(len(a)) or real(root, a, b))
+    labels = sylow_partition(cls)
+    assert visits == [len(base) - 1] + [cls.size] * 3
+    visits.clear()
+    assert np.array_equal(gr.block_partition(cls.perms[-3:], base), labels)
+    assert len(visits) >= 1 + 2 * 3
+
+
 @pytest.mark.parametrize("family,n", CLASSES_FOR_BLOCKS)
 def test_non_blocks_are_refused_by_both(family, n):
     # {0} + chi(0), and the Sylow block less its last vertex
@@ -902,12 +969,11 @@ def test_a_block_of_a_subgroup_is_refused():
             partition(np.stack([e, p, c, s]), base)
 
 
-@given(st.data())
-@settings(max_examples=100, deadline=None)
-def test_blocks_of_random_imprimitive_groups_match_the_oracle(data):
-    # v = m r points, placed at random into m blocks of r; each generator
-    # permutes the blocks and the points of every block, and the last walks
-    # all v points in one cycle, so that the group is transitive
+def _random_imprimitive_group(data):
+    """(perms, block): v = m r points, placed at random into m blocks of r;
+    each generator permutes the blocks and the points of every block, and
+    the last walks all v points in one cycle, so that the group is
+    transitive; block is the block of point 0."""
     m, r = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     v = m * r
     place = np.array(data.draw(st.permutations(range(v))))
@@ -920,7 +986,14 @@ def test_blocks_of_random_imprimitive_groups_match_the_oracle(data):
     column = place.reshape(m, r).T.reshape(-1)  # slot j of every block, then slot j + 1
     perms[-1][column] = np.roll(column, -1)
     home = int(np.flatnonzero(place == 0)[0]) // r  # the block of point 0
-    block = np.sort(place[home * r:(home + 1) * r])
+    return perms, np.sort(place[home * r:(home + 1) * r])
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_blocks_of_random_imprimitive_groups_match_the_oracle(data):
+    perms, block = _random_imprimitive_group(data)
+    v = perms.shape[1]
     labels = gr.block_partition(perms, block)
     assert np.array_equal(labels, block_partition_breadth_first(perms, block))
     base = np.array(sorted({0} | data.draw(st.sets(st.integers(0, v - 1)))))
@@ -931,6 +1004,28 @@ def test_blocks_of_random_imprimitive_groups_match_the_oracle(data):
             gr.block_partition(perms, base)
     else:
         assert np.array_equal(gr.block_partition(perms, base), want)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_hinted_closures_of_random_imprimitive_groups(data):
+    # a hint that splits the blocks is joined back to the oracle's labels,
+    # one that merges two blocks is refused, and no hint gives other labels
+    perms, block = _random_imprimitive_group(data)
+    v = perms.shape[1]
+    want = block_partition_breadth_first(perms, block)
+    split = data.draw(st.lists(st.integers(0, 2), min_size=v, max_size=v))
+    assert np.array_equal(gr.block_partition(perms, block, hint=3 * want + split), want)
+    if want.max() > 0:
+        a, b = data.draw(st.permutations(range(int(want.max()) + 1)))[:2]
+        with pytest.raises(gr.NotAnEquivalence):
+            gr.block_partition(perms, block, hint=np.where(want == b, a, want))
+    hint = np.array(data.draw(st.lists(st.integers(0, 4), min_size=v, max_size=v)))
+    try:
+        labels = gr.block_partition(perms, block, hint=hint)
+    except gr.NotAnEquivalence:
+        return
+    assert np.array_equal(labels, want)
 
 
 def test_carry_follows_the_schreier_tree(psu3_4_class):

@@ -226,8 +226,8 @@ def test_antipodal_block_reuses_the_sylow_partition(monkeypatch):
     # {0} + D3(0) = {0} + comm(0) on a passing certificate: one block orbit
     calls = []
     real = groups.block_partition
-    monkeypatch.setattr(groups, "block_partition",
-                        lambda perms, base: calls.append(len(base)) or real(perms, base))
+    monkeypatch.setattr(groups, "block_partition", lambda perms, base, hint=None:
+                        calls.append(len(base)) or real(perms, base, hint))
     d = run_verify("sz", 3).data
     assert d["status"] == "pass" and d["chi_graph"]["antipodal_equals_sylow"]
     assert calls == [7]  # the Sylow block: q - 1 = 7 involutions, 0 among them
@@ -331,12 +331,28 @@ def test_merged_commuting_classes_fail_the_sylow_count(monkeypatch, capsys):
     # of them twice the size, where PSL2(8) has 9 Sylow classes of 7
     real = groups.block_partition
 
-    def merged(perms, base):
-        labels = real(perms, base)
+    def merged(perms, base, hint=None):
+        labels = real(perms, base, hint)
         return np.where(labels == labels.max(), 0, labels)
     monkeypatch.setattr(groups, "block_partition", merged)
     d = _fails_alone(capsys, "sylow: 8 commuting classes of sizes [7, 14], "
                              "expected 9 classes of size 7")
+    assert d["sylow"]["equivalence"] is False
+    assert "antipodal_equals_sylow" not in d["chi_graph"]
+
+
+def test_a_read_merging_two_sylow_centres_fails_the_closure(monkeypatch, capsys):
+    # the rows' Sylow keys are only the closure's start: keys that put the
+    # last centre into vertex 0's give a class that no generator preserves,
+    # and PSL2(8) carries any two of its 9 centres onto any other two, so
+    # the closure joins all 63 involutions where B0 has 7
+    real = groups.sylow_keys
+
+    def merged(kern, codes):
+        keys = real(kern, codes)
+        return np.where(keys == keys[-1], keys[0], keys)
+    monkeypatch.setattr(groups, "sylow_keys", merged)
+    d = _fails_alone(capsys, "sylow: the block of 0 has 63 members, expected 7")
     assert d["sylow"]["equivalence"] is False
     assert "antipodal_equals_sylow" not in d["chi_graph"]
 
